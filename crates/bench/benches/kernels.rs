@@ -1,10 +1,16 @@
 //! Benchmarks of the computational kernels underneath the reproduction:
 //! the Eq. (2) optimizer, the PHY error chain, one MAC TXOP, and a
 //! second of simulated saturated traffic.
+//!
+//! Writes `BENCH_kernels.json`: median ns per solve of the optimizer
+//! benches, and objective and bound calls per solve on the Fig. 9 grid
+//! and the quick policy grid — pruned, and with an infinite bound (the
+//! full scan) as the base.
 
 use std::hint::black_box;
 
 use skyferry_bench::microbench::Harness;
+use skyferry_bench::solver_calls::{figure9_calls, quick_policy_calls, SolveCalls};
 use skyferry_control::mission::{run_mission, MissionConfig};
 use skyferry_core::mixed::{optimize_mixed, MixedConfig};
 use skyferry_core::optimizer::optimize;
@@ -22,6 +28,7 @@ use skyferry_phy::fading::FadingProcess;
 use skyferry_phy::mcs::Mcs;
 use skyferry_phy::presets::ChannelPreset;
 use skyferry_sim::prelude::*;
+use skyferry_stats::json::Json;
 use skyferry_units::{Db, MetersPerSec};
 
 fn bench_optimizer(h: &mut Harness) {
@@ -114,6 +121,23 @@ fn bench_mission(h: &mut Harness) {
     });
 }
 
+fn calls_json(pruned: SolveCalls, full: SolveCalls) -> Json {
+    let calls = |c: SolveCalls| {
+        Json::obj([
+            ("objective", Json::Fixed(c.objective, 1)),
+            ("bound", Json::Fixed(c.bound, 1)),
+            ("total", Json::Fixed(c.total(), 1)),
+        ])
+    };
+    // The full scan's bound calls return a constant and cost nothing, so
+    // the reduction is taken against its objective calls alone.
+    Json::obj([
+        ("full_scan", calls(full)),
+        ("pruned", calls(pruned)),
+        ("reduction", Json::Fixed(full.objective / pruned.total(), 2)),
+    ])
+}
+
 fn main() {
     let mut h = Harness::from_env();
     bench_optimizer(&mut h);
@@ -121,5 +145,43 @@ fn main() {
     bench_mac(&mut h);
     bench_campaign_second(&mut h);
     bench_mission(&mut h);
+
+    let ns = |name: &str, solves: f64| Json::Fixed(h.median_ns(name) / solves, 1);
+    let json = Json::obj([
+        ("bench", Json::str("kernels")),
+        (
+            "solve_ns",
+            Json::obj([
+                ("airplane_baseline", ns("optimizer/airplane-baseline", 1.0)),
+                (
+                    "quadrocopter_baseline",
+                    ns("optimizer/quadrocopter-baseline", 1.0),
+                ),
+                (
+                    "figure9_grid_per_cell",
+                    ns("optimizer/figure9-grid-30-cells", 30.0),
+                ),
+                ("mixed_2d", ns("optimizer/mixed-2d", 1.0)),
+            ]),
+        ),
+        (
+            "calls_per_solve",
+            Json::obj([
+                (
+                    "figure9",
+                    calls_json(figure9_calls(true), figure9_calls(false)),
+                ),
+                (
+                    "policy_quick",
+                    calls_json(quick_policy_calls(true), quick_policy_calls(false)),
+                ),
+            ]),
+        ),
+    ]);
+    // Cargo runs benches with cwd = the package dir; anchor the report
+    // at the workspace root next to the other BENCH_*.json files.
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
+    std::fs::write(out, json.render_pretty()).expect("write BENCH_kernels.json");
+    println!("wrote BENCH_kernels.json");
     h.finish();
 }

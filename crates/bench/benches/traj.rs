@@ -40,14 +40,6 @@ fn crosswind() -> WindConfig {
     WindConfig::steady(0.0, MetersPerSec::new(3.5))
 }
 
-fn median_ns(h: &Harness, name: &str) -> f64 {
-    h.results()
-        .iter()
-        .find(|m| m.name == name)
-        .map(|m| m.median.as_nanos() as f64)
-        .unwrap_or(f64::NAN)
-}
-
 fn main() {
     let quick = config(crosswind(), GridSpec::quick());
     let baseline = config(crosswind(), GridSpec::baseline());
@@ -99,17 +91,14 @@ fn main() {
         (
             "plan_ns",
             Json::obj([
-                (
-                    "quick_grid",
-                    Json::Fixed(median_ns(&h, "traj/quick-grid"), 1),
-                ),
+                ("quick_grid", Json::Fixed(h.median_ns("traj/quick-grid"), 1)),
                 (
                     "baseline_grid",
-                    Json::Fixed(median_ns(&h, "traj/baseline-grid"), 1),
+                    Json::Fixed(h.median_ns("traj/baseline-grid"), 1),
                 ),
                 (
                     "degenerate_calm",
-                    Json::Fixed(median_ns(&h, "traj/degenerate-calm"), 1),
+                    Json::Fixed(h.median_ns("traj/degenerate-calm"), 1),
                 ),
             ]),
         ),

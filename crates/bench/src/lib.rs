@@ -27,6 +27,7 @@ pub mod experiments;
 pub mod microbench;
 pub mod policy;
 pub mod report;
+pub mod solver_calls;
 pub mod store;
 pub mod verify;
 

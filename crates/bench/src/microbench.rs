@@ -127,6 +127,15 @@ impl Harness {
         &self.results
     }
 
+    /// Median ns per iteration of the bench named `name`, or NaN when it
+    /// did not run (filtered out); NaN renders as JSON `null`.
+    pub fn median_ns(&self, name: &str) -> f64 {
+        self.results
+            .iter()
+            .find(|m| m.name == name)
+            .map_or(f64::NAN, |m| m.median.as_nanos() as f64)
+    }
+
     /// Print a closing summary line.
     pub fn finish(self) {
         println!("\n{} benchmark(s) run.", self.results.len());

@@ -8,6 +8,45 @@
 //! with golden-section search — robust to multimodality at grid
 //! resolution, with ~1e-6 m final precision.
 //!
+//! # Bound-pruned scan
+//!
+//! The grid scan's answer is the *first* index of the grid maximum, and
+//! everything downstream (the golden-section bracket, the final pick)
+//! is a function of that index. [`search_max`] finds the same index
+//! while skipping most of the grid:
+//!
+//! 1. it evaluates the 64 block heads (every 32nd grid point) and takes
+//!    their maximum as a threshold `T`;
+//! 2. it walks the 32-point blocks in order and skips any block whose
+//!    caller-supplied bound is strictly below `max(T, running best)`,
+//!    then does the same for each 8-point sub-block of a surviving block.
+//!
+//! `T` and the running best are values the full scan also computes at
+//! grid points, so both are ≤ the grid maximum `M`. A skipped point lies
+//! under a bound strictly below `M`, so its value is strictly below `M`
+//! and it can be neither the first argmax nor tie with it; the points
+//! that are evaluated are visited in grid order with the same strict `>`
+//! update. The scan therefore ends on the full scan's `(index, value)`,
+//! bit for bit, whenever the bound is sound.
+//!
+//! [`optimize_view`] supplies the Eq. (2) bound
+//! [`utility_bound_view`](crate::utility::utility_bound_view). Its
+//! soundness rests on δ rising with `d` (ρ ≥ 0, or a Weibull law with
+//! positive scale and shape) and on `v > 0` — preconditions
+//! [`ScenarioView::validate`] asserts before every solve, together with
+//! the finite hazard and positive transmit time that keep `U` from ever
+//! being NaN — and it carries a 1e-9 relative slack so that a last-ulp
+//! non-monotonicity in libm's `exp`, `powf` or `log2` cannot make it cut
+//! a block that holds the maximum. A caller without a bound passes
+//! `|_, _| f64::INFINITY` and gets the full scan; `skyferry-traj` does,
+//! because its path objective has no such bound.
+//!
+//! Golden-section refinement is unchanged. The final pick compares the
+//! refined point, the grid best, `lo` and `hi` under `Iterator::max_by`'s
+//! rule — a later candidate wins a tie — but reuses the scan's values for
+//! the grid best and `lo`, so it evaluates the objective twice, not six
+//! times.
+//!
 //! This module contains no `unsafe` code (audited for the determinism
 //! pass; the crate is `#![forbid(unsafe_code)]`).
 
@@ -15,10 +54,14 @@ use skyferry_units::Meters;
 
 use crate::delay::CommunicationDelay;
 use crate::scenario::{Scenario, ScenarioView};
-use crate::utility::{utility_breakdown_view, utility_view};
+use crate::utility::{utility_bound_view, utility_breakdown_view, utility_view};
 
 /// Number of initial grid points.
 const GRID_POINTS: usize = 2048;
+/// Grid points per block; the block heads seed the skip threshold.
+const BLOCK: usize = 32;
+/// Grid points per sub-block, the skip unit inside a surviving block.
+const SUB_BLOCK: usize = 8;
 /// Golden-section iterations (interval shrinks by 0.618 each).
 const GOLDEN_ITERS: usize = 80;
 
@@ -66,16 +109,27 @@ pub fn optimize(scenario: &Scenario) -> OptimalTransfer {
 ///
 /// `f` is evaluated on raw metres and may return `f64::NEG_INFINITY`
 /// for infeasible candidates (the grid scan steps over them); it must
-/// never return NaN. A degenerate interval (`hi − lo < 1e-9`) returns
-/// `hi` without evaluating `f`.
+/// be a pure function and never return NaN. A degenerate interval
+/// (`hi − lo < 1e-9`) returns `hi` without evaluating anything.
+///
+/// `bound(d1, d2)` must be ≥ `f(d)` at every grid point `d ∈ [d1, d2]`
+/// (NaN counts as no bound); the scan skips the grid blocks whose bound
+/// proves they cannot hold the maximum (see the module docs).
+/// `|_, _| f64::INFINITY` is always sound and skips nothing.
 ///
 /// Bit-exactness contract: policy tables, golden CSVs and the traj
 /// planner's degenerate-equivalence guarantee all observe the exact
 /// sequence of float operations here — [`optimize_view`] and
 /// `skyferry-traj` call this one routine so the scalar d\* and the
 /// planner's straight-corridor commit are the *same* computation, not
-/// two computations that happen to agree.
-pub fn search_max(lo: Meters, hi: Meters, f: impl Fn(f64) -> f64) -> Meters {
+/// two computations that happen to agree. A sound bound changes which
+/// grid points are evaluated, never the result.
+pub fn search_max(
+    lo: Meters,
+    hi: Meters,
+    f: impl Fn(f64) -> f64,
+    bound: impl Fn(f64, f64) -> f64,
+) -> Meters {
     let lo = lo.get();
     let hi = hi.get();
     let at = |i: usize| lo + (hi - lo) * i as f64 / (GRID_POINTS - 1) as f64;
@@ -83,12 +137,29 @@ pub fn search_max(lo: Meters, hi: Meters, f: impl Fn(f64) -> f64) -> Meters {
         // Degenerate interval: the only choice is the upper endpoint.
         return Meters::new(hi);
     }
+    let heads: [f64; GRID_POINTS / BLOCK] = std::array::from_fn(|k| f(at(k * BLOCK)));
+    // `f64::max` drops NaN, so a NaN head never raises the threshold.
+    let seed = heads.iter().fold(f64::NEG_INFINITY, |t, &u| t.max(u));
+    let cut = |first: usize, len: usize, best_u: f64| {
+        bound(at(first), at(first + len - 1)) < seed.max(best_u)
+    };
     let (mut best_i, mut best_u) = (0usize, f64::NEG_INFINITY);
-    for i in 0..GRID_POINTS {
-        let u = f(at(i));
-        if u > best_u {
-            best_u = u;
-            best_i = i;
+    for (k, &head) in heads.iter().enumerate() {
+        let block = k * BLOCK;
+        if cut(block, BLOCK, best_u) {
+            continue;
+        }
+        for sub in (block..block + BLOCK).step_by(SUB_BLOCK) {
+            if cut(sub, SUB_BLOCK, best_u) {
+                continue;
+            }
+            for i in sub..sub + SUB_BLOCK {
+                let u = if i == block { head } else { f(at(i)) };
+                if u > best_u {
+                    best_u = u;
+                    best_i = i;
+                }
+            }
         }
     }
 
@@ -118,11 +189,21 @@ pub fn search_max(lo: Meters, hi: Meters, f: impl Fn(f64) -> f64) -> Meters {
     let d_opt = 0.5 * (a + b);
     // Compare against the refined point *and* the raw grid best, and the
     // interval endpoints (the optimum may sit on a constraint).
-    let candidates = [d_opt, at(best_i), lo, hi];
-    let best = candidates
-        .iter()
-        .copied()
-        .max_by(|&x, &y| f(x).partial_cmp(&f(y)).expect("objective is not NaN"))
+    // `at(0)` is `lo + 0.0`, which is `lo` itself unless `lo` is −0.0.
+    let u_lo = if at(0).to_bits() == lo.to_bits() {
+        heads[0]
+    } else {
+        f(lo)
+    };
+    let candidates = [
+        (d_opt, f(d_opt)),
+        (at(best_i), best_u),
+        (lo, u_lo),
+        (hi, f(hi)),
+    ];
+    let (best, _) = candidates
+        .into_iter()
+        .max_by(|x, y| x.1.partial_cmp(&y.1).expect("objective is not NaN"))
         .expect("non-empty candidates");
     Meters::new(best)
 }
@@ -136,9 +217,12 @@ pub fn optimize_view(scenario: ScenarioView<'_>) -> OptimalTransfer {
         mdata_bytes = scenario.mdata_bytes
     );
     scenario.validate();
-    let best = search_max(scenario.d_min(), scenario.d0(), |d| {
-        utility_view(scenario, Meters::new(d))
-    })
+    let best = search_max(
+        scenario.d_min(),
+        scenario.d0(),
+        |d| utility_view(scenario, Meters::new(d)),
+        |d1, d2| utility_bound_view(scenario, Meters::new(d1), Meters::new(d2)),
+    )
     .get();
 
     let bd = utility_breakdown_view(scenario, Meters::new(best));
@@ -283,20 +367,31 @@ mod tests {
         assert!(o.transmit_now(&tight), "dopt={}", o.d_opt);
     }
 
+    /// The bound that skips nothing.
+    fn no_bound(_: f64, _: f64) -> f64 {
+        f64::INFINITY
+    }
+
     #[test]
     fn search_max_finds_analytic_peak() {
         // −(x − 137)² peaks at 137; no scenario machinery involved.
-        let best = search_max(Meters::new(20.0), Meters::new(300.0), |x| {
-            -(x - 137.0) * (x - 137.0)
-        });
+        let f = |x: f64| -(x - 137.0) * (x - 137.0);
+        let best = search_max(Meters::new(20.0), Meters::new(300.0), f, no_bound);
         assert!((best.get() - 137.0).abs() < 1e-6, "best={}", best.get());
+        // A sound bound (f is 0 at its peak, so 0 bounds every block) skips
+        // blocks without moving the answer.
+        let bounded = search_max(Meters::new(20.0), Meters::new(300.0), f, |_, _| 0.0);
+        assert_eq!(bounded.get().to_bits(), best.get().to_bits());
     }
 
     #[test]
     fn search_max_degenerate_interval_skips_evaluation() {
-        let best = search_max(Meters::new(42.0), Meters::new(42.0), |_| {
-            panic!("degenerate interval must not evaluate the objective")
-        });
+        let best = search_max(
+            Meters::new(42.0),
+            Meters::new(42.0),
+            |_| panic!("degenerate interval must not evaluate the objective"),
+            |_, _| panic!("degenerate interval must not evaluate the bound"),
+        );
         assert_eq!(best.get(), 42.0);
     }
 
@@ -305,24 +400,62 @@ mod tests {
         // NEG_INFINITY marks energy-infeasible candidates in the traj
         // planner; the grid scan must step over them and still refine
         // the feasible peak.
-        let best = search_max(Meters::new(0.0), Meters::new(10.0), |x| {
+        let f = |x: f64| {
             if x < 6.0 {
                 f64::NEG_INFINITY
             } else {
                 -(x - 7.0).abs()
             }
-        });
+        };
+        let best = search_max(Meters::new(0.0), Meters::new(10.0), f, no_bound);
         assert!((best.get() - 7.0).abs() < 1e-5, "best={}", best.get());
     }
 
     #[test]
+    fn search_max_tie_rule_returns_hi_for_a_constant_objective() {
+        // Every candidate of the final pick ties, and `max_by` keeps the
+        // last one: `hi`, bit for bit. Cached answers (serving, policy
+        // tables) depend on this rule surviving any rewrite of the pick.
+        let (lo, hi) = (Meters::new(20.0), Meters::new(137.123_456_789));
+        let bounds: [fn(f64, f64) -> f64; 2] = [no_bound, |_, _| 1.0];
+        for bound in bounds {
+            let best = search_max(lo, hi, |_| 1.0, bound);
+            assert_eq!(best.get().to_bits(), hi.get().to_bits());
+        }
+    }
+
+    #[test]
+    fn pruned_scan_evaluates_a_fraction_of_the_grid() {
+        use std::cell::Cell;
+        let s = Scenario::airplane_baseline().with_mdata_mb(10.0);
+        let v = s.view();
+        let calls = Cell::new(0u32);
+        let f = |d: f64| {
+            calls.set(calls.get() + 1);
+            utility_view(v, Meters::new(d))
+        };
+        let full = search_max(v.d_min(), v.d0(), f, no_bound);
+        let full_calls = calls.replace(0);
+        let pruned = search_max(v.d_min(), v.d0(), f, |d1, d2| {
+            utility_bound_view(v, Meters::new(d1), Meters::new(d2))
+        });
+        assert_eq!(pruned.get().to_bits(), full.get().to_bits());
+        assert_eq!(full_calls as usize, GRID_POINTS + GOLDEN_ITERS + 4);
+        assert!(calls.get() < full_calls / 5, "{} calls", calls.get());
+    }
+
+    #[test]
     fn search_max_is_the_optimizer_exactly() {
-        // optimize_view must be a thin wrapper: same routine, same bits.
+        // optimize_view must be a thin wrapper: same routine, same bits —
+        // and its bound must not move the answer off the full scan's.
         let s = Scenario::quadrocopter_baseline().with_mdata_mb(10.0);
         let v = s.view();
-        let direct = search_max(v.d_min(), v.d0(), |d| {
-            crate::utility::utility_view(v, Meters::new(d))
-        });
+        let direct = search_max(
+            v.d_min(),
+            v.d0(),
+            |d| utility_view(v, Meters::new(d)),
+            no_bound,
+        );
         assert_eq!(direct.get().to_bits(), optimize(&s).d_opt.to_bits());
     }
 

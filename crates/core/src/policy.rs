@@ -211,6 +211,8 @@ pub struct PolicyGrid {
 
 /// Number of platforms crossed with the parameter axes.
 const NUM_PLATFORMS: usize = 2;
+/// Cells solved per `sim::parallel` task by [`PolicyTable::build`].
+const BUILD_RUN: usize = 64;
 
 impl PolicyGrid {
     /// Validate and assemble a grid. Every axis step must be finite and
@@ -415,8 +417,19 @@ impl PolicyTable {
     pub fn build(grid: PolicyGrid, seed: u64) -> PolicyTable {
         let n = grid.cells();
         let _span = trace::span!("policy-build", cells = n, seed = seed);
-        let cells = par_map_indexed(n, |i| grid.params_at(i).solve());
-        PolicyTable { grid, seed, cells }
+        // One task per run of cells: each task fills one small vector, so
+        // no worker buffers a table-sized share that grows by doubling
+        // (a ~3 µs solve lets one worker race far ahead of the other).
+        let runs = par_map_indexed(n.div_ceil(BUILD_RUN), |r| {
+            (r * BUILD_RUN..n.min((r + 1) * BUILD_RUN))
+                .map(|i| grid.params_at(i).solve())
+                .collect::<Vec<_>>()
+        });
+        PolicyTable {
+            grid,
+            seed,
+            cells: runs.concat(),
+        }
     }
 
     /// Assemble a table from already-solved cells (the decode path and

@@ -309,16 +309,25 @@ impl Quantizer {
     }
 
     /// The cache key of a query under this quantizer: the platform tag
-    /// plus, per dimension, either the bucket index (quantized) or the
-    /// raw `f64` bits (exact). Two queries collide exactly when the
-    /// solver would be handed the same snapped parameters.
+    /// plus, per dimension, the bucket index where [`snap`] moves the
+    /// value to its bucket centre, and the raw bits of the field where
+    /// `snap` keeps it (an exact dimension, or an `Mdata` or `v` whose
+    /// bucket centre is not positive). Two queries collide exactly when
+    /// the solver would be handed the same snapped parameters.
+    ///
+    /// [`snap`]: Quantizer::snap
     pub fn key(&self, p: &DecisionParams) -> [u64; 5] {
-        fn dim(x: f64, step: Option<f64>) -> u64 {
+        // `positive`: the dimension's snap keeps the raw value when the
+        // bucket centre is not positive.
+        fn bucket(x: f64, step: Option<f64>, positive: bool) -> Option<u64> {
             match step {
-                // Bucket index as two's-complement bits (cast is the
-                // documented wrap; indices are far below the edge).
-                Some(s) if s > 0.0 => ((x / s).round() as i64) as u64,
-                _ => x.to_bits(),
+                Some(s) if s > 0.0 => {
+                    let k = (x / s).round();
+                    // Bucket index as two's-complement bits (cast is the
+                    // documented wrap; indices are far below the edge).
+                    (!positive || k * s > 0.0).then_some(k as i64 as u64)
+                }
+                _ => None,
             }
         }
         [
@@ -326,10 +335,11 @@ impl Quantizer {
                 Platform::Airplane => 0,
                 Platform::Quadrocopter => 1,
             },
-            dim(p.d0_m, self.d0_step_m),
-            dim(p.mdata_bytes / BYTES_PER_MB, self.mdata_step_mb),
-            dim(p.rho_per_m, self.rho_step_per_m),
-            dim(p.v_mps, self.speed_step_mps),
+            bucket(p.d0_m, self.d0_step_m, false).unwrap_or(p.d0_m.to_bits()),
+            bucket(p.mdata_bytes / BYTES_PER_MB, self.mdata_step_mb, true)
+                .unwrap_or(p.mdata_bytes.to_bits()),
+            bucket(p.rho_per_m, self.rho_step_per_m, false).unwrap_or(p.rho_per_m.to_bits()),
+            bucket(p.v_mps, self.speed_step_mps, true).unwrap_or(p.v_mps.to_bits()),
         ]
     }
 }
@@ -448,6 +458,53 @@ mod tests {
         let mut c = a;
         c.platform = Platform::Quadrocopter;
         assert_ne!(q.key(&a), q.key(&c));
+    }
+
+    fn snap_bits(q: &Quantizer, p: &DecisionParams) -> [u64; 4] {
+        let s = q.snap(p);
+        [s.d0_m, s.mdata_bytes, s.rho_per_m, s.v_mps].map(f64::to_bits)
+    }
+
+    #[test]
+    fn equal_keys_mean_bit_equal_snapped_params() {
+        // The cache serves one solve per key, so two queries may share a
+        // key only if the solver would see the same snapped parameters.
+        // Values that round to the zero bucket of Mdata (< 0.5 MB) or v
+        // (< 0.25 m/s) keep their raw value in `snap`; adjacent Mdata
+        // byte counts can share one MB quotient in exact mode.
+        let base = DecisionParams::baseline(Platform::Quadrocopter);
+        let mut mdata = vec![0.2e6, 0.4e6, 0.49e6, 0.6e6, 1.4e6, 10e6];
+        let mut x: f64 = 2.05e6;
+        while x / BYTES_PER_MB != f64::from_bits(x.to_bits() + 1) / BYTES_PER_MB {
+            x = f64::from_bits(x.to_bits() + 1);
+        }
+        mdata.extend([x, f64::from_bits(x.to_bits() + 1)]);
+        let mut params = Vec::new();
+        for &m in &mdata {
+            for v in [0.1, 0.2, 0.24, 0.3, 4.5] {
+                for d0 in [21.0, 99.0, 101.0] {
+                    for rho in [0.0, 1e-5, 2.46e-4] {
+                        let p = DecisionParams {
+                            mdata_bytes: m,
+                            v_mps: v,
+                            d0_m: d0,
+                            rho_per_m: rho,
+                            ..base
+                        };
+                        params.push(p.validated().expect("valid"));
+                    }
+                }
+            }
+        }
+        for q in [Quantizer::default_buckets(), Quantizer::exact()] {
+            for a in &params {
+                for b in &params {
+                    if q.key(a) == q.key(b) {
+                        assert_eq!(snap_bits(&q, a), snap_bits(&q, b), "{q:?}: {a:?} vs {b:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! separation of 20 m "to avoid physical collisions".
 
 use skyferry_sim::stable::KeyHasher;
-use skyferry_units::{Bytes, Meters, MetersPerSec};
+use skyferry_units::{Bytes, Meters, MetersPerSec, Seconds};
 
 use crate::failure::{ExponentialFailure, FailureSpec};
 use crate::optimizer::{optimize, OptimalTransfer};
@@ -96,12 +96,9 @@ impl Scenario {
         self
     }
 
-    /// Validate the constraint set of Eq. (2).
+    /// Validate the constraint set of Eq. (2) (see [`ScenarioView::validate`]).
     pub fn validate(&self) {
-        assert!(self.d_min_m > 0.0, "d_min must be positive");
-        assert!(self.d0_m >= self.d_min_m, "d0 must be ≥ d_min");
-        assert!(self.v_mps > 0.0, "v must be positive (Eq. 2)");
-        assert!(self.mdata_bytes > 0.0, "Mdata must be positive (Eq. 2)");
+        self.view().validate();
     }
 
     /// Solve Eq. (2) for this scenario (convenience wrapper around
@@ -245,12 +242,42 @@ impl<'a> ScenarioView<'a> {
         self
     }
 
-    /// Validate the constraint set of Eq. (2).
+    /// Validate the constraint set of Eq. (2) and the model parameters
+    /// the optimizer's block bound relies on: finite `d0`, `v` and
+    /// `Mdata`, and in-range throughput and failure laws. The fields are
+    /// public, so a literal can bypass every constructor check; this is
+    /// where [`optimize_view`](crate::optimizer::optimize_view) catches
+    /// it, with a panic that names the field.
+    ///
+    /// It also keeps `U = δ / Cdelay` a number on `[d_min, d0]`: δ is
+    /// finite (see [`FailureSpec::validate`]) and `Cdelay ≥ Mdata /
+    /// s_max > 0`, so `U` is never `0 / 0`.
     pub fn validate(&self) {
         assert!(self.d_min_m > 0.0, "d_min must be positive");
-        assert!(self.d0_m >= self.d_min_m, "d0 must be ≥ d_min");
-        assert!(self.v_mps > 0.0, "v must be positive (Eq. 2)");
-        assert!(self.mdata_bytes > 0.0, "Mdata must be positive (Eq. 2)");
+        assert!(
+            self.d0_m.is_finite() && self.d0_m >= self.d_min_m,
+            "d0 must be finite and ≥ d_min (got {})",
+            self.d0_m
+        );
+        assert!(
+            self.v_mps.is_finite() && self.v_mps > 0.0,
+            "v must be finite and positive (Eq. 2; got {})",
+            self.v_mps
+        );
+        assert!(
+            self.mdata_bytes.is_finite() && self.mdata_bytes > 0.0,
+            "Mdata must be finite and positive (Eq. 2; got {})",
+            self.mdata_bytes
+        );
+        self.throughput.validate();
+        self.failure.validate(self.d0() - self.d_min());
+        let s_max = self.throughput.peak_rate_bps(self.d_min(), self.d0());
+        assert!(
+            self.mdata() / s_max > Seconds::ZERO,
+            "Mdata / peak rate must be a positive time (Mdata {} B, peak rate {} bit/s)",
+            self.mdata_bytes,
+            s_max.get()
+        );
     }
 
     /// Solve Eq. (2) for this view.
@@ -314,6 +341,127 @@ mod tests {
         let mut s = Scenario::airplane_baseline();
         s.d0_m = 5.0;
         s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid failure rate -0.001")]
+    fn negative_rho_literal_is_rejected_before_solving() {
+        // The literal bypasses `ExponentialFailure::new`; with ρ < 0, δ
+        // falls with d and the optimizer's block bound would be unsound.
+        let mut s = Scenario::airplane_baseline();
+        s.failure = FailureSpec::Exponential(ExponentialFailure { rho_per_m: -1e-3 });
+        let _ = s.optimize();
+    }
+
+    #[test]
+    #[should_panic(expected = "d0 must be finite")]
+    fn infinite_d0_is_rejected() {
+        let mut s = Scenario::airplane_baseline();
+        s.d0_m = f64::INFINITY;
+        let _ = s.view().optimize();
+    }
+
+    #[test]
+    #[should_panic(expected = "v must be finite")]
+    fn infinite_speed_is_rejected() {
+        let mut s = Scenario::airplane_baseline();
+        s.v_mps = f64::INFINITY;
+        let _ = s.optimize();
+    }
+
+    #[test]
+    #[should_panic(expected = "Mdata must be finite")]
+    fn nan_mdata_is_rejected() {
+        let mut s = Scenario::quadrocopter_baseline();
+        s.mdata_bytes = f64::NAN;
+        let _ = s.optimize();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid failure rate")]
+    fn infinite_rho_literal_is_rejected() {
+        let mut s = Scenario::quadrocopter_baseline();
+        s.failure = FailureSpec::Exponential(ExponentialFailure {
+            rho_per_m: f64::INFINITY,
+        });
+        let _ = s.optimize();
+    }
+
+    #[test]
+    fn weibull_literals_out_of_range_are_rejected() {
+        use crate::failure::WeibullFailure;
+        let ok = WeibullFailure::new(Meters::new(5_000.0), 2.0, Meters::ZERO);
+        for bad in [
+            WeibullFailure { shape: 0.0, ..ok },
+            WeibullFailure {
+                shape: f64::NAN,
+                ..ok
+            },
+            WeibullFailure {
+                scale_m: -1.0,
+                ..ok
+            },
+            WeibullFailure {
+                scale_m: f64::INFINITY,
+                ..ok
+            },
+            WeibullFailure {
+                flown_m: -1.0,
+                ..ok
+            },
+            WeibullFailure {
+                flown_m: f64::INFINITY,
+                ..ok
+            },
+        ] {
+            let mut s = Scenario::quadrocopter_baseline();
+            s.failure = FailureSpec::Weibull(bad);
+            let err = std::panic::catch_unwind(|| s.optimize())
+                .expect_err("an out-of-range Weibull law must not solve");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.starts_with("invalid Weibull law"), "{bad:?}: {msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "log-fit coefficients must be finite")]
+    fn non_finite_log_fit_is_rejected() {
+        let mut s = Scenario::airplane_baseline();
+        s.throughput = ThroughputSpec::LogFit(LogFitThroughput {
+            a_mbps: f64::NAN,
+            b_mbps: 49.0,
+        });
+        let _ = s.optimize();
+    }
+
+    #[test]
+    #[should_panic(expected = "Weibull hazard overflows")]
+    fn overflowing_weibull_hazard_is_rejected() {
+        // Every field is in range, but (x / 1e-300)² overflows, so δ would
+        // be exp(−(∞ − ∞)) = NaN at every candidate.
+        use crate::failure::WeibullFailure;
+        let mut s = Scenario::quadrocopter_baseline();
+        s.failure = FailureSpec::Weibull(WeibullFailure::new(
+            Meters::new(1e-300),
+            2.0,
+            Meters::new(1.0),
+        ));
+        let _ = s.optimize();
+    }
+
+    #[test]
+    #[should_panic(expected = "Mdata / peak rate must be a positive time")]
+    fn vanishing_transmit_time_is_rejected() {
+        // The fit overflows to s = ∞, so Ttx = 0. An ulp below d0, Tship
+        // underflows to 0 and so does δ, and the golden-section steps
+        // there would evaluate U = 0 / 0 = NaN.
+        let mut s = Scenario::airplane_baseline().with_rho(1e300);
+        (s.d_min_m, s.d0_m, s.v_mps) = (0.5, 1.0, f64::MAX);
+        s.throughput = ThroughputSpec::LogFit(LogFitThroughput {
+            a_mbps: 0.0,
+            b_mbps: 1e308,
+        });
+        let _ = s.optimize();
     }
 
     #[test]

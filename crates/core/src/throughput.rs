@@ -196,6 +196,41 @@ impl ThroughputSpec {
             ThroughputSpec::Empirical(m) => ThroughputSpec::Empirical(m.scaled(share)),
         }
     }
+
+    /// The highest [`rate_bps`](ThroughputModel::rate_bps) over `[lo, hi]`.
+    ///
+    /// A log fit is monotone in `d` for either sign of `a`, and so is its
+    /// [`MIN_RATE_BPS`] floor, so the peak sits at an end. An empirical
+    /// table is linear between knots and flat outside them, so the peak
+    /// is an end or a knot inside the interval.
+    pub(crate) fn peak_rate_bps(&self, lo: Meters, hi: Meters) -> BitsPerSec {
+        let ends = self.rate_bps(lo).max(self.rate_bps(hi));
+        match self {
+            ThroughputSpec::LogFit(_) => ends,
+            ThroughputSpec::Empirical(m) => {
+                let pts = m.points();
+                let end = pts.partition_point(|&(d, _)| d < hi.get());
+                let start = pts.partition_point(|&(d, _)| d <= lo.get()).min(end);
+                pts[start..end]
+                    .iter()
+                    .fold(ends, |peak, &(_, r)| peak.max(BitsPerSec::new(r)))
+            }
+        }
+    }
+
+    /// Panic unless the model's parameters are finite. A log fit's
+    /// coefficients are public fields that no constructor checks; an
+    /// empirical table is checked when it is built.
+    pub(crate) fn validate(&self) {
+        if let ThroughputSpec::LogFit(m) = self {
+            assert!(
+                m.a_mbps.is_finite() && m.b_mbps.is_finite(),
+                "log-fit coefficients must be finite (a = {}, b = {})",
+                m.a_mbps,
+                m.b_mbps
+            );
+        }
+    }
 }
 
 impl ThroughputModel for ThroughputSpec {
@@ -317,6 +352,37 @@ mod tests {
     #[should_panic]
     fn scaled_rejects_zero_share() {
         let _ = LogFitThroughput::AIRPLANE.scaled(0.0);
+    }
+
+    #[test]
+    fn peak_rate_takes_ends_and_interior_knots() {
+        // Log fits peak at an end for either sign of `a`.
+        let falling = ThroughputSpec::LogFit(LogFitThroughput::AIRPLANE);
+        assert_eq!(
+            falling.peak_rate_bps(m(30.0), m(90.0)),
+            falling.rate_bps(m(30.0))
+        );
+        let rising = ThroughputSpec::LogFit(LogFitThroughput {
+            a_mbps: 3.0,
+            b_mbps: 1.0,
+        });
+        assert_eq!(
+            rising.peak_rate_bps(m(30.0), m(90.0)),
+            rising.rate_bps(m(90.0))
+        );
+        // Tables also peak at a knot strictly inside the interval, and
+        // only there.
+        let table = ThroughputSpec::Empirical(EmpiricalThroughput::new(vec![
+            (20.0, 10e6),
+            (40.0, 30e6),
+            (60.0, 5e6),
+            (80.0, 50e6),
+        ]));
+        let peak = |lo: f64, hi: f64| table.peak_rate_bps(m(lo), m(hi)).get();
+        assert_eq!(peak(30.0, 50.0), 30e6);
+        assert_eq!(peak(40.0, 40.0), 30e6);
+        assert_eq!(peak(45.0, 75.0), 38.75e6, "s(75) beats the 5 Mb/s knot");
+        assert_eq!(peak(10.0, 200.0), 50e6);
     }
 
     #[test]

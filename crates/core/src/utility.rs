@@ -60,6 +60,40 @@ pub fn utility_view(scenario: ScenarioView<'_>, d: Meters) -> f64 {
     survival / delay.total().get()
 }
 
+/// Relative slack on [`utility_bound_view`]: far above the last-ulp
+/// wobble of a libm `exp`/`powf`/`log2` that is not exactly monotone,
+/// far below any utility gap the optimizer could skip on.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// An upper bound on [`utility_view`] over every `d ∈ [d1, d2]` — the
+/// block bound that lets the optimizer's grid scan skip blocks that
+/// cannot hold the maximum.
+///
+/// Each factor of Eq. (1) is bounded at one end of the block: δ rises
+/// with `d`, so δ ≤ δ(d2); `Tship` falls with `d`, so `Tship ≥
+/// Tship(d2)`; and `Ttx ≥ Mdata / s_max` with `s_max` the throughput
+/// model's peak rate over the block (an end, or an empirical table's
+/// knot inside it). The terms use the same typed operations as
+/// [`utility_view`], so before its `1 + 1e-9` slack factor the bound of
+/// a block whose peak rate is `s(d2)` is bit-equal to `U(d2)`.
+///
+/// Sound under the preconditions [`ScenarioView::validate`] asserts
+/// (ρ ≥ 0 or a Weibull law with positive scale and shape, `v > 0`,
+/// finite parameters); the domain contract of [`utility`] applies to
+/// both ends.
+pub fn utility_bound_view(scenario: ScenarioView<'_>, d1: Meters, d2: Meters) -> f64 {
+    debug_assert!(
+        d1 <= d2,
+        "block bound needs d1 ≤ d2: {} > {}",
+        d1.get(),
+        d2.get()
+    );
+    let ship = (scenario.d0() - d2).max(Meters::ZERO) / scenario.speed();
+    let tx = scenario.mdata() / scenario.throughput.peak_rate_bps(d1, d2);
+    let survival = scenario.failure.survival(scenario.d0_m, d2.get());
+    survival / (ship + tx).get() * (1.0 + BOUND_SLACK)
+}
+
 /// Eq. (1) generalised from the straight corridor to an arbitrary flown
 /// path — the stage reward of the `skyferry-traj` planner.
 ///
@@ -181,6 +215,41 @@ mod tests {
         assert!((b.instantaneous - 1.0 / b.delay.total_s()).abs() < 1e-15);
         assert_eq!(b.d, m(60.0));
         assert!((b.utility - utility(&s, m(60.0))).abs() < 1e-15);
+    }
+
+    #[test]
+    fn point_bound_is_the_slacked_utility_bitwise() {
+        // On a one-point block the bound takes the same float path as
+        // `utility_view`, so only the slack separates them.
+        for s in [
+            Scenario::airplane_baseline(),
+            Scenario::quadrocopter_baseline().with_rho(0.5),
+        ] {
+            let v = s.view();
+            for d in [v.d_min_m, 33.3, v.d0_m] {
+                assert_eq!(
+                    utility_bound_view(v, m(d), m(d)).to_bits(),
+                    (utility_view(v, m(d)) * (1.0 + BOUND_SLACK)).to_bits(),
+                    "{} at {d}",
+                    s.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_bound_covers_an_interior_rate_peak() {
+        // The rate peaks at the 50 m knot, inside [40, 60]: a bound built
+        // from the block's end rates alone would undercut U(50).
+        use crate::throughput::{EmpiricalThroughput, ThroughputSpec};
+        let mut s = Scenario::quadrocopter_baseline().with_rho(0.0);
+        s.throughput = ThroughputSpec::Empirical(EmpiricalThroughput::new(vec![
+            (20.0, 5e6),
+            (50.0, 40e6),
+            (100.0, 5e6),
+        ]));
+        let v = s.view();
+        assert!(utility_bound_view(v, m(40.0), m(60.0)) >= utility_view(v, m(50.0)));
     }
 
     #[test]

@@ -443,6 +443,39 @@ mod tests {
     }
 
     #[test]
+    fn zero_bucket_requests_get_their_own_answers() {
+        // Mdata < 0.5 MB and v < 0.25 m/s round to the zero bucket, where
+        // snapping keeps the raw value; each such request must be solved
+        // for its own parameters, not served a neighbour's cached answer.
+        let quant = Quantizer::default_buckets();
+        let mut engine = Engine::new(EngineConfig::default());
+        let base = DecisionParams::baseline(Platform::Quadrocopter);
+        for (a, b) in [
+            (
+                DecisionParams {
+                    mdata_bytes: 0.2e6,
+                    ..base
+                },
+                DecisionParams {
+                    mdata_bytes: 0.4e6,
+                    ..base
+                },
+            ),
+            (
+                DecisionParams { v_mps: 0.1, ..base },
+                DecisionParams { v_mps: 0.2, ..base },
+            ),
+        ] {
+            let first = engine.serve_one(a.validated().expect("valid"));
+            let second = engine.serve_one(b.validated().expect("valid"));
+            assert!(!second.cache_hit, "{b:?} served from {a:?}'s entry");
+            assert_eq!(first.transfer, quant.snap(&a).solve());
+            assert_eq!(second.transfer, quant.snap(&b).solve());
+            assert_ne!(second.transfer, first.transfer);
+        }
+    }
+
+    #[test]
     fn no_cache_mode_never_reports_hits() {
         let mut engine = Engine::new(EngineConfig {
             cache_capacity: 64,

@@ -23,7 +23,8 @@
 //!    [`search_max`] routine `optimize_view` is built on, over the same
 //!    interval, with an objective whose float operations are
 //!    bit-identical to `utility_view` when the path prefix is zero
-//!    (`0.0 + x == x`, `x − 0.0 == x`);
+//!    (`0.0 + x == x`, `x − 0.0 == x`) — without `optimize_view`'s
+//!    block bound, which only skips grid points that cannot win;
 //! 2. the straight commit-at-encounter strategy is always evaluated,
 //!    and the DP winner replaces it only when it is *better by more
 //!    than a relative epsilon* — sub-ulp noise from summing ring legs
@@ -296,9 +297,14 @@ impl Problem<'_> {
         let Some(gs) = self.approach_speed(pos) else {
             return self.commit(label, node_r, None, node_r);
         };
-        let best = search_max(Meters::new(self.view.d_min_m), Meters::new(node_r), |d| {
-            self.commit(label, node_r, Some(gs), d).value
-        });
+        // The path objective has no block bound: an infinite bound makes
+        // the search scan the full grid.
+        let best = search_max(
+            Meters::new(self.view.d_min_m),
+            Meters::new(node_r),
+            |d| self.commit(label, node_r, Some(gs), d).value,
+            |_, _| f64::INFINITY,
+        );
         let c = self.commit(label, node_r, Some(gs), best.get());
         if c.feasible {
             c

@@ -4,13 +4,16 @@
 //! The generators run on a fixed-seed [`DetRng`] loop (128 cases per
 //! property, matching the old proptest configuration).
 
-use skyferry::core::failure::{ExponentialFailure, FailureSpec};
-use skyferry::core::optimizer::{optimize, utility_curve};
-use skyferry::core::scenario::Scenario;
+use skyferry::core::failure::{ExponentialFailure, FailureSpec, WeibullFailure};
+use skyferry::core::optimizer::{optimize, search_max, utility_curve, OptimalTransfer};
+use skyferry::core::scenario::{Scenario, ScenarioView};
 use skyferry::core::strategy::{evaluate, EvalConfig, Strategy as DeliveryStrategy};
-use skyferry::core::throughput::{LogFitThroughput, ThroughputModel, ThroughputSpec};
-use skyferry::core::utility::utility;
+use skyferry::core::throughput::{
+    EmpiricalThroughput, LogFitThroughput, ThroughputModel, ThroughputSpec,
+};
+use skyferry::core::utility::{utility, utility_bound_view, utility_breakdown_view, utility_view};
 use skyferry::sim::rng::DetRng;
+use skyferry_bench::solver_calls::figure9_calls;
 use skyferry_units::Meters;
 
 const CASES: usize = 128;
@@ -154,6 +157,224 @@ fn strategy_curves_conserve_data() {
             assert!((e.utility - e.survival / e.completion_s).abs() < 1e-12);
         }
     }
+}
+
+/// The full-scan reference for the pruning contract: the `search_max`
+/// call `optimize_view` makes, with the bound that skips nothing, and
+/// the same breakdown at the answer.
+fn full_scan(v: ScenarioView<'_>) -> OptimalTransfer {
+    let d = search_max(
+        v.d_min(),
+        v.d0(),
+        |d| utility_view(v, Meters::new(d)),
+        |_, _| f64::INFINITY,
+    );
+    let bd = utility_breakdown_view(v, d);
+    OptimalTransfer {
+        d_opt: d.get(),
+        utility: bd.utility,
+        survival: bd.survival,
+        ship_s: bd.delay.ship_s(),
+        tx_s: bd.delay.tx_s(),
+    }
+}
+
+/// The bound-pruned solve equals the full scan on all five fields, bit
+/// for bit.
+fn assert_pruning_exact(s: &Scenario) {
+    let bits =
+        |o: &OptimalTransfer| [o.d_opt, o.utility, o.survival, o.ship_s, o.tx_s].map(f64::to_bits);
+    assert_eq!(bits(&optimize(s)), bits(&full_scan(s.view())), "{s:?}");
+}
+
+/// A Weibull law with shape in 0.5–3 and some mission already flown.
+fn arb_weibull(rng: &mut DetRng) -> FailureSpec {
+    FailureSpec::Weibull(WeibullFailure::new(
+        Meters::new(rng.uniform_range(100.0, 20_000.0)),
+        rng.uniform_range(0.5, 3.0),
+        Meters::new(rng.uniform_range(1.0, 5_000.0)),
+    ))
+}
+
+/// An empirical table over 20–150 m whose rate peaks in a spike at an
+/// interior knot, flanked within a metre by low-rate knots, so a grid
+/// block can hold the peak with low rates at both ends.
+fn arb_peaked_table(rng: &mut DetRng) -> ThroughputSpec {
+    let n = 4 + rng.index(5);
+    let mut points: Vec<(f64, f64)> = (0..n)
+        .map(|i| {
+            let d = 20.0 + 130.0 * (i as f64 + rng.uniform_range(0.1, 0.9)) / n as f64;
+            (d, rng.uniform_range(1e6, 30e6))
+        })
+        .collect();
+    let peak = 1 + rng.index(n - 2);
+    points[peak].1 = rng.uniform_range(35e6, 60e6);
+    let d = points[peak].0;
+    for side in [-1.0, 1.0] {
+        points.push((
+            d + side * rng.uniform_range(0.2, 1.0),
+            rng.uniform_range(1e6, 10e6),
+        ));
+    }
+    ThroughputSpec::Empirical(EmpiricalThroughput::new(points))
+}
+
+#[test]
+fn pruned_solve_equals_full_scan_on_arb_scenarios() {
+    let mut rng = rng(10);
+    for _ in 0..CASES {
+        assert_pruning_exact(&arb_scenario(&mut rng));
+    }
+}
+
+#[test]
+fn pruned_solve_equals_full_scan_under_fig8_stress() {
+    // Figure 8's multimodal regime and beyond: ρ log-uniform up to 1 /m.
+    let mut rng = rng(11);
+    for _ in 0..CASES {
+        let rho = 10f64.powf(rng.uniform_range(-6.0, 0.0));
+        assert_pruning_exact(&arb_scenario(&mut rng).with_rho(rho));
+    }
+    for base in [
+        Scenario::airplane_baseline(),
+        Scenario::quadrocopter_baseline(),
+    ] {
+        for rho in [0.0, 1.11e-4, 1e-3, 2e-3, 5e-3, 1e-2, 0.1, 1.0] {
+            assert_pruning_exact(&base.clone().with_rho(rho));
+        }
+    }
+}
+
+#[test]
+fn pruned_solve_equals_full_scan_under_weibull_hazard() {
+    let mut rng = rng(12);
+    for _ in 0..CASES {
+        let mut s = arb_scenario(&mut rng);
+        s.failure = arb_weibull(&mut rng);
+        assert_pruning_exact(&s);
+    }
+}
+
+#[test]
+fn pruned_solve_equals_full_scan_on_peaked_empirical_tables() {
+    let mut rng = rng(13);
+    for _ in 0..CASES {
+        let mut s = arb_scenario(&mut rng);
+        s.throughput = arb_peaked_table(&mut rng);
+        assert_pruning_exact(&s);
+    }
+}
+
+#[test]
+fn block_bound_is_sound_on_random_blocks() {
+    // The solver's own grid, random blocks of 1–64 points, every model
+    // family: the bound is ≥ U at every grid point in the block.
+    let mut rng = rng(14);
+    for case in 0..CASES * 4 {
+        let mut s = arb_scenario(&mut rng);
+        match case % 4 {
+            1 => s = s.with_rho(10f64.powf(rng.uniform_range(-6.0, 0.0))),
+            2 => s.failure = arb_weibull(&mut rng),
+            3 => s.throughput = arb_peaked_table(&mut rng),
+            _ => {}
+        }
+        let v = s.view();
+        let (lo, hi) = (v.d_min_m, v.d0_m);
+        let at = |i: usize| lo + (hi - lo) * i as f64 / 2047.0;
+        let len = 1 + rng.index(64);
+        let first = rng.index(2048 - len + 1);
+        let bound = utility_bound_view(v, Meters::new(at(first)), Meters::new(at(first + len - 1)));
+        for i in first..first + len {
+            let u = utility_view(v, Meters::new(at(i)));
+            assert!(
+                bound >= u,
+                "{s:?}: block {first}+{len}, U({}) = {u} > {bound}",
+                at(i)
+            );
+        }
+    }
+}
+
+/// `10^x` for `x` uniform in `[lo, hi)`.
+fn magnitude(rng: &mut DetRng, lo: f64, hi: f64) -> f64 {
+    10f64.powf(rng.uniform_range(lo, hi))
+}
+
+#[test]
+fn validated_literals_solve_to_numbers() {
+    // Positive, finite field literals hundreds of decades outside the
+    // paper's ranges. `validate` may reject one, for an overflowing
+    // hazard or a vanishing transmit time; one it accepts must solve
+    // without reaching the solver's "objective is not NaN" expect, to
+    // five fields that are not NaN.
+    const VALIDATE_MESSAGES: [&str; 2] = ["Weibull hazard overflows", "Mdata / peak rate"];
+    let mut rng = rng(15);
+    let (mut solved, mut rejected) = (0, 0);
+    for _ in 0..CASES * 8 {
+        let mut signed = |lo, hi| {
+            let sign = if rng.index(2) == 0 { -1.0 } else { 1.0 };
+            sign * magnitude(&mut rng, lo, hi)
+        };
+        let (a_mbps, b_mbps) = (signed(-300.0, 300.0), signed(-300.0, 300.0));
+        let d_min_m = magnitude(&mut rng, -3.0, 3.0);
+        let failure = if rng.index(2) == 0 {
+            FailureSpec::Exponential(ExponentialFailure {
+                rho_per_m: magnitude(&mut rng, -300.0, 300.0),
+            })
+        } else {
+            FailureSpec::Weibull(WeibullFailure {
+                scale_m: magnitude(&mut rng, -300.0, 300.0),
+                shape: magnitude(&mut rng, -2.0, 2.0),
+                flown_m: magnitude(&mut rng, -300.0, 300.0),
+            })
+        };
+        let s = Scenario {
+            name: "extreme".into(),
+            d0_m: d_min_m * (1.0 + magnitude(&mut rng, -6.0, 3.0)),
+            d_min_m,
+            v_mps: magnitude(&mut rng, -300.0, 300.0),
+            mdata_bytes: magnitude(&mut rng, -300.0, 300.0),
+            throughput: ThroughputSpec::LogFit(LogFitThroughput { a_mbps, b_mbps }),
+            failure,
+        };
+        match std::panic::catch_unwind(|| optimize(&s)) {
+            Ok(o) => {
+                solved += 1;
+                let fields = [o.d_opt, o.utility, o.survival, o.ship_s, o.tx_s];
+                assert!(!fields.iter().any(|x| x.is_nan()), "{s:?}: {o:?}");
+            }
+            Err(payload) => {
+                rejected += 1;
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(
+                    VALIDATE_MESSAGES.iter().any(|m| msg.starts_with(m)),
+                    "{s:?}: {msg}"
+                );
+            }
+        }
+    }
+    assert!(
+        solved > 0 && rejected > 0,
+        "{solved} solved, {rejected} rejected"
+    );
+}
+
+#[test]
+fn pruning_cuts_fig9_calls_at_least_fivefold() {
+    // A count, not a timing: objective plus bound calls per solve on the
+    // Fig. 9 grid, against the 2,136 objective calls of the unpruned
+    // solver (2,048-point scan, 82 golden-section steps, 6 final-pick
+    // re-evaluations).
+    let calls = figure9_calls(true);
+    assert!(
+        calls.total() <= 2136.0 / 5.0,
+        "{calls:?}: {} calls per solve",
+        calls.total()
+    );
 }
 
 #[test]

@@ -90,6 +90,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 #[test]
+fn quick_table_bytes_are_pinned() {
+    // The table `repro --quick --compile-policy` writes: any changed
+    // bit in any solved cell changes the trailing FNV-1a checksum.
+    let table = PolicyTable::build(PolicyGrid::quick(), 0x5AFE5EED);
+    let bytes = table.to_bytes();
+    assert_eq!((table.len(), bytes.len()), (7_560, 302_536));
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum"));
+    assert_eq!(stored, fnv1a(body));
+    assert_eq!(stored, 0x8ad4_3c42_d003_e03b, "checksum {stored:#018x}");
+}
+
+#[test]
 fn compile_and_verify_agree_end_to_end() {
     let out = temp_path("quick.bin");
     let summary = compile_policy(&out, true, 0xC0FFEE).expect("compile");
