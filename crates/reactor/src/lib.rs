@@ -19,6 +19,11 @@
 //!   poller; any thread can [`Waker::wake`] the loop out of `wait`
 //!   without touching the reactor itself. This is how shard inboxes,
 //!   shutdown and cross-shard completions interrupt a blocked loop.
+//!   Wakes are edge-triggered under an arming contract: senders
+//!   publish their work, then `wake`, and only the first wake after a
+//!   drain pays a `write(2)`; the loop, when `wait` reports the waker
+//!   readable, calls [`WakeReceiver::drain`] (pipe dry, then re-arm)
+//!   and only then drains its work queue. Then no wake is lost.
 //!
 //! This crate is the one place in the workspace allowed to contain
 //! `unsafe`: a single FFI declaration of `poll` and its `repr(C)`
@@ -29,6 +34,8 @@
 use std::io;
 use std::os::fd::RawFd;
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Opaque per-registration identifier, echoed back on every [`Event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -213,28 +220,33 @@ fn interest_bits(interest: Interest) -> i16 {
 ///
 /// The read end registers with the loop's [`Poller`]; any holder of a
 /// clone of the [`Waker`] can interrupt `wait` from another thread.
-/// Wakes coalesce: a loop that drains after waking observes all the
-/// work that triggered any number of wakes.
-#[derive(Debug)]
+///
+/// Wakes are edge-triggered. Every clone and the paired
+/// [`WakeReceiver`] share one *woken* flag: [`Waker::wake`] writes its
+/// byte only when it is the wake that sets the flag, and
+/// [`WakeReceiver::drain`] clears it once the pipe is dry, re-arming
+/// the waker. So a loop pays one `write(2)` per sleep, not one per
+/// message. The arming contract that keeps this lossless:
+///
+/// * a sender publishes its work (pushes to the loop's queue) *before*
+///   calling `wake`;
+/// * the loop, whenever `wait` reports the waker readable, calls
+///   `drain` and only *then* drains its work queue.
+///
+/// A wake that finds the flag already set is then covered either by a
+/// byte the loop has not yet read or by the queue drain that follows
+/// the re-arm.
+#[derive(Debug, Clone)]
 pub struct Waker {
-    write_half: UnixStream,
-}
-
-impl Clone for Waker {
-    fn clone(&self) -> Waker {
-        Waker {
-            write_half: self
-                .write_half
-                .try_clone()
-                .expect("waker fd clone (fd table exhausted)"),
-        }
-    }
+    write_half: Arc<UnixStream>,
+    woken: Arc<AtomicBool>,
 }
 
 /// The loop-owned read end of a waker pair.
 #[derive(Debug)]
 pub struct WakeReceiver {
     read_half: UnixStream,
+    woken: Arc<AtomicBool>,
 }
 
 impl Waker {
@@ -244,15 +256,30 @@ impl Waker {
         let (read_half, write_half) = UnixStream::pair()?;
         read_half.set_nonblocking(true)?;
         write_half.set_nonblocking(true)?;
-        Ok((Waker { write_half }, WakeReceiver { read_half }))
+        let woken = Arc::new(AtomicBool::new(false));
+        let waker = Waker {
+            write_half: Arc::new(write_half),
+            woken: Arc::clone(&woken),
+        };
+        Ok((waker, WakeReceiver { read_half, woken }))
     }
 
-    /// Interrupt the paired loop's `wait`. Never blocks: if the pipe is
-    /// full the loop has unread wakes pending already and this one
-    /// coalesces with them.
+    /// Interrupt the paired loop's `wait`. Publish the work first: a
+    /// wake that finds the loop already woken writes nothing, because
+    /// the loop has an unread byte or has yet to drain its queue.
+    /// Never blocks: a full pipe already holds unread wakes.
     pub fn wake(&self) {
         use std::io::Write;
-        let _ = (&self.write_half).write(&[1u8]);
+        if self.woken.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // The flag is set now; it must not stand without its byte.
+        loop {
+            match (&*self.write_half).write(&[1u8]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                _ => return,
+            }
+        }
     }
 }
 
@@ -263,8 +290,11 @@ impl WakeReceiver {
         self.read_half.as_raw_fd()
     }
 
-    /// Consume pending wake bytes so a level-triggered poller goes
-    /// quiet again. Call once per loop iteration after draining work.
+    /// Read the pipe dry, then re-arm the waker so the next
+    /// [`Waker::wake`] writes again. Call when `wait` reports the
+    /// waker readable, and drain the loop's work queue *after* this
+    /// returns: re-arming before the read could swallow a byte written
+    /// after the re-arm, leaving the flag set with no byte to wake on.
     pub fn drain(&self) {
         use std::io::Read;
         let mut sink = [0u8; 64];
@@ -272,18 +302,22 @@ impl WakeReceiver {
             match (&self.read_half).read(&mut sink) {
                 Ok(0) => break, // peer gone: nothing more will arrive
                 Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // WouldBlock: drained
             }
         }
+        self.woken.store(false, Ordering::SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::sync::Mutex;
 
     fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -387,6 +421,111 @@ mod tests {
         assert_eq!(poller.wait(&mut events, Some(1000)).expect("poll"), 1);
         receiver.drain();
         assert_eq!(poller.wait(&mut events, Some(0)).expect("poll"), 0);
+    }
+
+    #[test]
+    fn wakes_between_drains_write_one_byte() {
+        let (waker, receiver) = Waker::pair().expect("pair");
+        let other = waker.clone();
+        for _ in 0..100 {
+            waker.wake();
+            other.wake();
+        }
+        let mut buf = [0u8; 256];
+        let got = (&receiver.read_half).read(&mut buf).expect("one byte");
+        assert_eq!(got, 1, "200 wakes between drains, one write");
+        let err = (&receiver.read_half).read(&mut buf).expect_err("dry");
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn drain_rearms_the_waker() {
+        let (waker, receiver) = Waker::pair().expect("pair");
+        let mut poller = Poller::new();
+        poller.register(receiver.fd(), Token(0), Interest::READ);
+        let mut events = Vec::new();
+        waker.wake();
+        receiver.drain();
+        assert_eq!(poller.wait(&mut events, Some(0)).expect("poll"), 0);
+        waker.wake();
+        assert_eq!(
+            poller.wait(&mut events, Some(1000)).expect("poll"),
+            1,
+            "the first wake after a drain writes again"
+        );
+    }
+
+    /// One direction of a two-thread ping-pong: a FIFO mailbox plus the
+    /// waker of the loop that owns it, used the way a shard inbox is.
+    struct Mailbox {
+        queue: Mutex<VecDeque<u32>>,
+        waker: Waker,
+    }
+
+    impl Mailbox {
+        fn pair() -> (Mailbox, WakeReceiver) {
+            let (waker, receiver) = Waker::pair().expect("pair");
+            let queue = Mutex::new(VecDeque::new());
+            (Mailbox { queue, waker }, receiver)
+        }
+
+        fn send(&self, msg: u32) {
+            self.queue.lock().expect("mailbox").push_back(msg);
+            self.waker.wake();
+        }
+    }
+
+    /// The owning loop: `wait`, then the pipe (re-arming), then the
+    /// queue, until at least `owed` more messages arrived. A bounded
+    /// `wait` that times out while messages are owed is a lost wakeup.
+    fn receive(rx: &WakeReceiver, mailbox: &Mailbox, owed: usize, got: &mut Vec<u32>) {
+        let mut poller = Poller::new();
+        poller.register(rx.fd(), Token(0), Interest::READ);
+        let mut events = Vec::new();
+        let target = got.len() + owed;
+        while got.len() < target {
+            let n = poller.wait(&mut events, Some(10_000)).expect("poll");
+            assert_eq!(n, 1, "lost wakeup: {} messages owed", target - got.len());
+            rx.drain();
+            got.extend(mailbox.queue.lock().expect("mailbox").drain(..));
+        }
+    }
+
+    #[test]
+    fn ping_pong_never_loses_a_wakeup() {
+        const TOTAL: u32 = 10_000;
+        let (to_echo, echo_rx) = Mailbox::pair();
+        let (to_main, main_rx) = Mailbox::pair();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Echo every message back as its own send, one wake each.
+                let mut got = Vec::new();
+                while got.len() < TOTAL as usize {
+                    let seen = got.len();
+                    receive(&echo_rx, &to_echo, 1, &mut got);
+                    for &m in &got[seen..] {
+                        to_main.send(m);
+                    }
+                }
+            });
+            // Alternate single messages, each sent while the echo thread
+            // waits in `poll` for it, with bursts of up to 64 that race
+            // its drain; waiting for every ack forces the interleaving.
+            let (mut next, mut round) = (0, 0);
+            let mut acks = Vec::new();
+            while next < TOTAL {
+                let size = if round % 2 == 0 { 1 } else { 1 + round % 64 };
+                let size = size.min(TOTAL - next);
+                for m in next..next + size {
+                    to_echo.send(m);
+                }
+                next += size;
+                round += 1;
+                receive(&main_rx, &to_main, size as usize, &mut acks);
+                assert_eq!(acks.len(), next as usize, "no ack arrives unasked");
+            }
+            assert!(acks.iter().copied().eq(0..TOTAL), "FIFO, none lost");
+        });
     }
 
     #[test]

@@ -39,9 +39,6 @@
 //! * [`server`] — the TCP front end: one accept thread dealing
 //!   connections to the shard loops round-robin, graceful
 //!   ack-then-drain shutdown on a control message;
-//! * [`bounded`] — a bounded MPSC job queue with backpressure,
-//!   retained as a standalone utility (the sharded server's backlog
-//!   control is the per-shard atomic reservation in [`shard`]);
 //! * [`loadgen`] — closed-loop, open-loop (fixed-rate) and
 //!   many-connection open-loop (reactor-multiplexed `--conns`)
 //!   workload driver with a seeded `DetRng` request mix,
@@ -55,7 +52,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bounded;
 pub mod cache;
 pub mod engine;
 pub mod framing;

@@ -245,7 +245,7 @@ pub struct Metrics {
     /// Well-formed control requests (`stats`, `reset`, `cache`,
     /// `policy`, `shutdown`).
     pub control_requests: AtomicU64,
-    /// `overloaded` responses (bounded queue full).
+    /// `overloaded` responses (shard backlog full).
     pub overloaded: AtomicU64,
     /// `shutting-down` responses.
     pub shed_on_shutdown: AtomicU64,

@@ -34,7 +34,7 @@
 //! ```
 //!
 //! Error kinds are closed: `bad-request` (unparsable or invalid
-//! request), `overloaded` (bounded queue full — the 503 of this
+//! request), `overloaded` (shard backlog full — the 503 of this
 //! protocol), `shutting-down` (arrived after `shutdown`). Floats render
 //! with the shortest round-trip representation, so equal `f64`s always
 //! render byte-identically — that is what makes "bit-identical response
@@ -241,7 +241,7 @@ pub fn decision_response(d: &Decision, us_served: u64) -> String {
 pub enum ErrorKind {
     /// Unparsable or invalid request (the caller's fault).
     BadRequest,
-    /// The bounded queue is full; retry later (503-style).
+    /// The shard backlog is full; retry later (503-style).
     Overloaded,
     /// The server is draining after a `shutdown` request.
     ShuttingDown,

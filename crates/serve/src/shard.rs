@@ -13,7 +13,9 @@
 //! Cross-shard traffic rides per-shard inboxes (a mutex'd `VecDeque`
 //! drained in FIFO order — the mutex guards a queue of *messages*, never
 //! the decision path itself) paired with a [`Waker`] that interrupts the
-//! target's `poll(2)` wait:
+//! target's `poll(2)` wait. Wakes are edge-triggered: only the first
+//! message after the target's last drain pays a `write(2)`, so a busy
+//! target costs its senders an atomic swap per message:
 //!
 //! * [`Msg::Remote`] — a decide whose key hashes to another shard; the
 //!   owning shard solves it in its own batch and sends
@@ -153,7 +155,8 @@ impl ShardShared {
         ))
     }
 
-    /// Enqueue a message and wake the shard's loop.
+    /// Enqueue a message, then wake the shard's loop (in that order:
+    /// the waker's arming contract needs the message published first).
     pub fn send(&self, msg: Msg) {
         self.inbox
             .lock()
@@ -451,7 +454,13 @@ impl ShardLoop {
                 None
             };
             let _ = self.poller.wait(&mut events, timeout);
-            self.receiver.drain();
+            // Pipe, then re-arm, then inbox: a sender pushes before it
+            // wakes, so the inbox drain after the re-arm sees every
+            // message whose wake found this loop already woken. The
+            // shutdown flag, set before its wake, is read after it too.
+            if events.iter().any(|ev| ev.token == WAKER_TOKEN) {
+                self.receiver.drain();
+            }
             self.drain_inbox();
             for &ev in events.iter() {
                 if ev.token != WAKER_TOKEN {
@@ -987,8 +996,9 @@ impl ShardLoop {
                     render_decision(job.codec, decision, us_served),
                 );
             } else {
-                // `send` wakes per message; wakes coalesce, so the
-                // duplicate wakes for a big batch cost one pipe byte.
+                // `send` wakes per message, but only the first wake
+                // after the origin's last drain writes; the rest are an
+                // atomic swap each.
                 self.state.shards[job.origin].send(Msg::RemoteDone(RemoteDone {
                     conn: job.conn,
                     seq: job.seq,

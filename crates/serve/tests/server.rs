@@ -58,9 +58,14 @@ fn policy_server() -> (ServerHandle, PolicyGrid) {
     (handle, grid)
 }
 
+/// A client connection. Reads time out, so a lost server-side wakeup
+/// fails the test instead of hanging it.
 fn connect(handle: &ServerHandle) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
     let reader = BufReader::new(stream.try_clone().expect("clone"));
     (stream, reader)
 }
