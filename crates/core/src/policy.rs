@@ -12,9 +12,9 @@
 //!
 //! # Bit-identity with the quantized cache
 //!
-//! The grid axes reproduce the [`Quantizer`]'s snapping arithmetic
-//! *exactly*: [`Axis::value_at`] computes `k as f64 * step`, the same
-//! expression `snap` evaluates for a value in bucket `k`, so the
+//! The grid axes and the [`Quantizer`]'s `snap` share one quantization
+//! rule, `request::bucket_of` and `request::bucket_centre`: bucket `k` of
+//! an axis has the centre `snap` gives every value in bucket `k`, so the
 //! parameters solved at build time are bitwise equal to the parameters a
 //! quantized-cache server would solve at request time. A table lookup
 //! therefore returns the *identical* `OptimalTransfer` — not an
@@ -43,7 +43,7 @@
 //! and never a panic or an over-allocation.
 
 use crate::optimizer::OptimalTransfer;
-use crate::request::{DecisionParams, Platform, Quantizer, D_MIN_M};
+use crate::request::{bucket_centre, bucket_of, DecisionParams, Platform, Quantizer, D_MIN_M};
 use crate::scenario::BYTES_PER_MB;
 use skyferry_sim::parallel::par_map_indexed;
 use skyferry_trace as trace;
@@ -129,10 +129,9 @@ impl std::error::Error for PolicyError {}
 /// One quantized axis of the policy grid: the contiguous bucket indices
 /// `lo_idx .. lo_idx + n` of a [`Quantizer`] dimension with width `step`.
 ///
-/// Bucket `lo_idx + i` has centre value `(lo_idx + i) as f64 * step` —
-/// the *identical* floating-point expression the quantizer's snap
-/// evaluates, which is what makes table lookups bit-equal to
-/// snapped-parameter solves.
+/// Bucket `lo_idx + i` is centred where the quantizer's snap puts every
+/// value in it — both go through `request::bucket_centre` — which is
+/// what makes table lookups bit-equal to snapped-parameter solves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Axis {
     /// Bucket width in the dimension's wire unit (m, MB, /m, m/s).
@@ -147,22 +146,21 @@ impl Axis {
     /// Axis covering the buckets whose centres span `[lo_value,
     /// hi_value]` at width `step` (both endpoints snapped to the grid).
     pub fn from_range(step: f64, lo_value: f64, hi_value: f64) -> Axis {
-        let lo_idx = (lo_value / step).round() as i64;
-        let hi_idx = (hi_value / step).round() as i64;
+        let lo_idx = bucket_of(lo_value, step) as i64;
+        let hi_idx = bucket_of(hi_value, step) as i64;
         let n = (hi_idx - lo_idx).max(0) as u32 + 1;
         Axis { step, lo_idx, n }
     }
 
     /// Bucket index of `x` on this axis, or `None` when `x` is not
     /// finite or its bucket lies outside the covered range. Uses the
-    /// quantizer's own rounding (`round half away from zero`), so an
-    /// axis and a [`Quantizer`] dimension with equal steps agree on
-    /// every boundary value.
+    /// quantizer's own rounding, so an axis and a [`Quantizer`] dimension
+    /// with equal steps agree on every boundary value.
     pub fn index_of(&self, x: f64) -> Option<usize> {
         if !x.is_finite() {
             return None;
         }
-        let k = (x / self.step).round();
+        let k = bucket_of(x, self.step);
         if !k.is_finite() || k < self.lo_idx as f64 || k > (self.lo_idx + self.n as i64 - 1) as f64
         {
             return None;
@@ -172,7 +170,7 @@ impl Axis {
 
     /// Centre value of local bucket `i`: `(lo_idx + i) as f64 * step`.
     pub fn value_at(&self, i: usize) -> f64 {
-        ((self.lo_idx + i as i64) as f64) * self.step
+        bucket_centre((self.lo_idx + i as i64) as f64, self.step)
     }
 
     /// Centre value of the lowest bucket.
@@ -329,21 +327,25 @@ impl PolicyGrid {
     /// trigger). Layout is row-major `(platform, d0, mdata, rho,
     /// speed)`.
     pub fn cell_of(&self, p: &DecisionParams) -> Option<usize> {
-        let plat = match p.platform {
-            Platform::Airplane => 0usize,
-            Platform::Quadrocopter => 1usize,
-        };
-        let i_d0 = self.d0.index_of(p.d0_m)?;
-        let i_m = self.mdata.index_of(p.mdata_bytes / BYTES_PER_MB)?;
-        let i_r = self.rho.index_of(p.rho_per_m)?;
-        let i_s = self.speed.index_of(p.v_mps)?;
-        Some(
-            (((plat * self.d0.n as usize + i_d0) * self.mdata.n as usize + i_m)
-                * self.rho.n as usize
-                + i_r)
-                * self.speed.n as usize
-                + i_s,
-        )
+        Some(self.flat(
+            p.platform,
+            [
+                self.d0.index_of(p.d0_m)?,
+                self.mdata.index_of(p.mdata_bytes / BYTES_PER_MB)?,
+                self.rho.index_of(p.rho_per_m)?,
+                self.speed.index_of(p.v_mps)?,
+            ],
+        ))
+    }
+
+    /// Row-major flat index of per-axis local bucket indices
+    /// `[d0, mdata, rho, speed]` on `platform`'s half of the grid.
+    fn flat(&self, platform: Platform, [i_d, i_m, i_r, i_s]: [usize; 4]) -> usize {
+        (((platform.index() * self.d0.n as usize + i_d) * self.mdata.n as usize + i_m)
+            * self.rho.n as usize
+            + i_r)
+            * self.speed.n as usize
+            + i_s
     }
 
     /// The bucket-centre parameters of flat cell index `cell` — the
@@ -482,10 +484,6 @@ impl PolicyTable {
         // behaves identically in both modes.
         self.grid.cell_of(p)?;
         let g = &self.grid;
-        let plat = match p.platform {
-            Platform::Airplane => 0usize,
-            Platform::Quadrocopter => 1usize,
-        };
         // Per-axis: floor index, ceil index and fractional weight.
         let leg = |a: &Axis, x: f64| -> (usize, usize, f64) {
             let t = a.coord(x);
@@ -497,11 +495,6 @@ impl PolicyTable {
         let (ma, mb, fm) = leg(&g.mdata, p.mdata_bytes / BYTES_PER_MB);
         let (ra, rb, fr) = leg(&g.rho, p.rho_per_m);
         let (sa, sb, fs) = leg(&g.speed, p.v_mps);
-        let idx = |i_d: usize, i_m: usize, i_r: usize, i_s: usize| -> usize {
-            (((plat * g.d0.n as usize + i_d) * g.mdata.n as usize + i_m) * g.rho.n as usize + i_r)
-                * g.speed.n as usize
-                + i_s
-        };
         let mut acc = [0.0f64; 5];
         for (i_d, wd) in [(d0a, 1.0 - fd), (d0b, fd)] {
             for (i_m, wm) in [(ma, 1.0 - fm), (mb, fm)] {
@@ -511,7 +504,7 @@ impl PolicyTable {
                         if w == 0.0 {
                             continue;
                         }
-                        let c = &self.cells[idx(i_d, i_m, i_r, i_s)];
+                        let c = &self.cells[g.flat(p.platform, [i_d, i_m, i_r, i_s])];
                         acc[0] += w * c.d_opt;
                         acc[1] += w * c.utility;
                         acc[2] += w * c.survival;
@@ -784,16 +777,19 @@ mod tests {
 
     #[test]
     fn axis_agrees_with_quantizer_on_bucket_edges() {
-        // Values exactly on a bucket boundary must land in the same
-        // bucket the Quantizer's key() picks: both use f64::round.
+        // Values exactly on a bucket boundary must land in the bucket
+        // whose centre the Quantizer's snap() picks.
         let a = Axis::from_range(5.0, 20.0, 300.0);
         let q = Quantizer::default_buckets();
         for x in [22.5, 27.5, 97.5, 102.5, 297.5] {
             let mut p = DecisionParams::baseline(Platform::Airplane);
             p.d0_m = x;
-            let key_idx = q.key(&p)[1] as i64;
-            let axis_idx = a.index_of(x).expect("in range") as i64 + a.lo_idx;
-            assert_eq!(axis_idx, key_idx, "boundary value {x}");
+            let centre = a.value_at(a.index_of(x).expect("in range"));
+            assert_eq!(
+                centre.to_bits(),
+                q.snap(&p).d0_m.to_bits(),
+                "boundary value {x}"
+            );
         }
     }
 

@@ -56,6 +56,15 @@ impl Platform {
         }
     }
 
+    /// Dense index (`0` airplane, `1` quadrocopter): the platform word of
+    /// a cache key and the leading coordinate of a policy-table cell.
+    pub(crate) fn index(&self) -> usize {
+        match self {
+            Platform::Airplane => 0,
+            Platform::Quadrocopter => 1,
+        }
+    }
+
     /// Parse a platform identifier (the inverse of [`Platform::id`]).
     pub fn from_id(s: &str) -> Option<Platform> {
         match s {
@@ -220,6 +229,33 @@ impl DecisionParams {
     pub fn solve(&self) -> OptimalTransfer {
         optimize_view(self.view())
     }
+
+    /// The platform index plus the raw bits of the four fields: two
+    /// queries have equal bits exactly when [`solve`] is handed
+    /// bit-equal parameters.
+    ///
+    /// [`solve`]: DecisionParams::solve
+    pub fn bits(&self) -> [u64; 5] {
+        [
+            self.platform.index() as u64,
+            self.d0_m.to_bits(),
+            self.mdata_bytes.to_bits(),
+            self.rho_per_m.to_bits(),
+            self.v_mps.to_bits(),
+        ]
+    }
+}
+
+/// The bucket of `x` at width `step`: `round(x / step)`, halves away from
+/// zero. With [`bucket_centre`] this is the one quantization rule —
+/// [`Quantizer::snap`] and the compiled policy grid's axes both call it.
+pub(crate) fn bucket_of(x: f64, step: f64) -> f64 {
+    (x / step).round()
+}
+
+/// The centre `k * step` of bucket `k` at width `step`.
+pub(crate) fn bucket_centre(k: f64, step: f64) -> f64 {
+    k * step
 }
 
 /// Bucket widths that map near-identical queries onto one cache key.
@@ -281,7 +317,7 @@ impl Quantizer {
     pub fn snap(&self, p: &DecisionParams) -> DecisionParams {
         fn snap1(x: f64, step: Option<f64>) -> f64 {
             match step {
-                Some(s) if s > 0.0 => (x / s).round() * s,
+                Some(s) if s > 0.0 => bucket_centre(bucket_of(x, s), s),
                 _ => x,
             }
         }
@@ -308,39 +344,12 @@ impl Quantizer {
         }
     }
 
-    /// The cache key of a query under this quantizer: the platform tag
-    /// plus, per dimension, the bucket index where [`snap`] moves the
-    /// value to its bucket centre, and the raw bits of the field where
-    /// `snap` keeps it (an exact dimension, or an `Mdata` or `v` whose
-    /// bucket centre is not positive). Two queries collide exactly when
-    /// the solver would be handed the same snapped parameters.
-    ///
-    /// [`snap`]: Quantizer::snap
+    /// The cache key of a query under this quantizer: the
+    /// [`bits`](DecisionParams::bits) of its [`snap`](Quantizer::snap).
+    /// Two queries share a key exactly when the solver would be handed
+    /// bit-equal snapped parameters.
     pub fn key(&self, p: &DecisionParams) -> [u64; 5] {
-        // `positive`: the dimension's snap keeps the raw value when the
-        // bucket centre is not positive.
-        fn bucket(x: f64, step: Option<f64>, positive: bool) -> Option<u64> {
-            match step {
-                Some(s) if s > 0.0 => {
-                    let k = (x / s).round();
-                    // Bucket index as two's-complement bits (cast is the
-                    // documented wrap; indices are far below the edge).
-                    (!positive || k * s > 0.0).then_some(k as i64 as u64)
-                }
-                _ => None,
-            }
-        }
-        [
-            match p.platform {
-                Platform::Airplane => 0,
-                Platform::Quadrocopter => 1,
-            },
-            bucket(p.d0_m, self.d0_step_m, false).unwrap_or(p.d0_m.to_bits()),
-            bucket(p.mdata_bytes / BYTES_PER_MB, self.mdata_step_mb, true)
-                .unwrap_or(p.mdata_bytes.to_bits()),
-            bucket(p.rho_per_m, self.rho_step_per_m, false).unwrap_or(p.rho_per_m.to_bits()),
-            bucket(p.v_mps, self.speed_step_mps, true).unwrap_or(p.v_mps.to_bits()),
-        ]
+        self.snap(p).bits()
     }
 }
 
@@ -471,9 +480,10 @@ mod tests {
         // key only if the solver would see the same snapped parameters.
         // Values that round to the zero bucket of Mdata (< 0.5 MB) or v
         // (< 0.25 m/s) keep their raw value in `snap`; adjacent Mdata
-        // byte counts can share one MB quotient in exact mode.
+        // byte counts can share one MB quotient in exact mode; and d0,
+        // Mdata and ρ far past 2^63 buckets still snap to distinct values.
         let base = DecisionParams::baseline(Platform::Quadrocopter);
-        let mut mdata = vec![0.2e6, 0.4e6, 0.49e6, 0.6e6, 1.4e6, 10e6];
+        let mut mdata = vec![0.2e6, 0.4e6, 0.49e6, 0.6e6, 1.4e6, 10e6, 1e30, 2e30];
         let mut x: f64 = 2.05e6;
         while x / BYTES_PER_MB != f64::from_bits(x.to_bits() + 1) / BYTES_PER_MB {
             x = f64::from_bits(x.to_bits() + 1);
@@ -482,8 +492,8 @@ mod tests {
         let mut params = Vec::new();
         for &m in &mdata {
             for v in [0.1, 0.2, 0.24, 0.3, 4.5] {
-                for d0 in [21.0, 99.0, 101.0] {
-                    for rho in [0.0, 1e-5, 2.46e-4] {
+                for d0 in [21.0, 99.0, 101.0, 1e20, 2e20] {
+                    for rho in [0.0, 1e-5, 2.46e-4, 1e20, 2e20] {
                         let p = DecisionParams {
                             mdata_bytes: m,
                             v_mps: v,

@@ -5,11 +5,13 @@
 //!           [--cache-capacity N] [--exact | --quant-d0 M --quant-mdata MB
 //!            --quant-rho R --quant-speed V] [--no-cache]
 //!           [--policy FILE] [--policy-interp]
-//!           [--deterministic] [--threads N] [--trace PATH]
+//!           [--deterministic] [--trace PATH]
 //! ```
 //!
 //! Prints `listening on <addr>` once the socket is bound (scripts wait
 //! for that line), then serves until a `shutdown` control request.
+//! Each shard is one thread that parses, looks up and solves its own
+//! requests, so `--shards N` is how skyferryd uses N cores.
 //! `--policy FILE` loads a compiled decision table built by
 //! `repro --compile-policy`; a corrupted, truncated or
 //! version-mismatched artifact is rejected at startup with the typed
@@ -30,7 +32,6 @@ use skyferry_trace as trace;
 
 struct Args {
     server: ServerConfig,
-    threads: usize,
     trace_path: Option<String>,
     policy_path: Option<String>,
     policy_interp: bool,
@@ -41,7 +42,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
         addr: "127.0.0.1:4517".to_string(),
         ..Default::default()
     };
-    let mut threads = 0usize;
     let mut trace_path = None;
     let mut policy_path = None;
     let mut policy_interp = false;
@@ -71,7 +71,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--quant-speed" => quant.speed_step_mps = Some(value(&mut raw, "--quant-speed")?),
             "--no-cache" => server.engine.cache_enabled = false,
             "--deterministic" => server.deterministic = true,
-            "--threads" => threads = value(&mut raw, "--threads")?,
             "--trace" => trace_path = Some(value(&mut raw, "--trace")?),
             "--policy" => policy_path = Some(value(&mut raw, "--policy")?),
             "--policy-interp" => policy_interp = true,
@@ -85,7 +84,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     server.engine.quant = quant;
     Ok(Args {
         server,
-        threads,
         trace_path,
         policy_path,
         policy_interp,
@@ -95,7 +93,7 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
 const USAGE: &str = "usage: skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N] \
 [--batch N] [--cache-capacity N] [--exact] [--quant-d0 M] [--quant-mdata MB] [--quant-rho R] \
 [--quant-speed V] [--no-cache] [--policy FILE] [--policy-interp] [--deterministic] \
-[--threads N] [--trace PATH]";
+[--trace PATH]";
 
 fn main() {
     let mut args = match parse_args(std::env::args().skip(1)) {
@@ -108,7 +106,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    skyferry_sim::parallel::set_max_threads(args.threads);
     if let Some(path) = &args.policy_path {
         let table = match PolicyTable::load_file(std::path::Path::new(path)) {
             Ok(t) => t,
@@ -212,8 +209,6 @@ mod tests {
             "100",
             "--exact",
             "--deterministic",
-            "--threads",
-            "2",
         ])
         .expect("valid");
         assert_eq!(a.server.addr, "127.0.0.1:0");
@@ -223,7 +218,6 @@ mod tests {
         assert_eq!(a.server.engine.cache_capacity, 100);
         assert!(a.server.engine.quant.is_exact());
         assert!(a.server.deterministic);
-        assert_eq!(a.threads, 2);
         assert_eq!(a.trace_path, None);
 
         let a = parse(&["--trace", "/tmp/d.trace.json"]).expect("valid");

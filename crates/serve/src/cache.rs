@@ -7,60 +7,29 @@
 //! repro harness made whole-campaign cells reusable; this is the same
 //! economics at per-request granularity, plus bounded capacity.)
 //!
-//! ## Pending slots and batch parallelism
-//!
-//! The engine serves requests in batches: a sequential bookkeeping pass
-//! calls [`DecisionCache::lookup_or_reserve`] for every request *in
-//! stream order*, then the unique misses are solved in parallel, then
-//! [`DecisionCache::fulfill`] publishes the results. The `Pending`
-//! reservation is what makes that equivalent to one-at-a-time serving:
-//! a second request for a key whose first requester is still being
-//! solved observes [`Lookup::SharedMiss`] (it will not pay for compute
-//! — a sequential server would have had the value by then), and
-//! eviction decisions happen at reservation time, so they cannot depend
-//! on how the stream was chopped into batches or how many workers
-//! solved the misses.
-//!
-//! Pending slots never outlive a `serve_batch` call; the engine
-//! fulfills (or evicts) every reservation it makes before returning.
+//! A key is [`Quantizer::key`](skyferry_core::request::Quantizer::key):
+//! the platform index plus the bits of the snapped parameters, so two
+//! requests share an entry exactly when the solver would be handed the
+//! same parameters. The engine serves one request at a time —
+//! [`DecisionCache::get`], and on a miss a solve followed by
+//! [`DecisionCache::insert`] — so there is never an entry without a
+//! value.
 
 use std::collections::BTreeMap;
 
 use skyferry_core::optimizer::OptimalTransfer;
-use skyferry_core::request::Quantizer;
 
-/// A cache key: platform tag plus four per-dimension words (bucket
-/// index or raw `f64` bits, chosen per dimension by the [`Quantizer`]).
+/// A cache key: the platform index plus the bits of the four snapped
+/// parameters.
 pub type Key = [u64; 5];
-
-/// What a lookup found (and did).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Lookup {
-    /// The key is resident with a solved value.
-    Hit(OptimalTransfer),
-    /// The key was reserved earlier in the current batch and its value
-    /// is being computed; the caller shares it without solving again.
-    SharedMiss,
-    /// New key. A `Pending` slot has been reserved (possibly evicting
-    /// the least-recently-used entry); the caller must solve and
-    /// [`DecisionCache::fulfill`] it.
-    Miss,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Ready(OptimalTransfer),
-    Pending,
-}
 
 /// Hit/miss/eviction counters, snapshotted into `STATS` responses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from a resident value ([`Lookup::Hit`]) or a
-    /// same-batch reservation ([`Lookup::SharedMiss`]) — either way the
-    /// request skipped the golden-section search.
+    /// Lookups answered from a resident value — the request skipped the
+    /// golden-section search.
     pub hits: u64,
-    /// Lookups that had to solve ([`Lookup::Miss`]).
+    /// Lookups that found nothing and had to solve.
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -70,14 +39,13 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// The LRU itself. All state transitions happen in the caller's
-/// (sequential) bookkeeping pass; nothing here is thread-aware.
+/// The LRU itself, owned by one shard thread; nothing here is
+/// thread-aware.
 #[derive(Debug)]
 pub struct DecisionCache {
     capacity: usize,
-    quant: Quantizer,
-    slots: BTreeMap<Key, (u64, Slot)>,
-    /// Recency index: insertion tick → key. The smallest tick is the
+    slots: BTreeMap<Key, (u64, OptimalTransfer)>,
+    /// Recency index: last-use tick → key. The smallest tick is the
     /// least-recently-used entry.
     recency: BTreeMap<u64, Key>,
     tick: u64,
@@ -90,10 +58,9 @@ impl DecisionCache {
     /// An empty cache. `capacity` is the maximum number of resident
     /// entries; `0` disables caching entirely (every lookup misses and
     /// nothing is stored).
-    pub fn new(capacity: usize, quant: Quantizer) -> DecisionCache {
+    pub fn new(capacity: usize) -> DecisionCache {
         DecisionCache {
             capacity,
-            quant,
             slots: BTreeMap::new(),
             recency: BTreeMap::new(),
             tick: 0,
@@ -101,11 +68,6 @@ impl DecisionCache {
             misses: 0,
             evictions: 0,
         }
-    }
-
-    /// The quantizer whose buckets key this cache.
-    pub fn quantizer(&self) -> &Quantizer {
-        &self.quant
     }
 
     /// Counter/occupancy snapshot.
@@ -141,76 +103,48 @@ impl DecisionCache {
         // resets, and restarting it would let a stale tick collide.
     }
 
-    fn touch(&mut self, key: Key, old_tick: u64) -> u64 {
-        self.recency.remove(&old_tick);
-        let t = self.tick;
+    /// Look `key` up, counting a hit (and refreshing its recency) or a
+    /// miss. Counters move only here, so they — like the eviction order
+    /// — depend only on the order of lookups.
+    pub fn get(&mut self, key: Key) -> Option<OptimalTransfer> {
+        let Some((tick, value)) = self.slots.get_mut(&key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.recency.remove(tick);
+        *tick = self.tick;
+        self.recency.insert(self.tick, key);
         self.tick += 1;
-        self.recency.insert(t, key);
-        t
+        Some(*value)
     }
 
-    /// Look `key` up, refreshing its recency on a hit and reserving a
-    /// `Pending` slot on a miss (evicting the LRU entry if the cache is
-    /// full). Counters update here, so they — like the eviction order —
-    /// depend only on the stream order of lookups.
-    pub fn lookup_or_reserve(&mut self, key: Key) -> Lookup {
+    /// Store the solved value of a key that [`get`](DecisionCache::get)
+    /// just missed, as the most recently used entry, evicting the
+    /// least-recently-used one if the cache is full. A no-op at
+    /// capacity 0.
+    pub fn insert(&mut self, key: Key, value: OptimalTransfer) {
         if self.capacity == 0 {
-            self.misses += 1;
-            return Lookup::Miss;
+            return;
         }
-        if let Some(&(old_tick, slot)) = self.slots.get(&key) {
-            let t = self.touch(key, old_tick);
-            // Entry exists: refresh recency in place.
-            if let Some(entry) = self.slots.get_mut(&key) {
-                entry.0 = t;
-            }
-            self.hits += 1;
-            return match slot {
-                Slot::Ready(v) => Lookup::Hit(v),
-                Slot::Pending => Lookup::SharedMiss,
-            };
-        }
-        self.misses += 1;
-        if self.slots.len() >= self.capacity {
-            // Evict the least-recently-used entry (smallest tick).
-            if let Some((&lru_tick, &lru_key)) = self.recency.iter().next() {
-                self.recency.remove(&lru_tick);
+        if let Some((old_tick, _)) = self.slots.remove(&key) {
+            self.recency.remove(&old_tick);
+        } else if self.slots.len() >= self.capacity {
+            if let Some((_, lru_key)) = self.recency.pop_first() {
                 self.slots.remove(&lru_key);
                 self.evictions += 1;
             }
         }
-        let t = self.tick;
+        self.recency.insert(self.tick, key);
+        self.slots.insert(key, (self.tick, value));
         self.tick += 1;
-        self.recency.insert(t, key);
-        self.slots.insert(key, (t, Slot::Pending));
-        Lookup::Miss
-    }
-
-    /// Publish the solved value for a reservation made by
-    /// [`lookup_or_reserve`](DecisionCache::lookup_or_reserve). A no-op
-    /// if the reservation was evicted in the meantime (the batch keeps
-    /// its own copy of computed values, so nothing is lost) or the slot
-    /// is already `Ready`.
-    pub fn fulfill(&mut self, key: Key, value: OptimalTransfer) {
-        if let Some(entry) = self.slots.get_mut(&key) {
-            if matches!(entry.1, Slot::Pending) {
-                entry.1 = Slot::Ready(value);
-            }
-        }
-    }
-
-    /// `true` while any reservation is unfulfilled (only ever between
-    /// an engine's bookkeeping and fulfil passes; used by debug
-    /// assertions and tests).
-    pub fn has_pending(&self) -> bool {
-        self.slots.values().any(|(_, s)| matches!(s, Slot::Pending))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyferry_core::request::{DecisionParams, Platform};
+    use skyferry_core::request::{DecisionParams, Platform, Quantizer};
     use skyferry_sim::rng::DetRng;
 
     fn v(d: f64) -> OptimalTransfer {
@@ -228,55 +162,56 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_fulfill_returns_the_value() {
-        let mut c = DecisionCache::new(4, Quantizer::exact());
-        assert_eq!(c.lookup_or_reserve(k(1)), Lookup::Miss);
-        assert_eq!(c.lookup_or_reserve(k(1)), Lookup::SharedMiss);
-        c.fulfill(k(1), v(10.0));
-        assert_eq!(c.lookup_or_reserve(k(1)), Lookup::Hit(v(10.0)));
+    fn hit_after_insert_returns_the_value() {
+        let mut c = DecisionCache::new(4);
+        assert_eq!(c.get(k(1)), None);
+        c.insert(k(1), v(10.0));
+        assert_eq!(c.get(k(1)), Some(v(10.0)));
+        assert_eq!(c.get(k(1)), Some(v(10.0)));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len), (2, 1, 1));
     }
 
     #[test]
     fn lru_evicts_least_recent_and_respects_touch() {
-        let mut c = DecisionCache::new(3, Quantizer::exact());
+        let mut c = DecisionCache::new(3);
         for i in 1..=3 {
-            assert_eq!(c.lookup_or_reserve(k(i)), Lookup::Miss);
-            c.fulfill(k(i), v(i as f64));
+            assert_eq!(c.get(k(i)), None);
+            c.insert(k(i), v(i as f64));
         }
         // Touch key 1 so key 2 becomes the LRU.
-        assert!(matches!(c.lookup_or_reserve(k(1)), Lookup::Hit(_)));
-        assert_eq!(c.lookup_or_reserve(k(4)), Lookup::Miss);
-        c.fulfill(k(4), v(4.0));
+        assert!(c.get(k(1)).is_some());
+        assert_eq!(c.get(k(4)), None);
+        c.insert(k(4), v(4.0));
         // Key 2 was evicted; 1, 3, 4 remain.
-        assert!(matches!(c.lookup_or_reserve(k(1)), Lookup::Hit(_)));
-        assert!(matches!(c.lookup_or_reserve(k(3)), Lookup::Hit(_)));
-        assert!(matches!(c.lookup_or_reserve(k(4)), Lookup::Hit(_)));
-        assert_eq!(c.lookup_or_reserve(k(2)), Lookup::Miss);
-        assert_eq!(c.stats().evictions, 2); // key 2 out for key 4, then key...
+        assert!(c.get(k(1)).is_some());
+        assert!(c.get(k(3)).is_some());
+        assert!(c.get(k(4)).is_some());
+        assert_eq!(c.get(k(2)), None);
+        c.insert(k(2), v(2.0));
+        assert_eq!(c.stats().evictions, 2); // key 2 out for key 4, then key 1 for key 2
         assert_eq!(c.stats().len, 3);
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
-        let mut c = DecisionCache::new(0, Quantizer::exact());
-        assert_eq!(c.lookup_or_reserve(k(1)), Lookup::Miss);
-        c.fulfill(k(1), v(1.0));
-        assert_eq!(c.lookup_or_reserve(k(1)), Lookup::Miss);
+        let mut c = DecisionCache::new(0);
+        assert_eq!(c.get(k(1)), None);
+        c.insert(k(1), v(1.0));
+        assert_eq!(c.get(k(1)), None);
         assert_eq!(c.stats().len, 0);
         assert_eq!(c.stats().hits, 0);
     }
 
     #[test]
     fn clear_resets_counters_but_not_ticks() {
-        let mut c = DecisionCache::new(2, Quantizer::exact());
-        c.lookup_or_reserve(k(1));
-        c.fulfill(k(1), v(1.0));
+        let mut c = DecisionCache::new(2);
+        c.get(k(1));
+        c.insert(k(1), v(1.0));
         c.clear();
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len), (0, 0, 0));
-        assert_eq!(c.lookup_or_reserve(k(1)), Lookup::Miss);
+        assert_eq!(c.get(k(1)), None);
     }
 
     // Satellite 3(c): capacity/eviction invariants under seeded churn.
@@ -284,13 +219,12 @@ mod tests {
     fn churn_preserves_lru_invariants() {
         let mut rng = DetRng::seed(0xC4C4_0001);
         let capacity = 16;
-        let mut c = DecisionCache::new(capacity, Quantizer::exact());
+        let mut c = DecisionCache::new(capacity);
         let mut resident_model: Vec<u64> = Vec::new(); // MRU at the back
         for step in 0..5000u64 {
             let key_id = rng.index(64) as u64;
-            let got = c.lookup_or_reserve(k(key_id));
-            match got {
-                Lookup::Hit(_) | Lookup::SharedMiss => {
+            match c.get(k(key_id)) {
+                Some(_) => {
                     let pos = resident_model
                         .iter()
                         .position(|&x| x == key_id)
@@ -298,7 +232,7 @@ mod tests {
                     resident_model.remove(pos);
                     resident_model.push(key_id);
                 }
-                Lookup::Miss => {
+                None => {
                     assert!(
                         !resident_model.contains(&key_id),
                         "cache missed a key the model holds (step {step})"
@@ -307,7 +241,7 @@ mod tests {
                         resident_model.remove(0); // evict model LRU
                     }
                     resident_model.push(key_id);
-                    c.fulfill(k(key_id), v(key_id as f64));
+                    c.insert(k(key_id), v(key_id as f64));
                 }
             }
             assert!(c.len() <= capacity, "capacity exceeded");
@@ -323,21 +257,20 @@ mod tests {
         // The reference model and the cache agree on exactly which keys
         // survived the churn.
         for &key_id in &resident_model {
-            assert!(matches!(c.lookup_or_reserve(k(key_id)), Lookup::Hit(_)));
+            assert!(c.get(k(key_id)).is_some());
         }
     }
 
     #[test]
     fn quantized_keys_coalesce_neighbouring_params() {
         let q = Quantizer::default_buckets();
-        let mut c = DecisionCache::new(8, q);
+        let mut c = DecisionCache::new(8);
         let mut a = DecisionParams::baseline(Platform::Airplane);
         let mut b = a;
         a.d0_m = 299.0;
         b.d0_m = 301.0;
-        let (qa, qb) = (*c.quantizer(), *c.quantizer());
-        assert_eq!(c.lookup_or_reserve(qa.key(&a)), Lookup::Miss);
-        c.fulfill(qa.key(&a), v(1.0));
-        assert_eq!(c.lookup_or_reserve(qb.key(&b)), Lookup::Hit(v(1.0)));
+        assert_eq!(c.get(q.key(&a)), None);
+        c.insert(q.key(&a), v(1.0));
+        assert_eq!(c.get(q.key(&b)), Some(v(1.0)));
     }
 }

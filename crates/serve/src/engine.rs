@@ -1,38 +1,26 @@
-//! The request engine: batched decision evaluation with
-//! sequential-equivalent cache semantics.
+//! The request engine: one decide at a time, in arrival order.
 //!
-//! The dispatcher hands the engine a batch of validated
-//! [`DecisionParams`]; the engine answers with one [`Decision`] per
-//! request, in order. Internally:
+//! The shard hands the engine the decides it owns in arrival order, and
+//! the engine answers each one before it looks at the next:
 //!
-//! 1. **Bookkeeping pass (sequential, in stream order)** — each request
-//!    is quantized to its cache key and looked up with
-//!    [`DecisionCache::lookup_or_reserve`]. Hits capture their value
-//!    immediately; the first requester of a new key becomes its
-//!    *origin* (a `Pending` reservation, evicting the LRU entry if
-//!    needed); later same-key requests in the batch share the origin's
-//!    result.
-//! 2. **Solve pass (parallel)** — the unique missed keys are solved
-//!    with `sim::parallel::par_map` over the worker pool.
-//! 3. **Fulfil pass (sequential)** — results are published to the cache
-//!    and responses assembled.
+//! 1. snap the parameters with the [`Quantizer`]; their bits are the
+//!    cache key ([`Quantizer::key`]);
+//! 2. [`DecisionCache::get`] — a hit answers from the stored value;
+//! 3. on a miss, solve the snapped parameters inline on the shard thread
+//!    and [`DecisionCache::insert`] the result.
 //!
-//! Because every cache state transition happens in pass 1 in stream
-//! order, the responses (including `cache_hit` flags), the counters and
-//! the eviction sequence are bit-identical to serving the same stream
-//! one request at a time — for any worker count *and* any partitioning
-//! of the stream into batches. That is the determinism claim the
-//! acceptance tests pin down.
-
-use std::collections::BTreeMap;
+//! That is one-at-a-time serving by construction, so the responses
+//! (`cache_hit` flags included), the counters and the eviction order
+//! cannot depend on how the stream is cut into batches. A batch
+//! ([`Engine::serve_batch_timed`]) is only the unit of the `serve-batch`
+//! trace span and of the latency record.
 
 use skyferry_core::optimizer::OptimalTransfer;
 use skyferry_core::request::{DecisionParams, Quantizer};
-use skyferry_sim::parallel::{max_threads, par_map_indexed_with_threads};
 use skyferry_trace as trace;
 use skyferry_trace::clock::monotonic_ns;
 
-use crate::cache::{CacheStats, DecisionCache, Key, Lookup};
+use crate::cache::{CacheStats, DecisionCache};
 use crate::proto::Decision;
 
 /// Engine construction parameters.
@@ -45,12 +33,6 @@ pub struct EngineConfig {
     /// Start with the cache enabled? (Runtime-togglable via the `cache`
     /// control request.)
     pub cache_enabled: bool,
-    /// Worker threads for the solve pass (`0` = the `sim::parallel`
-    /// global pool). Shard event loops pass `1` so solves stay inline on
-    /// the shard thread instead of spawning a nested pool per batch;
-    /// `par_map` is order-preserving at any count, so the answer (and
-    /// every cache counter) is identical either way.
-    pub solve_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -59,40 +41,33 @@ impl Default for EngineConfig {
             cache_capacity: 4096,
             quant: Quantizer::default_buckets(),
             cache_enabled: true,
-            solve_threads: 0,
         }
     }
 }
 
-/// The engine: a decision cache plus the solve orchestration.
+/// The engine: a decision cache plus the solver.
 #[derive(Debug)]
 pub struct Engine {
     quant: Quantizer,
     cache: DecisionCache,
     cache_enabled: bool,
-    solve_threads: usize,
-}
-
-/// Pass-1 verdict for one request of a batch.
-enum Plan {
-    Hit(OptimalTransfer),
-    Shared(Key),
-    Origin(Key),
 }
 
 /// Phase boundaries of one [`Engine::serve_batch_timed`] call, in
 /// monotonic nanoseconds — what the dispatcher uses to build per-request
 /// trace spans and the latency metric without re-measuring.
+///
+/// Lookups and solves interleave, and only the solves read the clock (a
+/// hit never does), so the batch is laid out as its cache time first and
+/// its summed solve time last.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchTiming {
-    /// Batch entry (before the cache bookkeeping pass).
+    /// Batch entry.
     pub t_start_ns: u64,
-    /// End of the sequential cache pass (lookups/reservations done).
+    /// `t_done_ns` minus the batch's summed solve time.
     pub t_cache_ns: u64,
-    /// End of the solve + fulfil passes (responses assembled).
+    /// Batch exit (every decision made).
     pub t_done_ns: u64,
-    /// Unique keys actually solved.
-    pub solved: usize,
 }
 
 impl Engine {
@@ -100,19 +75,9 @@ impl Engine {
     pub fn new(cfg: EngineConfig) -> Engine {
         Engine {
             quant: cfg.quant,
-            cache: DecisionCache::new(cfg.cache_capacity, cfg.quant),
+            cache: DecisionCache::new(cfg.cache_capacity),
             cache_enabled: cfg.cache_enabled,
-            solve_threads: cfg.solve_threads,
         }
-    }
-
-    fn solve_all(&self, params: &[DecisionParams]) -> Vec<OptimalTransfer> {
-        let threads = if self.solve_threads == 0 {
-            max_threads()
-        } else {
-            self.solve_threads
-        };
-        par_map_indexed_with_threads(params.len(), threads, |i| params[i].solve())
     }
 
     /// Is the cache currently consulted?
@@ -142,11 +107,9 @@ impl Engine {
         &self.quant
     }
 
-    /// Serve one request (a batch of one).
+    /// Serve one request.
     pub fn serve_one(&mut self, p: DecisionParams) -> Decision {
-        self.serve_batch(std::slice::from_ref(&p))
-            .pop()
-            .expect("batch of one yields one decision")
+        self.decide(&p, &mut 0)
     }
 
     /// Serve a batch of *validated* parameters, responses in order.
@@ -159,100 +122,53 @@ impl Engine {
     pub fn serve_batch_timed(&mut self, batch: &[DecisionParams]) -> (Vec<Decision>, BatchTiming) {
         let _span = trace::span!("serve-batch", n = batch.len());
         let t_start_ns = monotonic_ns();
-        if !self.cache_enabled {
-            // No cache: solve raw (un-snapped) parameters — this is the
-            // reference path `--no-cache` comparisons measure against.
-            let solved = self.solve_all(batch);
-            let decisions: Vec<Decision> = batch
-                .iter()
-                .zip(solved)
-                .map(|(p, transfer)| Decision {
-                    transfer,
-                    transmit_now: transmit_now(p.d0_m, &transfer),
-                    cache_hit: false,
-                    policy_hit: false,
-                })
-                .collect();
-            let timing = BatchTiming {
-                t_start_ns,
-                t_cache_ns: t_start_ns,
-                t_done_ns: monotonic_ns(),
-                solved: batch.len(),
-            };
-            return (decisions, timing);
-        }
-
-        // Pass 1: sequential bookkeeping in stream order.
-        let mut plan = Vec::with_capacity(batch.len());
-        let mut miss_keys: Vec<Key> = Vec::new();
-        let mut miss_params: Vec<DecisionParams> = Vec::new();
-        for p in batch {
-            let key = self.quant.key(p);
-            match self.cache.lookup_or_reserve(key) {
-                Lookup::Hit(v) => plan.push(Plan::Hit(v)),
-                Lookup::SharedMiss => plan.push(Plan::Shared(key)),
-                Lookup::Miss => {
-                    // Keys can re-miss within a batch only if their
-                    // reservation was evicted; solve each key once.
-                    if !miss_keys.contains(&key) {
-                        miss_keys.push(key);
-                        miss_params.push(self.quant.snap(p));
-                    }
-                    plan.push(Plan::Origin(key));
-                }
-            }
-        }
-
-        let t_cache_ns = monotonic_ns();
-
-        // Pass 2: solve unique misses on the worker pool.
-        let solved = self.solve_all(&miss_params);
-
-        // Pass 3: publish and assemble. The batch-local map also covers
-        // reservations that were evicted before fulfilment.
-        let mut computed: BTreeMap<Key, OptimalTransfer> = BTreeMap::new();
-        for (key, v) in miss_keys.iter().zip(solved) {
-            self.cache.fulfill(*key, v);
-            computed.insert(*key, v);
-        }
-        debug_assert!(!self.cache.has_pending(), "batch left a reservation open");
-
-        let solved_count = miss_keys.len();
-        let decisions: Vec<Decision> = batch
+        let mut solve_ns = 0;
+        let decisions = batch
             .iter()
-            .zip(plan)
-            .map(|(p, pl)| {
-                let (transfer, cache_hit) = match pl {
-                    Plan::Hit(v) => (v, true),
-                    Plan::Shared(k) => (
-                        *computed
-                            .get(&k)
-                            .expect("shared miss always follows an origin in the same batch"),
-                        true,
-                    ),
-                    Plan::Origin(k) => (
-                        *computed.get(&k).expect("every origin key was solved"),
-                        false,
-                    ),
-                };
-                // `transmit_now` is judged against the d0 the solver
-                // actually used (the snapped one in quantized mode).
-                let d0_solved = self.quant.snap(p).d0_m;
-                Decision {
-                    transfer,
-                    transmit_now: transmit_now(d0_solved, &transfer),
-                    cache_hit,
-                    policy_hit: false,
-                }
-            })
+            .map(|p| self.decide(p, &mut solve_ns))
             .collect();
+        let t_done_ns = monotonic_ns();
         let timing = BatchTiming {
             t_start_ns,
-            t_cache_ns,
-            t_done_ns: monotonic_ns(),
-            solved: solved_count,
+            t_cache_ns: t_done_ns - solve_ns,
+            t_done_ns,
         };
         (decisions, timing)
+    }
+
+    /// Answer one validated request, adding the time its solve took (if
+    /// it needed one) to `solve_ns`.
+    fn decide(&mut self, p: &DecisionParams, solve_ns: &mut u64) -> Decision {
+        // No cache: solve raw (un-snapped) parameters — this is the
+        // reference path `--no-cache` comparisons measure against.
+        // `snapped.bits()` is `self.quant.key(p)` without a second snap.
+        let (params, key) = if self.cache_enabled {
+            let snapped = self.quant.snap(p);
+            (snapped, Some(snapped.bits()))
+        } else {
+            (*p, None)
+        };
+        let hit = key.and_then(|k| self.cache.get(k));
+        let transfer = match hit {
+            Some(v) => v,
+            None => {
+                let t0 = monotonic_ns();
+                let v = params.solve();
+                *solve_ns += monotonic_ns() - t0;
+                if let Some(k) = key {
+                    self.cache.insert(k, v);
+                }
+                v
+            }
+        };
+        Decision {
+            transfer,
+            // `transmit_now` is judged against the d0 the solver actually
+            // used (the snapped one in quantized mode).
+            transmit_now: transmit_now(params.d0_m, &transfer),
+            cache_hit: hit.is_some(),
+            policy_hit: false,
+        }
     }
 }
 
@@ -287,7 +203,6 @@ mod tests {
             cache_capacity: capacity,
             quant: Quantizer::exact(),
             cache_enabled: true,
-            solve_threads: 0,
         })
     }
 
@@ -332,7 +247,6 @@ mod tests {
                 cache_capacity: 4096,
                 quant,
                 cache_enabled: true,
-                solve_threads: 0,
             });
             let mut worst = 0.0f64;
             for _ in 0..300 {
@@ -374,7 +288,7 @@ mod tests {
     #[test]
     fn batching_is_equivalent_to_one_at_a_time() {
         let mut rng = DetRng::seed(0x5E17E03);
-        // Small cache so evictions exercise the pending/evicted paths.
+        // Small cache so evictions interleave with repeats.
         let stream: Vec<DecisionParams> = {
             let pool: Vec<DecisionParams> = (0..12)
                 .map(|_| random_params(&mut rng).validated().expect("valid"))
@@ -403,50 +317,12 @@ mod tests {
         }
     }
 
-    // Acceptance: same request stream → bit-identical decisions at any
-    // worker count. This is the ONE test in this binary allowed to call
-    // set_max_threads (global), restoring it before returning.
-    #[test]
-    fn decisions_identical_across_1_2_8_threads() {
-        use skyferry_sim::parallel::set_max_threads;
-
-        let mut rng = DetRng::seed(0x5E17E04);
-        let stream: Vec<DecisionParams> = (0..160)
-            .map(|_| {
-                let mut p = random_params(&mut rng);
-                if rng.chance(0.5) {
-                    p.d0_m = 150.0; // force repeats into the mix
-                }
-                p.validated().expect("valid")
-            })
-            .collect();
-
-        let mut reference: Option<Vec<Decision>> = None;
-        for threads in [1usize, 2, 8] {
-            set_max_threads(threads);
-            let mut engine = exact_engine(32);
-            let mut out = Vec::new();
-            for chunk in stream.chunks(40) {
-                out.extend(engine.serve_batch(chunk));
-            }
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => {
-                    for (i, (a, b)) in out.iter().zip(r).enumerate() {
-                        assert_eq!(a, b, "threads {threads}, request {i}");
-                        assert_eq!(bits(a), bits(b));
-                    }
-                }
-            }
-        }
-        set_max_threads(0);
-    }
-
     #[test]
     fn zero_bucket_requests_get_their_own_answers() {
         // Mdata < 0.5 MB and v < 0.25 m/s round to the zero bucket, where
-        // snapping keeps the raw value; each such request must be solved
-        // for its own parameters, not served a neighbour's cached answer.
+        // snapping keeps the raw value, and d0 = 1e20 m lies 2e19 buckets
+        // out; each such request must be solved for its own parameters,
+        // not served a neighbour's cached answer.
         let quant = Quantizer::default_buckets();
         let mut engine = Engine::new(EngineConfig::default());
         let base = DecisionParams::baseline(Platform::Quadrocopter);
@@ -465,6 +341,10 @@ mod tests {
                 DecisionParams { v_mps: 0.1, ..base },
                 DecisionParams { v_mps: 0.2, ..base },
             ),
+            (
+                DecisionParams { d0_m: 1e20, ..base },
+                DecisionParams { d0_m: 2e20, ..base },
+            ),
         ] {
             let first = engine.serve_one(a.validated().expect("valid"));
             let second = engine.serve_one(b.validated().expect("valid"));
@@ -481,7 +361,6 @@ mod tests {
             cache_capacity: 64,
             quant: Quantizer::exact(),
             cache_enabled: false,
-            solve_threads: 0,
         });
         let p = DecisionParams::baseline(Platform::Airplane);
         for _ in 0..3 {

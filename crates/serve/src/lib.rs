@@ -17,13 +17,13 @@
 //!   newline-delimited JSON and the length-prefixed `bin1` binary
 //!   codec a connection can negotiate mid-stream
 //!   (`{"cmd":"codec","v":"bin1"}`);
-//! * [`engine`] — batch decision evaluation with
-//!   *sequential-equivalent* cache semantics: responses, hit flags
-//!   and eviction order are bit-identical to one-at-a-time serving, at
-//!   any worker count and any batch partitioning;
-//! * [`cache`] — a deterministic LRU keyed on quantized parameter
-//!   buckets ([`skyferry_core::request::Quantizer`]), mirroring the
-//!   repro harness's `CampaignStore` economics at per-request scale;
+//! * [`engine`] — decision evaluation one request at a time in arrival
+//!   order: look up the cache, else solve inline and insert, so
+//!   responses, hit flags and eviction order cannot depend on how the
+//!   stream is batched;
+//! * [`cache`] — a deterministic LRU keyed on the bits of the snapped
+//!   parameters ([`skyferry_core::request::Quantizer::key`]), mirroring
+//!   the repro harness's `CampaignStore` economics at per-request scale;
 //! * [`metrics`] — lock-free atomic counters plus a streaming
 //!   log-bucket latency histogram (p50/p95/p99), kept per shard and
 //!   merged (with a per-shard breakdown) by the `stats` control

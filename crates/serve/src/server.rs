@@ -12,8 +12,9 @@
 //!
 //! Requests are **pipelined**: a shard parses as many complete frames
 //! per readable event as the socket delivered and answers them as one
-//! engine batch, so a client streaming requests without waiting gets
-//! batched service automatically. Responses still leave each
+//! engine batch, one request at a time in arrival order, every solve
+//! inline on the shard thread. A shard therefore uses one core, and
+//! `shards` is how the server uses more. Responses still leave each
 //! connection in request order (per-connection reorder buffer).
 //!
 //! With a compiled policy table (`--policy`), in-range decide requests
@@ -148,24 +149,12 @@ pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         addr: Mutex::new(Some(addr)),
     });
 
-    // With more than one shard, solves run inline on the shard thread —
-    // each shard *is* a worker, nesting a pool per batch would only add
-    // spawn overhead. A single shard keeps the configured pool.
-    let shard_engine = EngineConfig {
-        solve_threads: if nshards > 1 {
-            1
-        } else {
-            cfg.engine.solve_threads
-        },
-        ..cfg.engine
-    };
     let shard_handles: Vec<JoinHandle<()>> = receivers
         .into_iter()
         .enumerate()
         .map(|(id, receiver)| {
             let state = Arc::clone(&state);
-            let engine_cfg = shard_engine;
-            std::thread::spawn(move || ShardLoop::new(state, id, receiver, engine_cfg).run())
+            std::thread::spawn(move || ShardLoop::new(state, id, receiver, cfg.engine).run())
         })
         .collect();
 

@@ -3,8 +3,8 @@
 //! The server runs N **shards**, each a single thread owning a
 //! [`Poller`], a private [`Engine`] (quantized LRU cache included), and
 //! the connections assigned to it. Connections are distributed
-//! round-robin by the acceptor; *decide requests* are routed by the
-//! FNV-1a hash of their quantized cache key, so every key lives in
+//! round-robin by the acceptor; *decide requests* are routed by a
+//! mixed FNV-1a hash of their quantized cache key, so every key lives in
 //! exactly one shard's cache and the hot path takes **no shared lock**
 //! — a shard touches only its own engine and its own counters.
 //!
@@ -18,7 +18,7 @@
 //! target costs its senders an atomic swap per message:
 //!
 //! * [`Msg::Remote`] — a decide whose key hashes to another shard; the
-//!   owning shard solves it in its own batch and sends
+//!   owning shard serves it in its next batch and sends
 //!   [`Msg::RemoteDone`] back to the origin, which renders the response
 //!   in the codec tagged at parse time.
 //! * [`Msg::Control`] — `reset`/`cache` broadcasts. Each shard flushes
@@ -31,14 +31,13 @@
 //! ## Sequential equivalence, per shard
 //!
 //! A shard feeds its engine the decides it owns **in arrival order**
-//! (inbox first, then the frames parsed this iteration) and the
-//! engine's three-pass batch serve is bit-identical to one-at-a-time
-//! serving of that subsequence. Because a key's solve depends only on
-//! its snapped parameters, the `d_star` stream a client observes is
-//! identical across shard *counts* too; hit/miss totals are identical
-//! whenever the working set fits the cache (each unique key lives in
-//! exactly one shard), which is what the loadgen `--expect-identical`
-//! phases pin down at 1/2/8 shards.
+//! (inbox first, then the frames parsed this iteration), and the engine
+//! serves them one at a time: look up, else solve and insert. Because a
+//! key's solve depends only on its snapped parameters, the `d_star`
+//! stream a client observes is identical across shard *counts* too;
+//! hit/miss totals are identical whenever the working set fits the
+//! cache (each unique key lives in exactly one shard), which is what the
+//! loadgen `--expect-identical` phases pin down at 1/2/8 shards.
 //!
 //! ## Ordering
 //!
@@ -64,6 +63,7 @@ use std::time::Duration;
 use bytes::BytesMut;
 use skyferry_core::request::DecisionParams;
 use skyferry_reactor::{Event, Interest, Poller, Token, WakeReceiver, Waker};
+use skyferry_sim::rng::splitmix64;
 use skyferry_stats::json::Json;
 use skyferry_trace as trace;
 use skyferry_trace::clock::monotonic_ns;
@@ -84,8 +84,12 @@ const DRAIN_NS: u64 = 1_000_000_000;
 
 /// Route a quantized cache key to its owning shard: FNV-1a folded over
 /// the five key words (word-at-a-time — the key is already integer
-/// words, byte granularity buys nothing). Pure and total, so request
-/// routing is reproducible across runs and shard restarts.
+/// words, byte granularity buys nothing), then a SplitMix64 finalizer.
+/// The key words are `f64` bits, and snapped values such as 300.0 m end
+/// in zero mantissa bits. FNV's multiply only carries upward, so without
+/// the mix the low bits `% nshards` reads would be the same for every
+/// such key. Pure and total, so request routing is reproducible across
+/// runs and shard restarts.
 pub fn route_shard(key: &Key, nshards: usize) -> usize {
     debug_assert!(nshards > 0);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -93,7 +97,7 @@ pub fn route_shard(key: &Key, nshards: usize) -> usize {
         h ^= *w;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    (h % nshards as u64) as usize
+    (splitmix64(h) % nshards as u64) as usize
 }
 
 /// Mirror of a shard's cache counters, published by the owning shard
@@ -1263,6 +1267,8 @@ pub(crate) fn stats_json(state: &ServerState) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyferry_core::request::{Platform, Quantizer};
+    use skyferry_core::scenario::BYTES_PER_MB;
 
     fn test_state(nshards: usize) -> ServerState {
         let shards = (0..nshards)
@@ -1301,6 +1307,44 @@ mod tests {
             seen[route_shard(&key, 8)] = true;
         }
         assert!(seen.iter().all(|s| *s), "some shard got no keys: {seen:?}");
+    }
+
+    #[test]
+    fn route_shard_balances_snapped_keys() {
+        // Snapped values such as 300.0 m or 28e6 B end in zero mantissa
+        // bits; the hash must still spread one platform's keys evenly.
+        let q = Quantizer::default_buckets();
+        let mut keys = Vec::new();
+        for rho in [0.0, 1e-4] {
+            for d0 in (0..19).map(|i| 20.0 + 15.0 * i as f64) {
+                for mdata_mb in (0..10).map(|i| 1.0 + 2.0 * i as f64) {
+                    for v in (0..8).map(|i| 1.0 + 1.5 * i as f64) {
+                        let p = DecisionParams {
+                            platform: Platform::Airplane,
+                            d0_m: d0,
+                            mdata_bytes: mdata_mb * BYTES_PER_MB,
+                            rho_per_m: rho,
+                            v_mps: v,
+                        };
+                        keys.push(q.key(&p));
+                    }
+                }
+            }
+        }
+        for n in [2usize, 4, 8] {
+            let mut counts = vec![0usize; n];
+            for key in &keys {
+                counts[route_shard(key, n)] += 1;
+            }
+            let mean = keys.len() as f64 / n as f64;
+            for &c in &counts {
+                assert!(
+                    (c as f64 - mean).abs() <= 0.25 * mean,
+                    "{n} shards got {counts:?} of {} keys",
+                    keys.len()
+                );
+            }
+        }
     }
 
     #[test]

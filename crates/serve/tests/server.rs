@@ -25,7 +25,6 @@ fn sharded_server(queue_depth: usize, shards: usize) -> ServerHandle {
             cache_capacity: 64,
             quant: Quantizer::exact(),
             cache_enabled: true,
-            solve_threads: 0,
         },
         shards,
         policy: None,
@@ -45,7 +44,6 @@ fn policy_server() -> (ServerHandle, PolicyGrid) {
             cache_capacity: 64,
             quant: Quantizer::exact(),
             cache_enabled: false,
-            solve_threads: 0,
         },
         shards: 1,
         policy: Some(PolicyConfig {
@@ -418,53 +416,6 @@ fn policy_control_without_table_is_bad_request() {
     drop(handle); // drop = shutdown + join
 }
 
-// The ONE test in this binary allowed to touch the global worker-count
-// ceiling: the same pipelined stream, served at 1, 2 and 8 workers in
-// deterministic mode, must produce bit-identical response bodies.
-#[test]
-fn response_bytes_identical_across_worker_counts() {
-    use skyferry_sim::parallel::set_max_threads;
-
-    let mut streams: Vec<Vec<String>> = Vec::new();
-    let requests: Vec<String> = {
-        // A deterministic mix with plenty of repeats and a sprinkle of
-        // errors (error responses must be deterministic too).
-        let mut lines = Vec::new();
-        for i in 0..60u64 {
-            match i % 5 {
-                0 => lines.push(r#"{"platform":"quadrocopter"}"#.to_string()),
-                1 => lines.push(format!(
-                    r#"{{"platform":"airplane","d0":{},"mdata":14}}"#,
-                    120 + (i % 3) * 40
-                )),
-                2 => lines.push(r#"{"platform":"airplane","mdata":28}"#.to_string()),
-                3 => lines.push("{oops".to_string()),
-                _ => lines.push(format!(r#"{{"platform":"quadrocopter","d0":{}}}"#, 60 + i)),
-            }
-        }
-        lines
-    };
-    let line_refs: Vec<&str> = requests.iter().map(String::as_str).collect();
-
-    for threads in [1usize, 2, 8] {
-        set_max_threads(threads);
-        let handle = test_server(256);
-        let responses = round_trip(&handle, &line_refs);
-        drop(handle); // drop = shutdown + join
-        streams.push(responses);
-    }
-    set_max_threads(0);
-
-    assert_eq!(streams[0], streams[1], "1 vs 2 workers");
-    assert_eq!(streams[0], streams[2], "1 vs 8 workers");
-    // Deterministic mode really does zero the timing field.
-    for line in &streams[0] {
-        if let Some(us) = json::parse(line).expect("valid").get("us_served") {
-            assert_eq!(us.as_i64(), Some(0));
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Sharded serving: equivalence, control barriers, and the bin1 codec.
 // ---------------------------------------------------------------------
@@ -525,6 +476,12 @@ fn response_bytes_identical_across_shard_counts() {
         cache_totals[0], cache_totals[2],
         "merged hit/miss, 8 shards"
     );
+    // Deterministic mode really does zero the timing field.
+    for line in &streams[0] {
+        if let Some(us) = json::parse(line).expect("valid").get("us_served") {
+            assert_eq!(us.as_i64(), Some(0));
+        }
+    }
 }
 
 /// Control barriers across shards: a cache toggle / reset issued on one
@@ -807,7 +764,6 @@ fn policy_server_sharded(shards: usize, table: Arc<PolicyTable>) -> ServerHandle
             cache_capacity: 4096,
             quant: Quantizer::exact(),
             cache_enabled: true,
-            solve_threads: 0,
         },
         shards,
         policy: Some(PolicyConfig {
