@@ -278,7 +278,7 @@ mod tests {
         let r = run(&cfg, &mut fresh());
         assert_eq!(r.tables.len(), 4);
         let (_, mission) = &r.tables[3];
-        assert_eq!(mission.num_rows(), 2);
+        assert_eq!(mission.rows().len(), 2);
     }
 
     #[test]

@@ -182,6 +182,6 @@ mod tests {
         let cfg = ReproConfig::quick();
         let r = run(&cfg, &mut CampaignStore::new(cfg.quick));
         let (_, t) = &r.tables[0];
-        assert_eq!(t.num_rows(), 16);
+        assert_eq!(t.rows().len(), 16);
     }
 }

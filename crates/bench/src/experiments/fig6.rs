@@ -252,6 +252,6 @@ mod tests {
         let cfg = ReproConfig::quick();
         let r = run(&cfg, &mut CampaignStore::new(cfg.quick));
         let (_, t) = &r.tables[0];
-        assert_eq!(t.num_rows(), 13);
+        assert_eq!(t.rows().len(), 13);
     }
 }

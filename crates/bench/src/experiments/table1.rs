@@ -106,7 +106,7 @@ mod tests {
     fn reproduces_all_six_rows() {
         let r = run(&ReproConfig::quick());
         let (_, t) = &r.tables[0];
-        assert_eq!(t.num_rows(), 6);
+        assert_eq!(t.rows().len(), 6);
         let text = t.render_text();
         for expect in [
             "Wingspan: 80 cm",

@@ -314,7 +314,7 @@ mod tests {
         // weakly dominating the straight-line d* at every energy
         // budget, in calm air and in wind.
         let t = frontier_table(&quick());
-        assert_eq!(t.num_rows(), 2 * BUDGETS_J.len());
+        assert_eq!(t.rows().len(), 2 * BUDGETS_J.len());
         for row in t.rows() {
             let (u_line, u_path) = (num(&row[3]), num(&row[6]));
             assert!(

@@ -190,21 +190,6 @@ impl CampaignStore {
         self.misses
     }
 
-    /// Optimizer solutions served from the memo.
-    pub fn optimizer_hits(&self) -> u64 {
-        self.opt_hits
-    }
-
-    /// Optimizer scenarios solved fresh.
-    pub fn optimizer_misses(&self) -> u64 {
-        self.opt_misses
-    }
-
-    /// Estimated simulation wall-clock avoided by cell hits, seconds.
-    pub fn saved_secs(&self) -> f64 {
-        self.saved_s
-    }
-
     /// Wall-clock spent filling cells, seconds.
     pub fn fill_secs(&self) -> f64 {
         self.fill_s
@@ -279,7 +264,7 @@ mod tests {
         let second = store.samples(&cfg, 40.0, 2);
         assert_eq!(first, second);
         assert_eq!((store.hits(), store.misses()), (1, 1));
-        assert!(store.saved_secs() > 0.0);
+        assert!(store.saved_s > 0.0);
     }
 
     #[test]
@@ -362,13 +347,9 @@ mod tests {
         let first = store.optimum(&a);
         let second = store.optimum(&renamed);
         assert_eq!(first, second);
-        assert_eq!(store.optimizer_hits(), 1);
+        assert_eq!(store.opt_hits, 1);
         let changed = store.optimum(&a.with_mdata_mb(5.0));
-        assert_eq!(
-            store.optimizer_hits(),
-            1,
-            "changed parameters must re-solve"
-        );
+        assert_eq!(store.opt_hits, 1, "changed parameters must re-solve");
         assert_ne!(changed, first);
     }
 }

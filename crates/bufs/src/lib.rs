@@ -8,8 +8,8 @@
 //!
 //! Semantics match upstream where it matters for the codecs:
 //!
-//! * `Bytes` is an immutable view with a read cursor: `Buf::get_*` and
-//!   `split_to` consume from the front; `Deref<Target = [u8]>` exposes the
+//! * `Bytes` is an immutable view with a read cursor: `Buf::get_*`
+//!   consume from the front; `Deref<Target = [u8]>` exposes the
 //!   *remaining* bytes.
 //! * `BytesMut` is an append-only builder; `freeze` converts to `Bytes`.
 //!
@@ -134,14 +134,6 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Wrap a static slice (copied; see crate docs).
-    pub fn from_static(s: &'static [u8]) -> Self {
-        Bytes {
-            data: s.to_vec(),
-            pos: 0,
-        }
-    }
-
     /// Remaining (unread) length.
     pub fn len(&self) -> usize {
         self.data.len() - self.pos
@@ -155,18 +147,6 @@ impl Bytes {
     /// Copy the remaining bytes into a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
-    }
-
-    /// Split off and return the first `n` remaining bytes; `self` keeps
-    /// the rest.
-    ///
-    /// # Panics
-    /// Panics if `n > self.len()`.
-    pub fn split_to(&mut self, n: usize) -> Bytes {
-        assert!(n <= self.len(), "split_to out of bounds");
-        let head = self.as_slice()[..n].to_vec();
-        self.pos += n;
-        Bytes { data: head, pos: 0 }
     }
 
     fn as_slice(&self) -> &[u8] {
@@ -336,25 +316,9 @@ mod tests {
     }
 
     #[test]
-    fn split_to_takes_front() {
-        let mut b = Bytes::from(vec![1, 2, 3, 4, 5]);
-        let _ = b.get_u8();
-        let head = b.split_to(2);
-        assert_eq!(&head[..], &[2, 3]);
-        assert_eq!(&b[..], &[4, 5]);
-    }
-
-    #[test]
     fn equality_ignores_consumed_prefix() {
         let mut a = Bytes::from(vec![9, 1, 2]);
         let _ = a.get_u8();
         assert_eq!(a, Bytes::from(vec![1, 2]));
-    }
-
-    #[test]
-    #[should_panic]
-    fn split_to_rejects_overrun() {
-        let mut b = Bytes::from(vec![1]);
-        let _ = b.split_to(2);
     }
 }

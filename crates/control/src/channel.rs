@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn in_range_mostly_delivers() {
         let mut c = channel(3);
-        let msg = Bytes::from_static(&[0u8; 32]);
+        let msg = Bytes::from(vec![0u8; 32]);
         for _ in 0..1000 {
             c.send(&msg, 500.0);
         }
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn out_of_range_never_delivers() {
         let mut c = channel(4);
-        let msg = Bytes::from_static(&[0u8; 16]);
+        let msg = Bytes::from(vec![0u8; 16]);
         for _ in 0..100 {
             let out = c.send(&msg, 2_000.0);
             assert!(!out.delivered);

@@ -10,13 +10,12 @@
 //! telemetry data … sent to the central planner … and (ii) new waypoints
 //! from the planner to the UAVs." (Section 3.)
 //!
-//! * [`message`] — telemetry and command wire formats with byte-exact
-//!   codecs (so channel airtime is computed from real frame sizes);
+//! * [`message`] — the telemetry wire format, with a byte-exact codec
+//!   (so channel airtime is computed from real frame sizes), and the
+//!   planner's command type;
 //! * [`channel`] — the 250 kbit/s / 1.5 km shared channel model;
 //! * [`planner`] — the central planner: ingests telemetry, runs the
 //!   `skyferry-core` decision engine, and issues rendezvous waypoints;
-//! * [`uplink`] — stop-and-wait reliable delivery of those waypoint
-//!   commands over the lossy channel;
 //! * [`mission`] — the full multi-UAV mission simulator: autopilots,
 //!   sensing, telemetry, planning and 802.11n transfers in one
 //!   deterministic event loop.
@@ -27,10 +26,8 @@ pub mod channel;
 pub mod message;
 pub mod mission;
 pub mod planner;
-pub mod uplink;
 
 pub use channel::ControlChannel;
 pub use message::{Command, Telemetry, UavId};
 pub use mission::{run_mission, MissionConfig, MissionReport};
 pub use planner::CentralPlanner;
-pub use uplink::{ReliableUplink, UplinkConfig, UplinkOutcome};

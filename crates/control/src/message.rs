@@ -1,11 +1,13 @@
-//! Control-plane wire formats.
+//! Control-plane messages.
 //!
 //! Telemetry (UAV → planner) carries what the paper lists: "GPS
 //! coordinates, speed, etc." plus battery state and the amount of sensed
-//! data awaiting delivery. Commands (planner → UAV) carry "new waypoints
-//! from the planner" and transfer orders. Messages are length-prefixed
-//! little-endian records with a simple checksum, small enough to fit an
-//! 802.15.4 frame budget (≤ 102 payload bytes after MAC overhead).
+//! data awaiting delivery. It travels over the XBee channel model as a
+//! fixed-size little-endian record with a simple checksum, small enough
+//! to fit an 802.15.4 frame budget (≤ 102 payload bytes after MAC
+//! overhead), so the channel charges airtime for its real size.
+//! Commands (planner → UAV) carry "new waypoints from the planner" and
+//! transfer orders; the mission simulator applies them directly.
 
 // lint:allow(float-narrowing): the wire codec quantises telemetry to
 // f32 on purpose — the message format fixes field widths, and decode
@@ -69,7 +71,7 @@ pub enum Command {
         peer: UavId,
     },
     /// Fly to `target`, then transmit to `peer` upon arrival — the
-    /// move-then-transmit strategy as a single uplink message.
+    /// move-then-transmit strategy as a single order.
     GotoThenTransmit {
         /// Commanded rendezvous position.
         target: Vec3,
@@ -79,9 +81,6 @@ pub enum Command {
 }
 
 const KIND_TELEMETRY: u8 = 0x01;
-const KIND_GOTO: u8 = 0x02;
-const KIND_TRANSMIT: u8 = 0x03;
-const KIND_GOTO_THEN_TRANSMIT: u8 = 0x04;
 
 fn checksum(data: &[u8]) -> u8 {
     data.iter().fold(0u8, |acc, &b| acc.wrapping_add(b)) ^ 0x5A
@@ -147,90 +146,6 @@ impl Telemetry {
     pub const WIRE_BYTES: usize = 32;
 }
 
-impl Command {
-    /// Serialise to wire bytes (addressed to `uav`).
-    pub fn encode(&self, uav: UavId) -> Bytes {
-        let mut buf = BytesMut::with_capacity(24);
-        match self {
-            Command::Goto { target } => {
-                buf.put_u8(KIND_GOTO);
-                buf.put_u16_le(uav.0);
-                put_vec3(&mut buf, *target);
-            }
-            Command::Transmit { peer } => {
-                buf.put_u8(KIND_TRANSMIT);
-                buf.put_u16_le(uav.0);
-                buf.put_u16_le(peer.0);
-            }
-            Command::GotoThenTransmit { target, peer } => {
-                buf.put_u8(KIND_GOTO_THEN_TRANSMIT);
-                buf.put_u16_le(uav.0);
-                put_vec3(&mut buf, *target);
-                buf.put_u16_le(peer.0);
-            }
-        }
-        let ck = checksum(&buf);
-        buf.put_u8(ck);
-        buf.freeze()
-    }
-
-    /// Parse from wire bytes; returns the addressee and the command.
-    pub fn decode(mut data: Bytes) -> Result<(UavId, Command), CodecError> {
-        if data.len() < 4 {
-            return Err(CodecError::Truncated);
-        }
-        let body = &data[..data.len() - 1];
-        if checksum(body) != data[data.len() - 1] {
-            return Err(CodecError::BadChecksum);
-        }
-        let kind = data.get_u8();
-        let uav = UavId(data.get_u16_le());
-        let remaining = data.len() - 1; // minus checksum byte
-        match kind {
-            KIND_GOTO => {
-                if remaining < 12 {
-                    return Err(CodecError::Truncated);
-                }
-                Ok((
-                    uav,
-                    Command::Goto {
-                        target: get_vec3(&mut data),
-                    },
-                ))
-            }
-            KIND_TRANSMIT => {
-                if remaining < 2 {
-                    return Err(CodecError::Truncated);
-                }
-                Ok((
-                    uav,
-                    Command::Transmit {
-                        peer: UavId(data.get_u16_le()),
-                    },
-                ))
-            }
-            KIND_GOTO_THEN_TRANSMIT => {
-                if remaining < 14 {
-                    return Err(CodecError::Truncated);
-                }
-                let target = get_vec3(&mut data);
-                let peer = UavId(data.get_u16_le());
-                Ok((uav, Command::GotoThenTransmit { target, peer }))
-            }
-            other => Err(CodecError::UnknownKind(other)),
-        }
-    }
-
-    /// Encoded size in bytes.
-    pub fn wire_bytes(&self) -> usize {
-        match self {
-            Command::Goto { .. } => 1 + 2 + 12 + 1,
-            Command::Transmit { .. } => 1 + 2 + 2 + 1,
-            Command::GotoThenTransmit { .. } => 1 + 2 + 12 + 2 + 1,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,69 +188,6 @@ mod tests {
         assert_eq!(
             Telemetry::decode(Bytes::from(wire)),
             Err(CodecError::BadChecksum)
-        );
-    }
-
-    #[test]
-    fn command_roundtrips() {
-        let cases = vec![
-            Command::Goto {
-                target: Vec3::new(10.0, 20.0, 30.0),
-            },
-            Command::Transmit { peer: UavId(3) },
-            Command::GotoThenTransmit {
-                target: Vec3::new(-5.5, 0.0, 12.0),
-                peer: UavId(9),
-            },
-        ];
-        for cmd in cases {
-            let wire = cmd.encode(UavId(42));
-            assert_eq!(wire.len(), cmd.wire_bytes());
-            let (uav, back) = Command::decode(wire).unwrap();
-            assert_eq!(uav, UavId(42));
-            match (&cmd, &back) {
-                (Command::Goto { target: a }, Command::Goto { target: b }) => {
-                    assert!(a.distance(*b) < 1e-3)
-                }
-                (Command::Transmit { peer: a }, Command::Transmit { peer: b }) => {
-                    assert_eq!(a, b)
-                }
-                (
-                    Command::GotoThenTransmit {
-                        target: a,
-                        peer: pa,
-                    },
-                    Command::GotoThenTransmit {
-                        target: b,
-                        peer: pb,
-                    },
-                ) => {
-                    assert!(a.distance(*b) < 1e-3);
-                    assert_eq!(pa, pb);
-                }
-                other => panic!("kind changed in roundtrip: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_command_rejected() {
-        assert_eq!(
-            Command::decode(Bytes::from_static(&[0x02, 0x01])),
-            Err(CodecError::Truncated)
-        );
-    }
-
-    #[test]
-    fn unknown_kind_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0x77);
-        buf.put_u16_le(1);
-        let ck = checksum(&buf);
-        buf.put_u8(ck);
-        assert_eq!(
-            Command::decode(buf.freeze()),
-            Err(CodecError::UnknownKind(0x77))
         );
     }
 }

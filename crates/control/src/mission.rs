@@ -10,7 +10,8 @@
 //! * each UAV reports telemetry at 1 Hz over the XBee channel (frames can
 //!   be lost; the planner works from last-known state);
 //! * the planner, on every telemetry ingest, issues delayed-gratification
-//!   delivery orders through the reliable uplink;
+//!   delivery orders, which take effect at once (only telemetry crosses
+//!   the channel model);
 //! * an ordered UAV flies to its rendezvous and runs real 802.11n TXOPs
 //!   against the relay until its batch is delivered — with all transfers
 //!   sharing the single 5 GHz channel (the relay has one radio), so

@@ -79,11 +79,6 @@ impl CentralPlanner {
         self.fleet.get(&uav)
     }
 
-    /// Number of tracked UAVs.
-    pub fn fleet_size(&self) -> usize {
-        self.fleet.len()
-    }
-
     /// Planner-side distance between two tracked UAVs, if both are known.
     pub fn distance_between(&self, a: UavId, b: UavId) -> Option<f64> {
         let pa = self.fleet.get(&a)?.telemetry.position;
@@ -194,7 +189,7 @@ mod tests {
         let now = SimTime::ZERO;
         p.ingest(now, telem(1, Vec3::new(0.0, 0.0, 10.0), 0));
         p.ingest(now, telem(2, Vec3::new(100.0, 0.0, 10.0), 0));
-        assert_eq!(p.fleet_size(), 2);
+        assert_eq!(p.fleet.len(), 2);
         assert_eq!(p.distance_between(UavId(1), UavId(2)), Some(100.0));
         assert!(p.distance_between(UavId(1), UavId(9)).is_none());
     }

@@ -10,7 +10,7 @@
 use crate::optimizer::{optimize, OptimalTransfer};
 use crate::scenario::Scenario;
 use crate::throughput::ThroughputSpec;
-use skyferry_units::{Bytes, Meters, Seconds};
+use skyferry_units::{Bytes, Meters};
 
 /// What the carrier UAV should do right now.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,20 +29,6 @@ pub enum TransferDecision {
         /// Expected transmission time after arrival, seconds.
         expected_tx_s: f64,
     },
-}
-
-impl TransferDecision {
-    /// Total expected communication delay.
-    pub fn expected_total(&self) -> Seconds {
-        match *self {
-            TransferDecision::TransmitNow { expected_tx_s } => Seconds::new(expected_tx_s),
-            TransferDecision::MoveThenTransmit {
-                expected_ship_s,
-                expected_tx_s,
-                ..
-            } => Seconds::new(expected_ship_s + expected_tx_s),
-        }
-    }
 }
 
 /// Tolerance below which repositioning is not worth commanding, metres.
@@ -156,7 +142,15 @@ mod tests {
     #[test]
     fn expected_total_consistent_with_optimum() {
         let (d, opt) = engine().decide(d(100.0), b(56.2e6), 2.46e-4);
-        assert!((d.expected_total().get() - opt.cdelay_s()).abs() < 1e-9);
+        let total_s = match d {
+            TransferDecision::TransmitNow { expected_tx_s } => expected_tx_s,
+            TransferDecision::MoveThenTransmit {
+                expected_ship_s,
+                expected_tx_s,
+                ..
+            } => expected_ship_s + expected_tx_s,
+        };
+        assert!((total_s - opt.cdelay_s()).abs() < 1e-9);
     }
 
     #[test]

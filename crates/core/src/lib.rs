@@ -40,8 +40,6 @@
 //!   curves and crossover analysis;
 //! * [`mixed`] — the Section 3.2/7 extension: 2-D optimisation over
 //!   (distance, approach speed) with a speed-penalised rate surface;
-//! * [`sensitivity`] — local derivatives of `(dopt, U)` with respect to
-//!   every scenario parameter (which uncertainty matters to a planner);
 //! * [`sweep`] — the parameter studies behind Figures 8 and 9;
 //! * [`decision`] — an online decision engine for mission planners;
 //! * [`request`] — the serving layer's per-request parameter shape with
@@ -65,8 +63,6 @@ pub mod policy;
 pub mod request;
 /// Scenario parameter sets, including the paper's baselines.
 pub mod scenario;
-/// Local sensitivity of the optimum to every parameter.
-pub mod sensitivity;
 /// Hover-vs-move transfer strategy comparison (Figure 1).
 pub mod strategy;
 /// Parameter sweeps behind Figures 8 and 9.
@@ -85,7 +81,6 @@ pub mod prelude {
     pub use crate::optimizer::{optimize, OptimalTransfer};
     pub use crate::request::{DecisionParams, Platform, Quantizer};
     pub use crate::scenario::Scenario;
-    pub use crate::sensitivity::{analyze as analyze_sensitivity, SensitivityReport};
     pub use crate::strategy::{Strategy, StrategyEvaluation};
     pub use crate::throughput::{EmpiricalThroughput, LogFitThroughput, ThroughputModel};
     pub use crate::utility::utility;

@@ -91,19 +91,8 @@ pub struct MixedOutcome {
     pub utility: f64,
 }
 
-/// Evaluate one mixed strategy point.
-pub fn evaluate_mixed(
-    scenario: &Scenario,
-    cfg: &MixedConfig,
-    d: Meters,
-    v: MetersPerSec,
-    transmit_while_moving: bool,
-) -> MixedOutcome {
-    evaluate_mixed_view(scenario.view(), cfg, d, v, transmit_while_moving)
-}
-
-/// [`evaluate_mixed`] on a borrowed [`ScenarioView`] — the form the 2-D
-/// solver calls per grid cell.
+/// Evaluate one mixed strategy point on a borrowed [`ScenarioView`] —
+/// the form the 2-D solver calls per grid cell.
 pub fn evaluate_mixed_view(
     scenario: ScenarioView<'_>,
     cfg: &MixedConfig,
@@ -288,13 +277,14 @@ mod tests {
     #[test]
     fn evaluate_conserves_data_and_time() {
         let s = quad_10mb();
-        let o = evaluate_mixed(&s, &cfg(), Meters::new(40.0), MetersPerSec::new(4.5), true);
+        let (d, v) = (Meters::new(40.0), MetersPerSec::new(4.5));
+        let o = evaluate_mixed_view(s.view(), &cfg(), d, v, true);
         assert!(o.completion_s > 0.0);
         assert!(o.in_motion_bytes <= s.mdata_bytes);
         assert!(o.survival > 0.0 && o.survival <= 1.0);
         // In-motion transmission can only speed things up vs silence at
         // the same (d, v).
-        let silent = evaluate_mixed(&s, &cfg(), Meters::new(40.0), MetersPerSec::new(4.5), false);
+        let silent = evaluate_mixed_view(s.view(), &cfg(), d, v, false);
         assert!(o.completion_s <= silent.completion_s + 1e-9);
     }
 

@@ -52,7 +52,6 @@
 
 use skyferry_units::Meters;
 
-use crate::delay::CommunicationDelay;
 use crate::scenario::{Scenario, ScenarioView};
 use crate::utility::{utility_bound_view, utility_breakdown_view, utility_view};
 
@@ -235,12 +234,8 @@ pub fn optimize_view(scenario: ScenarioView<'_>) -> OptimalTransfer {
     }
 }
 
-/// Evaluate `U` on a uniform grid (for plotting Figure 8 curves).
-pub fn utility_curve(scenario: &Scenario, points: usize) -> Vec<(f64, f64)> {
-    utility_curve_view(scenario.view(), points)
-}
-
-/// [`utility_curve`] on a borrowed [`ScenarioView`].
+/// Evaluate `U` on a uniform grid of a borrowed [`ScenarioView`] (for
+/// plotting Figure 8 curves).
 pub fn utility_curve_view(scenario: ScenarioView<'_>, points: usize) -> Vec<(f64, f64)> {
     assert!(points >= 2);
     let lo = scenario.d_min_m;
@@ -253,20 +248,21 @@ pub fn utility_curve_view(scenario: ScenarioView<'_>, points: usize) -> Vec<(f64
         .collect()
 }
 
-/// Closed-form optimality check for the ρ = 0 case: the optimum balances
-/// marginal transmit-time increase against marginal shipping-time
-/// decrease, `T'tx(d) = 1/v` (interior optima only). Used by tests.
-pub fn marginal_balance_residual(scenario: &Scenario, d: Meters) -> f64 {
-    let eps = 1e-3;
-    let t = |d: f64| CommunicationDelay::at(scenario, Meters::new(d)).tx_s();
-    let dtx = (t(d.get() + eps) - t(d.get() - eps)) / (2.0 * eps);
-    dtx - 1.0 / scenario.v_mps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delay::CommunicationDelay;
     use crate::scenario::Scenario;
+
+    /// Closed-form optimality check for the ρ = 0 case: the optimum
+    /// balances marginal transmit-time increase against marginal
+    /// shipping-time decrease, `T'tx(d) = 1/v` (interior optima only).
+    fn marginal_balance_residual(scenario: &Scenario, d: Meters) -> f64 {
+        let eps = 1e-3;
+        let t = |d: f64| CommunicationDelay::at(scenario, Meters::new(d)).tx_s();
+        let dtx = (t(d.get() + eps) - t(d.get() - eps)) / (2.0 * eps);
+        dtx - 1.0 / scenario.v_mps
+    }
 
     #[test]
     fn baseline_optima_pin_at_dmin() {
@@ -305,7 +301,7 @@ mod tests {
     fn optimum_beats_dense_grid() {
         let s = Scenario::airplane_baseline();
         let o = optimize(&s);
-        for (_, u) in utility_curve(&s, 10_000) {
+        for (_, u) in utility_curve_view(s.view(), 10_000) {
             assert!(o.utility >= u - 1e-12);
         }
     }
@@ -471,7 +467,7 @@ mod tests {
     #[test]
     fn curve_has_requested_resolution_and_bounds() {
         let s = Scenario::quadrocopter_baseline();
-        let curve = utility_curve(&s, 101);
+        let curve = utility_curve_view(s.view(), 101);
         assert_eq!(curve.len(), 101);
         assert_eq!(curve[0].0, s.d_min_m);
         assert_eq!(curve[100].0, s.d0_m);

@@ -469,6 +469,7 @@ impl PolicyTable {
     /// out of range. The returned optimum is bitwise identical to
     /// `grid.params_at(cell).solve()` — the compiled equivalent of the
     /// quantized-cache serving path.
+    // lint:allow-line(test-only-pub): the cell oracle of tests/policy_roundtrip.rs::bucket_edge_requests_resolve_to_quantizer_buckets
     pub fn lookup(&self, p: &DecisionParams) -> Option<&OptimalTransfer> {
         self.grid.cell_of(p).map(|c| &self.cells[c])
     }

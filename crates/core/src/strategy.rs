@@ -15,7 +15,7 @@
 //! delivered-data-vs-time curves the paper measured, plus the scalar
 //! utility of Eq. (1) extended with an in-motion term.
 
-use skyferry_units::{Bytes, Meters, Seconds};
+use skyferry_units::{Bytes, Meters};
 
 use crate::delay::CommunicationDelay;
 use crate::failure::FailureModel;
@@ -98,25 +98,6 @@ pub struct StrategyEvaluation {
 }
 
 impl StrategyEvaluation {
-    /// Delivered bytes at time `t` (piecewise-linear interpolation).
-    pub fn delivered_at(&self, t: Seconds) -> f64 {
-        let t_s = t.get();
-        if self.curve.is_empty() || t_s <= self.curve[0].0 {
-            return 0.0;
-        }
-        for w in self.curve.windows(2) {
-            let (t0, b0) = w[0];
-            let (t1, b1) = w[1];
-            if t_s <= t1 {
-                if t1 - t0 < 1e-12 {
-                    return b1;
-                }
-                return b0 + (b1 - b0) * (t_s - t0) / (t1 - t0);
-            }
-        }
-        self.curve.last().expect("non-empty").1
-    }
-
     /// First time at which `volume` has been delivered, if ever.
     pub fn time_to_deliver(&self, volume: Bytes) -> Option<f64> {
         let bytes = volume.get();
@@ -256,6 +237,26 @@ fn eval_moving(scenario: &Scenario, cfg: &EvalConfig) -> StrategyEvaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyferry_units::Seconds;
+
+    /// Delivered bytes at time `t` (piecewise-linear interpolation).
+    fn delivered_at(e: &StrategyEvaluation, t: Seconds) -> f64 {
+        let t_s = t.get();
+        if e.curve.is_empty() || t_s <= e.curve[0].0 {
+            return 0.0;
+        }
+        for w in e.curve.windows(2) {
+            let (t0, b0) = w[0];
+            let (t1, b1) = w[1];
+            if t_s <= t1 {
+                if t1 - t0 < 1e-12 {
+                    return b1;
+                }
+                return b0 + (b1 - b0) * (t_s - t0) / (t1 - t0);
+            }
+        }
+        e.curve.last().expect("non-empty").1
+    }
 
     fn quad() -> Scenario {
         // The Figure 1 setting: quadrocopters, 20 MB, encounter at 80 m.
@@ -268,12 +269,12 @@ mod tests {
     #[test]
     fn transmit_now_has_immediate_rampup() {
         let e = evaluate(&quad(), Strategy::TransmitNow, &EvalConfig::default());
-        assert!(e.delivered_at(Seconds::ZERO) == 0.0);
+        assert!(delivered_at(&e, Seconds::ZERO) == 0.0);
         assert!(
-            e.delivered_at(Seconds::new(1.0)) > 0.0,
+            delivered_at(&e, Seconds::new(1.0)) > 0.0,
             "starts immediately"
         );
-        assert!((e.delivered_at(Seconds::new(e.completion_s)) - 20e6).abs() < 1.0);
+        assert!((delivered_at(&e, Seconds::new(e.completion_s)) - 20e6).abs() < 1.0);
     }
 
     #[test]
@@ -284,8 +285,8 @@ mod tests {
             &EvalConfig::default(),
         );
         let ship = (80.0 - 60.0) / 4.5;
-        assert_eq!(e.delivered_at(Seconds::new(ship * 0.9)), 0.0);
-        assert!(e.delivered_at(Seconds::new(ship + 1.0)) > 0.0);
+        assert_eq!(delivered_at(&e, Seconds::new(ship * 0.9)), 0.0);
+        assert!(delivered_at(&e, Seconds::new(ship + 1.0)) > 0.0);
     }
 
     #[test]
@@ -395,7 +396,7 @@ mod tests {
         for frac in [0.1, 0.5, 0.9] {
             let bytes = frac * 20e6;
             let t = e.time_to_deliver(Bytes::new(bytes)).unwrap();
-            assert!((e.delivered_at(Seconds::new(t)) - bytes).abs() < 1e3);
+            assert!((delivered_at(&e, Seconds::new(t)) - bytes).abs() < 1e3);
         }
     }
 }

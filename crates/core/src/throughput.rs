@@ -57,16 +57,10 @@ impl LogFitThroughput {
         b_mbps: 73.0,
     };
 
-    /// Distance at which the fit reaches zero rate (validity horizon).
-    pub fn zero_crossing(&self) -> Meters {
-        assert!(self.a_mbps < 0.0, "fit must be decreasing");
-        Meters::new(2.0_f64.powf(-self.b_mbps / self.a_mbps))
-    }
-
     /// The fit with every rate scaled by `share ∈ (0, 1]` — the
     /// throughput one contender sees on a shared medium. Scaling is
     /// linear in the fit coefficients, so the result is still a log fit
-    /// (and `zero_crossing` is unchanged).
+    /// (and the distance where it reaches zero rate is unchanged).
     pub fn scaled(&self, share: f64) -> Self {
         assert!(
             share > 0.0 && share <= 1.0 && share.is_finite(),
@@ -246,6 +240,12 @@ impl ThroughputModel for ThroughputSpec {
 mod tests {
     use super::*;
 
+    /// Distance at which a fit reaches zero rate (validity horizon).
+    fn zero_crossing(fit: &LogFitThroughput) -> Meters {
+        assert!(fit.a_mbps < 0.0, "fit must be decreasing");
+        Meters::new(2.0_f64.powf(-fit.b_mbps / fit.a_mbps))
+    }
+
     fn m(v: f64) -> Meters {
         Meters::new(v)
     }
@@ -281,9 +281,9 @@ mod tests {
     fn zero_crossings() {
         // Airplane fit crosses zero at 2^(49/5.56) ≈ 450 m;
         // quadrocopter at 2^(73/10.5) ≈ 124 m.
-        let a = LogFitThroughput::AIRPLANE.zero_crossing().get();
+        let a = zero_crossing(&LogFitThroughput::AIRPLANE).get();
         assert!((a - 450.0).abs() < 10.0, "a={a}");
-        let q = LogFitThroughput::QUADROCOPTER.zero_crossing().get();
+        let q = zero_crossing(&LogFitThroughput::QUADROCOPTER).get();
         assert!((q - 124.0).abs() < 5.0, "q={q}");
     }
 
@@ -338,7 +338,7 @@ mod tests {
             );
         }
         // Scaling preserves the validity horizon of the fit.
-        assert_eq!(half.zero_crossing(), full.zero_crossing());
+        assert_eq!(zero_crossing(&half), zero_crossing(&full));
 
         let emp = EmpiricalThroughput::new(vec![(20.0, 30e6), (80.0, 8e6)]);
         let emp_half = emp.scaled(0.5);

@@ -72,11 +72,6 @@ impl Vec3 {
         }
     }
 
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
-    }
-
     /// Copy with a different altitude.
     pub fn with_altitude(self, z: f64) -> Vec3 {
         Vec3 { z, ..self }
@@ -169,15 +164,6 @@ mod tests {
         let v = Vec3::new(0.0, 0.0, 2.0);
         assert_eq!(v.normalized(), Some(Vec3::new(0.0, 0.0, 1.0)));
         assert_eq!(Vec3::ZERO.normalized(), None);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(10.0, -4.0, 2.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(5.0, -2.0, 1.0));
     }
 
     #[test]

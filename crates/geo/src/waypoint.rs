@@ -40,13 +40,6 @@ impl Waypoint {
         self
     }
 
-    /// Set the hold time at the waypoint.
-    pub fn with_hold(mut self, hold_s: f64) -> Self {
-        assert!(hold_s >= 0.0, "hold must be non-negative");
-        self.hold_s = hold_s;
-        self
-    }
-
     /// Set the acceptance radius.
     pub fn with_acceptance_radius(mut self, r_m: f64) -> Self {
         assert!(r_m > 0.0, "acceptance radius must be positive");
@@ -141,12 +134,8 @@ mod tests {
 
     #[test]
     fn builder_sets_fields() {
-        let w = wp(1.0, 2.0)
-            .with_speed(8.0)
-            .with_hold(3.0)
-            .with_acceptance_radius(2.0);
+        let w = wp(1.0, 2.0).with_speed(8.0).with_acceptance_radius(2.0);
         assert_eq!(w.speed_mps, Some(8.0));
-        assert_eq!(w.hold_s, 3.0);
         assert_eq!(w.acceptance_radius_m, 2.0);
     }
 

@@ -22,9 +22,9 @@ use std::collections::BTreeSet;
 use crate::rules::lint_files;
 
 /// Stub inserted above an undocumented `unsafe`.
-pub const SAFETY_STUB: &str = "// SAFETY: TODO(lint): document the upheld invariant.";
+const SAFETY_STUB: &str = "// SAFETY: TODO(lint): document the upheld invariant.";
 /// Doc stub inserted above an undocumented public item.
-pub const DOC_STUB: &str = "/// TODO(lint): document this public item.";
+const DOC_STUB: &str = "/// TODO(lint): document this public item.";
 
 /// Is `rule` mechanically fixable?
 pub fn fixable(rule: &str) -> bool {

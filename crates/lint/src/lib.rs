@@ -19,7 +19,8 @@
 //!   items of the model crates (`core`, `phy`) must be documented,
 //!   `#[allow(...)]` requires a justification comment, no `dbg!` /
 //!   `todo!` / `unimplemented!`, no `env::var` reads outside the bench
-//!   harness, and no stale `lint:allow` escapes.
+//!   harness, no `pub` item that only tests name, and no stale
+//!   `lint:allow` escapes.
 //!
 //! Run it as `cargo run -p skyferry-lint` (add `-- --check` for CI,
 //! `-- --json` / `-- --sarif PATH` for machine-readable output,

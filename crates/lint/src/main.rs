@@ -15,7 +15,8 @@
 //!
 //! The whole file set is analyzed as one workspace so the cross-file
 //! rules (determinism taint, reader-path blocking, proto-error
-//! exhaustiveness) can link callers to callees across crates.
+//! exhaustiveness, test-only pub items) can link callers to callees
+//! across crates.
 
 #![forbid(unsafe_code)]
 

@@ -29,9 +29,9 @@
 //! finding, and an escape whose rule no longer fires is flagged by
 //! `stale-allow`. The semantic rules (`unit-safety`,
 //! `determinism-taint`, `blocking-in-reader`,
-//! `exhaustive-proto-errors`, `stale-allow`) accept only line-scoped
-//! escapes — a file-level blanket would hide every future regression
-//! in the file.
+//! `exhaustive-proto-errors`, `test-only-pub`, `stale-allow`) accept
+//! only line-scoped escapes — a file-level blanket would hide every
+//! future regression in the file.
 
 use std::collections::BTreeMap;
 
@@ -288,8 +288,8 @@ pub fn registry() -> Vec<Rule> {
             id: "raw-endian-bytes",
             // The policy artifact codec is the sanctioned first-party
             // wire format; the vendored buffer crate is its own world.
-            // Other legitimate byte-level sites (802.11 framing, seed
-            // derivation) escape with a justified lint:allow.
+            // Other legitimate byte-level sites (stable key derivation)
+            // escape with a justified lint:allow.
             scope: Scope::Except(&["crates/bufs/", "crates/core/src/policy.rs"]),
             severity: Severity::Deny,
             file_allow: true,
@@ -346,6 +346,19 @@ pub fn registry() -> Vec<Rule> {
                         server and matched by loadgen's checker, or the error \
                         path is untested fiction",
             check: Check::Workspace(taint::exhaustive_proto_errors),
+        },
+        Rule {
+            id: "test-only-pub",
+            // Library files only: `crates/*/src/`, outside `src/bin/`.
+            // Every file is scanned for callers; the check itself narrows
+            // where findings may land.
+            scope: Scope::Only(&["crates/"]),
+            severity: Severity::Deny,
+            file_allow: false,
+            rationale: "a pub item that only tests name is dead code rustc's \
+                        dead_code cannot see; delete it, or escape it line-by-line \
+                        naming the test that uses it as an oracle or harness",
+            check: Check::Workspace(taint::test_only_pub),
         },
         Rule {
             id: "stale-allow",
@@ -756,22 +769,13 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
     lint_files_with(files, &registry()).findings
 }
 
-/// [`lint_files`] returning the escape audit as well.
-pub fn lint_outcome(files: &[(String, String)]) -> LintOutcome {
-    lint_files_with(files, &registry())
-}
-
 /// Lint one file's source. `path` is the repo-relative path used both
 /// for rule scoping and in reported findings. Workspace rules run over
 /// the single file (sources, emitters and checkers must then co-reside
 /// to link).
+// lint:allow-line(test-only-pub): the fixture harness of crates/lint/tests/rules.rs
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     lint_files(&[(path.to_string(), source.to_string())])
-}
-
-/// [`lint_source`] against an explicit rule set.
-pub fn lint_source_with(path: &str, source: &str, rules: &[Rule]) -> Vec<Finding> {
-    lint_files_with(&[(path.to_string(), source.to_string())], rules).findings
 }
 
 /// The engine: run every rule, apply escapes, audit the escapes.
@@ -983,6 +987,11 @@ fn try_suppress(
 mod tests {
     use super::*;
 
+    /// [`lint_source`] against an explicit rule set.
+    fn lint_source_with(path: &str, source: &str, rules: &[Rule]) -> Vec<Finding> {
+        lint_files_with(&[(path.to_string(), source.to_string())], rules).findings
+    }
+
     fn rules_only(ids: &[&str]) -> Vec<Rule> {
         registry()
             .into_iter()
@@ -1152,6 +1161,7 @@ mod tests {
             "determinism-taint",
             "blocking-in-reader",
             "exhaustive-proto-errors",
+            "test-only-pub",
             "stale-allow",
         ] {
             let r = rules.iter().find(|r| r.id == id).unwrap();

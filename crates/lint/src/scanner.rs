@@ -14,7 +14,7 @@
 //! * **comment** — the comment text on that line, including the
 //!   `//` / `/*` introducer on the line that opens it.
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 
 /// One source line, split into its code and comment parts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -38,13 +38,7 @@ impl Line {
     }
 }
 
-/// Scan `source` into per-line code/comment views.
-pub fn scan(source: &str) -> Vec<Line> {
-    scan_tokens(source, &lex(source))
-}
-
-/// [`scan`] from an existing token stream (avoids re-lexing when the
-/// caller already has one).
+/// Scan a lexed source into per-line code/comment views.
 pub fn scan_tokens(source: &str, tokens: &[Token]) -> Vec<Line> {
     let line_count = source.split('\n').count();
     let mut lines = vec![Line::default(); line_count];
@@ -147,6 +141,11 @@ pub fn find_ident(code: &str, ident: &str) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+
+    fn scan(source: &str) -> Vec<Line> {
+        scan_tokens(source, &lex(source))
+    }
 
     fn code_of(src: &str) -> Vec<String> {
         scan(src).into_iter().map(|l| l.code).collect()

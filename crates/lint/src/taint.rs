@@ -1,6 +1,7 @@
 //! Workspace-level semantic rules: a crate-aware symbol map and call
-//! graph over every file's [`FileModel`](crate::items::FileModel), and
-//! the three cross-file checks built on it:
+//! graph over every file's [`FileModel`](crate::items::FileModel), the
+//! three cross-file checks built on it, and one name census beside
+//! them:
 //!
 //! * [`determinism_taint`] — no call path from a nondeterminism source
 //!   (`monotonic_ns`, `Instant::now`, `env::var`, ambient RNG) into a
@@ -17,18 +18,23 @@
 //! * [`exhaustive_proto_errors`] — every `proto::ErrorKind` variant is
 //!   constructed somewhere outside `proto.rs` and its wire tag is
 //!   matched by loadgen's checker.
+//! * [`test_only_pub`] — every plain-`pub` item of a library file is
+//!   named by some non-test code.
 //!
 //! Call-graph edges are resolved conservatively: same file first, then
 //! same crate, then cross-crate through the file's `use` map, then a
 //! workspace-unique name match. Macros are never call edges. Ambiguous
 //! names resolve to nothing rather than to everything, so taint
-//! findings correspond to real paths.
+//! findings correspond to real paths. That same conservatism is why
+//! `test_only_pub` matches names instead of walking the graph: an
+//! unresolved method call would make a live item look dead, while a
+//! name match can only miss a finding, never invent one.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::items::{Callee, FnItem};
+use crate::items::{Callee, FnItem, Vis};
 use crate::rules::Analysis;
-use crate::scanner::find_ident;
+use crate::scanner::{find_ident, is_ident_char};
 
 /// A workspace finding: `(repo-relative path, 1-based line, message)`.
 pub type WsFinding = (String, usize, String);
@@ -600,6 +606,116 @@ pub fn exhaustive_proto_errors(files: &[Analysis]) -> Vec<WsFinding> {
     out
 }
 
+/// Is `path` a library source file: under `crates/<name>/src/`, outside
+/// `src/bin/`?
+fn is_library_file(path: &str) -> bool {
+    path.strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, rest)| rest.starts_with("src/") && !rest.starts_with("src/bin/"))
+}
+
+/// Is `path` inside an integration-test tree?
+fn is_test_tree(path: &str) -> bool {
+    path.starts_with("tests/") || path.contains("/tests/")
+}
+
+/// Does this code line open a `use` or re-export (`pub use`,
+/// `pub(crate) use`)?
+fn opens_use(code: &str) -> bool {
+    let t = code.trim_start();
+    let t = match t.strip_prefix("pub") {
+        Some(rest) if rest.starts_with('(') => rest.split_once(')').map_or(rest, |(_, r)| r),
+        Some(rest) => rest,
+        None => t,
+    };
+    t.trim_start()
+        .strip_prefix("use")
+        .is_some_and(|rest| rest.starts_with(char::is_whitespace))
+}
+
+/// The plain-`pub` items a file declares above its test module, as
+/// `(name, line)`. Trait methods inherit the trait's visibility without
+/// writing `pub`, so only declaration lines that spell `pub` count;
+/// modules are namespaces, named through `use` paths.
+fn pub_items(a: &Analysis) -> Vec<(&str, usize)> {
+    let spelled_pub = |line: usize| !find_ident(&a.lines[line - 1].code, "pub").is_empty();
+    let fns = a
+        .model
+        .fns
+        .iter()
+        .filter(|f| f.vis == Vis::Public && !f.test_only && spelled_pub(f.line))
+        .map(|f| (f.name.as_str(), f.line));
+    let decls = a
+        .model
+        .decls
+        .iter()
+        .filter(|d| d.vis == Vis::Public && !d.test_only && d.kind != "mod")
+        .map(|d| (d.name.as_str(), d.line));
+    fns.chain(decls).collect()
+}
+
+/// The test-only-pub rule: a plain-`pub` item of a library file that no
+/// non-test code names. A name counts only as code — not in comments,
+/// strings or `use` items (one-line or multi-line re-exports) — and not
+/// on the item's own declaration line. Test code is every `tests/` tree
+/// plus everything from a file's first `#[cfg(test)]` on; bins, benches,
+/// examples and the benchmark package are callers like any other.
+pub fn test_only_pub(files: &[Analysis]) -> Vec<WsFinding> {
+    let mut items: Vec<(usize, &str, usize)> = Vec::new();
+    for (fi, a) in files.iter().enumerate() {
+        if is_library_file(&a.path) {
+            items.extend(pub_items(a).into_iter().map(|(n, l)| (fi, n, l)));
+        }
+    }
+    let names: BTreeSet<&str> = items.iter().map(|&(_, n, _)| n).collect();
+
+    // Where each candidate name is written in non-test code.
+    let mut named: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (fi, a) in files.iter().enumerate() {
+        if is_test_tree(&a.path) {
+            continue;
+        }
+        let end = a.model.cfg_test_line.map_or(a.lines.len(), |l| l - 1);
+        let mut in_use = false;
+        for (li, l) in a.lines[..end].iter().enumerate() {
+            if in_use || opens_use(&l.code) {
+                in_use = !l.code.contains(';');
+                continue;
+            }
+            for ident in idents(&l.code) {
+                if let Some(&n) = names.get(ident) {
+                    named.entry(n).or_default().push((fi, li + 1));
+                }
+            }
+        }
+    }
+
+    let mut out = Vec::new();
+    for (fi, name, line) in items {
+        let used = named
+            .get(name)
+            .is_some_and(|at| at.iter().any(|&site| site != (fi, line)));
+        if !used {
+            out.push((
+                files[fi].path.clone(),
+                line,
+                format!(
+                    "no non-test code names pub item `{name}`: delete it, or keep it \
+                     with a line escape naming the test that needs it"
+                ),
+            ));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The identifiers in a code line (string contents are already blanked).
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !is_ident_char(c))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
 /// Lines (1-based) where `ErrorKind::<variant>` is written in a file.
 fn construction_lines(a: &Analysis, variant: &str) -> Vec<usize> {
     let mut out = Vec::new();
@@ -806,6 +922,110 @@ mod tests {
         assert!(f.iter().all(|(p, _, _)| p == PROTO_FILE));
         assert!(f.iter().any(|(_, _, m)| m.contains("never constructed")));
         assert!(f.iter().any(|(_, _, m)| m.contains("never matched")));
+    }
+
+    /// `test_only_pub` findings as `(path, line)`.
+    fn orphans(specs: &[(&str, &str)]) -> Vec<(String, usize)> {
+        test_only_pub(&ws_files(specs))
+            .into_iter()
+            .map(|(p, l, _)| (p, l))
+            .collect()
+    }
+
+    const LIB: &str = "crates/geo/src/shape.rs";
+    const ITEM: &str = "/// A shape.\npub fn area() -> f64 { 1.0 }\n";
+
+    #[test]
+    fn test_only_pub_fires_when_only_tests_name_the_item() {
+        let expected = vec![(LIB.to_string(), 2)];
+        // Nothing names it at all.
+        assert_eq!(orphans(&[(LIB, ITEM)]), expected);
+        // An integration-test tree names it.
+        let test_tree = "fn t() { assert_eq!(area(), 1.0); }\n";
+        for path in ["tests/geo.rs", "crates/geo/tests/shape.rs"] {
+            assert_eq!(orphans(&[(LIB, ITEM), (path, test_tree)]), expected);
+        }
+        // Another library file names it, but only below `#[cfg(test)]`.
+        let unit = "pub fn unrelated() {}\n#[cfg(test)]\nmod tests { fn t() { area(); } }\n";
+        let got = orphans(&[(LIB, ITEM), ("crates/geo/src/other.rs", unit)]);
+        assert_eq!(
+            got,
+            vec![
+                ("crates/geo/src/other.rs".to_string(), 1),
+                (LIB.to_string(), 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn test_only_pub_counts_bins_benches_examples_and_the_benchmark() {
+        for caller in [
+            "crates/bench/src/bin/repro.rs",
+            "crates/bench/benches/kernels.rs",
+            "examples/quickstart.rs",
+            "crates/net/examples/calibration_fit.rs",
+            "skyferry-benchmark/src/main.rs",
+            "crates/geo/src/other.rs",
+        ] {
+            let src = "fn main() { let _ = skyferry_geo::shape::area(); }\n";
+            assert!(
+                orphans(&[(LIB, ITEM), (caller, src)]).is_empty(),
+                "{caller}"
+            );
+        }
+    }
+
+    #[test]
+    fn test_only_pub_ignores_reexports_comments_and_strings() {
+        let reexports = [
+            "pub use shape::area;\n",
+            "pub use crate::shape::{\n    area,\n    area as size,\n};\n",
+            "use crate::shape::area;\n",
+            "/// Calls [`area`].\n// area() is cheap\nfn f() -> &'static str { \"area\" }\n",
+        ];
+        for src in reexports {
+            assert_eq!(
+                orphans(&[(LIB, ITEM), ("crates/geo/src/lib.rs", src)]),
+                vec![(LIB.to_string(), 2)],
+                "{src}"
+            );
+        }
+        // A use statement does not swallow the code after it.
+        let after_use = "use crate::shape::{\n    area,\n};\nfn f() -> f64 { area() }\n";
+        assert!(orphans(&[(LIB, ITEM), ("crates/geo/src/lib.rs", after_use)]).is_empty());
+    }
+
+    #[test]
+    fn test_only_pub_skips_restricted_items_bins_and_its_own_line() {
+        // `pub(crate)` items are rustc's business; so are private ones.
+        let restricted = "pub(crate) fn a() {}\npub(super) struct B;\nfn c() {}\n";
+        assert!(orphans(&[(LIB, restricted)]).is_empty());
+        // A binary's items are out of scope.
+        assert!(orphans(&[("crates/geo/src/bin/tool.rs", ITEM)]).is_empty());
+        // Trait methods inherit visibility without spelling `pub`.
+        let tr = "pub trait Shape { fn area(&self) -> f64; }\nimpl Shape for u8 { fn area(&self) -> f64 { 0.0 } }\n";
+        assert!(orphans(&[(LIB, tr)]).is_empty());
+        // A recursive or self-describing declaration line is not a use.
+        let own_line = "pub fn area(n: u32) -> u32 { if n == 0 { 0 } else { area(n - 1) } }\n";
+        assert_eq!(orphans(&[(LIB, own_line)]), vec![(LIB.to_string(), 1)]);
+    }
+
+    #[test]
+    fn test_only_pub_escape_goes_stale_once_live_code_names_the_item() {
+        use crate::rules::lint_files;
+        let kept = "/// A shape.\n// lint:allow-line(test-only-pub): oracle of tests/geo.rs\npub fn area() -> f64 { 1.0 }\n";
+        let only_tests = [(LIB.to_string(), kept.to_string())];
+        assert!(lint_files(&only_tests).is_empty());
+        let live = [
+            only_tests[0].clone(),
+            (
+                "examples/quickstart.rs".to_string(),
+                "fn main() { let _ = skyferry_geo::shape::area(); }\n".to_string(),
+            ),
+        ];
+        let f = lint_files(&live);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("stale-allow", 2));
     }
 
     #[test]

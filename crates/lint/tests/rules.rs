@@ -32,6 +32,24 @@ fn all(rule: &str, lines: &[usize]) -> Vec<(String, usize)> {
     lines.iter().map(|&l| (rule.to_string(), l)).collect()
 }
 
+/// [`all`] for several rules at once, in the engine's (line, rule)
+/// order.
+fn spans(parts: &[(&str, &[usize])]) -> Vec<(String, usize)> {
+    let mut out: Vec<(String, usize)> = parts
+        .iter()
+        .flat_map(|&(rule, lines)| all(rule, lines))
+        .collect();
+    out.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
+    out
+}
+
+/// Rule fixtures are linted as one-file workspaces, so a `pub` item in a
+/// library-file fixture that nothing else in the fixture names is a
+/// real `test-only-pub` finding: these are its lines.
+fn orphans(lines: &[usize]) -> Vec<(String, usize)> {
+    all("test-only-pub", lines)
+}
+
 const CORE: &str = "crates/core/src/fixture.rs";
 
 #[test]
@@ -159,11 +177,20 @@ fn unsafe_requires_safety_comment() {
 fn undocumented_pub_fires_in_model_crates() {
     assert_eq!(
         lint_at("crates/phy/src/fixture.rs", "bad_undocumented_pub.rs"),
-        all("undocumented-pub", &[1, 6, 10])
+        spans(&[
+            ("undocumented-pub", &[1, 6, 10]),
+            ("test-only-pub", &[1, 6, 10])
+        ])
     );
-    assert!(lint_at("crates/phy/src/fixture.rs", "good_undocumented_pub.rs").is_empty());
+    assert_eq!(
+        lint_at("crates/phy/src/fixture.rs", "good_undocumented_pub.rs"),
+        orphans(&[2, 8, 13])
+    );
     // Out of scope: the control crate is not part of the model API.
-    assert!(lint_at("crates/control/src/fixture.rs", "bad_undocumented_pub.rs").is_empty());
+    assert_eq!(
+        lint_at("crates/control/src/fixture.rs", "bad_undocumented_pub.rs"),
+        orphans(&[1, 6, 10])
+    );
 }
 
 #[test]
@@ -231,13 +258,16 @@ fn unit_safety_fires_with_exact_spans() {
     // Line 2: bare-f64 `d_m` parameter; line 6: `*_s` fn returning f64.
     assert_eq!(
         lint_at(PHY, "bad_unit_safety.rs"),
-        all("unit-safety", &[2, 6])
+        spans(&[("unit-safety", &[2, 6]), ("test-only-pub", &[2, 6])])
     );
-    assert!(lint_at(PHY, "good_unit_safety.rs").is_empty());
+    assert_eq!(lint_at(PHY, "good_unit_safety.rs"), orphans(&[2, 6, 10]));
     // A justified line escape suppresses it …
-    assert!(lint_at(PHY, "allowed_unit_safety.rs").is_empty());
+    assert_eq!(lint_at(PHY, "allowed_unit_safety.rs"), orphans(&[2]));
     // … and the rule is scoped to the model crates only.
-    assert!(lint_at("crates/serve/src/fixture.rs", "bad_unit_safety.rs").is_empty());
+    assert_eq!(
+        lint_at("crates/serve/src/fixture.rs", "bad_unit_safety.rs"),
+        orphans(&[2, 6])
+    );
 }
 
 const FLEET: &str = "crates/fleet/src/fixture.rs";
@@ -250,17 +280,20 @@ fn unit_safety_covers_fleet_trait_surfaces() {
     // (`gap_s` param and `guard_s` return); line 9 is a free fn.
     assert_eq!(
         lint_at(FLEET, "bad_unit_safety_trait.rs"),
-        all("unit-safety", &[4, 4, 9])
+        spans(&[("unit-safety", &[4, 4, 9]), ("test-only-pub", &[2, 9])])
     );
     // Newtyped signatures, compound `_per_` rates, and private traits
     // stay silent …
-    assert!(lint_at(FLEET, "good_unit_safety_trait.rs").is_empty());
+    assert_eq!(lint_at(FLEET, "good_unit_safety_trait.rs"), orphans(&[2]));
     // … and a justified line escape covers a sanctioned raw boundary.
-    assert!(lint_at(FLEET, "allowed_unit_safety_trait.rs").is_empty());
+    assert_eq!(
+        lint_at(FLEET, "allowed_unit_safety_trait.rs"),
+        orphans(&[2])
+    );
     // The fleet crate sits in the rule's scope like the model crates.
     assert_eq!(
         lint_at(FLEET, "bad_unit_safety.rs"),
-        all("unit-safety", &[2, 6])
+        spans(&[("unit-safety", &[2, 6]), ("test-only-pub", &[2, 6])])
     );
 }
 
@@ -274,12 +307,18 @@ fn unit_safety_covers_the_traj_dp_tables() {
     // `travel_m` parameter; line 6: `*_j` fn returning f64.
     assert_eq!(
         lint_at(TRAJ, "bad_unit_safety_dp.rs"),
-        all("unit-safety", &[2, 6])
+        spans(&[("unit-safety", &[2, 6]), ("test-only-pub", &[2, 6])])
     );
     // Newtyped cells and dimensionless bucket indices stay silent …
-    assert!(lint_at(TRAJ, "good_unit_safety_dp.rs").is_empty());
+    assert_eq!(
+        lint_at(TRAJ, "good_unit_safety_dp.rs"),
+        orphans(&[2, 6, 10])
+    );
     // … and the same table code is out of scope elsewhere.
-    assert!(lint_at("crates/serve/src/fixture.rs", "bad_unit_safety_dp.rs").is_empty());
+    assert_eq!(
+        lint_at("crates/serve/src/fixture.rs", "bad_unit_safety_dp.rs"),
+        orphans(&[2, 6])
+    );
 }
 
 #[test]
@@ -288,12 +327,15 @@ fn determinism_taint_fires_through_the_call_chain() {
     // `now`; flagged at the first hop inside the emitter.
     assert_eq!(
         lint_at(ENGINE, "bad_determinism_taint.rs"),
-        all("determinism-taint", &[6])
+        spans(&[("determinism-taint", &[6]), ("test-only-pub", &[5])])
     );
     // The --deterministic gate absorbs the taint …
-    assert!(lint_at(ENGINE, "good_determinism_taint.rs").is_empty());
+    assert_eq!(lint_at(ENGINE, "good_determinism_taint.rs"), orphans(&[5]));
     // … and a justified line escape suppresses the finding.
-    assert!(lint_at(ENGINE, "allowed_determinism_taint.rs").is_empty());
+    assert_eq!(
+        lint_at(ENGINE, "allowed_determinism_taint.rs"),
+        orphans(&[5])
+    );
 }
 
 #[test]
@@ -302,13 +344,19 @@ fn blocking_in_reader_fires_on_reachable_fns() {
     // file I/O on line 7.
     assert_eq!(
         lint_at(SERVER, "bad_blocking_in_reader.rs"),
-        all("blocking-in-reader", &[6, 7])
+        spans(&[("blocking-in-reader", &[6, 7]), ("test-only-pub", &[1])])
     );
-    assert!(lint_at(SERVER, "good_blocking_in_reader.rs").is_empty());
-    assert!(lint_at(SERVER, "allowed_blocking_in_reader.rs").is_empty());
+    assert_eq!(lint_at(SERVER, "good_blocking_in_reader.rs"), orphans(&[1]));
+    assert_eq!(
+        lint_at(SERVER, "allowed_blocking_in_reader.rs"),
+        orphans(&[1])
+    );
     // Roots live in the request-path files only; the same code
     // elsewhere is silent.
-    assert!(lint_at("crates/serve/src/loadgen.rs", "bad_blocking_in_reader.rs").is_empty());
+    assert_eq!(
+        lint_at("crates/serve/src/loadgen.rs", "bad_blocking_in_reader.rs"),
+        orphans(&[1])
+    );
 }
 
 #[test]
@@ -318,13 +366,16 @@ fn blocking_in_reader_roots_on_shard_event_loops() {
     const SHARD: &str = "crates/serve/src/shard.rs";
     assert_eq!(
         lint_at(SHARD, "bad_shard_event_loop.rs"),
-        all("blocking-in-reader", &[6, 7, 8])
+        spans(&[("blocking-in-reader", &[6, 7, 8]), ("test-only-pub", &[1])])
     );
     // A shard's own mailbox lock and a cross-shard `send` are the
     // sanctioned channel.
-    assert!(lint_at(SHARD, "good_shard_event_loop.rs").is_empty());
+    assert_eq!(lint_at(SHARD, "good_shard_event_loop.rs"), orphans(&[1]));
     // Event-loop roots are recognized only in shard.rs.
-    assert!(lint_at("crates/serve/src/loadgen.rs", "bad_shard_event_loop.rs").is_empty());
+    assert_eq!(
+        lint_at("crates/serve/src/loadgen.rs", "bad_shard_event_loop.rs"),
+        orphans(&[1])
+    );
 }
 
 #[test]
@@ -337,6 +388,20 @@ fn stale_allow_fires_and_is_line_escapable() {
     assert!(lint_at(CORE, "allowed_stale_allow.rs").is_empty());
     // A *used* escape is not stale (fixture already exercised above).
     assert!(lint_at(CORE, "allowed_hash_collection.rs").is_empty());
+}
+
+#[test]
+fn test_only_pub_fires_with_exact_spans() {
+    // Line 4 is named only below `#[cfg(test)]`; line 10 only in a doc
+    // comment, a string and two re-exports (one-line and multi-line).
+    assert_eq!(lint_at(CORE, "bad_test_only_pub.rs"), orphans(&[4, 10]));
+    // Every pub item has a live caller; `pub(crate)` is out of scope.
+    assert!(lint_at(CORE, "good_test_only_pub.rs").is_empty());
+    // An escape naming the test that needs the item suppresses it.
+    assert!(lint_at(CORE, "allowed_test_only_pub.rs").is_empty());
+    // Binaries and test trees are not library files.
+    assert!(lint_at("crates/core/src/bin/fixture.rs", "bad_test_only_pub.rs").is_empty());
+    assert!(lint_at("tests/fixture.rs", "bad_test_only_pub.rs").is_empty());
 }
 
 #[test]
@@ -428,6 +493,7 @@ fn every_rule_has_a_firing_bad_fixture() {
             "crates/serve/src/proto.rs",
             "proto_errors_kind.rs",
         ),
+        ("test-only-pub", CORE, "bad_test_only_pub.rs"),
         ("stale-allow", CORE, "bad_stale_allow.rs"),
     ];
     for rule in registry() {

@@ -56,11 +56,6 @@ impl DcfTiming {
         let slots = rng.index(cw as usize + 1) as i64;
         self.slot * slots
     }
-
-    /// Mean backoff duration (cw/2 slots) — for analytic overhead checks.
-    pub fn mean_backoff(&self, retries: u32) -> SimDuration {
-        self.slot * (self.contention_window(retries) as i64) / 2
-    }
 }
 
 #[cfg(test)]
@@ -96,18 +91,6 @@ mod tests {
                 assert!(b >= SimDuration::ZERO && b <= max);
             }
         }
-    }
-
-    #[test]
-    fn mean_backoff_matches_half_window() {
-        let t = DcfTiming::ofdm_5ghz();
-        // CW0 = 15 slots → mean 7.5 slots × 9 µs = 67.5 µs (division is on
-        // nanoseconds, so the half-slot survives).
-        let m = t.mean_backoff(0);
-        assert_eq!(
-            m,
-            SimDuration::from_micros(67) + SimDuration::from_nanos(500)
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # skyferry-mac
 //!
-//! An 802.11n MAC layer model: frame formats, DCF channel access, A-MPDU
+//! An 802.11n MAC layer model: frame sizes, DCF channel access, A-MPDU
 //! aggregation with block acknowledgement, and PHY rate control.
 //!
 //! The paper's radios run with "channel bonding, A-MPDU frame aggregation,
@@ -13,9 +13,9 @@
 //!
 //! Modules:
 //!
-//! * [`frame`] — wire formats for data MPDUs, A-MPDU delimiters and
-//!   compressed block ACKs, with byte-exact encode/decode (checked by
-//!   round-trip property tests);
+//! * [`frame`] — the on-air sizes of data MPDUs, A-MPDU delimiters and
+//!   compressed block ACKs: the model charges airtime for frame lengths
+//!   and never builds the bytes;
 //! * [`queue`] — the host-fed transmit queue, modelling the embedded
 //!   platform's limited fill rate;
 //! * [`dcf`] — 5 GHz OFDM DCF timing (slots, SIFS/DIFS, binary exponential
@@ -24,10 +24,8 @@
 //!   and a Minstrel-HT-style sampling controller [`rate::MinstrelHt`]
 //!   whose EWMA lag reproduces the auto-rate pathology;
 //! * [`link`] — the transmit loop: one call = one TXOP (backoff, A-MPDU
-//!   and block ACK), returning airtime and per-subframe outcomes, ready
-//!   to be scheduled by a discrete-event driver;
-//! * [`reorder`] — the receiver-side block-ACK window: in-order release,
-//!   duplicate filtering after lost block ACKs, hole accounting.
+//!   and block ACK), returning airtime and delivery counts, ready to be
+//!   scheduled by a discrete-event driver.
 
 #![forbid(unsafe_code)]
 
@@ -36,10 +34,8 @@ pub mod frame;
 pub mod link;
 pub mod queue;
 pub mod rate;
-pub mod reorder;
 
 pub use dcf::DcfTiming;
 pub use link::{LinkConfig, LinkState, TxopOutcome};
 pub use queue::TxQueue;
 pub use rate::{FixedMcs, MinstrelHt, RateController, TxFeedback};
-pub use reorder::{ReceiveOutcome, ReorderBuffer};

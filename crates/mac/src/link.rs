@@ -2,9 +2,10 @@
 //!
 //! [`LinkState::execute_txop`] performs a complete DCF exchange — DIFS +
 //! backoff, A-MPDU at the controller-selected MCS, SIFS, block ACK — and
-//! returns how long it took and which subframes survived. A discrete-event
-//! driver (see `skyferry-net`) schedules the next TXOP at `now + airtime`,
-//! with the sender's position/speed updated between calls.
+//! returns how long it took and how many subframes got through. A
+//! discrete-event driver (see `skyferry-net`) schedules the next TXOP at
+//! `now + airtime`, with the sender's position/speed updated between
+//! calls.
 //!
 //! Channel realism notes:
 //!
@@ -81,15 +82,6 @@ pub struct TxopOutcome {
     pub idle: bool,
     /// `true` when the block ACK was lost (forcing a full retry).
     pub block_ack_lost: bool,
-    /// Sequence number of the first subframe in this A-MPDU (12-bit,
-    /// wrapping). After a lost block ACK the whole window is resent under
-    /// the *same* numbers (802.11 retry semantics), so a receiver model
-    /// sees the duplicates; selectively-retried frames after a partial
-    /// BA are approximated with fresh numbers.
-    pub start_seq: u16,
-    /// Per-subframe reception flags, in sequence order — what a receiver
-    /// model (e.g. [`crate::reorder::ReorderBuffer`]) should be fed.
-    pub received: Vec<bool>,
 }
 
 /// Mutable per-link state: fading process, rate controller, retry streak.
@@ -98,8 +90,6 @@ pub struct LinkState {
     fading: FadingProcess,
     controller: Box<dyn RateController>,
     rng: DetRng,
-    /// Next MPDU sequence number (12-bit, wrapping).
-    next_seq: u16,
     /// Consecutive fully-failed TXOPs (drives backoff growth).
     retry_streak: u32,
     /// Running totals for reports.
@@ -132,7 +122,6 @@ impl LinkState {
             config,
             controller,
             rng: link_rng,
-            next_seq: 0,
             retry_streak: 0,
             total_delivered_bytes: 0,
             total_airtime: SimDuration::ZERO,
@@ -142,11 +131,6 @@ impl LinkState {
     /// The static configuration.
     pub fn config(&self) -> &LinkConfig {
         &self.config
-    }
-
-    /// Name of the active rate controller.
-    pub fn controller_name(&self) -> String {
-        self.controller.name()
     }
 
     /// Total payload bytes delivered since creation.
@@ -184,8 +168,6 @@ impl LinkState {
                 delivered_bytes: 0,
                 idle: true,
                 block_ack_lost: false,
-                start_seq: self.next_seq,
-                received: Vec::new(),
             };
         }
 
@@ -239,12 +221,9 @@ impl LinkState {
         );
         let tx_start = now + self.config.dcf.difs() + backoff;
         let per_subframe_air = SimDuration::from_secs_f64(data_air.as_secs_f64() / n as f64);
-        let start_seq = self.next_seq;
-        self.next_seq = (self.next_seq + n as u16) & 0x0fff;
         let mut delivered: u32 = 0;
         let mut delivered_bytes: usize = 0;
         let mut failed_bytes: usize = 0;
-        let mut outcomes = Vec::with_capacity(n as usize);
         for (i, &pl) in subframe_payloads.iter().enumerate() {
             let t_i = tx_start + per_subframe_air * i as i64;
             let state = self.fading.state_at(t_i);
@@ -256,9 +235,7 @@ impl LinkState {
                 Db::new(self.config.preset.fading.sdm_sir_db),
             );
             let per = coded_per(mcs, eff, pl + DATA_OVERHEAD_BYTES);
-            let ok = !self.rng.chance(per);
-            outcomes.push(ok);
-            if ok {
+            if !self.rng.chance(per) {
                 delivered += 1;
                 delivered_bytes += pl;
             } else {
@@ -283,10 +260,6 @@ impl LinkState {
             failed_bytes += delivered_bytes;
             delivered = 0;
             delivered_bytes = 0;
-            // The whole window will be retransmitted; per 802.11 retry
-            // semantics the frames keep their sequence numbers, so the
-            // receiver's reorder window can discard the duplicates.
-            self.next_seq = start_seq;
         }
 
         // Failed payload returns to the queue for retransmission.
@@ -316,8 +289,6 @@ impl LinkState {
             delivered_bytes,
             idle: false,
             block_ack_lost,
-            start_seq,
-            received: outcomes,
         }
     }
 }

@@ -113,6 +113,7 @@ impl TxQueue {
     }
 
     /// `true` once a finite source is exhausted and the buffer empty.
+    // lint:allow-line(test-only-pub): the drain-to-empty harness of tests/mac_properties.rs::finite_queue_conserves_bytes
     pub fn is_exhausted(&mut self, now: SimTime) -> bool {
         self.refill(now);
         self.level_bytes < 1.0 && self.remaining_source_bytes.is_some_and(|r| r < 1.0)

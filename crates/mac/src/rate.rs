@@ -96,15 +96,6 @@ impl Arf {
             down_step: 2,
         }
     }
-
-    /// Override the failure criterion (delivered fraction below which a
-    /// TXOP counts as failed) and the per-failure step-down.
-    pub fn with_aggressiveness(mut self, fail_ratio: f64, down_step: usize) -> Self {
-        assert!((0.0..=1.0).contains(&fail_ratio) && down_step >= 1);
-        self.fail_ratio = fail_ratio;
-        self.down_step = down_step;
-        self
-    }
 }
 
 impl Default for Arf {
@@ -243,11 +234,6 @@ impl MinstrelHt {
             }
         }
     }
-
-    /// The rate currently believed best (for introspection/tests).
-    pub fn current_best(&self) -> Mcs {
-        self.rates[self.best_index()]
-    }
 }
 
 impl RateController for MinstrelHt {
@@ -373,7 +359,7 @@ mod tests {
             c.feedback(&fb(r, 14, if ok { 14 } else { 0 }, step));
         }
         // Best known rate should be MCS4 (90 Mb/s) — above MCS9 (60).
-        assert_eq!(c.current_best(), Mcs::new(4));
+        assert_eq!(c.rates[c.best_index()], Mcs::new(4));
     }
 
     #[test]

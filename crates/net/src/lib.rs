@@ -15,22 +15,18 @@
 //!   collect meter samples, repeat across seeds; this is what the
 //!   reproduction harness calls to regenerate Figures 5–7;
 //! * [`relay`] — two-hop store-and-forward ferrying over one shared
-//!   channel (the related-work configuration that halves throughput);
-//! * [`receiver`] — receiver-side flow accounting (air loss, in-order
-//!   release, BA-loss duplicates) through a real reorder window.
+//!   channel (the related-work configuration that halves throughput).
 
 #![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod meter;
 pub mod profile;
-pub mod receiver;
 pub mod relay;
 pub mod transfer;
 
 pub use campaign::{CampaignConfig, ControllerKind};
 pub use meter::ThroughputMeter;
 pub use profile::MotionProfile;
-pub use receiver::ReceiverStats;
 pub use relay::{run_relayed_transfer, RelayGeometry, RelayOutcome};
 pub use transfer::TransferRecord;

@@ -72,16 +72,6 @@ impl ThroughputMeter {
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
-
-    /// Average goodput over all completed bins, Mb/s; `None` if no bin
-    /// has completed yet.
-    pub fn mean_mbps(&self) -> Option<f64> {
-        if self.samples_mbps.is_empty() {
-            None
-        } else {
-            Some(self.samples_mbps.iter().sum::<f64>() / self.samples_mbps.len() as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,12 +114,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_over_bins() {
+    fn bytes_land_in_their_bins() {
         let mut m = ThroughputMeter::one_second();
         m.record(SimTime::from_millis(1), 125_000);
         m.record(SimTime::from_millis(1_001), 375_000);
         m.finish(SimTime::from_secs(2));
-        assert_eq!(m.mean_mbps(), Some(2.0));
+        assert_eq!(m.samples_mbps(), &[1.0, 3.0]);
     }
 
     #[test]

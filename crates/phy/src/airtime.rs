@@ -55,17 +55,16 @@ pub fn ppdu_duration(
     SimDuration::from_secs_f64((preamble + gi.symbol_duration() * n_symbols).get())
 }
 
-/// The highest useful goodput of a PPDU: payload bits over total airtime.
-/// Exposes the aggregation effect: `efficiency(…, 1 subframe)` is poor,
-/// `efficiency(…, 14 subframes)` approaches the PHY rate.
-pub fn phy_efficiency(mcs: Mcs, width: ChannelWidth, gi: GuardInterval, psdu_bytes: usize) -> f64 {
-    let t = ppdu_duration(mcs, width, gi, psdu_bytes).as_secs_f64();
-    (8.0 * psdu_bytes as f64) / t / mcs.data_rate_bps(width, gi).get()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Payload bits over total airtime, as a fraction of the PHY rate:
+    /// exposes the aggregation effect.
+    fn phy_efficiency(mcs: Mcs, width: ChannelWidth, gi: GuardInterval, psdu_bytes: usize) -> f64 {
+        let t = ppdu_duration(mcs, width, gi, psdu_bytes).as_secs_f64();
+        (8.0 * psdu_bytes as f64) / t / mcs.data_rate_bps(width, gi).get()
+    }
 
     const W: ChannelWidth = ChannelWidth::Mhz40;
     const G: GuardInterval = GuardInterval::Short;

@@ -86,11 +86,6 @@ impl FadingConfig {
         SimDuration::from_secs_f64(0.423 / self.doppler_hz())
     }
 
-    /// Linear K-factor at rest.
-    pub fn k_linear(&self) -> f64 {
-        db_to_linear(self.k_factor_db)
-    }
-
     /// Effective K-factor at the current relative speed.
     pub fn effective_k_db(&self) -> Db {
         Db::new(
@@ -215,17 +210,6 @@ impl FadingProcess {
         self.current = Some(state);
         state
     }
-
-    /// Per-stream SINR (linear) for an SDM transmission given the mean
-    /// link SNR (linear) and the current state: the TX power split across
-    /// two streams is offset by MMSE receive array gain over two chains,
-    /// and an inter-stream interference floor applies.
-    pub fn sdm_stream_sinr(&self, mean_snr_linear: f64, state: &ChannelState) -> f64 {
-        let per_stream_snr = mean_snr_linear * state.siso_gain();
-        let sir = db_to_linear(self.config.sdm_sir_db);
-        // Harmonic combination of noise and self-interference limits.
-        1.0 / (1.0 / per_stream_snr + 1.0 / sir)
-    }
 }
 
 #[cfg(test)]
@@ -317,22 +301,6 @@ mod tests {
             xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
         };
         assert!(var(&stbc) < var(&siso) * 0.7);
-    }
-
-    #[test]
-    fn sdm_sinr_saturates_at_sir() {
-        let p = process(12.0, 1.0, 5);
-        let state = ChannelState {
-            branch_gain: [1.0, 1.0],
-            shadowing: 1.0,
-            valid_until: SimTime::MAX,
-        };
-        // Huge SNR: SINR approaches the SIR cap (12 dB ≈ 15.85 linear).
-        let sinr = p.sdm_stream_sinr(1e9, &state);
-        assert!((sinr - db_to_linear(12.0)).abs() / db_to_linear(12.0) < 0.01);
-        // Low SNR: noise dominates, SINR ≈ SNR (split offset by array gain).
-        let sinr_low = p.sdm_stream_sinr(0.2, &state);
-        assert!((sinr_low - 0.2).abs() < 0.01);
     }
 
     #[test]

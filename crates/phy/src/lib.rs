@@ -18,9 +18,6 @@
 //! * [`error`] — SNR → BER per modulation (erfc-based), convolutional
 //!   coding gain, and packet error rate for a given frame length;
 //! * [`airtime`] — PPDU durations (HT-mixed preamble + OFDM symbols);
-//! * [`antenna`] — dipole elevation patterns (azimuth-omni, overhead
-//!   null): the physical grounding of the presets' shallow effective
-//!   path-loss exponents;
 //! * [`presets`] — calibrated airplane/quadrocopter channel presets whose
 //!   simulated median throughput matches the paper's published log-fits.
 //!
@@ -35,8 +32,6 @@
 
 /// PPDU airtime: preamble + OFDM symbol arithmetic.
 pub mod airtime;
-/// Airframe antenna patterns and orientation losses.
-pub mod antenna;
 /// Path loss and link-budget models for the aerial channel.
 pub mod channel;
 /// Packet error probability vs. SNR per MCS.
@@ -48,7 +43,6 @@ pub mod mcs;
 /// Calibrated channel presets for the paper's platforms.
 pub mod presets;
 
-pub use antenna::AntennaPattern;
 pub use channel::{LinkBudget, PathLossModel};
 pub use fading::FadingProcess;
 pub use mcs::{ChannelWidth, GuardInterval, Mcs, Modulation};

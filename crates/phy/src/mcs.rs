@@ -182,11 +182,6 @@ impl Mcs {
         (0..=Self::MAX_INDEX).map(Mcs)
     }
 
-    /// All single-stream MCS (0–7).
-    pub fn single_stream() -> impl Iterator<Item = Mcs> {
-        (0..8).map(Mcs)
-    }
-
     /// Number of spatial streams (1 for MCS 0–7, 2 for 8–15).
     pub const fn spatial_streams(self) -> u32 {
         if self.0 < 8 {
@@ -331,7 +326,6 @@ mod tests {
     #[test]
     fn all_yields_16() {
         assert_eq!(Mcs::all().count(), 16);
-        assert_eq!(Mcs::single_stream().count(), 8);
     }
 
     #[test]

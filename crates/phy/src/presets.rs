@@ -146,6 +146,7 @@ impl ChannelPreset {
 
     /// Indoor lab bench: short range, rich scattering. Sanity anchor for
     /// the ≈176 Mb/s 802.11n figure the authors quote from lab tests.
+    // lint:allow-line(test-only-pub): the benign-channel fixture of tests/full_stack.rs::indoor_preset_reaches_80211n_class_rates
     pub fn indoor_lab() -> Self {
         let budget = LinkBudget {
             tx_power_dbm: 16.0,

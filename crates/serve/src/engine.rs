@@ -107,18 +107,8 @@ impl Engine {
         &self.quant
     }
 
-    /// Serve one request.
-    pub fn serve_one(&mut self, p: DecisionParams) -> Decision {
-        self.decide(&p, &mut 0)
-    }
-
-    /// Serve a batch of *validated* parameters, responses in order.
-    pub fn serve_batch(&mut self, batch: &[DecisionParams]) -> Vec<Decision> {
-        self.serve_batch_timed(batch).0
-    }
-
-    /// [`serve_batch`](Engine::serve_batch) plus the batch's phase
-    /// boundary timestamps (see [`BatchTiming`]).
+    /// Serve a batch of *validated* parameters, responses in order, plus
+    /// the batch's phase boundary timestamps (see [`BatchTiming`]).
     pub fn serve_batch_timed(&mut self, batch: &[DecisionParams]) -> (Vec<Decision>, BatchTiming) {
         let _span = trace::span!("serve-batch", n = batch.len());
         let t_start_ns = monotonic_ns();
@@ -183,6 +173,10 @@ mod tests {
     use skyferry_core::scenario::BYTES_PER_MB;
     use skyferry_sim::rng::DetRng;
 
+    fn serve_one(engine: &mut Engine, p: DecisionParams) -> Decision {
+        engine.decide(&p, &mut 0)
+    }
+
     fn random_params(rng: &mut DetRng) -> DecisionParams {
         let platform = if rng.chance(0.5) {
             Platform::Airplane
@@ -222,8 +216,8 @@ mod tests {
         let mut engine = exact_engine(256);
         for _ in 0..200 {
             let p = random_params(&mut rng).validated().expect("valid");
-            let first = engine.serve_one(p);
-            let second = engine.serve_one(p);
+            let first = serve_one(&mut engine, p);
+            let second = serve_one(&mut engine, p);
             assert!(!first.cache_hit || second.cache_hit);
             assert!(second.cache_hit, "exact repeat must hit");
             let fresh = p.solve();
@@ -251,7 +245,7 @@ mod tests {
             let mut worst = 0.0f64;
             for _ in 0..300 {
                 let p = random_params(&mut rng).validated().expect("valid");
-                let served = engine.serve_one(p);
+                let served = serve_one(&mut engine, p);
                 let truth = p.solve();
                 // Clamp the served distance into the true feasible range
                 // (bucket snapping can move d0 across the served optimum).
@@ -297,13 +291,16 @@ mod tests {
         };
 
         let mut sequential = exact_engine(8);
-        let one_by_one: Vec<Decision> = stream.iter().map(|p| sequential.serve_one(*p)).collect();
+        let one_by_one: Vec<Decision> = stream
+            .iter()
+            .map(|p| sequential.decide(p, &mut 0))
+            .collect();
 
         for batch_size in [1usize, 3, 17, 64, 240] {
             let mut engine = exact_engine(8);
             let mut batched = Vec::new();
             for chunk in stream.chunks(batch_size) {
-                batched.extend(engine.serve_batch(chunk));
+                batched.extend(engine.serve_batch_timed(chunk).0);
             }
             assert_eq!(batched.len(), one_by_one.len());
             for (i, (a, b)) in batched.iter().zip(&one_by_one).enumerate() {
@@ -346,8 +343,8 @@ mod tests {
                 DecisionParams { d0_m: 2e20, ..base },
             ),
         ] {
-            let first = engine.serve_one(a.validated().expect("valid"));
-            let second = engine.serve_one(b.validated().expect("valid"));
+            let first = serve_one(&mut engine, a.validated().expect("valid"));
+            let second = serve_one(&mut engine, b.validated().expect("valid"));
             assert!(!second.cache_hit, "{b:?} served from {a:?}'s entry");
             assert_eq!(first.transfer, quant.snap(&a).solve());
             assert_eq!(second.transfer, quant.snap(&b).solve());
@@ -364,15 +361,15 @@ mod tests {
         });
         let p = DecisionParams::baseline(Platform::Airplane);
         for _ in 0..3 {
-            assert!(!engine.serve_one(p).cache_hit);
+            assert!(!serve_one(&mut engine, p).cache_hit);
         }
         assert_eq!(engine.cache_stats().hits, 0);
         // Re-enabling picks the (empty) cache back up.
         engine.set_cache_enabled(true);
-        assert!(!engine.serve_one(p).cache_hit);
-        assert!(engine.serve_one(p).cache_hit);
+        assert!(!serve_one(&mut engine, p).cache_hit);
+        assert!(serve_one(&mut engine, p).cache_hit);
         engine.reset();
         assert_eq!(engine.cache_stats().len, 0);
-        assert!(!engine.serve_one(p).cache_hit);
+        assert!(!serve_one(&mut engine, p).cache_hit);
     }
 }

@@ -166,12 +166,6 @@ impl FrameDecoder {
         self.buf.len() - self.start
     }
 
-    /// `true` when a partial frame is pending — after EOF this means
-    /// the peer disconnected mid-frame.
-    pub fn mid_frame(&self) -> bool {
-        self.buffered() > 0
-    }
-
     /// Extract the next complete frame, if one is fully buffered.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         match self.codec {
@@ -440,7 +434,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.extend_from_slice(b"{\"cmd\":\"sta");
         assert_eq!(dec.next_frame(), Ok(None));
-        assert!(dec.mid_frame());
+        assert!(dec.buffered() > 0);
         dec.extend_from_slice(b"ts\"}\n{\"a\":1}\r\n{\"b\":2}\n{\"tail");
         assert_eq!(
             dec.next_frame(),
@@ -449,10 +443,10 @@ mod tests {
         assert_eq!(dec.next_frame(), Ok(Some(Frame::Line("{\"a\":1}".into()))));
         assert_eq!(dec.next_frame(), Ok(Some(Frame::Line("{\"b\":2}".into()))));
         assert_eq!(dec.next_frame(), Ok(None));
-        assert!(dec.mid_frame());
+        assert!(dec.buffered() > 0);
         dec.extend_from_slice(b"\"}\n");
         assert_eq!(dec.next_frame(), Ok(Some(Frame::Line("{\"tail\"}".into()))));
-        assert!(!dec.mid_frame());
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]
@@ -554,7 +548,7 @@ mod tests {
                     }
                 }
                 assert_eq!(got, want, "codec {codec:?}");
-                assert!(!dec.mid_frame(), "stream consumed exactly");
+                assert_eq!(dec.buffered(), 0, "stream consumed exactly");
             }
         }
     }
@@ -580,7 +574,7 @@ mod tests {
         out.put_slice(&[0u8; 10]);
         dec.extend_from_slice(&out);
         assert_eq!(dec.next_frame(), Ok(None));
-        assert!(dec.mid_frame());
+        assert!(dec.buffered() > 0);
 
         assert!(matches!(
             decode_request_frame(&[TAG_DECIDE, 0, 1, 2]),

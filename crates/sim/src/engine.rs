@@ -57,8 +57,6 @@ pub enum RunOutcome {
     HorizonReached,
     /// The handler called [`Context::stop`].
     Stopped,
-    /// The configured event budget was exhausted (runaway protection).
-    EventBudgetExhausted,
 }
 
 /// A discrete-event simulation over events of type `E`.
@@ -68,10 +66,6 @@ pub enum RunOutcome {
 /// free of `dyn Any` downcasts while letting models own their state plainly.
 pub struct Simulation<E> {
     queue: EventQueue<E>,
-    /// Hard cap on processed events, to turn scheduling bugs (e.g. an event
-    /// that reschedules itself with zero delay) into clean errors instead of
-    /// hangs. Defaults to effectively unlimited.
-    event_budget: u64,
 }
 
 impl<E> Default for Simulation<E> {
@@ -85,14 +79,7 @@ impl<E> Simulation<E> {
     pub fn new() -> Self {
         Simulation {
             queue: EventQueue::new(),
-            event_budget: u64::MAX,
         }
-    }
-
-    /// Limit the total number of events a run may process.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
     }
 
     /// Current simulated time.
@@ -136,9 +123,6 @@ impl<E> Simulation<E> {
                 None => return RunOutcome::Drained,
                 Some(t) if t >= horizon => return RunOutcome::HorizonReached,
                 Some(_) => {}
-            }
-            if processed >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
             }
             let (_, event) = self.queue.pop().expect("peeked event must pop");
             processed += 1;
@@ -227,17 +211,6 @@ mod tests {
         assert_eq!(outcome, RunOutcome::Stopped);
         assert_eq!(seen, 4);
         assert_eq!(sim.pending(), 6);
-    }
-
-    #[test]
-    fn event_budget_catches_runaway() {
-        let mut sim = Simulation::new().with_event_budget(100);
-        sim.schedule_at(SimTime::ZERO, Ev::Tick(0));
-        let outcome = sim.run(|ctx, Ev::Tick(n)| {
-            // Pathological self-rescheduling at zero delay.
-            ctx.schedule_in(SimDuration::ZERO, Ev::Tick(n));
-        });
-        assert_eq!(outcome, RunOutcome::EventBudgetExhausted);
     }
 
     #[test]

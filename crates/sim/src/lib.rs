@@ -13,8 +13,6 @@
 //! * **Simplicity.** The engine is a time-ordered priority queue plus a
 //!   seeded random-number generator; there are no threads, no interior
 //!   mutability and no global state.
-//! * **Observability.** A lightweight [`trace`] module records structured
-//!   events that tests and the reproduction harness can assert on.
 //!
 //! ## Architecture
 //!
@@ -63,7 +61,6 @@ pub mod queue;
 pub mod rng;
 pub mod stable;
 pub mod time;
-pub mod trace;
 
 /// Convenient glob-import surface: `use skyferry_sim::prelude::*`.
 pub mod prelude {
@@ -74,5 +71,4 @@ pub mod prelude {
     pub use crate::queue::{EventId, EventQueue};
     pub use crate::rng::{DetRng, SeedStream};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{TraceBuffer, TraceEvent, TraceLevel};
 }

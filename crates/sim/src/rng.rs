@@ -193,21 +193,6 @@ impl DetRng {
         let u = 1.0 - self.uniform(); // in (0, 1]
         -u.ln() / lambda
     }
-
-    /// Rayleigh-distributed amplitude with scale `sigma`.
-    pub fn rayleigh(&mut self, sigma: f64) -> f64 {
-        assert!(sigma.is_finite() && sigma > 0.0);
-        let u = 1.0 - self.uniform();
-        sigma * (-2.0 * u.ln()).sqrt()
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -262,16 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn rayleigh_mean_roughly_correct() {
-        let mut rng = DetRng::seed(4);
-        let sigma = 2.0;
-        let n = 50_000;
-        let mean = (0..n).map(|_| rng.rayleigh(sigma)).sum::<f64>() / n as f64;
-        let expected = sigma * (std::f64::consts::PI / 2.0).sqrt();
-        assert!((mean - expected).abs() < 0.05, "mean={mean} vs {expected}");
-    }
-
-    #[test]
     fn chance_clamps_probability() {
         let mut rng = DetRng::seed(5);
         assert!(!rng.chance(-1.0));
@@ -304,19 +279,6 @@ mod tests {
                 "bucket {i}: {c} vs {expected}"
             );
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation_and_deterministic() {
-        let mut a: Vec<u32> = (0..50).collect();
-        let mut b = a.clone();
-        DetRng::seed(8).shuffle(&mut a);
-        DetRng::seed(8).shuffle(&mut b);
-        assert_eq!(a, b, "same seed, same permutation");
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(a, sorted, "50 elements virtually never stay in order");
     }
 
     #[test]

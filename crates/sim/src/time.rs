@@ -124,11 +124,6 @@ impl SimDuration {
     pub const fn is_negative(self) -> bool {
         self.0 < 0
     }
-
-    /// Clamp a negative duration to zero.
-    pub fn max_zero(self) -> SimDuration {
-        SimDuration(self.0.max(0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -47,11 +47,6 @@ pub struct ConfidenceInterval {
 }
 
 impl ConfidenceInterval {
-    /// Half-width of the interval.
-    pub fn half_width(&self) -> f64 {
-        (self.hi - self.lo) / 2.0
-    }
-
     /// `true` if `x` lies inside the interval.
     pub fn contains(&self, x: f64) -> bool {
         x >= self.lo && x <= self.hi
@@ -113,6 +108,10 @@ pub fn bootstrap_ci(
 mod tests {
     use super::*;
 
+    fn half_width(ci: &ConfidenceInterval) -> f64 {
+        (ci.hi - ci.lo) / 2.0
+    }
+
     fn noisy_sample(n: usize, seed: u64) -> Vec<f64> {
         // Deterministic pseudo-noise around 10.0.
         let mut rng = XorShift64::new(seed);
@@ -140,10 +139,10 @@ mod tests {
         let small = median_ci(&noisy_sample(15, 4), 0.95, 800, 5).unwrap();
         let large = median_ci(&noisy_sample(600, 4), 0.95, 800, 5).unwrap();
         assert!(
-            large.half_width() < small.half_width(),
+            half_width(&large) < half_width(&small),
             "{} vs {}",
-            large.half_width(),
-            small.half_width()
+            half_width(&large),
+            half_width(&small)
         );
     }
 
@@ -154,7 +153,7 @@ mod tests {
         assert_eq!(ci.point, 7.0);
         assert_eq!(ci.lo, 7.0);
         assert_eq!(ci.hi, 7.0);
-        assert_eq!(ci.half_width(), 0.0);
+        assert_eq!(half_width(&ci), 0.0);
     }
 
     #[test]
@@ -184,6 +183,6 @@ mod tests {
         let xs = noisy_sample(50, 10);
         let ci90 = median_ci(&xs, 0.90, 600, 11).unwrap();
         let ci99 = median_ci(&xs, 0.99, 600, 11).unwrap();
-        assert!(ci99.half_width() >= ci90.half_width());
+        assert!(half_width(&ci99) >= half_width(&ci90));
     }
 }

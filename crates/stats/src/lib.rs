@@ -25,7 +25,6 @@
 
 pub mod bootstrap;
 pub mod boxplot;
-pub mod histogram;
 pub mod json;
 pub mod quantile;
 pub mod regression;
@@ -34,7 +33,6 @@ pub mod table;
 
 pub use bootstrap::{median_ci, ConfidenceInterval};
 pub use boxplot::BoxplotSummary;
-pub use histogram::Histogram;
 pub use json::Json;
 pub use quantile::{median, quantile, Quartiles};
 pub use regression::{LinearFit, Log2Fit};

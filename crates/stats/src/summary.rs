@@ -13,7 +13,7 @@
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean().unwrap() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev().unwrap() - 2.0).abs() < 1e-12);
+/// assert!((s.sample_variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
@@ -53,18 +53,6 @@ impl Summary {
         self.sum += x;
     }
 
-    /// Fold an iterator of samples into a summary.
-    // allow: `FromIterator` would force `Summary: Default` semantics on
-    // collect(); a named constructor keeps the fold explicit.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(iter: impl IntoIterator<Item = f64>) -> Self {
-        let mut s = Summary::new();
-        for x in iter {
-            s.push(x);
-        }
-        s
-    }
-
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.n
@@ -90,19 +78,9 @@ impl Summary {
         (self.n > 0).then_some(self.max)
     }
 
-    /// Population variance (divide by n); `None` if empty.
-    pub fn population_variance(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.m2 / self.n as f64)
-    }
-
     /// Sample variance (divide by n−1); `None` with fewer than two samples.
     pub fn sample_variance(&self) -> Option<f64> {
         (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
-    }
-
-    /// Population standard deviation; `None` if empty.
-    pub fn population_std_dev(&self) -> Option<f64> {
-        self.population_variance().map(f64::sqrt)
     }
 
     /// Sample standard deviation; `None` with fewer than two samples.
@@ -136,6 +114,14 @@ impl Summary {
 mod tests {
     use super::*;
 
+    fn summary(xs: impl IntoIterator<Item = f64>) -> Summary {
+        let mut s = Summary::new();
+        for x in xs {
+            s.push(x);
+        }
+        s
+    }
+
     #[test]
     fn empty_summary_is_all_none() {
         let s = Summary::new();
@@ -143,14 +129,13 @@ mod tests {
         assert!(s.mean().is_none());
         assert!(s.min().is_none());
         assert!(s.max().is_none());
-        assert!(s.population_variance().is_none());
+        assert!(s.sample_variance().is_none());
     }
 
     #[test]
     fn single_sample() {
-        let s = Summary::from_iter([5.0]);
+        let s = summary([5.0]);
         assert_eq!(s.mean(), Some(5.0));
-        assert_eq!(s.population_variance(), Some(0.0));
         assert!(s.sample_variance().is_none());
         assert_eq!(s.min(), Some(5.0));
         assert_eq!(s.max(), Some(5.0));
@@ -159,34 +144,31 @@ mod tests {
     #[test]
     fn variance_matches_direct_formula() {
         let xs = [1.5, -2.0, 3.25, 0.0, 8.0, -1.0];
-        let s = Summary::from_iter(xs.iter().copied());
+        let s = summary(xs.iter().copied());
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((s.mean().unwrap() - mean).abs() < 1e-12);
-        assert!((s.population_variance().unwrap() - var).abs() < 1e-12);
+        assert!((s.sample_variance().unwrap() - var).abs() < 1e-12);
     }
 
     #[test]
     fn merge_equals_sequential() {
         let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
         let (a, b) = xs.split_at(37);
-        let mut left = Summary::from_iter(a.iter().copied());
-        let right = Summary::from_iter(b.iter().copied());
+        let mut left = summary(a.iter().copied());
+        let right = summary(b.iter().copied());
         left.merge(&right);
-        let all = Summary::from_iter(xs.iter().copied());
+        let all = summary(xs.iter().copied());
         assert_eq!(left.count(), all.count());
         assert!((left.mean().unwrap() - all.mean().unwrap()).abs() < 1e-10);
-        assert!(
-            (left.population_variance().unwrap() - all.population_variance().unwrap()).abs()
-                < 1e-10
-        );
+        assert!((left.sample_variance().unwrap() - all.sample_variance().unwrap()).abs() < 1e-10);
         assert_eq!(left.min(), all.min());
         assert_eq!(left.max(), all.max());
     }
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let mut s = Summary::from_iter([1.0, 2.0]);
+        let mut s = summary([1.0, 2.0]);
         s.merge(&Summary::new());
         assert_eq!(s.count(), 2);
         let mut e = Summary::new();

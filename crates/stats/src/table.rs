@@ -206,11 +206,6 @@ impl Table {
         self.push(cells)
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The typed rows.
     pub fn rows(&self) -> &[Vec<Value>] {
         &self.rows
@@ -402,7 +397,7 @@ mod tests {
     fn alignment_override() {
         let mut t = Table::new(vec![Column::text("a"), Column::text("b").left()]);
         t.push(vec!["x".into(), "y".into()]);
-        assert_eq!(t.num_rows(), 1);
+        assert_eq!(t.rows().len(), 1);
         let s = t.render_text();
         assert!(s.lines().nth(2).unwrap().starts_with("x  y"));
     }

@@ -346,13 +346,6 @@ impl Drop for LaneGuard {
     }
 }
 
-/// Flush the current thread's record buffer into the global sink. Lane
-/// guards do this automatically on drop; call it manually before a traced
-/// thread exits if it emitted records outside any lane guard.
-pub fn flush_thread() {
-    LOCAL.with(|l| l.borrow_mut().flush());
-}
-
 /// RAII guard for an in-progress span; records on drop. Construct via the
 /// [`span!`](crate::span) macro (or [`start_span`] directly).
 pub struct SpanGuard {

@@ -52,9 +52,9 @@ pub mod sink;
 pub mod summary;
 
 pub use collector::{
-    clock_is_virtual, drain, enabled, flush_thread, install, install_with_clock, lane, manual_span,
-    now_ns, record_event, region, start_span, ClockMode, LaneGuard, ManualSpan, RegionGuard,
-    SpanGuard, TraceConfig,
+    clock_is_virtual, drain, enabled, install, install_with_clock, lane, manual_span, now_ns,
+    record_event, region, start_span, ClockMode, LaneGuard, ManualSpan, RegionGuard, SpanGuard,
+    TraceConfig,
 };
 pub use record::{FieldValue, Fields, Record, RecordKind, AUTO_LANE_BASE};
 

@@ -202,20 +202,6 @@ impl Record {
             .find(|(k, _)| k.as_ref() == key)
             .map(|(_, v)| v)
     }
-
-    /// Copy with all timestamps zeroed: what determinism tests compare when
-    /// the trace was taken on the real clock (structure must still match).
-    pub fn zeroed_time(&self) -> Record {
-        let mut r = self.clone();
-        r.kind = match r.kind {
-            RecordKind::Span { .. } => RecordKind::Span {
-                start_ns: 0,
-                end_ns: 0,
-            },
-            RecordKind::Event { .. } => RecordKind::Event { at_ns: 0 },
-        };
-        r
-    }
 }
 
 #[cfg(test)]
@@ -247,14 +233,6 @@ mod tests {
         assert_eq!(r.duration_ns(), 25);
         assert_eq!(r.field("index"), Some(&FieldValue::U64(4)));
         assert_eq!(r.field("missing"), None);
-    }
-
-    #[test]
-    fn zeroed_time_keeps_structure() {
-        let z = sample().zeroed_time();
-        assert_eq!(z.duration_ns(), 0);
-        assert_eq!(z.sort_key(), (3, 2, 7));
-        assert_eq!(z.name, "task");
     }
 
     #[test]

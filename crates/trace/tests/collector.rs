@@ -200,11 +200,5 @@ fn collector_behavior() {
     assert_eq!(records.len(), 1);
     let r = &records[0];
     assert!(r.end_ns() >= r.start_ns());
-    assert_eq!(
-        r.zeroed_time().kind,
-        RecordKind::Span {
-            start_ns: 0,
-            end_ns: 0
-        }
-    );
+    assert!(matches!(r.kind, RecordKind::Span { .. }));
 }

@@ -121,13 +121,6 @@ pub struct PlannedPath {
     pub crabbed: bool,
 }
 
-impl PlannedPath {
-    /// Total energy drawn by the plan.
-    pub fn total_energy(&self) -> Joules {
-        self.energy_flight + self.energy_tx
-    }
-}
-
 /// Both strategies for one config: the paper's straight-line commit and
 /// the DP-optimized path. `optimized.utility ≥ straight.utility` by
 /// construction.
@@ -502,6 +495,11 @@ mod tests {
     use super::*;
     use skyferry_core::optimizer::optimize;
 
+    /// Total energy drawn by a plan.
+    fn total_energy(path: &PlannedPath) -> Joules {
+        path.energy_flight + path.energy_tx
+    }
+
     fn ample() -> Joules {
         EnergyModel::of(PlatformKind::Quadrocopter).capacity() * 10.0
     }
@@ -574,7 +572,7 @@ mod tests {
         };
         let above = at(7_000.0);
         assert!(above.straight.feasible && above.optimized.feasible);
-        assert!(above.optimized.total_energy().get() < 7_000.0);
+        assert!(total_energy(&above.optimized).get() < 7_000.0);
         // The big batch pulls d* to the inner boundary: fly all the
         // way in before transmitting.
         assert!((above.optimized.d_tx_m - 20.0).abs() < 1e-9);
@@ -583,7 +581,7 @@ mod tests {
         // The honest fallback transmits from the encounter point and
         // reports the budget overrun instead of hiding it.
         assert_eq!(below.straight.d_tx_m, full.d0_m);
-        assert!(below.optimized.total_energy().get() > 6_000.0);
+        assert!(total_energy(&below.optimized).get() > 6_000.0);
     }
 
     #[test]
@@ -609,7 +607,7 @@ mod tests {
             let last = path.waypoints.last().unwrap();
             assert!((last.norm() - path.d_tx_m).abs() < 1e-6);
             assert!(path.flown.get() >= cfg.scenario.d0_m - path.d_tx_m - 1e-9);
-            assert!(path.total_energy() <= cfg.budget || !path.feasible);
+            assert!(total_energy(path) <= cfg.budget || !path.feasible);
         }
     }
 

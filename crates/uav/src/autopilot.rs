@@ -88,16 +88,6 @@ impl Autopilot {
         matches!(self.mode, AutopilotMode::Done)
     }
 
-    /// The waypoint currently being flown to / held at, if any.
-    pub fn active_target(&self) -> Option<Vec3> {
-        match self.mode {
-            AutopilotMode::Enroute { index } | AutopilotMode::Holding { index, .. } => {
-                Some(self.plan.waypoints()[index].position)
-            }
-            _ => None,
-        }
-    }
-
     /// Compute the next velocity command and advance sequencing state.
     /// `dt` is the control period in seconds.
     pub fn update(&mut self, kin: &UavKinematics, dt: f64) -> VelocityCommand {
@@ -230,7 +220,10 @@ mod tests {
     #[test]
     fn quad_holds_then_continues() {
         let mut kin = UavKinematics::at(PlatformSpec::quadrocopter(), Vec3::new(0.0, 0.0, 10.0));
-        let wp1 = Waypoint::new(Vec3::new(20.0, 0.0, 10.0)).with_hold(5.0);
+        let wp1 = Waypoint {
+            hold_s: 5.0,
+            ..Waypoint::new(Vec3::new(20.0, 0.0, 10.0))
+        };
         let wp2 = Waypoint::new(Vec3::new(40.0, 0.0, 10.0));
         let mut ap = Autopilot::with_plan(FlightPlan::once(vec![wp1, wp2]));
         fly(&mut kin, &mut ap, 6.0);

@@ -32,14 +32,6 @@ impl Battery {
         }
     }
 
-    /// A partially charged battery (fraction in `(0, 1]`).
-    pub fn at_fraction(spec: &PlatformSpec, fraction: f64) -> Self {
-        assert!(fraction > 0.0 && fraction <= 1.0);
-        let mut b = Self::full(spec);
-        b.consumed_s = b.autonomy_s * (1.0 - fraction);
-        b
-    }
-
     /// Consume `dt` of flight; `moving` selects the drain factor.
     pub fn drain(&mut self, dt: SimDuration, moving: bool) {
         assert!(!dt.is_negative());
@@ -68,11 +60,6 @@ impl Battery {
         self.remaining_s() / self.autonomy_s
     }
 
-    /// `true` once the battery is exhausted.
-    pub fn is_depleted(&self) -> bool {
-        self.remaining_s() <= 0.0
-    }
-
     /// Distance still flyable at cruise speed `speed`.
     pub fn remaining_range(&self, speed: MetersPerSec) -> Meters {
         assert!(speed.get() >= 0.0);
@@ -89,7 +76,6 @@ mod tests {
         let b = Battery::full(&PlatformSpec::airplane());
         assert_eq!(b.remaining_s(), 1800.0);
         assert_eq!(b.remaining_fraction(), 1.0);
-        assert!(!b.is_depleted());
     }
 
     #[test]
@@ -98,7 +84,6 @@ mod tests {
         b.drain(SimDuration::from_secs(600), false);
         assert_eq!(b.remaining_s(), 600.0);
         b.drain(SimDuration::from_secs(700), false);
-        assert!(b.is_depleted());
         assert_eq!(b.remaining_s(), 0.0);
     }
 
@@ -118,13 +103,6 @@ mod tests {
         a.drain(SimDuration::from_secs(100), false);
         b.drain(SimDuration::from_secs(100), true);
         assert_eq!(a.remaining_s(), b.remaining_s());
-    }
-
-    #[test]
-    fn partial_battery() {
-        let b = Battery::at_fraction(&PlatformSpec::airplane(), 0.5);
-        assert_eq!(b.remaining_s(), 900.0);
-        assert!((b.remaining_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -4,25 +4,12 @@
 //! distributed with the distance traveled" (Section 2), citing the
 //! discounted-reward TSP literature: the probability of still being
 //! functional after flying `Δd` metres is `exp(−ρ·Δd)`. This module
-//! provides both the analytic survival function and a sampling process
-//! that draws a concrete failure distance for a simulated mission.
+//! provides the sampling process that draws a concrete failure distance
+//! for a simulated mission; its tests check it against that survival
+//! function.
 
 use skyferry_sim::rng::DetRng;
 use skyferry_units::Meters;
-
-/// Survival probability after travelling `delta_d` at failure rate
-/// `rho_per_m`.
-///
-/// ```
-/// use skyferry_uav::failure::survival_probability;
-/// use skyferry_units::Meters;
-/// let p = survival_probability(1.11e-4, Meters::new(100.0));
-/// assert!((p - (-1.11e-2f64).exp()).abs() < 1e-12);
-/// ```
-pub fn survival_probability(rho_per_m: f64, delta_d: Meters) -> f64 {
-    assert!(rho_per_m >= 0.0 && delta_d.get() >= 0.0);
-    (-rho_per_m * delta_d.get()).exp()
-}
 
 /// A sampled failure process for one UAV: the total distance it will
 /// manage to fly before failing is drawn once, up front, from
@@ -87,18 +74,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn survival_bounds_and_monotonicity() {
-        assert_eq!(survival_probability(1e-4, Meters::ZERO), 1.0);
-        assert_eq!(survival_probability(0.0, Meters::new(1e9)), 1.0);
-        let mut prev = 1.0;
-        for i in 1..20 {
-            let p = survival_probability(2.46e-4, Meters::new(100.0 * i as f64));
-            assert!(p < prev && p > 0.0);
-            prev = p;
-        }
-    }
-
-    #[test]
     fn sampled_failure_distance_has_right_mean() {
         let rho = 2.46e-4; // mean 4065 m
         let mut rng = DetRng::seed(1);
@@ -123,7 +98,7 @@ mod tests {
             })
             .count();
         let emp = survived as f64 / n as f64;
-        let ana = survival_probability(rho, Meters::new(d));
+        let ana = (-rho * d).exp();
         assert!((emp - ana).abs() < 0.01, "emp={emp} ana={ana}");
     }
 

@@ -1,8 +1,9 @@
 //! GPS measurement model.
 //!
 //! The paper computes inter-UAV distance from GPS fixes (Haversine over
-//! reported coordinates); consumer GPS error is strongly time-correlated,
-//! which we model per axis as a first-order Gauss–Markov process:
+//! reported coordinates). Fixes here are ENU positions, so distance is
+//! Euclidean. Consumer GPS error is strongly time-correlated, which we
+//! model per axis as a first-order Gauss–Markov process:
 //!
 //! ```text
 //! e(t+dt) = e(t)·exp(-dt/τ) + w,   w ~ N(0, σ²(1 - exp(-2dt/τ)))

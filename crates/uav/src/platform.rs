@@ -103,20 +103,20 @@ impl PlatformSpec {
     pub fn range_on_battery(&self) -> Meters {
         Meters::new(self.cruise_speed_mps * self.battery_autonomy_s)
     }
-
-    /// Failure rate derived as 1/range for the *remaining* autonomy
-    /// `fraction` (1.0 = full battery). The paper's quoted ρ values
-    /// correspond to `fraction = 0.5` (half the battery left when the
-    /// delivery leg starts), to within rounding.
-    pub fn derived_failure_rate_per_m(&self, fraction: f64) -> f64 {
-        assert!(fraction > 0.0 && fraction <= 1.0);
-        1.0 / (self.range_on_battery().get() * fraction)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Failure rate derived as 1/range for the *remaining* autonomy
+    /// `fraction` (1.0 = full battery). The paper's quoted ρ values
+    /// correspond to `fraction = 0.5` (half the battery left when the
+    /// delivery leg starts), to within rounding.
+    fn derived_failure_rate_per_m(spec: &PlatformSpec, fraction: f64) -> f64 {
+        assert!(fraction > 0.0 && fraction <= 1.0);
+        1.0 / (spec.range_on_battery().get() * fraction)
+    }
 
     #[test]
     fn table1_constants() {
@@ -156,8 +156,8 @@ mod tests {
         // ~75 % remaining autonomy; check both quoted values are within
         // the [full, half] battery bracket.
         for spec in [PlatformSpec::airplane(), PlatformSpec::quadrocopter()] {
-            let full = spec.derived_failure_rate_per_m(1.0);
-            let half = spec.derived_failure_rate_per_m(0.5);
+            let full = derived_failure_rate_per_m(&spec, 1.0);
+            let half = derived_failure_rate_per_m(&spec, 0.5);
             let rho = spec.paper_failure_rate_per_m;
             assert!(
                 rho >= full * 0.99 && rho <= half * 1.01,
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn airplane_rho_exact() {
         let a = PlatformSpec::airplane();
-        assert!((a.derived_failure_rate_per_m(0.5) - 1.11e-4).abs() < 1e-6);
+        assert!((derived_failure_rate_per_m(&a, 0.5) - 1.11e-4).abs() < 1e-6);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! 20 min quadrocopter) because that is what field crews measure; the
 //! trajectory planner needs the same reservoir in joules so it can
 //! charge flying and transmitting against one budget. This module is
-//! the bridge: nominal draws in watts anchored to the [`Battery`]
+//! the bridge: nominal draws in watts anchored to the [`Battery`](crate::battery::Battery)
 //! bookkeeping (the rotorcraft cruise/hover draw ratio *is* the
 //! battery's 1.1 cruise drain factor), and conversions between the two
 //! views that agree by construction.
@@ -16,7 +16,6 @@
 
 use skyferry_units::{Joules, MetersPerSec, Seconds};
 
-use crate::battery::Battery;
 use crate::platform::{PlatformKind, PlatformSpec};
 
 /// Nominal electrical draws of one platform, watts.
@@ -32,7 +31,7 @@ pub struct PowerModel {
 }
 
 /// The rotorcraft forward-flight draw multiplier. Must match the
-/// cruise drain factor inside [`Battery::full`]; the
+/// cruise drain factor inside [`Battery::full`](crate::battery::Battery::full); the
 /// `power_matches_battery_drain_factor` test pins the two together.
 const ROTOR_CRUISE_FACTOR: f64 = 1.1;
 
@@ -67,28 +66,17 @@ impl PowerModel {
 
     /// Full-battery energy capacity: the hold-rate draw sustained over
     /// the Table 1 autonomy. This is the joule-denominated twin of
-    /// [`Battery::full`] — a battery drained at hover for exactly the
+    /// [`Battery::full`](crate::battery::Battery::full) — a battery drained at hover for exactly the
     /// autonomy has spent exactly this energy.
     pub fn capacity(&self, spec: &PlatformSpec) -> Joules {
         Joules::from_power_w(self.hold_w, Seconds::new(spec.battery_autonomy_s))
-    }
-
-    /// Energy still in a partially drained battery, at the same
-    /// normalisation as [`PowerModel::capacity`].
-    pub fn energy_remaining(&self, battery: &Battery) -> Joules {
-        Joules::from_power_w(self.hold_w, battery.remaining())
-    }
-
-    /// How long `energy` sustains the hold draw (hover / loiter).
-    pub fn endurance(&self, energy: Joules) -> Seconds {
-        assert!(energy.get() >= 0.0, "energy must be non-negative");
-        Seconds::new(energy.get() / self.hold_w)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::battery::Battery;
     use skyferry_sim::time::SimDuration;
 
     #[test]
@@ -125,17 +113,6 @@ mod tests {
             plane.capacity(&PlatformSpec::airplane()),
             Joules::new(27_000.0)
         );
-    }
-
-    #[test]
-    fn capacity_round_trips_through_battery() {
-        let spec = PlatformSpec::quadrocopter();
-        let p = PowerModel::of(PlatformKind::Quadrocopter);
-        assert_eq!(p.energy_remaining(&Battery::full(&spec)), p.capacity(&spec));
-        let half = Battery::at_fraction(&spec, 0.5);
-        let e = p.energy_remaining(&half);
-        assert!((e.get() - p.capacity(&spec).get() * 0.5).abs() < 1e-9);
-        assert!((p.endurance(e).get() - 600.0).abs() < 1e-9);
     }
 
     #[test]

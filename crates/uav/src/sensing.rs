@@ -40,11 +40,6 @@ impl CameraProcess {
         &self.model
     }
 
-    /// Along-track trigger distance.
-    pub fn trigger_distance(&self) -> Meters {
-        Meters::new(self.trigger_distance_m)
-    }
-
     /// Observe the UAV at a new position; captures any pictures due.
     /// Returns the number of pictures taken by this movement.
     pub fn observe(&mut self, position: Vec3) -> u64 {
@@ -97,7 +92,7 @@ mod tests {
     #[test]
     fn captures_every_footprint_width() {
         let mut c = camera_at_10m();
-        let w = c.trigger_distance().get(); // ≈ 11.1 m at 10 m altitude
+        let w = c.trigger_distance_m; // ≈ 11.1 m at 10 m altitude
         assert!((10.0..13.0).contains(&w), "w={w}");
         c.observe(Vec3::new(0.0, 0.0, 10.0));
         // Fly just past 10 widths in small steps: exactly 10 more
@@ -124,7 +119,7 @@ mod tests {
     fn data_volume_scales_with_images() {
         let mut c = camera_at_10m();
         c.observe(Vec3::new(0.0, 0.0, 10.0));
-        let w = c.trigger_distance().get();
+        let w = c.trigger_distance_m;
         c.observe(Vec3::new(3.0 * w, 0.0, 10.0));
         assert_eq!(c.images_captured(), 4);
         assert!((c.data().get() - 4.0 * 0.39e6).abs() < 1.0);
@@ -146,7 +141,7 @@ mod tests {
             let (a, b) = (pair[0].position, pair[1].position);
             let n = a.distance(b).ceil() as usize;
             for i in 0..=n {
-                c.observe(a.lerp(b, i as f64 / n.max(1) as f64));
+                c.observe(a + (b - a) * (i as f64 / n.max(1) as f64));
             }
         }
         let expect = CameraModel::paper_default().images_per_sector(10_000.0, 10.0);

@@ -326,14 +326,6 @@ impl Mul<BitsPerSec> for Seconds {
 // Unit-specific constructors and conversions.
 // ---------------------------------------------------------------------------
 
-impl Meters {
-    /// From kilometres.
-    #[inline]
-    pub const fn from_km(km: f64) -> Self {
-        Meters(km * 1e3)
-    }
-}
-
 impl Seconds {
     /// From milliseconds.
     #[inline]
@@ -363,18 +355,6 @@ impl BitsPerSec {
 }
 
 impl Bytes {
-    /// From decimal megabytes (the paper quotes `Mdata` in MB).
-    #[inline]
-    pub const fn from_mb(mb: f64) -> Self {
-        Bytes(mb * 1e6)
-    }
-
-    /// As decimal megabytes.
-    #[inline]
-    pub const fn megabytes(self) -> f64 {
-        self.0 / 1e6
-    }
-
     /// The quantity in bits.
     #[inline]
     pub const fn bits(self) -> f64 {
@@ -383,16 +363,6 @@ impl Bytes {
 }
 
 impl Db {
-    /// A linear power ratio as decibels.
-    ///
-    /// # Panics
-    /// Panics if `ratio` is not strictly positive.
-    #[inline]
-    pub fn from_ratio(ratio: f64) -> Self {
-        assert!(ratio > 0.0, "linear power ratio must be positive");
-        Db(10.0 * ratio.log10())
-    }
-
     /// The linear power ratio this decibel value represents.
     #[inline]
     pub fn ratio(self) -> f64 {
@@ -401,15 +371,9 @@ impl Db {
 }
 
 impl Joules {
-    /// Mean power (in watts, as a raw `f64`) expended over a duration.
-    #[inline]
-    pub fn mean_power_w(self, over: Seconds) -> f64 {
-        self.0 / over.0
-    }
-
     /// Energy delivered by a constant electrical draw of `watts` over a
     /// duration — the per-leg accounting primitive of the trajectory
-    /// planner (`E = P·t`). Inverse of [`Joules::mean_power_w`].
+    /// planner (`E = P·t`).
     #[inline]
     pub fn from_power_w(watts: f64, over: Seconds) -> Joules {
         Joules(watts * over.0)
@@ -455,7 +419,7 @@ mod tests {
     #[test]
     fn transmission_time_identity() {
         // Ttx = Mdata/s(d): 28 MB at 12 Mb/s is 28e6·8/12e6 ≈ 18.67 s.
-        let t = Bytes::from_mb(28.0) / BitsPerSec::from_mbps(12.0);
+        let t = Bytes::new(28e6) / BitsPerSec::from_mbps(12.0);
         assert!((t.get() - 28e6 * 8.0 / 12e6).abs() < 1e-12);
     }
 
@@ -476,10 +440,7 @@ mod tests {
 
     #[test]
     fn byte_conversions() {
-        let m = Bytes::from_mb(56.2);
-        assert_eq!(m.get(), 56.2e6);
-        assert!((m.megabytes() - 56.2).abs() < 1e-12);
-        assert_eq!(m.bits(), 56.2e6 * 8.0);
+        assert_eq!(Bytes::new(56.2e6).bits(), 56.2e6 * 8.0);
     }
 
     #[test]
@@ -492,8 +453,7 @@ mod tests {
     #[test]
     fn db_ratio_roundtrip() {
         for &db in &[-30.0, 0.0, 3.0, 20.0] {
-            let d = Db::new(db);
-            assert!((Db::from_ratio(d.ratio()).get() - db).abs() < 1e-12);
+            assert!((10.0 * Db::new(db).ratio().log10() - db).abs() < 1e-12);
         }
         assert!((Db::new(3.0).ratio() - 1.995).abs() < 0.01);
         // Gains add in log domain.
@@ -501,18 +461,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn db_from_nonpositive_ratio_panics() {
-        let _ = Db::from_ratio(0.0);
-    }
-
-    #[test]
-    fn joules_mean_power() {
-        assert_eq!(Joules::new(600.0).mean_power_w(Seconds::new(60.0)), 10.0);
-        // E = P·t round-trips with mean power.
+    fn joules_from_power() {
+        // E = P·t.
         let e = Joules::from_power_w(180.0, Seconds::new(1200.0));
         assert_eq!(e, Joules::new(216_000.0));
-        assert_eq!(e.mean_power_w(Seconds::new(1200.0)), 180.0);
     }
 
     #[test]
@@ -541,7 +493,6 @@ mod tests {
 
     #[test]
     fn unit_constructors() {
-        assert_eq!(Meters::from_km(1.5), Meters::new(1500.0));
         assert_eq!(Seconds::from_millis(250.0), Seconds::new(0.25));
         assert_eq!(Seconds::from_micros(4.0), Seconds::new(4.0e-6));
     }

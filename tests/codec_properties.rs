@@ -1,6 +1,6 @@
-//! Randomised round-trip and rejection tests for every wire format in
-//! the workspace: 802.11 data frames, block ACKs, A-MPDU delimiters, and
-//! the XBee control-plane messages.
+//! Randomised tests of the workspace's wire sizes and its one wire
+//! codec: A-MPDU length alignment, and the round trip and rejection of
+//! the XBee telemetry record.
 //!
 //! The generators run on a fixed-seed [`DetRng`] loop (the workspace
 //! builds offline, so no proptest): every case is reproducible from the
@@ -8,25 +8,15 @@
 //! configuration.
 
 use bytes::Bytes;
-use skyferry::control::message::{Command, Telemetry, UavId};
+use skyferry::control::message::{Telemetry, UavId};
 use skyferry::geo::vector::Vec3;
-use skyferry::mac::frame::{
-    ampdu_length, AmpduDelimiter, BlockAck, DataFrame, MacAddr, DATA_OVERHEAD_BYTES,
-};
+use skyferry::mac::frame::{ampdu_length, DELIMITER_BYTES};
 use skyferry::sim::rng::DetRng;
 
 const CASES: usize = 256;
 
 fn rng(salt: u64) -> DetRng {
     DetRng::seed(0xC0DEC ^ salt)
-}
-
-fn arb_mac(rng: &mut DetRng) -> MacAddr {
-    let mut b = [0u8; 6];
-    for byte in &mut b {
-        *byte = rng.next_u64() as u8;
-    }
-    MacAddr(b)
 }
 
 fn arb_vec3(rng: &mut DetRng) -> Vec3 {
@@ -43,70 +33,16 @@ fn arb_bytes(rng: &mut DetRng, min: usize, max: usize) -> Vec<u8> {
 }
 
 #[test]
-fn data_frame_roundtrip() {
-    let mut rng = rng(1);
-    for _ in 0..CASES {
-        let payload = arb_bytes(&mut rng, 0, 2048);
-        let f = DataFrame::new(
-            arb_mac(&mut rng),
-            arb_mac(&mut rng),
-            arb_mac(&mut rng),
-            rng.index(4096) as u16,
-            Bytes::from(payload),
-        );
-        let wire = f.encode();
-        assert_eq!(wire.len(), f.payload.len() + DATA_OVERHEAD_BYTES);
-        let back = DataFrame::decode(wire).unwrap();
-        assert_eq!(back, f);
-    }
-}
-
-#[test]
-fn data_frame_bitflip_rejected() {
-    let mut rng = rng(2);
-    for _ in 0..CASES {
-        let payload = arb_bytes(&mut rng, 1, 512);
-        let f = DataFrame::new(
-            MacAddr::uav(1),
-            MacAddr::uav(2),
-            MacAddr::BROADCAST,
-            rng.index(4096) as u16,
-            Bytes::from(payload),
-        );
-        let mut wire = f.encode().to_vec();
-        let idx = rng.index(wire.len());
-        wire[idx] ^= 1 << rng.index(8);
-        // Any single bit flip must be detected (CRC-32 catches all).
-        assert!(DataFrame::decode(Bytes::from(wire)).is_err());
-    }
-}
-
-#[test]
-fn block_ack_roundtrip() {
-    let mut rng = rng(3);
-    for _ in 0..CASES {
-        let ba = BlockAck {
-            ra: arb_mac(&mut rng),
-            ta: arb_mac(&mut rng),
-            start_seq: rng.index(4096) as u16,
-            bitmap: rng.next_u64(),
-        };
-        let back = BlockAck::decode(ba.encode()).unwrap();
-        assert_eq!(back, ba);
-        assert_eq!(back.acked_count(), ba.bitmap.count_ones());
-    }
-}
-
-#[test]
-fn delimiter_roundtrip_and_ampdu_alignment() {
+fn ampdu_length_is_four_byte_aligned() {
     let mut rng = rng(4);
     for _ in 0..CASES {
-        let len = rng.index(4096) as u16;
-        let d = AmpduDelimiter { mpdu_len: len };
-        assert_eq!(AmpduDelimiter::decode(d.encode()).unwrap(), d);
-        // Aggregated length is always 4-byte aligned.
-        let total = ampdu_length(&[len as usize, (len as usize + 7) % 4093]);
+        let lens = [rng.index(4096), rng.index(4096)];
+        let total = ampdu_length(&lens);
+        // Aggregated length is always 4-byte aligned, and each subframe
+        // pays its delimiter plus at most 3 bytes of padding.
         assert_eq!(total % 4, 0);
+        let bare = lens.iter().sum::<usize>() + lens.len() * DELIMITER_BYTES;
+        assert!((bare..bare + 3 * lens.len() + 1).contains(&total));
     }
 }
 
@@ -128,50 +64,6 @@ fn telemetry_roundtrip() {
         assert!((back.speed_mps - t.speed_mps).abs() < 1e-3);
         assert!((back.battery_fraction - t.battery_fraction).abs() < 1e-3);
         assert_eq!(back.data_ready_bytes, t.data_ready_bytes);
-    }
-}
-
-#[test]
-fn command_roundtrip() {
-    let mut rng = rng(6);
-    for _ in 0..CASES {
-        let addr = rng.next_u64() as u16;
-        let peer = rng.next_u64() as u16;
-        let target = arb_vec3(&mut rng);
-        let cmd = match rng.index(3) {
-            0 => Command::Goto { target },
-            1 => Command::Transmit { peer: UavId(peer) },
-            _ => Command::GotoThenTransmit {
-                target,
-                peer: UavId(peer),
-            },
-        };
-        let wire = cmd.encode(UavId(addr));
-        assert_eq!(wire.len(), cmd.wire_bytes());
-        let (to, back) = Command::decode(wire).unwrap();
-        assert_eq!(to, UavId(addr));
-        match (cmd, back) {
-            (Command::Goto { target: a }, Command::Goto { target: b }) => {
-                assert!(a.distance(b) < 0.01)
-            }
-            (Command::Transmit { peer: a }, Command::Transmit { peer: b }) => {
-                assert_eq!(a, b)
-            }
-            (
-                Command::GotoThenTransmit {
-                    target: a,
-                    peer: pa,
-                },
-                Command::GotoThenTransmit {
-                    target: b,
-                    peer: pb,
-                },
-            ) => {
-                assert!(a.distance(b) < 0.01);
-                assert_eq!(pa, pb);
-            }
-            other => panic!("kind changed: {other:?}"),
-        }
     }
 }
 

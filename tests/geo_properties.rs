@@ -1,9 +1,8 @@
-//! Randomised property tests of the geometry/geodesy layer, on a
+//! Randomised property tests of the geometry layer, on a
 //! fixed-seed [`DetRng`] loop (256 cases per property, matching the old
 //! proptest configuration).
 
 use skyferry::geo::camera::CameraModel;
-use skyferry::geo::geodetic::{haversine_distance_m, EnuFrame, GeoPoint};
 use skyferry::geo::sector::Sector;
 use skyferry::geo::vector::Vec3;
 use skyferry::sim::rng::DetRng;
@@ -14,90 +13,12 @@ fn rng(salt: u64) -> DetRng {
     DetRng::seed(0x6E0 ^ salt)
 }
 
-fn arb_geopoint(rng: &mut DetRng) -> GeoPoint {
-    GeoPoint::new(
-        rng.uniform_range(-80.0, 80.0),
-        rng.uniform_range(-179.0, 179.0),
-        rng.uniform_range(0.0, 300.0),
-    )
-}
-
 fn arb_vec3(rng: &mut DetRng) -> Vec3 {
     Vec3::new(
         rng.uniform_range(-2_000.0, 2_000.0),
         rng.uniform_range(-2_000.0, 2_000.0),
         rng.uniform_range(0.0, 300.0),
     )
-}
-
-#[test]
-fn haversine_symmetric_nonnegative() {
-    let mut rng = rng(1);
-    for _ in 0..CASES {
-        let (a, b) = (arb_geopoint(&mut rng), arb_geopoint(&mut rng));
-        let d1 = haversine_distance_m(&a, &b);
-        let d2 = haversine_distance_m(&b, &a);
-        assert!(d1 >= 0.0);
-        assert!((d1 - d2).abs() < 1e-6);
-        assert!((haversine_distance_m(&a, &a)).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn haversine_triangle_inequality() {
-    let mut rng = rng(2);
-    for _ in 0..CASES {
-        let a = arb_geopoint(&mut rng);
-        let b = arb_geopoint(&mut rng);
-        let c = arb_geopoint(&mut rng);
-        let ab = haversine_distance_m(&a, &b);
-        let bc = haversine_distance_m(&b, &c);
-        let ac = haversine_distance_m(&a, &c);
-        assert!(ac <= ab + bc + 1e-6);
-    }
-}
-
-#[test]
-fn slant_at_least_ground() {
-    let mut rng = rng(3);
-    for _ in 0..CASES {
-        let (a, b) = (arb_geopoint(&mut rng), arb_geopoint(&mut rng));
-        assert!(a.slant_distance_m(&b) >= a.haversine_distance_m(&b) - 1e-9);
-    }
-}
-
-#[test]
-fn enu_roundtrip_mission_scale() {
-    let mut rng = rng(4);
-    for _ in 0..CASES {
-        let origin = arb_geopoint(&mut rng);
-        let v = arb_vec3(&mut rng);
-        let frame = EnuFrame::new(origin);
-        let p = frame.to_geodetic(v);
-        let back = frame.to_enu(&p);
-        assert!(
-            back.distance(v) < 1e-4,
-            "roundtrip error {}",
-            back.distance(v)
-        );
-    }
-}
-
-#[test]
-fn enu_matches_haversine_locally() {
-    // At mission scale (≤ ~3 km) the flat frame and the sphere agree
-    // to well under a metre at mid latitudes.
-    let mut rng = rng(5);
-    for _ in 0..CASES {
-        let v = arb_vec3(&mut rng);
-        let origin = GeoPoint::new(47.4, 8.5, 0.0);
-        let frame = EnuFrame::new(origin);
-        let ground = Vec3::new(v.x, v.y, 0.0);
-        let p = frame.to_geodetic(ground);
-        let hav = haversine_distance_m(&origin, &p);
-        let flat = ground.norm();
-        assert!((hav - flat).abs() < 1.0, "hav {hav} vs flat {flat}");
-    }
 }
 
 #[test]

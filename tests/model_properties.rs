@@ -5,7 +5,7 @@
 //! property, matching the old proptest configuration).
 
 use skyferry::core::failure::{ExponentialFailure, FailureSpec, WeibullFailure};
-use skyferry::core::optimizer::{optimize, search_max, utility_curve, OptimalTransfer};
+use skyferry::core::optimizer::{optimize, search_max, utility_curve_view, OptimalTransfer};
 use skyferry::core::scenario::{Scenario, ScenarioView};
 use skyferry::core::strategy::{evaluate, EvalConfig, Strategy as DeliveryStrategy};
 use skyferry::core::throughput::{
@@ -86,7 +86,7 @@ fn utility_curve_is_positive_and_bounded() {
     let mut rng = rng(4);
     for _ in 0..CASES {
         let s = arb_scenario(&mut rng);
-        for (d, u) in utility_curve(&s, 64) {
+        for (d, u) in utility_curve_view(s.view(), 64) {
             assert!(u > 0.0 && u.is_finite(), "U({d}) = {u}");
         }
     }

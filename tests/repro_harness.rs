@@ -18,7 +18,7 @@ fn every_experiment_runs_and_renders() {
         assert!(text.contains(id), "{id} render lacks its id");
         assert!(text.len() > 200, "{id} render suspiciously short");
         for (name, table) in &report.tables {
-            assert!(table.num_rows() > 0, "{id}/{name} is empty");
+            assert!(!table.rows().is_empty(), "{id}/{name} is empty");
         }
     }
     assert!(
