@@ -4,8 +4,7 @@
 //! skyferry-loadgen --addr HOST:PORT [--requests N] [--concurrency N]
 //!                  [--window N] [--rate RPS] [--conns N]
 //!                  [--saturation R1,R2,...] [--codec ndjson|bin1]
-//!                  [--seed N] [--pool N]
-//!                  [--unique-frac F] [--grid quick|full]
+//!                  [--seed N] [--grid quick|full]
 //!                  [--fleet-trace FILE] [--compare]
 //!                  [--policy-compare] [--miss-heavy] [--min-speedup X]
 //!                  [--min-table-speedup X] [--expect-identical]
@@ -15,26 +14,29 @@
 //! `--policy-compare` needs a server started with `--policy FILE`;
 //! `--grid` aligns the request mix to that table's cell centres so the
 //! `table`, `cache` and `no-cache` phases solve bit-identical
-//! parameters. `--conns N --rate R` switches the measured phases to the
-//! reactor-multiplexed many-connection open loop; `--saturation`
-//! appends a latency-under-load sweep over the same engine. Latency is
-//! printed as `rtt` (send-to-response, pipeline queueing included) and
-//! `svc` (the in-order service decomposition, comparable to the
-//! server-side histogram). `--fleet-trace FILE` replays a recorded
+//! parameters. Every phase runs on one reactor thread: a closed loop
+//! over `--concurrency` connections, each `--window` requests deep, or
+//! with `--rate R` an open loop firing one global schedule round-robin
+//! over `--conns` connections (64 unless set); `--saturation` appends a
+//! latency-under-load sweep over the same open loop. Latency is printed
+//! as `rtt` (send-to-response, pipeline queueing included; an open-loop
+//! request is timed from its due time) and `svc` (the in-order service
+//! decomposition, comparable to the server-side histogram). `--fleet-trace FILE` replays a recorded
 //! fleet request stream (`repro --export-fleet-trace` JSONL) instead of
 //! the random mix and prints its inter-arrival statistics; with
 //! `--compare --expect-identical` the replayed `d_star` streams are
 //! gated bitwise across phases. Exit codes: 0 success, 1 a `--check`
-//! gate failed or the server was unreachable, 2 bad arguments.
+//! gate failed, the server was unreachable, or it owed a reply for 10 s
+//! without sending one, 2 bad arguments.
 
-use skyferry_serve::loadgen::{parse_args, run, LoadgenError};
+use skyferry_serve::loadgen::{parse_args, run};
 
 const USAGE: &str = "usage: skyferry-loadgen --addr HOST:PORT [--requests N] \
 [--concurrency N] [--window N] [--rate RPS] [--conns N] [--saturation R1,R2,...] \
-[--codec ndjson|bin1] [--seed N] [--pool N] [--unique-frac F] \
-[--grid quick|full] [--fleet-trace FILE] [--compare] [--policy-compare] \
-[--miss-heavy] [--min-speedup X] [--min-table-speedup X] [--expect-identical] \
-[--check] [--out FILE] [--shutdown-after]";
+[--codec ndjson|bin1] [--seed N] [--grid quick|full] [--fleet-trace FILE] \
+[--compare] [--policy-compare] [--miss-heavy] [--min-speedup X] \
+[--min-table-speedup X] [--expect-identical] [--check] [--out FILE] \
+[--shutdown-after]";
 
 fn main() {
     let cfg = match parse_args(std::env::args().skip(1)) {
@@ -102,11 +104,7 @@ fn main() {
                 println!("report written to {}", out.display());
             }
         }
-        Err(e @ (LoadgenError::Io(_) | LoadgenError::Protocol(_))) => {
-            eprintln!("skyferry-loadgen: {e}");
-            std::process::exit(1);
-        }
-        Err(e @ LoadgenError::CheckFailed(_)) => {
+        Err(e) => {
             eprintln!("skyferry-loadgen: {e}");
             std::process::exit(1);
         }

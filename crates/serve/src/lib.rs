@@ -39,12 +39,13 @@
 //! * [`server`] — the TCP front end: one accept thread dealing
 //!   connections to the shard loops round-robin, graceful
 //!   ack-then-drain shutdown on a control message;
-//! * [`loadgen`] — closed-loop, open-loop (fixed-rate) and
-//!   many-connection open-loop (reactor-multiplexed `--conns`)
-//!   workload driver with a seeded `DetRng` request mix,
-//!   cache/table/no-cache comparison, rtt/service/connect latency
-//!   decomposition, `--saturation` latency-under-load sweeps, and
-//!   `BENCH_serve.json` output.
+//! * [`loadgen`] — the workload generator: one reactor loop runs every
+//!   phase, closed-loop (pipelined windows) or open-loop (a fixed-rate
+//!   schedule over `--conns` connections, timed from the schedule),
+//!   over a seeded `DetRng` request mix, with cache/table/no-cache
+//!   comparison, rtt/service/connect latency decomposition,
+//!   `--saturation` latency-under-load sweeps, and `BENCH_serve.json`
+//!   output.
 //!
 //! Real wall-clock timing is confined to this crate (and `bench`) by
 //! the `wall-clock` lint rule: a latency histogram is the one place the

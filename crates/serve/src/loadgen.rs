@@ -1,30 +1,34 @@
 //! The load generator behind `skyferry-loadgen`.
 //!
 //! Drives a running `skyferryd` with a seeded, reproducible request mix
-//! and measures it from the client side:
+//! and measures it from the client side. One engine runs every phase:
+//! a single-threaded reactor ([`skyferry_reactor`]) event loop over all
+//! of a phase's connections, in one of two paces:
 //!
-//! * **closed-loop** (default): `concurrency` connections, each keeping
-//!   `window` requests in flight (pipelined — an initial burst, then
-//!   read-one-send-one), so throughput is bounded by the server, not by
-//!   round trips;
-//! * **open-loop** (`--rate R`): requests are launched on a fixed
-//!   schedule split across the connections, so latency includes queue
-//!   buildup when the server cannot keep up;
-//! * **many-connection open-loop** (`--conns N --rate R`): one reactor
-//!   ([`skyferry_reactor`]) event loop multiplexes N mostly-idle
-//!   connections — the fleet-of-UAVs shape — and requests fire on a
-//!   single global schedule round-robin across them. The same engine
-//!   drives `--saturation R1,R2,...`, which sweeps offered load and
-//!   records a latency-under-load curve in the report.
+//! * **closed-loop** (default): `concurrency` connections, each kept
+//!   `window` requests deep (pipelined), so throughput is bounded by the
+//!   server, not by round trips or by a client syscall per request;
+//! * **open-loop** (`--rate R`): requests fire on one global schedule,
+//!   round-robin across `--conns` connections (64 unless set) — with
+//!   many connections and a modest rate, the fleet-of-UAVs shape of
+//!   mostly-idle links. `--saturation R1,R2,...` sweeps offered load
+//!   over the same loop and records a latency-under-load curve.
+//!
+//! Every open-loop request is timed from its *due* time, not from when
+//! the client got round to sending it: a server stall shows up as
+//! latency for every request scheduled behind it instead of silently
+//! stretching the schedule (coordinated omission). No read waits
+//! forever: a run that gets no reply for 10 s while replies are owed
+//! fails with [`LoadgenError::NoReply`].
 //!
 //! Latency is reported three ways, because a pipelined client's raw
 //! round trip is *not* comparable to the server's per-request service
 //! time (that mismatch — ~4.2 ms client p50 vs ~29 µs server p50 — is
 //! pure client-side pipeline queueing, not server work):
 //!
-//! * **rtt**: send (open loop: *scheduled* send, so coordinated
-//!   omission is not hidden) to response — what a caller experiences,
-//!   including time queued behind the rest of the pipeline window;
+//! * **rtt**: send (closed loop: queued for the socket; open loop: due)
+//!   to response — what a caller experiences, including time queued
+//!   behind the rest of the pipeline window;
 //! * **service**: the in-order decomposition
 //!   `service_i = T_i − max(sent_i, T_{i−1})` (T = response arrival on
 //!   the same connection) — the interval the server alone contributes
@@ -32,15 +36,14 @@
 //! * **connect**: TCP connection setup, separated out instead of
 //!   polluting the first request's latency.
 //!
-//! The mix comes from a `DetRng` stream: a `pool` of distinct parameter
-//! tuples is drawn once, then each request either repeats a pool entry
-//! or (with probability `unique_frac`) draws fresh parameters. The same
-//! seed therefore replays byte-identical request lines — which is what
-//! makes `--compare` meaningful: phase 1 runs with the decision cache
-//! enabled, phase 2 disables it (`cache`/`reset` control requests),
-//! same workload, and the report carries the throughput ratio plus a
-//! per-request `d_star` comparison (bit-exact when the server runs in
-//! exactness mode).
+//! The mix comes from a `DetRng` stream: a pool of 64 distinct
+//! parameter tuples is drawn once, then each request repeats a pool
+//! entry. The same seed therefore replays byte-identical request lines
+//! — which is what makes `--compare` meaningful: phase 1 runs with the
+//! decision cache enabled, phase 2 disables it (`cache`/`reset`
+//! control requests), same workload, and the report carries the
+//! throughput ratio plus a per-request `d_star` comparison (bit-exact
+//! when the server runs in exactness mode).
 //!
 //! `--codec bin1` negotiates the length-prefixed binary codec on every
 //! measured connection before the clock starts; decide requests then
@@ -49,8 +52,8 @@
 //!
 //! Two extensions exercise the paths a warm 64-key pool never touches:
 //!
-//! * `--miss-heavy` repeats every phase with a second, fully unique
-//!   workload (`unique_frac = 1`), reported as `<label>-miss` — the
+//! * `--miss-heavy` repeats every phase with a second workload whose
+//!   every request is drawn fresh, reported as `<label>-miss` — the
 //!   uncached-optimizer floor and the table path under realistic churn;
 //! * `--policy-compare` (against a `skyferryd --policy` server) runs
 //!   three phases — `table` (policy on), `cache` (policy off, cache
@@ -77,7 +80,7 @@
 //! `BENCH_policy.json`.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
@@ -94,6 +97,15 @@ use skyferry_trace::clock::monotonic_ns;
 
 use crate::framing::{self, BinResponse, Codec, Frame, FrameDecoder, FrameError};
 use crate::proto::{self, Request};
+
+/// Distinct parameter tuples in the repeated (warm) request pool.
+const POOL: usize = 64;
+/// Connections of an open loop when `--conns` is not set.
+const OPEN_LOOP_CONNS: usize = 64;
+/// How long the client waits for a reply it is owed before the run
+/// fails — the same bound as the benchmark's load generator and the
+/// serve tests' client sockets.
+const REPLY_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Which compiled-policy grid the workload should align to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,18 +144,16 @@ pub struct LoadgenConfig {
     pub addr: String,
     /// Total requests per phase.
     pub requests: usize,
-    /// Concurrent connections (closed-loop / split-rate mode).
+    /// Connections of the closed loop.
     pub concurrency: usize,
-    /// Pipelining window per connection (closed loop) / outstanding cap
-    /// (open loop).
+    /// Requests each closed-loop connection keeps in flight. The open
+    /// loop does not read it: its schedule alone sets what is in flight.
     pub window: usize,
-    /// Open-loop request rate in req/s; `None` = closed loop. With
-    /// `conns > 0` the rate is a single global schedule over the
-    /// reactor-multiplexed connections, otherwise it is split across
-    /// `concurrency` threads.
+    /// Open-loop request rate in req/s, one global schedule round-robin
+    /// across `conns` connections; `None` = closed loop.
     pub rate: Option<f64>,
-    /// Reactor-multiplexed connections for the many-connection open
-    /// loop; `0` keeps the thread-per-connection driver.
+    /// Connections of the open loops (`rate` phases and the saturation
+    /// sweep); `0` = 64.
     pub conns: usize,
     /// Offered-load sweep (req/s points) appended to the report as a
     /// latency-under-load saturation curve.
@@ -152,11 +162,6 @@ pub struct LoadgenConfig {
     pub codec: Codec,
     /// Workload seed.
     pub seed: u64,
-    /// Distinct parameter tuples in the repeated pool.
-    pub pool: usize,
-    /// Probability a request draws fresh parameters instead of reusing
-    /// the pool.
-    pub unique_frac: f64,
     /// Align the request mix to a compiled policy grid's cell centres.
     pub grid: Option<GridMode>,
     /// Replay a recorded fleet request stream (`repro
@@ -167,8 +172,8 @@ pub struct LoadgenConfig {
     /// Run `table` / `cache` / `no-cache` phases against a server with a
     /// compiled policy table (implies the `policy` control toggles).
     pub policy_compare: bool,
-    /// Repeat every phase with a fully unique (`unique_frac = 1`)
-    /// workload, reported as `<label>-miss`.
+    /// Repeat every phase with a workload whose every request is drawn
+    /// fresh, reported as `<label>-miss`.
     pub miss_heavy: bool,
     /// With `--check`: fail unless cached/uncached throughput ratio
     /// reaches this.
@@ -188,6 +193,17 @@ pub struct LoadgenConfig {
     pub shutdown_after: bool,
 }
 
+impl LoadgenConfig {
+    /// Connections of the open loops: `conns`, or 64 when unset.
+    fn open_loop_conns(&self) -> usize {
+        if self.conns > 0 {
+            self.conns
+        } else {
+            OPEN_LOOP_CONNS
+        }
+    }
+}
+
 impl Default for LoadgenConfig {
     fn default() -> Self {
         LoadgenConfig {
@@ -200,8 +216,6 @@ impl Default for LoadgenConfig {
             saturation: Vec::new(),
             codec: Codec::Ndjson,
             seed: 0x5AFE_5EED,
-            pool: 64,
-            unique_frac: 0.0,
             grid: None,
             fleet_trace: None,
             compare: false,
@@ -224,6 +238,11 @@ pub enum LoadgenError {
     Io(std::io::Error),
     /// The server answered something the protocol does not allow here.
     Protocol(String),
+    /// No reply came for 10 s while `owed` were due.
+    NoReply {
+        /// Requests sent and not yet answered.
+        owed: usize,
+    },
     /// A `--check` gate failed; the report is still returned alongside.
     CheckFailed(String),
 }
@@ -233,6 +252,11 @@ impl std::fmt::Display for LoadgenError {
         match self {
             LoadgenError::Io(e) => write!(f, "i/o: {e}"),
             LoadgenError::Protocol(m) => write!(f, "protocol: {m}"),
+            LoadgenError::NoReply { owed } => write!(
+                f,
+                "no reply for {} s with {owed} request(s) owed",
+                REPLY_DEADLINE.as_secs()
+            ),
             LoadgenError::CheckFailed(m) => write!(f, "check failed: {m}"),
         }
     }
@@ -284,29 +308,26 @@ fn random_request_line(rng: &mut DetRng, grid: Option<&PolicyGrid>) -> String {
     .render()
 }
 
-/// The per-connection request streams for one run: `lines[t]` is
-/// connection `t`'s exact byte sequence. Pure function of the config,
-/// so a second phase replays the identical workload.
-pub fn build_workload(cfg: &LoadgenConfig) -> Vec<Vec<String>> {
-    build_workload_unique(cfg, cfg.unique_frac)
-}
-
-/// Same streams with `unique_frac` overridden — the miss-heavy phases
-/// replay the identical RNG schedule over a fully fresh mix.
-fn build_workload_unique(cfg: &LoadgenConfig, unique_frac: f64) -> Vec<Vec<String>> {
+/// The seeded request mix as `streams` request streams: `lines[t]` is
+/// stream `t`'s exact byte sequence. Each request repeats one of the
+/// [`POOL`] entries or, with probability `unique_frac`, draws fresh
+/// parameters. A pure function of its arguments, so a second phase
+/// replays the identical workload, and the miss-heavy phases
+/// (`unique_frac = 1`) replay the same RNG schedule over a fresh mix.
+fn build_workload(cfg: &LoadgenConfig, streams: usize, unique_frac: f64) -> Vec<Vec<String>> {
     let grid = cfg.grid.map(|g| g.grid());
     let grid = grid.as_ref();
     let stream = SeedStream::new(cfg.seed);
     let mut pool_rng = stream.rng("loadgen-pool");
-    let pool: Vec<String> = (0..cfg.pool.max(1))
+    let pool: Vec<String> = (0..POOL)
         .map(|_| random_request_line(&mut pool_rng, grid))
         .collect();
 
-    let threads = cfg.concurrency.max(1);
-    (0..threads)
+    let streams = streams.max(1);
+    (0..streams)
         .map(|t| {
             let mut rng = stream.rng_indexed("loadgen-mix", t as u64);
-            let share = cfg.requests / threads + usize::from(t < cfg.requests % threads);
+            let share = cfg.requests / streams + usize::from(t < cfg.requests % streams);
             (0..share)
                 .map(|_| {
                     if rng.chance(unique_frac) {
@@ -428,19 +449,31 @@ impl TraceStats {
 }
 
 /// Split a global request stream into per-connection slices, preserving
-/// order within each slice (the same contiguous split
-/// [`build_workload`] uses for its per-thread shares).
-fn split_stream(lines: &[String], threads: usize) -> Vec<Vec<String>> {
-    let threads = threads.max(1);
+/// order within each slice (the same contiguous shares
+/// [`build_workload`] gives its streams) — the closed loop's split.
+fn split_stream(lines: &[String], conns: usize) -> Vec<Vec<String>> {
+    let conns = conns.max(1);
     let mut rest = lines;
-    (0..threads)
+    (0..conns)
         .map(|t| {
-            let share = lines.len() / threads + usize::from(t < lines.len() % threads);
+            let share = lines.len() / conns + usize::from(t < lines.len() % conns);
             let (head, tail) = rest.split_at(share);
             rest = tail;
             head.to_vec()
         })
         .collect()
+}
+
+/// Deal a global request stream round-robin over `conns` connections:
+/// request `k` goes to connection `k % conns`, the order in which the
+/// open loop's schedule fires them.
+fn deal(lines: &[String], conns: usize) -> Vec<Vec<String>> {
+    let conns = conns.max(1);
+    let mut streams = vec![Vec::with_capacity(lines.len() / conns + 1); conns];
+    for (k, line) in lines.iter().enumerate() {
+        streams[k % conns].push(line.clone());
+    }
+    streams
 }
 
 /// Per-kind tally of `{"error": ...}` responses, keyed by the closed
@@ -584,7 +617,20 @@ fn classify_frame(frame: Frame) -> Result<Reply, LoadgenError> {
     })
 }
 
-/// Pull the next frame off a blocking stream, reading as needed.
+/// Connect to `addr` with `TCP_NODELAY` and a [`REPLY_DEADLINE`] read
+/// timeout (what bounds the blocking codec and control exchanges);
+/// returns the stream and its setup time, µs.
+fn connect(addr: &str) -> Result<(TcpStream, f64), LoadgenError> {
+    let t_ns = monotonic_ns();
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let connect_us = monotonic_ns().saturating_sub(t_ns) as f64 / 1e3;
+    stream.set_read_timeout(Some(REPLY_DEADLINE))?;
+    Ok((stream, connect_us))
+}
+
+/// Pull the next frame off a blocking stream, reading as needed; a read
+/// that times out is one owed reply that never came.
 fn read_frame_blocking(
     stream: &mut TcpStream,
     decoder: &mut FrameDecoder,
@@ -594,7 +640,13 @@ fn read_frame_blocking(
         if let Some(frame) = decoder.next_frame()? {
             return Ok(frame);
         }
-        let n = stream.read(&mut buf)?;
+        let n = match stream.read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(LoadgenError::NoReply { owed: 1 })
+            }
+            Err(e) => return Err(e.into()),
+        };
         if n == 0 {
             return Err(LoadgenError::Protocol(
                 "server closed the connection mid-stream".into(),
@@ -661,144 +713,65 @@ fn workload_params(line: &str) -> Result<DecisionParams, LoadgenError> {
     }
 }
 
-/// What one connection measured.
-#[derive(Debug, Default, Clone)]
-struct ThreadResult {
-    rtt_us: Vec<f64>,
-    service_us: Vec<f64>,
-    connect_us: Vec<f64>,
-    d_stars: Vec<f64>,
-    cache_hits: u64,
-    protocol_errors: u64,
-    error_tally: ErrorTally,
+/// How [`drive`] launches requests.
+#[derive(Debug, Clone, Copy)]
+enum Pace {
+    /// Keep every connection `window` requests deep, stamping each
+    /// request when it is queued for the socket.
+    Closed { window: usize },
+    /// Fire on one global schedule at `rate` req/s, request `k` on
+    /// connection `k % n` (the streams must be [`deal`]t), stamping each
+    /// request with its due time.
+    Open { rate: f64 },
 }
 
-impl ThreadResult {
-    fn record_reply(&mut self, reply: Reply) {
-        match reply {
-            Reply::Decision { d_star, cache_hit } => {
-                self.d_stars.push(d_star);
-                if cache_hit {
-                    self.cache_hits += 1;
-                }
-            }
-            Reply::ErrorTag(tag) => {
-                self.protocol_errors += 1;
-                self.error_tally.record(tag.as_deref());
-                self.d_stars.push(f64::NAN);
-            }
-        }
-    }
-}
-
-/// Drive one connection through its request lines.
-fn drive_connection(
-    addr: &str,
-    lines: &[String],
-    window: usize,
-    rate_per_conn: Option<f64>,
-    codec: Codec,
-) -> Result<ThreadResult, LoadgenError> {
-    let mut result = ThreadResult::default();
-    if lines.is_empty() {
-        return Ok(result);
-    }
-    let t_conn_ns = monotonic_ns();
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    result
-        .connect_us
-        .push(monotonic_ns().saturating_sub(t_conn_ns) as f64 / 1e3);
-    let mut decoder = FrameDecoder::new();
-    negotiate_codec(&mut stream, &mut decoder, codec)?;
-
-    let window = window.max(1);
-    let mut send_times: VecDeque<u64> = VecDeque::with_capacity(window);
-    let mut sent = 0usize;
-    let mut done = 0usize;
-    let mut prev_done_ns = 0u64;
-    let started_ns = monotonic_ns();
-
-    while done < lines.len() {
-        // Send while the window allows (and, open loop, the schedule
-        // says the next request is due).
-        let mut burst = BytesMut::new();
-        let mut burst_n = 0usize;
-        while sent < lines.len() && sent - done < window {
-            if let Some(rate) = rate_per_conn {
-                let due_ns = started_ns + (sent as f64 / rate * 1e9) as u64;
-                let now_ns = monotonic_ns();
-                if now_ns < due_ns {
-                    if burst_n == 0 && done == sent {
-                        // Nothing in flight and nothing due: sleep.
-                        std::thread::sleep(Duration::from_nanos(due_ns - now_ns));
-                    } else {
-                        break;
-                    }
-                }
-            }
-            encode_request(&lines[sent], codec, &mut burst)?;
-            sent += 1;
-            burst_n += 1;
-            if rate_per_conn.is_some() {
-                break; // open loop: one request per due tick
-            }
-        }
-        if !burst.is_empty() {
-            stream.write_all(&burst)?;
-            let now_ns = monotonic_ns();
-            for _ in 0..burst_n {
-                send_times.push_back(now_ns);
-            }
-        }
-        if done < sent {
-            let frame = read_frame_blocking(&mut stream, &mut decoder)?;
-            let t_sent_ns = send_times
-                .pop_front()
-                .ok_or_else(|| LoadgenError::Protocol("response without a request".into()))?;
-            let now_ns = monotonic_ns();
-            let (rtt, service) = split_latency(now_ns, t_sent_ns, prev_done_ns);
-            result.rtt_us.push(rtt);
-            result.service_us.push(service);
-            prev_done_ns = now_ns;
-            result.record_reply(classify_frame(frame)?);
-            done += 1;
-        }
-    }
-    Ok(result)
-}
-
-/// One reactor-multiplexed connection of the many-connection open loop.
-struct OpenConn {
+/// One connection of [`drive`]: its encoded requests and what it owes.
+struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    out: Vec<u8>,
-    out_pos: usize,
-    inflight: VecDeque<(usize, u64)>,
+    /// Every request of this connection's stream, encoded back to back.
+    wire: BytesMut,
+    /// End offset in `wire` of each request.
+    ends: Vec<usize>,
+    /// Requests queued for the socket so far.
+    queued: usize,
+    /// Bytes of `wire` written to the socket so far.
+    written: usize,
+    /// Stamps of the queued requests still awaiting a reply, in order.
+    stamps: VecDeque<u64>,
     prev_done_ns: u64,
     want_write: bool,
+    /// Answers in stream order (`NaN` for an error reply).
+    d_stars: Vec<f64>,
 }
 
-impl OpenConn {
-    /// Push buffered bytes until the socket would block.
+impl Conn {
+    fn queue(&mut self, stamp_ns: u64) {
+        self.stamps.push_back(stamp_ns);
+        self.queued += 1;
+    }
+
+    /// End offset in `wire` of the bytes queued for the socket.
+    fn queued_end(&self) -> usize {
+        self.queued.checked_sub(1).map_or(0, |i| self.ends[i])
+    }
+
+    /// Push queued bytes until the socket would block.
     fn flush(&mut self) -> std::io::Result<()> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
+        let end = self.queued_end();
+        while self.written < end {
+            match self.stream.write(&self.wire[self.written..end]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
+                        ErrorKind::WriteZero,
                         "server stopped reading",
                     ))
                 }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
-        }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
         }
         Ok(())
     }
@@ -810,116 +783,127 @@ impl OpenConn {
             match self.stream.read(&mut buf) {
                 Ok(0) => return Ok(true),
                 Ok(n) => self.decoder.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
     }
 }
 
-/// What the many-connection open loop measured.
-struct OpenLoopOutcome {
+/// What one [`drive`] run measured.
+struct Outcome {
+    /// First launch to last reply, seconds.
     wall_s: f64,
     rtt_us: Vec<f64>,
     service_us: Vec<f64>,
     connect_us: Vec<f64>,
-    /// Indexed by global schedule order, so `d_star` streams stay
-    /// deterministic regardless of which connection answered first.
-    d_stars: Vec<f64>,
+    /// Per-connection answers, each in its stream's order.
+    d_stars: Vec<Vec<f64>>,
     cache_hits: u64,
     protocol_errors: u64,
     error_tally: ErrorTally,
 }
 
-/// Fire `lines` on a single global open-loop schedule at `rate` req/s,
-/// round-robin across `conns` reactor-multiplexed connections.
-///
-/// Send stamps are the *scheduled* fire times, not the actual write
-/// times, so when the server (or this client) falls behind, the backlog
-/// shows up as latency instead of silently stretching the schedule
-/// (coordinated omission). The fleet-of-UAVs shape falls out of the
-/// numbers: with thousands of connections and a modest rate, almost
-/// every connection is idle at any instant, yet all stay registered
-/// with the poller.
-fn drive_open_loop(
-    addr: &str,
-    lines: &[String],
-    conns: usize,
-    rate: f64,
-    codec: Codec,
-) -> Result<OpenLoopOutcome, LoadgenError> {
-    let total = lines.len();
-    let nconns = conns.max(1);
-    let mut outcome = OpenLoopOutcome {
-        wall_s: 1e-9,
-        rtt_us: Vec::with_capacity(total),
-        service_us: Vec::with_capacity(total),
-        connect_us: Vec::with_capacity(nconns),
-        d_stars: vec![f64::NAN; total],
-        cache_hits: 0,
-        protocol_errors: 0,
-        error_tally: ErrorTally::default(),
-    };
-    if total == 0 {
-        return Ok(outcome);
+impl Outcome {
+    fn throughput_rps(&self) -> f64 {
+        self.rtt_us.len() as f64 / self.wall_s
     }
-    let encoded: Vec<Vec<u8>> = lines
-        .iter()
-        .map(|l| {
-            let mut b = BytesMut::new();
-            encode_request(l, codec, &mut b)?;
-            Ok(b[..].to_vec())
-        })
-        .collect::<Result<_, LoadgenError>>()?;
+}
 
+/// Run `streams[c]` over connection `c`, all connections multiplexed
+/// on one reactor thread, at `pace`.
+///
+/// Connections are set up (and the codec negotiated) before the clock
+/// starts. A run fails with [`LoadgenError::NoReply`] once no reply has
+/// come for [`REPLY_DEADLINE`] while replies are owed.
+fn drive(
+    addr: &str,
+    streams: &[Vec<String>],
+    pace: Pace,
+    codec: Codec,
+) -> Result<Outcome, LoadgenError> {
     let mut poller = Poller::new();
-    let mut cs: Vec<OpenConn> = Vec::with_capacity(nconns);
-    for i in 0..nconns {
-        let t_conn_ns = monotonic_ns();
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        outcome
-            .connect_us
-            .push(monotonic_ns().saturating_sub(t_conn_ns) as f64 / 1e3);
+    let mut conns = Vec::with_capacity(streams.len());
+    let mut connect_us = Vec::with_capacity(streams.len());
+    for (i, lines) in streams.iter().enumerate() {
+        let mut wire = BytesMut::new();
+        let mut ends = Vec::with_capacity(lines.len());
+        for line in lines {
+            encode_request(line, codec, &mut wire)?;
+            ends.push(wire.len());
+        }
+        let (mut stream, us) = connect(addr)?;
+        connect_us.push(us);
         let mut decoder = FrameDecoder::new();
         negotiate_codec(&mut stream, &mut decoder, codec)?;
         stream.set_nonblocking(true)?;
         poller.register(stream.as_raw_fd(), Token(i as u64), Interest::READ);
-        cs.push(OpenConn {
+        conns.push(Conn {
             stream,
             decoder,
-            out: Vec::new(),
-            out_pos: 0,
-            inflight: VecDeque::new(),
+            wire,
+            ends,
+            queued: 0,
+            written: 0,
+            stamps: VecDeque::new(),
             prev_done_ns: 0,
             want_write: false,
+            d_stars: Vec::with_capacity(lines.len()),
         });
     }
 
-    let interval_ns = 1e9 / rate.max(1e-9);
+    let total: usize = streams.iter().map(Vec::len).sum();
+    let mut out = Outcome {
+        wall_s: 1e-9,
+        rtt_us: Vec::with_capacity(total),
+        service_us: Vec::with_capacity(total),
+        connect_us,
+        d_stars: Vec::new(),
+        cache_hits: 0,
+        protocol_errors: 0,
+        error_tally: ErrorTally::default(),
+    };
+    let deadline_ns = REPLY_DEADLINE.as_nanos() as u64;
+    let interval_ns = match pace {
+        Pace::Open { rate } => 1e9 / rate.max(1e-9),
+        Pace::Closed { .. } => 0.0,
+    };
     let t0_ns = monotonic_ns();
-    let due_of = |i: usize| t0_ns + (i as f64 * interval_ns) as u64;
-    let mut next = 0usize;
-    let mut done = 0usize;
+    let due_of = |k: usize| t0_ns + (k as f64 * interval_ns) as u64;
+    let (mut queued, mut done) = (0usize, 0usize);
     let mut last_done_ns = t0_ns;
+    // Last reply, or the moment replies became owed again.
+    let mut quiet_since_ns = t0_ns;
     let mut events: Vec<Event> = Vec::new();
     while done < total {
-        // Launch everything the schedule says is due; a late wakeup
-        // sends the whole backlog as one burst (open loop: the schedule
-        // never stretches).
         let now_ns = monotonic_ns();
-        while next < total && due_of(next) <= now_ns {
-            let c = &mut cs[next % nconns];
-            c.out.extend_from_slice(&encoded[next]);
-            c.inflight.push_back((next, due_of(next)));
-            next += 1;
-        }
-        for (i, c) in cs.iter_mut().enumerate() {
-            if c.out_pos < c.out.len() {
-                c.flush()?;
+        let was_idle = queued == done;
+        match pace {
+            Pace::Closed { window } => {
+                for c in conns.iter_mut() {
+                    while c.queued < c.ends.len() && c.stamps.len() < window.max(1) {
+                        c.queue(now_ns);
+                        queued += 1;
+                    }
+                }
             }
-            let want = c.out_pos < c.out.len();
+            // A late wakeup queues the whole due backlog as one burst:
+            // the schedule never stretches.
+            Pace::Open { .. } => {
+                while queued < total && due_of(queued) <= now_ns {
+                    let c = queued % conns.len();
+                    conns[c].queue(due_of(queued));
+                    queued += 1;
+                }
+            }
+        }
+        if was_idle && queued > done {
+            quiet_since_ns = now_ns;
+        }
+        for (i, c) in conns.iter_mut().enumerate() {
+            c.flush()?;
+            let want = c.written < c.queued_end();
             if want != c.want_write {
                 let interest = if want {
                     Interest::READ_WRITE
@@ -930,16 +914,25 @@ fn drive_open_loop(
                 c.want_write = want;
             }
         }
-        let timeout = if next < total {
-            let gap_ns = due_of(next).saturating_sub(monotonic_ns());
-            Some((gap_ns.div_ceil(1_000_000)).max(1) as i32)
-        } else {
-            None
-        };
-        poller.wait(&mut events, timeout)?;
+
+        let now_ns = monotonic_ns();
+        let owed = queued - done;
+        let mut wait_ns = deadline_ns;
+        if owed > 0 {
+            let quiet_ns = now_ns.saturating_sub(quiet_since_ns);
+            if quiet_ns >= deadline_ns {
+                return Err(LoadgenError::NoReply { owed });
+            }
+            wait_ns -= quiet_ns;
+        }
+        if matches!(pace, Pace::Open { .. }) && queued < total {
+            wait_ns = wait_ns.min(due_of(queued).saturating_sub(now_ns));
+        }
+        poller.wait(&mut events, Some(wait_ns.div_ceil(1_000_000) as i32))?;
+
         for ev in events.iter() {
-            let c = &mut cs[ev.token.0 as usize];
-            if ev.writable && c.out_pos < c.out.len() {
+            let c = &mut conns[ev.token.0 as usize];
+            if ev.writable {
                 c.flush()?;
             }
             if !(ev.readable || ev.hangup) {
@@ -947,26 +940,26 @@ fn drive_open_loop(
             }
             let eof = c.read_ready()?;
             while let Some(frame) = c.decoder.next_frame()? {
-                let (idx, due_ns) = c
-                    .inflight
+                let stamp_ns = c
+                    .stamps
                     .pop_front()
                     .ok_or_else(|| LoadgenError::Protocol("response without a request".into()))?;
                 let now_ns = monotonic_ns();
-                let (rtt, service) = split_latency(now_ns, due_ns, c.prev_done_ns);
-                outcome.rtt_us.push(rtt);
-                outcome.service_us.push(service);
+                let (rtt, service) = split_latency(now_ns, stamp_ns, c.prev_done_ns);
+                out.rtt_us.push(rtt);
+                out.service_us.push(service);
                 c.prev_done_ns = now_ns;
                 last_done_ns = now_ns;
+                quiet_since_ns = now_ns;
                 match classify_frame(frame)? {
                     Reply::Decision { d_star, cache_hit } => {
-                        outcome.d_stars[idx] = d_star;
-                        if cache_hit {
-                            outcome.cache_hits += 1;
-                        }
+                        c.d_stars.push(d_star);
+                        out.cache_hits += u64::from(cache_hit);
                     }
                     Reply::ErrorTag(tag) => {
-                        outcome.protocol_errors += 1;
-                        outcome.error_tally.record(tag.as_deref());
+                        c.d_stars.push(f64::NAN);
+                        out.protocol_errors += 1;
+                        out.error_tally.record(tag.as_deref());
                     }
                 }
                 done += 1;
@@ -978,20 +971,20 @@ fn drive_open_loop(
             }
         }
     }
-    outcome.wall_s = (last_done_ns.saturating_sub(t0_ns) as f64 / 1e9).max(1e-9);
-    Ok(outcome)
+    out.wall_s = (last_done_ns.saturating_sub(t0_ns) as f64 / 1e9).max(1e-9);
+    out.d_stars = conns.into_iter().map(|c| c.d_stars).collect();
+    Ok(out)
 }
 
 /// One control request over its own throwaway connection.
 fn control(addr: &str, line: &str) -> Result<Json, LoadgenError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut write_half = stream.try_clone()?;
-    write_half.write_all(line.as_bytes())?;
-    write_half.write_all(b"\n")?;
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    reader.read_line(&mut response)?;
+    let (mut stream, _) = connect(addr)?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
+    let Frame::Line(response) = read_frame_blocking(&mut stream, &mut FrameDecoder::new())? else {
+        return Err(LoadgenError::Protocol(
+            "control response arrived as a binary frame".into(),
+        ));
+    };
     json::parse(response.trim())
         .map_err(|e| LoadgenError::Protocol(format!("unparsable control response: {e}")))
 }
@@ -1143,6 +1136,13 @@ impl Report {
     /// Serialise for `BENCH_serve.json` / `BENCH_policy.json`.
     pub fn to_json(&self) -> Json {
         let ratio = |r: Option<f64>| r.map(|s| Json::Fixed(s, 2)).unwrap_or(Json::Null);
+        let open = self.cfg.rate.is_some();
+        // The open loops' connections, when the run has any.
+        let conns = if open || !self.cfg.saturation.is_empty() {
+            self.cfg.open_loop_conns()
+        } else {
+            0
+        };
         Json::obj([
             (
                 "workload",
@@ -1152,23 +1152,16 @@ impl Report {
                     ("window", Json::Int(self.cfg.window as i64)),
                     (
                         "mode",
-                        Json::str(if self.cfg.conns > 0 && self.cfg.rate.is_some() {
-                            "open-loop-conns"
-                        } else if self.cfg.rate.is_some() {
-                            "open-loop"
-                        } else {
-                            "closed-loop"
-                        }),
+                        Json::str(if open { "open-loop" } else { "closed-loop" }),
                     ),
                     (
                         "rate_rps",
                         self.cfg.rate.map(Json::Num).unwrap_or(Json::Null),
                     ),
-                    ("conns", Json::Int(self.cfg.conns as i64)),
+                    ("conns", Json::Int(conns as i64)),
                     ("codec", Json::str(self.cfg.codec.wire_name())),
                     ("seed", Json::Int(self.cfg.seed as i64)),
-                    ("pool", Json::Int(self.cfg.pool as i64)),
-                    ("unique_frac", Json::Num(self.cfg.unique_frac)),
+                    ("pool", Json::Int(POOL as i64)),
                     (
                         "grid",
                         match self.cfg.grid {
@@ -1234,81 +1227,41 @@ fn d_star_stream_digest(phase: &PhaseReport) -> String {
     format!("{h:016x}")
 }
 
+/// One phase's per-connection streams. A closed loop gives each of its
+/// `concurrency` connections a stream of its own (a fleet trace: a
+/// contiguous share); an open loop deals one global stream round-robin
+/// over its connections, in the order its schedule fires them.
+fn phase_streams(
+    cfg: &LoadgenConfig,
+    fleet: Option<&[String]>,
+    unique_frac: f64,
+) -> Vec<Vec<String>> {
+    match (cfg.rate, fleet) {
+        (None, Some(lines)) => split_stream(lines, cfg.concurrency),
+        (None, None) => build_workload(cfg, cfg.concurrency, unique_frac),
+        (Some(_), Some(lines)) => deal(lines, cfg.open_loop_conns()),
+        (Some(_), None) => deal(
+            &build_workload(cfg, 1, unique_frac).concat(),
+            cfg.open_loop_conns(),
+        ),
+    }
+}
+
 fn run_phase(
     cfg: &LoadgenConfig,
     label: &'static str,
-    workload: &[Vec<String>],
+    streams: &[Vec<String>],
 ) -> Result<PhaseReport, LoadgenError> {
-    if cfg.conns > 0 {
-        if let Some(rate) = cfg.rate {
-            return run_phase_open_loop(cfg, label, &workload[0], rate);
-        }
-    }
-    let rate_per_conn = cfg.rate.map(|r| r / workload.len().max(1) as f64);
-    let t0_ns = monotonic_ns();
-    let results: Vec<Result<ThreadResult, LoadgenError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workload
-            .iter()
-            .map(|lines| {
-                scope.spawn(|| {
-                    drive_connection(&cfg.addr, lines, cfg.window, rate_per_conn, cfg.codec)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("driver thread panicked"))
-            .collect()
-    });
-    let wall_s = monotonic_ns().saturating_sub(t0_ns) as f64 / 1e9;
-
-    let mut rtt_us = Vec::new();
-    let mut service_us = Vec::new();
-    let mut connect_us = Vec::new();
-    let mut d_stars = Vec::new();
-    let mut protocol_errors = 0;
-    let mut errors_by_kind = ErrorTally::default();
-    let mut cache_hits = 0;
-    for r in results {
-        let r = r?;
-        rtt_us.extend(r.rtt_us);
-        service_us.extend(r.service_us);
-        connect_us.extend(r.connect_us);
-        d_stars.push(r.d_stars);
-        protocol_errors += r.protocol_errors;
-        errors_by_kind.merge(&r.error_tally);
-        cache_hits += r.cache_hits;
-    }
-    let server_stats = control(&cfg.addr, r#"{"cmd":"stats"}"#)?;
-    Ok(PhaseReport {
-        label,
-        wall_s,
-        throughput_rps: rtt_us.len() as f64 / wall_s.max(1e-9),
-        protocol_errors,
-        errors_by_kind,
-        cache_hits,
-        rtt: LatencySummary::from_samples(&rtt_us),
-        service: LatencySummary::from_samples(&service_us),
-        connect: LatencySummary::from_samples(&connect_us),
-        server_stats,
-        d_stars,
-    })
-}
-
-/// The many-connection variant of [`run_phase`]: the whole workload is
-/// one global stream fired open-loop across `cfg.conns` connections.
-fn run_phase_open_loop(
-    cfg: &LoadgenConfig,
-    label: &'static str,
-    lines: &[String],
-    rate: f64,
-) -> Result<PhaseReport, LoadgenError> {
-    let o = drive_open_loop(&cfg.addr, lines, cfg.conns, rate, cfg.codec)?;
+    let pace = match cfg.rate {
+        Some(rate) => Pace::Open { rate },
+        None => Pace::Closed { window: cfg.window },
+    };
+    let o = drive(&cfg.addr, streams, pace, cfg.codec)?;
     let server_stats = control(&cfg.addr, r#"{"cmd":"stats"}"#)?;
     Ok(PhaseReport {
         label,
         wall_s: o.wall_s,
-        throughput_rps: lines.len() as f64 / o.wall_s,
+        throughput_rps: o.throughput_rps(),
         protocol_errors: o.protocol_errors,
         errors_by_kind: o.error_tally,
         cache_hits: o.cache_hits,
@@ -1316,7 +1269,7 @@ fn run_phase_open_loop(
         service: LatencySummary::from_samples(&o.service_us),
         connect: LatencySummary::from_samples(&o.connect_us),
         server_stats,
-        d_stars: vec![o.d_stars],
+        d_stars: o.d_stars,
     })
 }
 
@@ -1351,30 +1304,26 @@ fn d_stars_identical(group: &[&PhaseReport]) -> Option<bool> {
     }))
 }
 
-/// Sweep the offered-load points of `cfg.saturation` over the
-/// many-connection open loop and return the curve. One `reset` precedes
-/// the sweep, so the first point pays the pool's cache misses and the
-/// rest measure the warm serving path — the curve's knee is the
-/// capacity number BENCH_serve.json is after.
+/// Sweep the offered-load points of `cfg.saturation` over the open
+/// loop and return the curve. One `reset` precedes the sweep, so the
+/// first point pays the pool's cache misses and the rest measure the
+/// warm serving path — the curve's knee is the capacity number
+/// BENCH_serve.json is after.
 fn run_saturation(cfg: &LoadgenConfig) -> Result<Vec<SatPoint>, LoadgenError> {
     if cfg.saturation.is_empty() {
         return Ok(Vec::new());
     }
-    let conns = if cfg.conns > 0 { cfg.conns } else { 64 };
-    let flat_cfg = LoadgenConfig {
-        concurrency: 1,
-        ..cfg.clone()
-    };
-    let lines = build_workload(&flat_cfg).pop().unwrap_or_default();
+    let conns = cfg.open_loop_conns();
+    let streams = deal(&build_workload(cfg, 1, 0.0).concat(), conns);
     control_ok(&cfg.addr, r#"{"cmd":"reset"}"#)?;
     let mut curve = Vec::with_capacity(cfg.saturation.len());
     for &rate in &cfg.saturation {
-        let o = drive_open_loop(&cfg.addr, &lines, conns, rate, cfg.codec)?;
+        let o = drive(&cfg.addr, &streams, Pace::Open { rate }, cfg.codec)?;
         curve.push(SatPoint {
             offered_rps: rate,
-            achieved_rps: lines.len() as f64 / o.wall_s,
+            achieved_rps: o.throughput_rps(),
             conns,
-            requests: lines.len(),
+            requests: cfg.requests,
             protocol_errors: o.protocol_errors,
             errors_by_kind: o.error_tally,
             rtt: LatencySummary::from_samples(&o.rtt_us),
@@ -1387,13 +1336,6 @@ fn run_saturation(cfg: &LoadgenConfig) -> Result<Vec<SatPoint>, LoadgenError> {
 /// Run the configured workload; on success the report is also written
 /// to `cfg.out` (pretty JSON) when set.
 pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
-    // The many-connection open loop consumes the workload as one global
-    // stream; build it as a single deterministic sequence there.
-    let open_loop = cfg.conns > 0 && cfg.rate.is_some();
-    let wl_cfg = LoadgenConfig {
-        concurrency: if open_loop { 1 } else { cfg.concurrency },
-        ..cfg.clone()
-    };
     let fleet = match &cfg.fleet_trace {
         Some(path) => {
             let text = std::fs::read_to_string(path)?;
@@ -1401,11 +1343,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
         }
         None => None,
     };
-    let warm = match &fleet {
-        Some(f) => split_stream(&f.lines, wl_cfg.concurrency),
-        None => build_workload(&wl_cfg),
-    };
-    let miss = cfg.miss_heavy.then(|| build_workload_unique(&wl_cfg, 1.0));
+    let warm = phase_streams(cfg, fleet.as_ref().map(|f| f.lines.as_slice()), 0.0);
+    let miss = cfg.miss_heavy.then(|| phase_streams(cfg, None, 1.0));
 
     // One entry per server configuration: (base label, policy toggle,
     // cache toggle). Each runs the warm workload, then the miss-heavy
@@ -1588,8 +1527,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<LoadgenConfi
                     .ok_or_else(|| format!("unknown codec '{raw}' (ndjson|bin1)"))?;
             }
             "--seed" => cfg.seed = value(&mut args, "--seed")?,
-            "--pool" => cfg.pool = value(&mut args, "--pool")?,
-            "--unique-frac" => cfg.unique_frac = value(&mut args, "--unique-frac")?,
             "--grid" => cfg.grid = Some(value(&mut args, "--grid")?),
             "--fleet-trace" => {
                 cfg.fleet_trace = Some(PathBuf::from(
@@ -1663,23 +1600,20 @@ mod tests {
     fn workload_is_deterministic_and_pool_heavy() {
         let cfg = LoadgenConfig {
             addr: "x".into(),
-            requests: 100,
-            concurrency: 3,
-            pool: 8,
-            unique_frac: 0.0,
+            requests: 1000,
             ..Default::default()
         };
-        let a = build_workload(&cfg);
-        let b = build_workload(&cfg);
+        let a = build_workload(&cfg, 3, 0.0);
+        let b = build_workload(&cfg, 3, 0.0);
         assert_eq!(a, b, "same seed, same bytes");
-        assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 100);
+        assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 1000);
         assert_eq!(a.len(), 3);
-        assert_eq!(a[0].len(), 34); // 100 = 34 + 33 + 33
-                                    // unique_frac 0 ⇒ every line is one of the 8 pool entries.
+        assert_eq!(a[0].len(), 334); // 1000 = 334 + 333 + 333
+                                     // unique_frac 0 ⇒ every line is one of the pool entries.
         let mut distinct: Vec<&String> = a.iter().flatten().collect();
         distinct.sort();
         distinct.dedup();
-        assert!(distinct.len() <= 8);
+        assert!(distinct.len() <= POOL);
         // Lines must parse as valid decision requests.
         for line in a.iter().flatten() {
             assert!(matches!(
@@ -1687,23 +1621,6 @@ mod tests {
                 Ok(crate::proto::Request::Decide(_))
             ));
         }
-    }
-
-    #[test]
-    fn unique_fraction_diversifies_the_mix() {
-        let cfg = LoadgenConfig {
-            addr: "x".into(),
-            requests: 200,
-            concurrency: 1,
-            pool: 4,
-            unique_frac: 1.0,
-            ..Default::default()
-        };
-        let lines = build_workload(&cfg);
-        let mut distinct: Vec<&String> = lines.iter().flatten().collect();
-        distinct.sort();
-        distinct.dedup();
-        assert!(distinct.len() > 150, "fresh params almost never collide");
     }
 
     #[test]
@@ -1776,10 +1693,6 @@ mod tests {
                 "bin1",
                 "--seed",
                 "7",
-                "--pool",
-                "10",
-                "--unique-frac",
-                "0.25",
                 "--grid",
                 "quick",
                 "--compare",
@@ -1808,8 +1721,6 @@ mod tests {
         assert_eq!(cfg.saturation, vec![1000.0, 2000.0, 4000.0]);
         assert_eq!(cfg.codec, Codec::Bin1);
         assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.pool, 10);
-        assert_eq!(cfg.unique_frac, 0.25);
         assert_eq!(cfg.grid, Some(GridMode::Quick));
         assert!(cfg.compare && cfg.check && cfg.expect_identical && cfg.shutdown_after);
         assert!(cfg.policy_compare && cfg.miss_heavy);
@@ -1825,6 +1736,10 @@ mod tests {
             "addr required"
         );
         assert!(parse_args(["--frob".into()]).is_err());
+        for gone in ["--pool", "--unique-frac"] {
+            let got = parse_args(["--addr", "x", gone, "1"].into_iter().map(String::from));
+            assert_eq!(got, Err(format!("unknown flag '{gone}'")));
+        }
         assert!(parse_args(["--addr".into()]).is_err());
         assert!(
             parse_args(["--addr".into(), "x".into(), "--grid".into(), "vast".into()]).is_err(),
@@ -1921,6 +1836,12 @@ mod tests {
         assert_eq!(rejoined, lines, "contiguous split preserves order");
         assert_eq!(split_stream(&lines, 1).len(), 1);
         assert_eq!(split_stream(&[], 4).iter().map(Vec::len).sum::<usize>(), 0);
+        // The open loop's deal: request k on connection k % 3, at k / 3.
+        let dealt = deal(&lines, 3);
+        for (k, line) in lines.iter().enumerate() {
+            assert_eq!(&dealt[k % 3][k / 3], line);
+        }
+        assert_eq!(dealt.iter().map(Vec::len).sum::<usize>(), 10);
     }
 
     #[test]
@@ -1959,14 +1880,12 @@ mod tests {
         let cfg = LoadgenConfig {
             addr: "x".into(),
             requests: 120,
-            concurrency: 2,
-            pool: 16,
-            unique_frac: 0.5,
             grid: Some(GridMode::Quick),
             ..Default::default()
         };
         let grid = GridMode::Quick.grid();
-        let lines = build_workload(&cfg);
+        // Half pool repeats, half fresh draws: both must land on centres.
+        let lines = build_workload(&cfg, 2, 0.5);
         assert_eq!(lines.iter().map(Vec::len).sum::<usize>(), 120);
         for line in lines.iter().flatten() {
             let params = match crate::proto::parse_request(line) {
@@ -1992,13 +1911,10 @@ mod tests {
         let cfg = LoadgenConfig {
             addr: "x".into(),
             requests: 200,
-            concurrency: 2,
-            pool: 4,
-            unique_frac: 0.0,
             ..Default::default()
         };
-        let warm = build_workload(&cfg);
-        let miss = build_workload_unique(&cfg, 1.0);
+        let warm = build_workload(&cfg, 2, 0.0);
+        let miss = build_workload(&cfg, 2, 1.0);
         assert_eq!(
             warm.iter().map(Vec::len).collect::<Vec<_>>(),
             miss.iter().map(Vec::len).collect::<Vec<_>>(),
@@ -2007,7 +1923,7 @@ mod tests {
         let mut warm_distinct: Vec<&String> = warm.iter().flatten().collect();
         warm_distinct.sort();
         warm_distinct.dedup();
-        assert!(warm_distinct.len() <= 4);
+        assert!(warm_distinct.len() <= POOL);
         let mut miss_distinct: Vec<&String> = miss.iter().flatten().collect();
         miss_distinct.sort();
         miss_distinct.dedup();
@@ -2085,10 +2001,9 @@ mod tests {
         };
         let j = report.to_json();
         let w = j.get("workload").expect("workload");
-        assert_eq!(
-            w.get("mode").and_then(Json::as_str),
-            Some("open-loop-conns")
-        );
+        assert_eq!(w.get("mode").and_then(Json::as_str), Some("open-loop"));
+        assert_eq!(w.get("pool").and_then(Json::as_f64), Some(64.0));
+        assert_eq!(w.get("unique_frac"), None, "the mix knob is gone");
         assert_eq!(w.get("rate_rps").and_then(Json::as_f64), Some(100.0));
         assert_eq!(w.get("conns").and_then(Json::as_f64), Some(256.0));
         assert_eq!(w.get("codec").and_then(Json::as_str), Some("bin1"));

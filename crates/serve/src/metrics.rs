@@ -13,8 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use skyferry_stats::json::Json;
 
-use crate::cache::CacheStats;
-
 /// Four buckets per octave: bucket upper bounds grow by 2^(1/4).
 const BUCKETS_PER_OCTAVE: f64 = 4.0;
 /// 1 µs .. ~2^30 µs (≈18 minutes) in quarter-octave steps, plus the
@@ -276,51 +274,6 @@ impl Metrics {
         }
         self.latency.clear();
     }
-
-    /// Render the `STATS` response body, folding in the engine's cache
-    /// counters, the current queue depth, and (when a compiled policy
-    /// table is loaded) the policy serving block.
-    pub fn to_json(
-        &self,
-        cache: &CacheStats,
-        cache_enabled: bool,
-        queue_len: usize,
-        policy: Option<Json>,
-    ) -> Json {
-        let load = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
-        Json::obj([
-            ("connections", load(&self.connections)),
-            ("requests", load(&self.requests)),
-            ("decisions", load(&self.decisions)),
-            ("bad_requests", load(&self.bad_requests)),
-            (
-                "endpoints",
-                Json::obj([
-                    ("decide", load(&self.decide_requests)),
-                    ("control", load(&self.control_requests)),
-                ]),
-            ),
-            ("overloaded", load(&self.overloaded)),
-            ("shed_on_shutdown", load(&self.shed_on_shutdown)),
-            ("queue_len", Json::Int(queue_len as i64)),
-            (
-                "cache",
-                Json::obj([
-                    ("enabled", Json::Bool(cache_enabled)),
-                    ("hits", Json::Int(cache.hits as i64)),
-                    ("misses", Json::Int(cache.misses as i64)),
-                    ("evictions", Json::Int(cache.evictions as i64)),
-                    ("len", Json::Int(cache.len as i64)),
-                    ("capacity", Json::Int(cache.capacity as i64)),
-                ]),
-            ),
-            (
-                "policy",
-                policy.unwrap_or_else(|| Json::obj([("loaded", Json::Bool(false))])),
-            ),
-            ("latency", self.latency.snapshot().to_json()),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -375,62 +328,6 @@ mod tests {
         h.clear();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_us(0.5), None);
-    }
-
-    #[test]
-    fn endpoint_split_sums_to_request_total() {
-        // The per-endpoint counters partition the request counter: every
-        // request line is exactly one of decide / control / bad.
-        let m = Metrics::new();
-        m.requests.store(12, Ordering::Relaxed);
-        m.decide_requests.store(7, Ordering::Relaxed);
-        m.control_requests.store(3, Ordering::Relaxed);
-        m.bad_requests.store(2, Ordering::Relaxed);
-        let j = m.to_json(&CacheStats::default(), true, 0, None);
-        let e = j.get("endpoints").expect("endpoints member");
-        let decide = e.get("decide").and_then(Json::as_i64).expect("decide");
-        let control = e.get("control").and_then(Json::as_i64).expect("control");
-        let bad = j.get("bad_requests").and_then(Json::as_i64).expect("bad");
-        let total = j.get("requests").and_then(Json::as_i64).expect("requests");
-        assert_eq!(decide + control + bad, total);
-    }
-
-    #[test]
-    fn stats_json_embeds_cache_queue_and_policy() {
-        let m = Metrics::new();
-        m.decisions.store(7, Ordering::Relaxed);
-        m.latency.record(100.0);
-        let cache = CacheStats {
-            hits: 5,
-            misses: 2,
-            evictions: 1,
-            len: 1,
-            capacity: 8,
-        };
-        let j = m.to_json(&cache, true, 3, None);
-        assert_eq!(j.get("decisions").and_then(Json::as_i64), Some(7));
-        assert_eq!(j.get("queue_len").and_then(Json::as_i64), Some(3));
-        let c = j.get("cache").expect("cache member");
-        assert_eq!(c.get("hits").and_then(Json::as_i64), Some(5));
-        assert_eq!(c.get("enabled").and_then(Json::as_bool), Some(true));
-        // No table loaded → the policy block says so.
-        let p = j.get("policy").expect("policy member");
-        assert_eq!(p.get("loaded").and_then(Json::as_bool), Some(false));
-        let j = m.to_json(
-            &cache,
-            true,
-            3,
-            Some(Json::obj([("loaded", Json::Bool(true))])),
-        );
-        let p = j.get("policy").expect("policy member");
-        assert_eq!(p.get("loaded").and_then(Json::as_bool), Some(true));
-        assert!(
-            j.get("latency")
-                .and_then(|l| l.get("p99_us"))
-                .and_then(Json::as_f64)
-                .expect("recorded")
-                > 0.0
-        );
     }
 
     #[test]

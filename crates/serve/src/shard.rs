@@ -216,19 +216,6 @@ impl CtlOp {
     }
 }
 
-/// A decide routed to the shard owning its key.
-#[derive(Debug)]
-pub(crate) struct RemoteDecide {
-    pub params: DecisionParams,
-    pub origin: usize,
-    pub conn: u64,
-    pub seq: u64,
-    pub codec: Codec,
-    pub t_recv_ns: u64,
-    pub t_parsed_ns: u64,
-    pub req_id: u64,
-}
-
 /// A solved decide returning to its origin shard.
 #[derive(Debug)]
 pub(crate) struct RemoteDone {
@@ -253,7 +240,7 @@ pub(crate) struct ControlMsg {
 /// Everything that can land in a shard's inbox.
 pub(crate) enum Msg {
     NewConn(TcpStream),
-    Remote(RemoteDecide),
+    Remote(BatchJob),
     RemoteDone(RemoteDone),
     Control(ControlMsg),
     ControlDone {
@@ -264,8 +251,11 @@ pub(crate) enum Msg {
     },
 }
 
-/// One decide awaiting this shard's next engine batch.
-struct BatchJob {
+/// One decide awaiting an engine batch on the shard that owns its key:
+/// queued locally when that is the parsing shard (`origin`), otherwise
+/// sent there as [`Msg::Remote`].
+#[derive(Debug)]
+pub(crate) struct BatchJob {
     params: DecisionParams,
     origin: usize,
     conn: u64,
@@ -350,9 +340,15 @@ impl Conn {
         self.out_pos >= self.out.len() && self.pending.is_empty()
     }
 
-    /// Nothing further will be produced or written: safe to close.
+    /// Nothing further will be produced or written: safe to close. A
+    /// gated connection still owes the barrier's ack and every frame
+    /// pipelined behind it, even with nothing in flight.
     fn finished(&self) -> bool {
-        self.broken || ((self.read_closed || self.closing) && self.inflight == 0 && self.out_done())
+        self.broken
+            || ((self.read_closed || self.closing)
+                && self.gate == Gate::Open
+                && self.inflight == 0
+                && self.out_done())
     }
 }
 
@@ -515,16 +511,7 @@ impl ShardLoop {
             let Some(msg) = msg else { break };
             match msg {
                 Msg::NewConn(stream) => self.add_conn(stream),
-                Msg::Remote(r) => self.batch.push(BatchJob {
-                    params: r.params,
-                    origin: r.origin,
-                    conn: r.conn,
-                    seq: r.seq,
-                    codec: r.codec,
-                    t_recv_ns: r.t_recv_ns,
-                    t_parsed_ns: r.t_parsed_ns,
-                    req_id: r.req_id,
-                }),
+                Msg::Remote(job) => self.batch.push(job),
                 Msg::RemoteDone(d) => {
                     self.state.remote_inflight.fetch_sub(1, Ordering::SeqCst);
                     self.finish_decide(
@@ -869,29 +856,21 @@ impl ShardLoop {
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight += 1;
         }
+        let job = BatchJob {
+            params,
+            origin: self.id,
+            conn: id,
+            seq,
+            codec,
+            t_recv_ns,
+            t_parsed_ns,
+            req_id,
+        };
         if target == self.id {
-            self.batch.push(BatchJob {
-                params,
-                origin: self.id,
-                conn: id,
-                seq,
-                codec,
-                t_recv_ns,
-                t_parsed_ns,
-                req_id,
-            });
+            self.batch.push(job);
         } else {
             self.state.remote_inflight.fetch_add(1, Ordering::SeqCst);
-            self.state.shards[target].send(Msg::Remote(RemoteDecide {
-                params,
-                origin: self.id,
-                conn: id,
-                seq,
-                codec,
-                t_recv_ns,
-                t_parsed_ns,
-                req_id,
-            }));
+            self.state.shards[target].send(Msg::Remote(job));
         }
     }
 
@@ -1426,6 +1405,19 @@ mod tests {
             .sum();
         assert_eq!(get(&["latency", "count"]), lat_total);
         assert_eq!(lat_total, 3);
+        let p99 = json
+            .get("latency")
+            .and_then(|l| l.get("p99_us"))
+            .and_then(Json::as_f64)
+            .expect("latency p99");
+        assert!(p99 > 0.0, "merged p99 {p99}");
+        // No table loaded: the policy block says so.
+        assert_eq!(
+            json.get("policy")
+                .and_then(|p| p.get("loaded"))
+                .and_then(Json::as_bool),
+            Some(false)
+        );
     }
 
     #[test]

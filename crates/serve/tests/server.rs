@@ -532,18 +532,72 @@ fn control_barriers_apply_to_every_shard() {
     drop(handle); // drop = shutdown + join
 }
 
+/// A client that pipelines a reset or cache toggle plus one more
+/// request, then half-closes, still gets both replies: the connection
+/// waiting on the peer shards' ack must not be reaped as finished.
+#[test]
+fn half_closed_connection_is_answered_past_a_control_barrier() {
+    let handle = sharded_server(256, 2);
+    for (control, ack, next, key) in [
+        (
+            r#"{"cmd":"reset"}"#,
+            "reset",
+            r#"{"platform":"airplane"}"#,
+            "d_star",
+        ),
+        (
+            r#"{"cmd":"cache","enabled":false}"#,
+            "cache",
+            r#"{"cmd":"stats"}"#,
+            "decisions",
+        ),
+    ] {
+        let (mut stream, reader) = connect(&handle);
+        stream
+            .write_all(format!("{control}\n{next}\n").as_bytes())
+            .expect("send");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let replies: Vec<String> = reader.lines().map(|l| l.expect("reply")).collect();
+        assert_eq!(replies.len(), 2, "{control} then {next}: got {replies:?}");
+        let first = json::parse(&replies[0]).expect("ack json");
+        assert_eq!(first.get("ok").and_then(Json::as_str), Some(ack));
+        let second = json::parse(&replies[1]).expect("reply json");
+        assert!(second.get(key).is_some(), "{next} answered {second:?}");
+    }
+    drop(handle); // drop = shutdown + join
+}
+
 /// Per-shard stats: the breakdown array is present, one entry per
-/// shard, and its per-shard numbers sum to the merged totals.
+/// shard, and its per-shard numbers sum to the merged totals; the
+/// endpoint counters partition the request count.
 #[test]
 fn stats_per_shard_breakdown_sums_to_totals() {
     let handle = sharded_server(256, 3);
     let decides: Vec<String> = (0..18u64)
         .map(|i| format!(r#"{{"platform":"airplane","d0":{}}}"#, 100 + i * 13))
         .collect();
-    let lines: Vec<&str> = decides.iter().map(String::as_str).collect();
+    let mut lines: Vec<&str> = decides.iter().map(String::as_str).collect();
+    lines.push("{oops");
+    lines.push(r#"{"platform":"airplane","speed":-4}"#);
     let _ = round_trip(&handle, &lines);
     let responses = round_trip(&handle, &[r#"{"cmd":"stats"}"#]);
     let stats = json::parse(&responses[0]).expect("stats");
+    let count = |path: &[&str]| {
+        path.iter()
+            .try_fold(&stats, |v, key| v.get(key))
+            .and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("stats lacks {path:?}"))
+    };
+    assert_eq!(count(&["bad_requests"]), 2);
+    assert_eq!(
+        count(&["endpoints", "decide"])
+            + count(&["endpoints", "control"])
+            + count(&["bad_requests"]),
+        count(&["requests"]),
+        "every request is exactly one of decide, control or bad"
+    );
     let shards = match stats.get("shards") {
         Some(Json::Arr(a)) => a,
         other => panic!("per-shard breakdown missing: {other:?}"),
@@ -940,7 +994,7 @@ fn open_loop_saturation_curve_under_many_connections() {
         .to_json()
         .get("workload")
         .and_then(|w| w.get("mode").and_then(Json::as_str).map(str::to_string));
-    assert_eq!(mode.as_deref(), Some("open-loop-conns"));
+    assert_eq!(mode.as_deref(), Some("open-loop"));
 
     assert_eq!(report.saturation.len(), 4, "one point per offered rate");
     for s in &report.saturation {
