@@ -3,9 +3,9 @@
 //! second of simulated saturated traffic.
 //!
 //! Writes `BENCH_kernels.json`: median ns per solve of the optimizer
-//! benches, and objective and bound calls per solve on the Fig. 9 grid
-//! and the quick policy grid — pruned, and with an infinite bound (the
-//! full scan) as the base.
+//! benches, median ns per call of every other kernel, and objective and
+//! bound calls per solve on the Fig. 9 grid and the quick policy grid —
+//! pruned, and with an infinite bound (the full scan) as the base.
 
 use std::hint::black_box;
 
@@ -30,6 +30,15 @@ use skyferry_phy::presets::ChannelPreset;
 use skyferry_sim::prelude::*;
 use skyferry_stats::json::Json;
 use skyferry_units::{Db, MetersPerSec};
+
+/// The kernels below the optimizer, reported per call under `kernel_ns`.
+const KERNELS: [&str; 5] = [
+    "phy/per-subframe-error-chain",
+    "mac/txop",
+    "mac/arf-full-ladder-feedback",
+    "campaign/one-simulated-second-autorate",
+    "mission/single-uav-full-mission",
+];
 
 fn bench_optimizer(h: &mut Harness) {
     let air = Scenario::airplane_baseline();
@@ -163,6 +172,15 @@ fn main() {
                 ),
                 ("mixed_2d", ns("optimizer/mixed-2d", 1.0)),
             ]),
+        ),
+        (
+            "kernel_ns",
+            Json::Obj(
+                KERNELS
+                    .iter()
+                    .map(|&k| (k.to_string(), ns(k, 1.0)))
+                    .collect(),
+            ),
         ),
         (
             "calls_per_solve",

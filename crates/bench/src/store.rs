@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 
 use skyferry_core::optimizer::{optimize, OptimalTransfer};
 use skyferry_core::scenario::Scenario;
+use skyferry_mac::link::LinkWork;
 use skyferry_net::campaign::{measure_throughput, CampaignConfig, CampaignKey};
 use skyferry_net::profile::MotionProfile;
 use skyferry_sim::parallel::par_map_indexed;
@@ -63,6 +64,8 @@ pub struct CampaignStore {
     opt_misses: u64,
     saved_s: f64,
     fill_s: f64,
+    /// Process link-work totals when the store was created.
+    work_start: LinkWork,
 }
 
 impl CampaignStore {
@@ -79,6 +82,7 @@ impl CampaignStore {
             opt_misses: 0,
             saved_s: 0.0,
             fill_s: 0.0,
+            work_start: LinkWork::totals(),
         }
     }
 
@@ -195,9 +199,19 @@ impl CampaignStore {
         self.fill_s
     }
 
+    /// The work of every link this process dropped since the store was
+    /// created: in `repro`, every experiment of the run, through the
+    /// store or not. These are counts, not timings: they repeat exactly
+    /// at any `--threads` setting.
+    pub fn simulated(&self) -> LinkWork {
+        LinkWork::totals().since(self.work_start)
+    }
+
     /// The same footer as [`summary`](CampaignStore::summary), as a
     /// machine-readable document for `repro --json`.
     pub fn summary_json(&self) -> Json {
+        let work = self.simulated();
+        let count = |n: u64| Json::Int(n as i64);
         Json::obj([
             (
                 "campaign_store",
@@ -206,6 +220,16 @@ impl CampaignStore {
                     ("misses", Json::Int(self.misses as i64)),
                     ("reused_s", Json::Fixed(self.saved_s, 3)),
                     ("fill_s", Json::Fixed(self.fill_s, 3)),
+                ]),
+            ),
+            (
+                "simulation",
+                Json::obj([
+                    ("txops", count(work.txops)),
+                    ("subframes", count(work.subframes)),
+                    ("per_evals", count(work.per_evals)),
+                    ("per_memo_hits", count(work.per_memo_hits)),
+                    ("resamples", count(work.resamples)),
                 ]),
             ),
             (
@@ -218,12 +242,26 @@ impl CampaignStore {
         ])
     }
 
-    /// One-line stats summary for the `repro` footer.
+    /// Two-line stats summary for the `repro` footer: the memos, then
+    /// the simulated link work.
     pub fn summary(&self) -> String {
+        let work = self.simulated();
         format!(
             "campaign store: {} hits / {} misses, ~{:.2} s of simulation reused \
-             ({:.2} s spent filling); optimizer memo: {} hits / {} misses",
-            self.hits, self.misses, self.saved_s, self.fill_s, self.opt_hits, self.opt_misses
+             ({:.2} s spent filling); optimizer memo: {} hits / {} misses\n\
+             simulated: {} TXOPs, {} subframes, {} fading resamples; \
+             PER chain: {} evaluations, {} memo hits",
+            self.hits,
+            self.misses,
+            self.saved_s,
+            self.fill_s,
+            self.opt_hits,
+            self.opt_misses,
+            work.txops,
+            work.subframes,
+            work.resamples,
+            work.per_evals,
+            work.per_memo_hits,
         )
     }
 }

@@ -18,16 +18,25 @@
 //!   counting those subframes as undelivered).
 //! * Failed subframes return to the head of the queue; the TXOP-level
 //!   failure streak drives binary exponential backoff.
+//!
+//! The PER of a frame is a pure function of the MCS, the frame length,
+//! the mean SNR and the channel state, and a channel state outlives
+//! several subframes. The link therefore keeps the last PER it computed
+//! for a data subframe and for a block ACK, keyed on the exact bits of
+//! those inputs, and recomputes only when one of them changes; every
+//! error draw still happens, so the link RNG stream is unchanged.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use skyferry_phy::airtime::ppdu_duration;
 use skyferry_phy::channel::db_to_linear;
 use skyferry_phy::error::{coded_per, effective_snr_linear};
-use skyferry_phy::fading::FadingProcess;
+use skyferry_phy::fading::{ChannelState, FadingProcess};
 use skyferry_phy::mcs::Mcs;
 use skyferry_phy::presets::ChannelPreset;
 use skyferry_sim::rng::DetRng;
 use skyferry_sim::time::{SimDuration, SimTime};
-use skyferry_units::{Db, MetersPerSec};
+use skyferry_units::{Db, Meters, MetersPerSec};
 
 use crate::dcf::DcfTiming;
 use crate::frame::{ampdu_length, BLOCK_ACK_BYTES, DATA_OVERHEAD_BYTES};
@@ -84,6 +93,120 @@ pub struct TxopOutcome {
     pub block_ack_lost: bool,
 }
 
+/// Simulation work done by links: plain counts that depend only on what
+/// was simulated, so they repeat exactly at any thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkWork {
+    /// [`LinkState::execute_txop`] calls, idle polls included.
+    pub txops: u64,
+    /// A-MPDU subframes sent.
+    pub subframes: u64,
+    /// Runs of the SNR→BER→PER chain (data subframes and block ACKs).
+    pub per_evals: u64,
+    /// PERs served from the link's memo instead.
+    pub per_memo_hits: u64,
+    /// Fading states sampled.
+    pub resamples: u64,
+}
+
+/// Work of every link dropped so far, in [`LinkWork`] field order.
+static WORK_TOTALS: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+
+impl LinkWork {
+    fn fields(self) -> [u64; 5] {
+        [
+            self.txops,
+            self.subframes,
+            self.per_evals,
+            self.per_memo_hits,
+            self.resamples,
+        ]
+    }
+
+    fn from_fields([txops, subframes, per_evals, per_memo_hits, resamples]: [u64; 5]) -> Self {
+        LinkWork {
+            txops,
+            subframes,
+            per_evals,
+            per_memo_hits,
+            resamples,
+        }
+    }
+
+    /// The work of every [`LinkState`] this process has dropped. Each
+    /// link adds its counts once, when it drops; take the difference of
+    /// two readings with [`LinkWork::since`].
+    pub fn totals() -> Self {
+        // Relaxed: the totals publish no other data, and a reader that
+        // needs a complete count joins the simulating threads first.
+        Self::from_fields(WORK_TOTALS.each_ref().map(|t| t.load(Ordering::Relaxed)))
+    }
+
+    /// The work done between an earlier reading and this one.
+    pub fn since(self, earlier: LinkWork) -> Self {
+        let (now, then) = (self.fields(), earlier.fields());
+        Self::from_fields(std::array::from_fn(|i| now[i] - then[i]))
+    }
+}
+
+/// The last PER one frame kind evaluated.
+#[derive(Debug, Default)]
+struct PerMemo(Option<(PerKey, f64)>);
+
+/// Every input of `effective_snr_linear` + `coded_per` that can differ
+/// between two frames of one link, compared by bits (STBC use and the
+/// SDM interference floor are fixed by the [`LinkConfig`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PerKey {
+    mcs: Mcs,
+    len_bytes: usize,
+    /// Mean SNR, both branch gains and the shadowing factor.
+    bits: [u64; 4],
+}
+
+impl PerMemo {
+    /// The PER of a `len_bytes`-byte frame at `mcs` through `state`:
+    /// the remembered one when every input matches bit for bit, else a
+    /// fresh evaluation, remembered.
+    fn per(
+        &mut self,
+        work: &mut LinkWork,
+        config: &LinkConfig,
+        mcs: Mcs,
+        len_bytes: usize,
+        mean_snr: f64,
+        state: &ChannelState,
+    ) -> f64 {
+        let key = PerKey {
+            mcs,
+            len_bytes,
+            bits: [
+                mean_snr.to_bits(),
+                state.branch_gain[0].to_bits(),
+                state.branch_gain[1].to_bits(),
+                state.shadowing.to_bits(),
+            ],
+        };
+        if let Some((k, per)) = self.0 {
+            if k == key {
+                work.per_memo_hits += 1;
+                return per;
+            }
+        }
+        work.per_evals += 1;
+        let eff = effective_snr_linear(
+            mcs,
+            config.use_stbc,
+            mean_snr,
+            state,
+            Db::new(config.preset.fading.sdm_sir_db),
+        );
+        let per = coded_per(mcs, eff, len_bytes);
+        self.0 = Some((key, per));
+        per
+    }
+}
+
 /// Mutable per-link state: fading process, rate controller, retry streak.
 pub struct LinkState {
     config: LinkConfig,
@@ -92,6 +215,16 @@ pub struct LinkState {
     rng: DetRng,
     /// Consecutive fully-failed TXOPs (drives backoff growth).
     retry_streak: u32,
+    /// Airtime of the block ACK, which the preset fixes.
+    ba_air: SimDuration,
+    /// The linear mean SNR at the last TXOP's distance and speed, keyed
+    /// on their bits.
+    mean_snr: Option<((u64, u64), f64)>,
+    data_per: PerMemo,
+    ba_per: PerMemo,
+    /// Work counts, added to the process totals on drop (`resamples`
+    /// is read from the fading process then).
+    work: LinkWork,
     /// Running totals for reports.
     total_delivered_bytes: u64,
     total_airtime: SimDuration,
@@ -119,10 +252,20 @@ impl LinkState {
     ) -> Self {
         LinkState {
             fading: FadingProcess::new(config.preset.fading, fading_rng),
+            ba_air: ppdu_duration(
+                Mcs::new(0),
+                config.preset.width,
+                config.preset.gi,
+                BLOCK_ACK_BYTES,
+            ),
             config,
             controller,
             rng: link_rng,
             retry_streak: 0,
+            mean_snr: None,
+            data_per: PerMemo::default(),
+            ba_per: PerMemo::default(),
+            work: LinkWork::default(),
             total_delivered_bytes: 0,
             total_airtime: SimDuration::ZERO,
         }
@@ -143,6 +286,27 @@ impl LinkState {
         self.total_airtime
     }
 
+    /// The linear mean SNR at `distance_m`, less the motion loss at the
+    /// fading process's current speed (`relative_speed_mps`).
+    fn mean_snr(&mut self, distance_m: f64, relative_speed_mps: f64) -> f64 {
+        let key = (distance_m.to_bits(), relative_speed_mps.to_bits());
+        if let Some((k, snr)) = self.mean_snr {
+            if k == key {
+                return snr;
+            }
+        }
+        let snr = db_to_linear(
+            self.config
+                .preset
+                .budget
+                .mean_snr(Meters::new(distance_m))
+                .get()
+                - self.fading.config().motion_loss_db().get(),
+        );
+        self.mean_snr = Some((key, snr));
+        snr
+    }
+
     /// Run one TXOP at time `now` with the given geometry, draining
     /// `queue`. Returns the outcome; the caller advances time by
     /// `outcome.airtime` before calling again.
@@ -153,6 +317,7 @@ impl LinkState {
         relative_speed_mps: f64,
         queue: &mut TxQueue,
     ) -> TxopOutcome {
+        self.work.txops += 1;
         self.fading
             .set_relative_speed(MetersPerSec::new(relative_speed_mps));
 
@@ -175,25 +340,22 @@ impl LinkState {
 
         // Assemble the A-MPDU: full-size subframes plus possibly one
         // runt carrying the tail of the queue.
-        let full = (available / payload).min(self.config.max_ampdu_subframes);
-        let mut subframe_payloads: Vec<usize> = vec![payload; full];
-        if full < self.config.max_ampdu_subframes {
-            let tail = available - full * payload;
-            if tail > 0 {
-                subframe_payloads.push(tail);
-            }
-        }
-        let n = subframe_payloads.len() as u32;
+        let max = self.config.max_ampdu_subframes;
+        let full = (available / payload).min(max);
+        let tail = if full < max {
+            available - full * payload
+        } else {
+            0
+        };
+        let n = full + usize::from(tail > 0);
         debug_assert!(n > 0);
-        let taken: usize = subframe_payloads.iter().sum();
+        let taken = full * payload + tail;
         let got = queue.take(now, taken);
         debug_assert_eq!(got, taken);
-
-        let mpdu_lens: Vec<usize> = subframe_payloads
-            .iter()
-            .map(|p| p + DATA_OVERHEAD_BYTES)
-            .collect();
-        let psdu = ampdu_length(&mpdu_lens);
+        // Full-size subframes all have one on-air size.
+        let runt = (tail > 0).then_some(tail + DATA_OVERHEAD_BYTES);
+        let psdu =
+            full * ampdu_length(&[payload + DATA_OVERHEAD_BYTES]) + ampdu_length(runt.as_slice());
 
         // Timing of the exchange.
         let backoff = self
@@ -201,40 +363,29 @@ impl LinkState {
             .dcf
             .sample_backoff(self.retry_streak, &mut self.rng);
         let data_air = ppdu_duration(mcs, self.config.preset.width, self.config.preset.gi, psdu);
-        let ba_air = ppdu_duration(
-            Mcs::new(0),
-            self.config.preset.width,
-            self.config.preset.gi,
-            BLOCK_ACK_BYTES,
-        );
-        let airtime = self.config.dcf.difs() + backoff + data_air + self.config.dcf.sifs + ba_air;
+        let airtime =
+            self.config.dcf.difs() + backoff + data_air + self.config.dcf.sifs + self.ba_air;
 
         // Per-subframe fate: resample the channel along the burst. The
         // mean SNR pays the attitude/motion penalty at the current speed.
-        let mean_snr = db_to_linear(
-            self.config
-                .preset
-                .budget
-                .mean_snr(skyferry_units::Meters::new(distance_m))
-                .get()
-                - self.fading.config().motion_loss_db().get(),
-        );
+        let mean_snr = self.mean_snr(distance_m, relative_speed_mps);
         let tx_start = now + self.config.dcf.difs() + backoff;
         let per_subframe_air = SimDuration::from_secs_f64(data_air.as_secs_f64() / n as f64);
         let mut delivered: u32 = 0;
         let mut delivered_bytes: usize = 0;
         let mut failed_bytes: usize = 0;
-        for (i, &pl) in subframe_payloads.iter().enumerate() {
+        for i in 0..n {
+            let pl = if i < full { payload } else { tail };
             let t_i = tx_start + per_subframe_air * i as i64;
             let state = self.fading.state_at(t_i);
-            let eff = effective_snr_linear(
+            let per = self.data_per.per(
+                &mut self.work,
+                &self.config,
                 mcs,
-                self.config.use_stbc,
+                pl + DATA_OVERHEAD_BYTES,
                 mean_snr,
                 &state,
-                Db::new(self.config.preset.fading.sdm_sir_db),
             );
-            let per = coded_per(mcs, eff, pl + DATA_OVERHEAD_BYTES);
             if !self.rng.chance(per) {
                 delivered += 1;
                 delivered_bytes += pl;
@@ -242,19 +393,20 @@ impl LinkState {
                 failed_bytes += pl;
             }
         }
+        self.work.subframes += n as u64;
 
         // Block ACK at the base rate, STBC, short and robust — but can die
         // in a deep fade, costing the whole window.
         let ba_time = tx_start + data_air + self.config.dcf.sifs;
         let ba_state = self.fading.state_at(ba_time);
-        let ba_eff = effective_snr_linear(
+        let ba_per = self.ba_per.per(
+            &mut self.work,
+            &self.config,
             Mcs::new(0),
-            self.config.use_stbc,
+            BLOCK_ACK_BYTES,
             mean_snr,
             &ba_state,
-            Db::new(self.config.preset.fading.sdm_sir_db),
         );
-        let ba_per = coded_per(Mcs::new(0), ba_eff, BLOCK_ACK_BYTES);
         let block_ack_lost = self.rng.chance(ba_per);
         if block_ack_lost {
             failed_bytes += delivered_bytes;
@@ -271,9 +423,10 @@ impl LinkState {
             self.retry_streak = 0;
         }
 
+        let attempted = n as u32;
         self.controller.feedback(&TxFeedback {
             mcs,
-            attempted: n,
+            attempted,
             delivered,
             at: now + airtime,
         });
@@ -284,11 +437,23 @@ impl LinkState {
         TxopOutcome {
             airtime,
             mcs,
-            attempted: n,
+            attempted,
             delivered,
             delivered_bytes,
             idle: false,
             block_ack_lost,
+        }
+    }
+}
+
+impl Drop for LinkState {
+    fn drop(&mut self) {
+        let work = LinkWork {
+            resamples: self.fading.resamples(),
+            ..self.work
+        };
+        for (total, count) in WORK_TOTALS.iter().zip(work.fields()) {
+            total.fetch_add(count, Ordering::Relaxed);
         }
     }
 }
@@ -426,5 +591,27 @@ mod tests {
             now += out.airtime;
         }
         assert!(l.retry_streak <= 6);
+    }
+
+    #[test]
+    fn every_frame_takes_exactly_one_per_lookup() {
+        // A slow host and a finite source: runt tails, then idle polls.
+        let mut l = link(ChannelPreset::quadrocopter(MetersPerSec::new(0.0)), 3, 10);
+        let mut q = TxQueue::finite(300_000, 8e6, 1 << 16);
+        let mut now = SimTime::ZERO;
+        let (mut idle, mut subframes) = (0u64, 0u64);
+        for _ in 0..2_000 {
+            let out = l.execute_txop(now, 30.0, 0.0, &mut q);
+            idle += out.idle as u64;
+            subframes += out.attempted as u64;
+            now += out.airtime;
+        }
+        let w = l.work;
+        assert!(idle > 0);
+        assert_eq!((w.txops, w.subframes), (2_000, subframes));
+        // One PER per subframe and per block ACK, computed or remembered;
+        // a hovering link remembers most of them.
+        assert_eq!(w.per_evals + w.per_memo_hits, subframes + w.txops - idle);
+        assert!(w.per_memo_hits > w.per_evals, "{w:?}");
     }
 }

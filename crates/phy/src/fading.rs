@@ -133,6 +133,31 @@ impl ChannelState {
     }
 }
 
+/// The parts of a resample that depend only on the relative speed:
+/// recomputed when the speed changes, not on every resample.
+#[derive(Debug, Clone, Copy)]
+struct SpeedTerms {
+    /// LOS amplitude `nu` of one Rician branch.
+    nu: f64,
+    /// Per-dimension diffuse amplitude `sigma` of one Rician branch.
+    sigma: f64,
+    /// How long a sampled state stays valid.
+    coherence: SimDuration,
+}
+
+impl SpeedTerms {
+    fn of(config: &FadingConfig) -> Self {
+        let k = config.effective_k_db().ratio();
+        // LOS amplitude nu and diffuse sigma chosen so E[power] = 1:
+        // nu^2 = K/(K+1), 2*sigma^2 = 1/(K+1).
+        SpeedTerms {
+            nu: (k / (k + 1.0)).sqrt(),
+            sigma: (0.5 / (k + 1.0)).sqrt(),
+            coherence: config.coherence_time(),
+        }
+    }
+}
+
 /// A stateful block-fading process.
 ///
 /// Call [`FadingProcess::state_at`] with the current simulation time; the
@@ -141,10 +166,13 @@ impl ChannelState {
 #[derive(Debug, Clone)]
 pub struct FadingProcess {
     config: FadingConfig,
+    /// Always `SpeedTerms::of(&config)`.
+    terms: SpeedTerms,
     rng: DetRng,
     current: Option<ChannelState>,
     shadow_expiry: Option<SimTime>,
     shadowing: f64,
+    resamples: u64,
 }
 
 impl FadingProcess {
@@ -156,10 +184,12 @@ impl FadingProcess {
         );
         FadingProcess {
             config,
+            terms: SpeedTerms::of(&config),
             rng,
             current: None,
             shadow_expiry: None,
             shadowing: 1.0,
+            resamples: 0,
         }
     }
 
@@ -172,16 +202,21 @@ impl FadingProcess {
     /// resample on). Used as the UAVs accelerate/decelerate.
     pub fn set_relative_speed(&mut self, v: MetersPerSec) {
         assert!(v.get() >= 0.0 && v.is_finite());
-        self.config.relative_speed_mps = v.get();
+        if v.get().to_bits() != self.config.relative_speed_mps.to_bits() {
+            self.config.relative_speed_mps = v.get();
+            self.terms = SpeedTerms::of(&self.config);
+        }
+    }
+
+    /// How many channel states this process has sampled (each draws
+    /// four Gaussians).
+    pub fn resamples(&self) -> u64 {
+        self.resamples
     }
 
     /// Sample one Rician branch power (mean 1.0).
     fn sample_branch(&mut self) -> f64 {
-        let k = self.config.effective_k_db().ratio();
-        // LOS amplitude nu and diffuse sigma chosen so E[power] = 1:
-        // nu^2 = K/(K+1), 2*sigma^2 = 1/(K+1).
-        let nu = (k / (k + 1.0)).sqrt();
-        let sigma = (0.5 / (k + 1.0)).sqrt();
+        let SpeedTerms { nu, sigma, .. } = self.terms;
         let x = self.rng.normal(nu, sigma);
         let y = self.rng.normal(0.0, sigma);
         x * x + y * y
@@ -205,9 +240,10 @@ impl FadingProcess {
         let state = ChannelState {
             branch_gain: [self.sample_branch(), self.sample_branch()],
             shadowing: self.shadowing,
-            valid_until: now + self.config.coherence_time(),
+            valid_until: now + self.terms.coherence,
         };
         self.current = Some(state);
+        self.resamples += 1;
         state
     }
 }
@@ -301,6 +337,31 @@ mod tests {
             xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
         };
         assert!(var(&stbc) < var(&siso) * 0.7);
+    }
+
+    #[test]
+    fn speed_change_refreshes_the_speed_terms() {
+        // K falls with speed here, so the branch amplitudes move too.
+        let cfg = |v: f64| FadingConfig {
+            k_speed_slope_db_per_mps: 0.5,
+            ..config(6.0, v)
+        };
+        // Re-speeded before its first sample, a process samples exactly
+        // like one built at the new speed.
+        for v in [0.0, 3.0, 12.0] {
+            let mut moved = FadingProcess::new(cfg(20.0), DetRng::seed(9));
+            moved.set_relative_speed(MetersPerSec::new(v));
+            let mut built = FadingProcess::new(cfg(v), DetRng::seed(9));
+            assert_eq!(moved.state_at(SimTime::ZERO), built.state_at(SimTime::ZERO));
+        }
+        // Mid-run, each new block lasts the new speed's coherence time.
+        let mut p = FadingProcess::new(cfg(0.0), DetRng::seed(9));
+        for (i, v) in [0.0, 12.0, 12.0, 3.0, 0.0].into_iter().enumerate() {
+            p.set_relative_speed(MetersPerSec::new(v));
+            let t = SimTime::from_secs(i as u64);
+            assert_eq!(p.state_at(t).valid_until, t + cfg(v).coherence_time());
+        }
+        assert_eq!(p.resamples(), 5);
     }
 
     #[test]

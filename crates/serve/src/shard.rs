@@ -834,24 +834,26 @@ impl ShardLoop {
         }
 
         if self.state.shutdown.load(Ordering::SeqCst) {
-            return self.send_err(
+            self.send_err(
                 id,
                 seq,
                 codec,
                 ErrorKind::ShuttingDown,
                 "server is draining; reconnect later",
             );
+            return self.trace_shed(ErrorKind::ShuttingDown, req_id, t_recv_ns, t_parsed_ns);
         }
         let key = self.engine.quantizer().key(&params);
         let target = route_shard(&key, self.nshards());
         if !try_reserve(&self.state.shards[target].backlog, self.state.queue_depth) {
-            return self.send_err(
+            self.send_err(
                 id,
                 seq,
                 codec,
                 ErrorKind::Overloaded,
                 &format!("queue full (depth {})", self.state.queue_depth),
             );
+            return self.trace_shed(ErrorKind::Overloaded, req_id, t_recv_ns, t_parsed_ns);
         }
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.inflight += 1;
@@ -1016,6 +1018,33 @@ impl ShardLoop {
                     ],
                 );
             }
+        }
+    }
+
+    /// Record the `request` tree of a decide refused after parsing
+    /// (`overloaded` or `shutting-down`): a trace holds one tree per
+    /// decide, answered or shed.
+    fn trace_shed(&self, kind: ErrorKind, req_id: u64, t_recv_ns: u64, t_parsed_ns: u64) {
+        if !trace::enabled() {
+            return;
+        }
+        let t_respond_ns = monotonic_ns();
+        let span = trace::manual_span("request");
+        if span.live() {
+            span.finish_tree(
+                t_recv_ns,
+                t_respond_ns,
+                trace::fields!(
+                    req = req_id,
+                    shard = self.id,
+                    endpoint = "decide",
+                    error = kind.tag()
+                ),
+                &[
+                    ("parse", t_recv_ns, t_parsed_ns),
+                    ("respond", t_parsed_ns, t_respond_ns),
+                ],
+            );
         }
     }
 
