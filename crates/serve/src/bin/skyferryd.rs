@@ -1,7 +1,7 @@
 //! `skyferryd` — the long-running decision server.
 //!
 //! ```text
-//! skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N] [--batch N]
+//! skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N]
 //!           [--cache-capacity N] [--exact | --quant-d0 M --quant-mdata MB
 //!            --quant-rho R --quant-speed V] [--no-cache]
 //!           [--policy FILE] [--policy-interp]
@@ -11,7 +11,10 @@
 //! Prints `listening on <addr>` once the socket is bound (scripts wait
 //! for that line), then serves until a `shutdown` control request.
 //! Each shard is one thread that parses, looks up and solves its own
-//! requests, so `--shards N` is how skyferryd uses N cores.
+//! requests, so `--shards N` is how skyferryd uses N cores; each decide
+//! is served as soon as the shard owning its key has it.
+//! `--queue-depth N` bounds the decides waiting for one shard: those
+//! its peers routed to it (so a single shard never sheds at N > 0).
 //! `--policy FILE` loads a compiled decision table built by
 //! `repro --compile-policy`; a corrupted, truncated or
 //! version-mismatched artifact is rejected at startup with the typed
@@ -60,7 +63,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--addr" => server.addr = value(&mut raw, "--addr")?,
             "--shards" => server.shards = value(&mut raw, "--shards")?,
             "--queue-depth" => server.queue_depth = value(&mut raw, "--queue-depth")?,
-            "--batch" => server.max_batch = value(&mut raw, "--batch")?,
             "--cache-capacity" => {
                 server.engine.cache_capacity = value(&mut raw, "--cache-capacity")?
             }
@@ -91,7 +93,7 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N] \
-[--batch N] [--cache-capacity N] [--exact] [--quant-d0 M] [--quant-mdata MB] [--quant-rho R] \
+[--cache-capacity N] [--exact] [--quant-d0 M] [--quant-mdata MB] [--quant-rho R] \
 [--quant-speed V] [--no-cache] [--policy FILE] [--policy-interp] [--deterministic] \
 [--trace PATH]";
 
@@ -147,7 +149,7 @@ fn main() {
     println!("listening on {}", handle.addr());
     let e = &args.server.engine;
     eprintln!(
-        "skyferryd: {} shard{}, cache {} (capacity {}, {}), queue depth {}, batch {}, {} mode",
+        "skyferryd: {} shard{}, cache {} (capacity {}, {}), queue depth {}, {} mode",
         args.server.shards.max(1),
         if args.server.shards.max(1) == 1 {
             ""
@@ -162,7 +164,6 @@ fn main() {
             "quantized keys".to_string()
         },
         args.server.queue_depth,
-        args.server.max_batch,
         if args.server.deterministic {
             "deterministic"
         } else {
@@ -203,8 +204,6 @@ mod tests {
             "4",
             "--queue-depth",
             "8",
-            "--batch",
-            "16",
             "--cache-capacity",
             "100",
             "--exact",
@@ -214,7 +213,6 @@ mod tests {
         assert_eq!(a.server.addr, "127.0.0.1:0");
         assert_eq!(a.server.shards, 4);
         assert_eq!(a.server.queue_depth, 8);
-        assert_eq!(a.server.max_batch, 16);
         assert_eq!(a.server.engine.cache_capacity, 100);
         assert!(a.server.engine.quant.is_exact());
         assert!(a.server.deterministic);

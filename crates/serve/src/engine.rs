@@ -1,7 +1,8 @@
 //! The request engine: one decide at a time, in arrival order.
 //!
-//! The shard hands the engine the decides it owns in arrival order, and
-//! the engine answers each one before it looks at the next:
+//! The shard that owns a decide's key hands it to [`Engine::decide`] as
+//! soon as it has it, and the engine answers it before it looks at the
+//! next:
 //!
 //! 1. snap the parameters with the [`Quantizer`]; their bits are the
 //!    cache key ([`Quantizer::key`]);
@@ -11,13 +12,10 @@
 //!
 //! That is one-at-a-time serving by construction, so the responses
 //! (`cache_hit` flags included), the counters and the eviction order
-//! cannot depend on how the stream is cut into batches. A batch
-//! ([`Engine::serve_batch_timed`]) is only the unit of the `serve-batch`
-//! trace span and of the latency record.
+//! depend only on the order the decides arrive in.
 
 use skyferry_core::optimizer::OptimalTransfer;
 use skyferry_core::request::{DecisionParams, Quantizer};
-use skyferry_trace as trace;
 use skyferry_trace::clock::monotonic_ns;
 
 use crate::cache::{CacheStats, DecisionCache};
@@ -51,23 +49,6 @@ pub struct Engine {
     quant: Quantizer,
     cache: DecisionCache,
     cache_enabled: bool,
-}
-
-/// Phase boundaries of one [`Engine::serve_batch_timed`] call, in
-/// monotonic nanoseconds — what the dispatcher uses to build per-request
-/// trace spans and the latency metric without re-measuring.
-///
-/// Lookups and solves interleave, and only the solves read the clock (a
-/// hit never does), so the batch is laid out as its cache time first and
-/// its summed solve time last.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchTiming {
-    /// Batch entry.
-    pub t_start_ns: u64,
-    /// `t_done_ns` minus the batch's summed solve time.
-    pub t_cache_ns: u64,
-    /// Batch exit (every decision made).
-    pub t_done_ns: u64,
 }
 
 impl Engine {
@@ -107,28 +88,9 @@ impl Engine {
         &self.quant
     }
 
-    /// Serve a batch of *validated* parameters, responses in order, plus
-    /// the batch's phase boundary timestamps (see [`BatchTiming`]).
-    pub fn serve_batch_timed(&mut self, batch: &[DecisionParams]) -> (Vec<Decision>, BatchTiming) {
-        let _span = trace::span!("serve-batch", n = batch.len());
-        let t_start_ns = monotonic_ns();
-        let mut solve_ns = 0;
-        let decisions = batch
-            .iter()
-            .map(|p| self.decide(p, &mut solve_ns))
-            .collect();
-        let t_done_ns = monotonic_ns();
-        let timing = BatchTiming {
-            t_start_ns,
-            t_cache_ns: t_done_ns - solve_ns,
-            t_done_ns,
-        };
-        (decisions, timing)
-    }
-
     /// Answer one validated request, adding the time its solve took (if
-    /// it needed one) to `solve_ns`.
-    fn decide(&mut self, p: &DecisionParams, solve_ns: &mut u64) -> Decision {
+    /// it needed one) to `solve_ns`; a hit reads no clock.
+    pub fn decide(&mut self, p: &DecisionParams, solve_ns: &mut u64) -> Decision {
         // No cache: solve raw (un-snapped) parameters — this is the
         // reference path `--no-cache` comparisons measure against.
         // `snapped.bits()` is `self.quant.key(p)` without a second snap.
@@ -277,41 +239,6 @@ mod tests {
         );
         assert!(quarter < default, "loss shrinks with the bucket width");
         assert!(exact < 1e-12, "exact mode loses nothing, worst {exact:.3e}");
-    }
-
-    #[test]
-    fn batching_is_equivalent_to_one_at_a_time() {
-        let mut rng = DetRng::seed(0x5E17E03);
-        // Small cache so evictions interleave with repeats.
-        let stream: Vec<DecisionParams> = {
-            let pool: Vec<DecisionParams> = (0..12)
-                .map(|_| random_params(&mut rng).validated().expect("valid"))
-                .collect();
-            (0..240).map(|_| pool[rng.index(pool.len())]).collect()
-        };
-
-        let mut sequential = exact_engine(8);
-        let one_by_one: Vec<Decision> = stream
-            .iter()
-            .map(|p| sequential.decide(p, &mut 0))
-            .collect();
-
-        for batch_size in [1usize, 3, 17, 64, 240] {
-            let mut engine = exact_engine(8);
-            let mut batched = Vec::new();
-            for chunk in stream.chunks(batch_size) {
-                batched.extend(engine.serve_batch_timed(chunk).0);
-            }
-            assert_eq!(batched.len(), one_by_one.len());
-            for (i, (a, b)) in batched.iter().zip(&one_by_one).enumerate() {
-                assert_eq!(a, b, "batch size {batch_size}, request {i}");
-            }
-            assert_eq!(
-                engine.cache_stats(),
-                sequential.cache_stats(),
-                "counters at batch size {batch_size}"
-            );
-        }
     }
 
     #[test]

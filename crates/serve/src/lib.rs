@@ -34,8 +34,8 @@
 //! * [`shard`] — the event loops: each shard owns a `poll(2)` reactor
 //!   ([`skyferry_reactor`]), its connections, a private engine+cache,
 //!   and its metrics slice; decide requests route to the shard owning
-//!   their quantized key via lock-free mailboxes, and pipelined
-//!   frames are answered as engine batches;
+//!   their quantized key via lock-free mailboxes, and the owning shard
+//!   serves each decide as soon as it has it;
 //! * [`server`] — the TCP front end: one accept thread dealing
 //!   connections to the shard loops round-robin, graceful
 //!   ack-then-drain shutdown on a control message;

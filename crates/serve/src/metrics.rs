@@ -247,8 +247,8 @@ pub struct Metrics {
     pub overloaded: AtomicU64,
     /// `shutting-down` responses.
     pub shed_on_shutdown: AtomicU64,
-    /// Service latency per decision, engine batches and policy lookups
-    /// alike.
+    /// Service latency of each decision on its own, from the start of
+    /// its look-up to its answer, engine and policy paths alike.
     pub latency: AtomicLatency,
 }
 

@@ -11,22 +11,26 @@
 //!   quantized key; everything else happens where the connection lives.
 //!
 //! Requests are **pipelined**: a shard parses as many complete frames
-//! per readable event as the socket delivered and answers them as one
-//! engine batch, one request at a time in arrival order, every solve
-//! inline on the shard thread. A shard therefore uses one core, and
-//! `shards` is how the server uses more. Responses still leave each
-//! connection in request order (per-connection reorder buffer).
+//! per readable event as the socket delivered, and the shard that owns
+//! each decide's key serves it as soon as it has it, one request at a
+//! time in arrival order, every solve inline on the shard thread. A
+//! shard therefore uses one core, and `shards` is how the server uses
+//! more. Responses still leave each connection in request order
+//! (per-connection reorder buffer).
 //!
 //! With a compiled policy table (`--policy`), in-range decide requests
 //! never touch a cache shard: the parsing shard answers them from the
 //! shared lock-free table directly.
 //!
-//! Backpressure is explicit: each shard's decide backlog is bounded by
-//! `queue_depth`, and the *parsing* shard sheds `overloaded` before any
-//! cross-shard traffic happens. Graceful shutdown (the `shutdown`
-//! control request, or [`ServerHandle::shutdown`]) acks, then drains:
-//! accepted decides get responses, later arrivals get `shutting-down`,
-//! write buffers flush, and every thread exits.
+//! Backpressure is explicit: `queue_depth` bounds the decides waiting
+//! for the shard that owns them, and the *parsing* shard sheds
+//! `overloaded` before any cross-shard traffic happens. A decide whose
+//! key the parsing shard owns waits for nothing, so a one-shard server
+//! sheds only at `queue_depth` 0; past saturation it answers late
+//! instead. Graceful shutdown (the `shutdown` control request, or
+//! [`ServerHandle::shutdown`]) acks, then drains: accepted decides get
+//! responses, later arrivals get `shutting-down`, write buffers flush,
+//! and every thread exits.
 //!
 //! Nothing in the request path unwraps untrusted data: malformed JSON,
 //! bad binary frames, invalid parameters, backlog overflow and
@@ -49,11 +53,10 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (the bound address is on
     /// the [`ServerHandle`]).
     pub addr: String,
-    /// Bounded per-shard decide backlog (0 = shed every decision, for
-    /// tests).
+    /// Most decides that may wait for one shard: the decides its peers
+    /// routed to it and it has not served yet (0 = shed every decision,
+    /// for tests).
     pub queue_depth: usize,
-    /// Most decides a shard serves per engine batch.
-    pub max_batch: usize,
     /// Engine (cache) configuration; every shard gets its own engine
     /// built from this (each with the full configured cache capacity).
     pub engine: EngineConfig,
@@ -72,7 +75,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_depth: 1024,
-            max_batch: 64,
             engine: EngineConfig::default(),
             shards: 1,
             policy: None,
@@ -143,7 +145,6 @@ pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         policy: cfg.policy.clone().map(PolicyState::new),
         deterministic: cfg.deterministic,
         queue_depth: cfg.queue_depth,
-        max_batch: cfg.max_batch.max(1),
         shutdown: AtomicBool::new(false),
         remote_inflight: AtomicUsize::new(0),
         addr: Mutex::new(Some(addr)),

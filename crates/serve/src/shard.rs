@@ -18,26 +18,28 @@
 //! target costs its senders an atomic swap per message:
 //!
 //! * [`Msg::Remote`] — a decide whose key hashes to another shard; the
-//!   owning shard serves it in its next batch and sends
+//!   owning shard serves it when it drains its inbox and sends
 //!   [`Msg::RemoteDone`] back to the origin, which renders the response
 //!   in the codec tagged at parse time.
-//! * [`Msg::Control`] — `reset`/`cache` broadcasts. Each shard flushes
-//!   its in-flight batch (the same barrier semantics the old dispatcher
-//!   had), applies the op, and decrements a countdown; the last shard
-//!   acks to the origin. The origin enqueues the broadcast *before*
-//!   parsing the next frame, and inboxes are FIFO, so a decide sent
-//!   after a `reset` on the same connection always observes the reset.
+//! * [`Msg::Control`] — `reset`/`cache` broadcasts. Each shard applies
+//!   the op after every decide that reached it first, and decrements a
+//!   countdown; the last shard acks to the origin. The origin enqueues
+//!   the broadcast *before* parsing the next frame, and inboxes are
+//!   FIFO, so a decide sent after a `reset` on the same connection
+//!   always observes the reset.
 //!
 //! ## Sequential equivalence, per shard
 //!
-//! A shard feeds its engine the decides it owns **in arrival order**
-//! (inbox first, then the frames parsed this iteration), and the engine
-//! serves them one at a time: look up, else solve and insert. Because a
-//! key's solve depends only on its snapped parameters, the `d_star`
-//! stream a client observes is identical across shard *counts* too;
-//! hit/miss totals are identical whenever the working set fits the
-//! cache (each unique key lives in exactly one shard), which is what the
-//! loadgen `--expect-identical` phases pin down at 1/2/8 shards.
+//! A shard serves each decide it owns as soon as it has it: a decide
+//! parsed here whose key is local is served inline, and a peer's decide
+//! when the inbox drains. So its engine sees them **in arrival order**
+//! (inbox first, then the frames parsed this iteration), one at a time:
+//! look up, else solve and insert. Because a key's solve depends only on
+//! its snapped parameters, the `d_star` stream a client observes is
+//! identical across shard *counts* too; hit/miss totals are identical
+//! whenever the working set fits the cache (each unique key lives in
+//! exactly one shard), which is what the loadgen `--expect-identical`
+//! phases pin down at 1/2/8 shards.
 //!
 //! ## Ordering
 //!
@@ -101,8 +103,8 @@ pub fn route_shard(key: &Key, nshards: usize) -> usize {
 }
 
 /// Mirror of a shard's cache counters, published by the owning shard
-/// after every batch so `{"cmd":"stats"}` can be served from any shard
-/// without touching another shard's engine.
+/// before each decide's reply leaves, so `{"cmd":"stats"}` can be
+/// served from any shard without touching another shard's engine.
 #[derive(Debug, Default)]
 pub(crate) struct CacheMirror {
     pub enabled: AtomicBool,
@@ -131,9 +133,10 @@ pub(crate) struct ShardShared {
     pub id: usize,
     pub inbox: Mutex<VecDeque<Msg>>,
     pub waker: Waker,
-    /// Decides queued for this shard (inbox + current batch), bounded
-    /// by `queue_depth`; reservation happens at the *sending* side so a
-    /// full shard sheds `overloaded` before any cross-shard traffic.
+    /// Decides waiting for this shard to serve them (its inbox, plus the
+    /// local decide it is serving), bounded by `queue_depth`; reservation
+    /// happens at the *sending* side so a full shard sheds `overloaded`
+    /// before any cross-shard traffic.
     pub backlog: AtomicUsize,
     pub metrics: Metrics,
     /// Connections currently owned (gauge; `metrics.connections` is the
@@ -177,7 +180,6 @@ pub(crate) struct ServerState {
     pub policy: Option<PolicyState>,
     pub deterministic: bool,
     pub queue_depth: usize,
-    pub max_batch: usize,
     pub shutdown: AtomicBool,
     /// Decides routed cross-shard whose responses have not yet reached
     /// their origin — part of the drain condition on shutdown.
@@ -240,7 +242,7 @@ pub(crate) struct ControlMsg {
 /// Everything that can land in a shard's inbox.
 pub(crate) enum Msg {
     NewConn(TcpStream),
-    Remote(BatchJob),
+    Remote(DecideJob),
     RemoteDone(RemoteDone),
     Control(ControlMsg),
     ControlDone {
@@ -251,11 +253,11 @@ pub(crate) enum Msg {
     },
 }
 
-/// One decide awaiting an engine batch on the shard that owns its key:
-/// queued locally when that is the parsing shard (`origin`), otherwise
-/// sent there as [`Msg::Remote`].
+/// One decide on its way to the shard that owns its key: served inline
+/// when that is the parsing shard (`origin`), otherwise sent there as
+/// [`Msg::Remote`].
 #[derive(Debug)]
-pub(crate) struct BatchJob {
+pub(crate) struct DecideJob {
     params: DecisionParams,
     origin: usize,
     conn: u64,
@@ -298,7 +300,7 @@ struct Conn {
     out_pos: usize,
     next_seq: u64,
     next_write: u64,
-    /// Decides awaiting a decision (response still to be rendered).
+    /// Decides routed to a peer shard whose response has not come back.
     inflight: usize,
     /// Peer closed its write half; serve what is owed, then close.
     read_closed: bool,
@@ -406,7 +408,6 @@ pub(crate) struct ShardLoop {
     poller: Poller,
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
-    batch: Vec<BatchJob>,
 }
 
 impl ShardLoop {
@@ -424,7 +425,6 @@ impl ShardLoop {
             poller: Poller::new(),
             conns: BTreeMap::new(),
             next_conn: 1,
-            batch: Vec::new(),
         }
     }
 
@@ -437,8 +437,8 @@ impl ShardLoop {
     }
 
     /// The event loop. One iteration = wait, drain inbox, handle socket
-    /// events, flush the engine batch, flush writes, reap finished
-    /// connections.
+    /// events, flush writes, reap finished connections. Decides are
+    /// served as the inbox drain and the frame parser reach them.
     pub fn run(mut self) {
         self.poller
             .register(self.receiver.fd(), WAKER_TOKEN, Interest::READ);
@@ -467,12 +467,6 @@ impl ShardLoop {
                     self.handle_event(ev);
                 }
             }
-            // A lifting gate can resume parsing mid-flush and feed the
-            // batch again — keep flushing until it is genuinely empty,
-            // or the next `wait` could block on work already accepted.
-            while !self.batch.is_empty() {
-                self.flush_batch();
-            }
             self.flush_writes();
             self.reap();
             if self.state.shutdown.load(Ordering::SeqCst) {
@@ -483,7 +477,6 @@ impl ShardLoop {
                     .expect("shard inbox poisoned")
                     .is_empty();
                 let idle = inbox_empty
-                    && self.batch.is_empty()
                     && self.state.remote_inflight.load(Ordering::SeqCst) == 0
                     && self.conns.values().all(Conn::out_done);
                 let now = monotonic_ns();
@@ -511,7 +504,7 @@ impl ShardLoop {
             let Some(msg) = msg else { break };
             match msg {
                 Msg::NewConn(stream) => self.add_conn(stream),
-                Msg::Remote(job) => self.batch.push(job),
+                Msg::Remote(job) => self.serve_decide(job, monotonic_ns()),
                 Msg::RemoteDone(d) => {
                     self.state.remote_inflight.fetch_sub(1, Ordering::SeqCst);
                     self.finish_decide(
@@ -695,11 +688,11 @@ impl ShardLoop {
             Request::Decide(params) => self.handle_decide(id, seq, codec, params, t_recv_ns),
             Request::Stats => {
                 self.mark_control();
-                // Read-your-writes: flush the local batch, and if this
-                // connection still has decides in flight on other
-                // shards, gate until they drain so the snapshot
-                // includes every decide sent before the stats request.
-                self.flush_batch();
+                // Read-your-writes: local decides were served as they
+                // were parsed, but if this connection still has decides
+                // in flight on other shards, gate until they drain so
+                // the snapshot includes every decide sent before the
+                // stats request.
                 let gated = match self.conns.get_mut(&id) {
                     Some(conn) if conn.inflight > 0 => {
                         conn.gate = Gate::Stats { seq, codec };
@@ -806,29 +799,14 @@ impl ShardLoop {
                 me.metrics.decisions.fetch_add(1, Ordering::Relaxed);
                 me.metrics.latency.record(dt_us);
                 self.deliver(id, seq, render_decision(codec, &decision, us_served));
-                if trace::enabled() {
-                    let t_respond_ns = monotonic_ns();
-                    let span = trace::manual_span("request");
-                    if span.live() {
-                        span.finish_tree(
-                            t_recv_ns,
-                            t_respond_ns,
-                            trace::fields!(
-                                req = req_id,
-                                shard = self.id,
-                                cache_hit = decision.cache_hit,
-                                policy_hit = true,
-                                endpoint = "decide"
-                            ),
-                            &[
-                                ("parse", t_recv_ns, t_parsed_ns),
-                                ("policy-lookup", t_parsed_ns, t_done_ns),
-                                ("respond", t_done_ns, t_respond_ns),
-                            ],
-                        );
-                    }
-                }
-                return;
+                return self.trace_decide(
+                    req_id,
+                    Ok(&decision),
+                    &[
+                        ("parse", t_recv_ns, t_parsed_ns),
+                        ("policy-lookup", t_parsed_ns, t_done_ns),
+                    ],
+                );
             }
             policy.record_fallback();
         }
@@ -841,7 +819,11 @@ impl ShardLoop {
                 ErrorKind::ShuttingDown,
                 "server is draining; reconnect later",
             );
-            return self.trace_shed(ErrorKind::ShuttingDown, req_id, t_recv_ns, t_parsed_ns);
+            return self.trace_decide(
+                req_id,
+                Err(ErrorKind::ShuttingDown),
+                &[("parse", t_recv_ns, t_parsed_ns)],
+            );
         }
         let key = self.engine.quantizer().key(&params);
         let target = route_shard(&key, self.nshards());
@@ -853,12 +835,13 @@ impl ShardLoop {
                 ErrorKind::Overloaded,
                 &format!("queue full (depth {})", self.state.queue_depth),
             );
-            return self.trace_shed(ErrorKind::Overloaded, req_id, t_recv_ns, t_parsed_ns);
+            return self.trace_decide(
+                req_id,
+                Err(ErrorKind::Overloaded),
+                &[("parse", t_recv_ns, t_parsed_ns)],
+            );
         }
-        if let Some(conn) = self.conns.get_mut(&id) {
-            conn.inflight += 1;
-        }
-        let job = BatchJob {
+        let job = DecideJob {
             params,
             origin: self.id,
             conn: id,
@@ -869,17 +852,21 @@ impl ShardLoop {
             req_id,
         };
         if target == self.id {
-            self.batch.push(job);
+            // A local decide does not queue: its look-up starts at parse.
+            self.serve_decide(job, t_parsed_ns);
         } else {
+            if let Some(conn) = self.conns.get_mut(&id) {
+                conn.inflight += 1;
+            }
             self.state.remote_inflight.fetch_add(1, Ordering::SeqCst);
             self.state.shards[target].send(Msg::Remote(job));
         }
     }
 
-    /// Apply a control broadcast: flush (barrier), apply, count down,
-    /// and — if last — ack to the origin connection.
+    /// Apply a control broadcast, count down, and — if last — ack to the
+    /// origin connection. Every decide that reached this shard before the
+    /// broadcast has already been served.
     fn apply_control(&mut self, c: ControlMsg) {
-        self.flush_batch();
         match c.op {
             CtlOp::Reset => {
                 self.engine.reset();
@@ -939,25 +926,15 @@ impl ShardLoop {
         }
     }
 
-    /// Solve everything accumulated this iteration as engine batches
-    /// (chunked to `max_batch`), in arrival order.
-    fn flush_batch(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let jobs = std::mem::take(&mut self.batch);
-        for chunk in jobs.chunks(self.state.max_batch.max(1)) {
-            self.flush_chunk(chunk);
-        }
-        self.me()
-            .cache
-            .publish(&self.engine.cache_stats(), self.engine.cache_enabled());
-    }
-
-    fn flush_chunk(&mut self, jobs: &[BatchJob]) {
-        let params: Vec<DecisionParams> = jobs.iter().map(|j| j.params).collect();
-        let (served, timing) = self.engine.serve_batch_timed(&params);
-        let dt_us = timing.t_done_ns.saturating_sub(timing.t_start_ns) as f64 / 1e3;
+    /// Serve one decide on the shard that owns its key, its look-up
+    /// starting at `t_start_ns`, and hand the reply to its connection
+    /// (local) or its origin shard (routed). The decide's `us_served`,
+    /// latency record and `request` tree time this decide alone.
+    fn serve_decide(&mut self, job: DecideJob, t_start_ns: u64) {
+        let mut solve_ns = 0;
+        let decision = self.engine.decide(&job.params, &mut solve_ns);
+        let t_done_ns = monotonic_ns();
+        let dt_us = t_done_ns.saturating_sub(t_start_ns) as f64 / 1e3;
         let us_served = if self.state.deterministic {
             0
         } else {
@@ -965,87 +942,89 @@ impl ShardLoop {
         };
         {
             let me = self.me();
-            me.metrics
-                .decisions
-                .fetch_add(served.len() as u64, Ordering::Relaxed);
-            for _ in &served {
-                me.metrics.latency.record(dt_us);
-            }
-            me.backlog.fetch_sub(jobs.len(), Ordering::SeqCst);
+            me.metrics.decisions.fetch_add(1, Ordering::Relaxed);
+            me.metrics.latency.record(dt_us);
+            me.backlog.fetch_sub(1, Ordering::SeqCst);
+            // Before the reply leaves: a stats request it releases must
+            // see this decide in the cache counters.
+            me.cache
+                .publish(&self.engine.cache_stats(), self.engine.cache_enabled());
         }
-        for (job, decision) in jobs.iter().zip(&served) {
-            if job.origin == self.id {
-                self.finish_decide(
-                    job.conn,
-                    job.seq,
-                    render_decision(job.codec, decision, us_served),
-                );
-            } else {
-                // `send` wakes per message, but only the first wake
-                // after the origin's last drain writes; the rest are an
-                // atomic swap each.
-                self.state.shards[job.origin].send(Msg::RemoteDone(RemoteDone {
-                    conn: job.conn,
-                    seq: job.seq,
-                    codec: job.codec,
-                    decision: *decision,
-                    us_served,
-                }));
-            }
+        if job.origin == self.id {
+            self.deliver(
+                job.conn,
+                job.seq,
+                render_decision(job.codec, &decision, us_served),
+            );
+        } else {
+            // `send` wakes per message, but only the first wake after
+            // the origin's last drain writes; the rest are an atomic
+            // swap each.
+            self.state.shards[job.origin].send(Msg::RemoteDone(RemoteDone {
+                conn: job.conn,
+                seq: job.seq,
+                codec: job.codec,
+                decision,
+                us_served,
+            }));
         }
-        if trace::enabled() {
-            let t_respond_ns = monotonic_ns();
-            for (job, decision) in jobs.iter().zip(&served) {
-                let span = trace::manual_span("request");
-                if !span.live() {
-                    continue;
-                }
-                span.finish_tree(
-                    job.t_recv_ns,
-                    t_respond_ns,
-                    trace::fields!(
-                        req = job.req_id,
-                        shard = self.id,
-                        cache_hit = decision.cache_hit,
-                        endpoint = "decide"
-                    ),
-                    &[
-                        ("parse", job.t_recv_ns, job.t_parsed_ns),
-                        ("queue", job.t_parsed_ns, timing.t_start_ns),
-                        ("cache", timing.t_start_ns, timing.t_cache_ns),
-                        ("compute", timing.t_cache_ns, timing.t_done_ns),
-                        ("respond", timing.t_done_ns, t_respond_ns),
-                    ],
-                );
-            }
-        }
+        let t_cache_ns = t_done_ns - solve_ns;
+        self.trace_decide(
+            job.req_id,
+            Ok(&decision),
+            &[
+                ("parse", job.t_recv_ns, job.t_parsed_ns),
+                ("queue", job.t_parsed_ns, t_start_ns),
+                ("cache", t_start_ns, t_cache_ns),
+                ("compute", t_cache_ns, t_done_ns),
+            ],
+        );
     }
 
-    /// Record the `request` tree of a decide refused after parsing
-    /// (`overloaded` or `shutting-down`): a trace holds one tree per
-    /// decide, answered or shed.
-    fn trace_shed(&self, kind: ErrorKind, req_id: u64, t_recv_ns: u64, t_parsed_ns: u64) {
+    /// Record one decide's `request` tree: `spans` (at most four) run
+    /// from its receipt to its answer (a decision, or the error it was
+    /// refused with), and a `respond` span closes the tree now. A trace holds one tree per
+    /// decide, answered or shed; nothing is built for a sampled-out one.
+    fn trace_decide(
+        &self,
+        req_id: u64,
+        answer: Result<&Decision, ErrorKind>,
+        spans: &[(&'static str, u64, u64)],
+    ) {
         if !trace::enabled() {
             return;
         }
-        let t_respond_ns = monotonic_ns();
         let span = trace::manual_span("request");
-        if span.live() {
-            span.finish_tree(
-                t_recv_ns,
-                t_respond_ns,
-                trace::fields!(
-                    req = req_id,
-                    shard = self.id,
-                    endpoint = "decide",
-                    error = kind.tag()
-                ),
-                &[
-                    ("parse", t_recv_ns, t_parsed_ns),
-                    ("respond", t_parsed_ns, t_respond_ns),
-                ],
-            );
+        if !span.live() {
+            return;
         }
+        let t_respond_ns = monotonic_ns();
+        let (t_recv_ns, t_answer_ns) = (spans[0].1, spans[spans.len() - 1].2);
+        let fields = match answer {
+            Ok(d) if d.policy_hit => trace::fields!(
+                req = req_id,
+                shard = self.id,
+                cache_hit = d.cache_hit,
+                policy_hit = true,
+                endpoint = "decide"
+            ),
+            Ok(d) => trace::fields!(
+                req = req_id,
+                shard = self.id,
+                cache_hit = d.cache_hit,
+                endpoint = "decide"
+            ),
+            Err(kind) => trace::fields!(
+                req = req_id,
+                shard = self.id,
+                endpoint = "decide",
+                error = kind.tag()
+            ),
+        };
+        let mut children = [("", 0, 0); 5];
+        children[..spans.len()].copy_from_slice(spans);
+        children[spans.len()] = ("respond", t_answer_ns, t_respond_ns);
+        span.finish_tree(t_recv_ns, t_respond_ns, fields, &children[..=spans.len()]);
     }
 
     fn mark_control(&self) {
@@ -1068,9 +1047,9 @@ impl ShardLoop {
         self.deliver(id, seq, render_json(codec, &error_response(kind, msg)));
     }
 
-    /// Deliver a decide response: settle the connection's inflight
-    /// count, hand the bytes to the reorder buffer, and release a
-    /// stats request that was waiting for this connection to drain.
+    /// Deliver a routed decide's response: settle the connection's
+    /// inflight count, hand the bytes to the reorder buffer, and release
+    /// a stats request that was waiting for this connection to drain.
     fn finish_decide(&mut self, id: u64, seq: u64, body: Vec<u8>) {
         let release = match self.conns.get_mut(&id) {
             Some(conn) => {
@@ -1287,7 +1266,6 @@ mod tests {
             policy: None,
             deterministic: true,
             queue_depth: 16,
-            max_batch: 64,
             shutdown: AtomicBool::new(false),
             remote_inflight: AtomicUsize::new(0),
             addr: Mutex::new(None),

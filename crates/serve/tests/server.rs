@@ -20,7 +20,6 @@ fn sharded_server(queue_depth: usize, shards: usize) -> ServerHandle {
     start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         queue_depth,
-        max_batch: 8,
         engine: EngineConfig {
             cache_capacity: 64,
             quant: Quantizer::exact(),
@@ -39,7 +38,6 @@ fn policy_server() -> (ServerHandle, PolicyGrid) {
     let handle = start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         queue_depth: 64,
-        max_batch: 8,
         engine: EngineConfig {
             cache_capacity: 64,
             quant: Quantizer::exact(),
@@ -182,6 +180,72 @@ fn zero_depth_queue_sheds_with_overloaded() {
     let stats = json::parse(&responses[1]).expect("stats json");
     assert_eq!(stats.get("overloaded").and_then(Json::as_i64), Some(1));
     assert_eq!(stats.get("decisions").and_then(Json::as_i64), Some(0));
+    drop(handle); // drop = shutdown + join
+}
+
+/// One shard serves each decide as soon as it parses it, so nothing
+/// waits for it: a single write carrying more decides than the queue
+/// depth is answered in full, none of it shed.
+#[test]
+fn idle_shard_answers_a_burst_longer_than_its_queue_depth() {
+    let handle = test_server(16);
+    let (mut stream, mut reader) = connect(&handle);
+    let burst = "{\"platform\":\"quadrocopter\",\"d0\":120}\n".repeat(200);
+    stream.write_all(burst.as_bytes()).expect("send");
+    for i in 0..200 {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        let decision = json::parse(reply.trim()).expect("reply json");
+        assert!(
+            decision.get("d_star").is_some(),
+            "reply {i}: {}",
+            reply.trim()
+        );
+    }
+    drop(handle); // drop = shutdown + join
+}
+
+/// `us_served` times each decide on its own: a hit pipelined behind a
+/// miss reports its look-up, not the solve it queued behind.
+#[test]
+fn a_hit_reports_its_own_service_time() {
+    let handle = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        queue_depth: 1024,
+        engine: EngineConfig {
+            cache_capacity: 64,
+            quant: Quantizer::exact(),
+            cache_enabled: true,
+        },
+        shards: 1,
+        policy: None,
+        deterministic: false,
+    })
+    .expect("bind loopback");
+    let (mut stream, mut reader) = connect(&handle);
+    let burst = "{\"platform\":\"airplane\",\"d0\":250,\"mdata\":12}\n".repeat(301);
+    stream.write_all(burst.as_bytes()).expect("send");
+    let mut served: Vec<(bool, i64)> = Vec::new();
+    for _ in 0..301 {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        let decision = json::parse(reply.trim()).expect("reply json");
+        let hit = decision.get("cache_hit").and_then(Json::as_bool);
+        let us = decision.get("us_served").and_then(Json::as_i64);
+        served.push((hit.expect("cache_hit"), us.expect("us_served")));
+    }
+    let (miss, hits) = served.split_first().expect("replies");
+    assert!(!miss.0, "the first sight of the key is the miss");
+    assert!(hits.iter().all(|h| h.0), "every repeat hits");
+    let mut hit_us: Vec<i64> = hits.iter().map(|h| h.1).collect();
+    hit_us.sort_unstable();
+    let median = hit_us[hit_us.len() / 2];
+    // The median, so one preempted hit cannot fail the test.
+    assert!(
+        median * 8 <= miss.1,
+        "median hit served in {median} us against a {} us miss",
+        miss.1
+    );
     drop(handle); // drop = shutdown + join
 }
 
@@ -813,7 +877,6 @@ fn policy_server_sharded(shards: usize, table: Arc<PolicyTable>) -> ServerHandle
     start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         queue_depth: 1024,
-        max_batch: 8,
         engine: EngineConfig {
             cache_capacity: 4096,
             quant: Quantizer::exact(),
