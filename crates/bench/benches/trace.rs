@@ -150,8 +150,10 @@ fn serve_overhead(requests: usize, rounds: usize) -> (f64, f64, f64, usize) {
         let off = one_phase(&addr, requests);
         trace::install(trace::TraceConfig::default());
         let on = one_phase(&addr, requests);
-        // Pause recording between traced runs; the dispatcher's records
-        // stay in its thread-local buffer until the server exits.
+        // Pause recording between traced runs. `drain` discards what the
+        // shard threads spilled to the global sink (each spills its buffer
+        // every 1,024 records); the rest stays in their buffers until the
+        // next spill or the thread's exit.
         trace::drain();
         rps_off = rps_off.max(off);
         rps_on = rps_on.max(on);

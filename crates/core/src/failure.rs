@@ -9,6 +9,8 @@
 
 use skyferry_units::Meters;
 
+use crate::scenario::ParamError;
+
 /// A survival model over the repositioning leg.
 pub trait FailureModel {
     /// Probability of still being operational after moving from
@@ -40,18 +42,18 @@ impl ExponentialFailure {
     /// Construct; `rho ≥ 0` (0 = no failures, δ ≡ 1).
     pub fn new(rho_per_m: f64) -> Self {
         let m = ExponentialFailure { rho_per_m };
-        m.validate();
+        m.check().unwrap_or_else(|e| panic!("{e}"));
         m
     }
 
-    /// Panic unless ρ is finite and ≥ 0, the range in which δ rises
-    /// with `d` — a negative ρ would reward flying further.
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.rho_per_m >= 0.0 && self.rho_per_m.is_finite(),
-            "invalid failure rate {}",
-            self.rho_per_m
-        );
+    /// `Ok` when ρ is finite and ≥ 0, the range in which δ rises with
+    /// `d` — a negative ρ would reward flying further.
+    pub(crate) fn check(&self) -> Result<(), ParamError> {
+        if self.rho_per_m >= 0.0 && self.rho_per_m.is_finite() {
+            Ok(())
+        } else {
+            Err(ParamError::Rho(self.rho_per_m))
+        }
     }
 }
 
@@ -87,30 +89,30 @@ impl WeibullFailure {
             shape,
             flown_m: flown.get(),
         };
-        m.validate();
+        m.check().unwrap_or_else(|e| panic!("{e}"));
         m
     }
 
-    /// Panic unless scale and shape are finite and > 0 and the flown
+    /// `Ok` when scale and shape are finite and > 0 and the flown
     /// distance is finite and ≥ 0, the range in which the cumulative
     /// hazard grows with the leg, so δ rises with `d`. Whether the hazard
-    /// stays finite also depends on the leg; [`FailureSpec::validate`]
+    /// stays finite also depends on the leg;
+    /// [`ScenarioView::check`](crate::scenario::ScenarioView::check)
     /// checks that.
-    pub(crate) fn validate(&self) {
+    pub(crate) fn check(&self) -> Result<(), ParamError> {
         let positive = |x: f64| x.is_finite() && x > 0.0;
-        assert!(
-            positive(self.scale_m)
-                && positive(self.shape)
-                && self.flown_m.is_finite()
-                && self.flown_m >= 0.0,
-            "invalid Weibull law: scale {} m, shape {}, flown {} m",
-            self.scale_m,
-            self.shape,
-            self.flown_m
-        );
+        if positive(self.scale_m)
+            && positive(self.shape)
+            && self.flown_m.is_finite()
+            && self.flown_m >= 0.0
+        {
+            Ok(())
+        } else {
+            Err(ParamError::Weibull(self.scale_m, self.shape, self.flown_m))
+        }
     }
 
-    fn cumulative_hazard(&self, x_m: f64) -> f64 {
+    pub(crate) fn cumulative_hazard(&self, x_m: f64) -> f64 {
         (x_m / self.scale_m).powf(self.shape)
     }
 }
@@ -132,32 +134,6 @@ pub enum FailureSpec {
     Exponential(ExponentialFailure),
     /// Distance-varying hazard (extension).
     Weibull(WeibullFailure),
-}
-
-impl FailureSpec {
-    /// Panic unless the law's parameters are in range (see
-    /// [`ExponentialFailure::validate`] and [`WeibullFailure::validate`])
-    /// and δ is a number for every leg up to `longest_leg`: the spec's
-    /// fields are public, so a literal can skip the constructors' checks.
-    ///
-    /// A Weibull hazard that overflows (a tiny scale, a steep shape)
-    /// would make δ = exp(−(∞ − ∞)) = NaN. The hazard rises with the leg,
-    /// so checking the longest one covers every shorter leg.
-    pub(crate) fn validate(&self, longest_leg: Meters) {
-        match self {
-            FailureSpec::Exponential(m) => m.validate(),
-            FailureSpec::Weibull(m) => {
-                m.validate();
-                let x_m = m.flown_m + longest_leg.get();
-                assert!(
-                    m.cumulative_hazard(x_m).is_finite(),
-                    "Weibull hazard overflows at {x_m} m flown: scale {} m, shape {}",
-                    m.scale_m,
-                    m.shape
-                );
-            }
-        }
-    }
 }
 
 impl FailureModel for FailureSpec {

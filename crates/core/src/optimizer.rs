@@ -33,11 +33,12 @@
 //! [`utility_bound_view`](crate::utility::utility_bound_view). Its
 //! soundness rests on δ rising with `d` (ρ ≥ 0, or a Weibull law with
 //! positive scale and shape) and on `v > 0` — preconditions
-//! [`ScenarioView::validate`] asserts before every solve, together with
-//! the finite hazard and positive transmit time that keep `U` from ever
-//! being NaN — and it carries a 1e-9 relative slack so that a last-ulp
-//! non-monotonicity in libm's `exp`, `powf` or `log2` cannot make it cut
-//! a block that holds the maximum. A caller without a bound passes
+//! [`check`](crate::scenario::ScenarioView::check) states and
+//! [`validate`](crate::scenario::ScenarioView::validate) asserts before
+//! every solve, together with the finite hazard and positive transmit
+//! time that keep `U` from ever being NaN — and it carries a 1e-9
+//! relative slack so that a last-ulp non-monotonicity in libm's `exp`,
+//! `powf` or `log2` cannot make it cut a block that holds the maximum. A caller without a bound passes
 //! `|_, _| f64::INFINITY` and gets the full scan; `skyferry-traj` does,
 //! because its path objective has no such bound.
 //!
@@ -56,7 +57,7 @@ use crate::scenario::{Scenario, ScenarioView};
 use crate::utility::{utility_bound_view, utility_breakdown_view, utility_view};
 
 /// Number of initial grid points.
-const GRID_POINTS: usize = 2048;
+pub(crate) const GRID_POINTS: usize = 2048;
 /// Grid points per block; the block heads seed the skip threshold.
 const BLOCK: usize = 32;
 /// Grid points per sub-block, the skip unit inside a surviving block.
@@ -96,6 +97,12 @@ impl OptimalTransfer {
     }
 }
 
+/// Grid point `i` of [`search_max`]'s scan over `[lo, hi]`.
+/// [`ScenarioView::check`] refuses a view whose last point lands past `hi`.
+pub(crate) fn grid_point(lo: f64, hi: f64, i: usize) -> f64 {
+    lo + (hi - lo) * i as f64 / (GRID_POINTS - 1) as f64
+}
+
 /// Solve Eq. (2) for `scenario`.
 pub fn optimize(scenario: &Scenario) -> OptimalTransfer {
     optimize_view(scenario.view())
@@ -131,7 +138,7 @@ pub fn search_max(
 ) -> Meters {
     let lo = lo.get();
     let hi = hi.get();
-    let at = |i: usize| lo + (hi - lo) * i as f64 / (GRID_POINTS - 1) as f64;
+    let at = |i: usize| grid_point(lo, hi, i);
     if hi - lo < 1e-9 {
         // Degenerate interval: the only choice is the upper endpoint.
         return Meters::new(hi);

@@ -214,9 +214,10 @@ const BUILD_RUN: usize = 64;
 
 impl PolicyGrid {
     /// Validate and assemble a grid. Every axis step must be finite and
-    /// positive, every bucket centre must satisfy the request domain
-    /// (`d0 ≥ d_min`, `Mdata > 0`, `v > 0`, `ρ ≥ 0`), and the total cell
-    /// count must stay under [`MAX_CELLS`].
+    /// positive, the total cell count must stay under [`MAX_CELLS`], and
+    /// each platform's lowest and highest cell must pass
+    /// [`ScenarioView::check`](crate::scenario::ScenarioView::check), so
+    /// the table's bucket centres are queries the solver can answer.
     pub fn new(d0: Axis, mdata: Axis, rho: Axis, speed: Axis) -> Result<PolicyGrid, PolicyError> {
         for (name, a) in [("d0", d0), ("mdata", mdata), ("rho", rho), ("speed", speed)] {
             if !a.step.is_finite() || a.step <= 0.0 {
@@ -230,30 +231,6 @@ impl PolicyGrid {
                     "{name} axis has no buckets"
                 )));
             }
-        }
-        if d0.lo_value() < D_MIN_M {
-            return Err(PolicyError::BadHeader(format!(
-                "d0 axis starts below d_min: {} < {D_MIN_M}",
-                d0.lo_value()
-            )));
-        }
-        if mdata.lo_value() <= 0.0 {
-            return Err(PolicyError::BadHeader(format!(
-                "mdata axis must start above zero (got {})",
-                mdata.lo_value()
-            )));
-        }
-        if rho.lo_value() < 0.0 {
-            return Err(PolicyError::BadHeader(format!(
-                "rho axis must start at or above zero (got {})",
-                rho.lo_value()
-            )));
-        }
-        if speed.lo_value() <= 0.0 {
-            return Err(PolicyError::BadHeader(format!(
-                "speed axis must start above zero (got {})",
-                speed.lo_value()
-            )));
         }
         let cells = [
             d0.n as usize,
@@ -269,12 +246,21 @@ impl PolicyGrid {
                 "grid too large: exceeds {MAX_CELLS} cells"
             )));
         }
-        Ok(PolicyGrid {
+        let grid = PolicyGrid {
             d0,
             mdata,
             rho,
             speed,
-        })
+        };
+        let per_platform = grid.cells() / NUM_PLATFORMS;
+        for cell in [0, per_platform - 1, per_platform, grid.cells() - 1] {
+            if let Err(e) = grid.params_at(cell).view().check() {
+                return Err(PolicyError::BadHeader(format!(
+                    "cell {cell} is outside the request domain: {e}"
+                )));
+            }
+        }
+        Ok(grid)
     }
 
     /// The production grid over the serving quantizer's default buckets
@@ -927,6 +913,16 @@ mod tests {
         let low_d0 = Axis::from_range(5.0, 5.0, 50.0);
         assert!(matches!(
             PolicyGrid::new(low_d0, ok, ok, ok),
+            Err(PolicyError::BadHeader(_))
+        ));
+        // d0 buckets past the solver's grid: 1e305 m overflows it.
+        let far_d0 = Axis {
+            step: 1e304,
+            lo_idx: 1,
+            n: 10,
+        };
+        assert!(matches!(
+            PolicyGrid::new(far_d0, ok, ok, ok),
             Err(PolicyError::BadHeader(_))
         ));
         // Oversized grid.

@@ -13,16 +13,17 @@
 //! * **quantizable** — [`Quantizer`] snaps parameters onto a configurable
 //!   bucket grid so near-identical queries share one cached solution
 //!   ([`Quantizer::exact`] turns that off for tests);
-//! * **typed rejection** — [`DecisionParams::validated`] returns a
-//!   [`ParamError`] instead of panicking, because requests arrive from an
-//!   untrusted socket and a malformed one must produce an error
-//!   *response*, never a worker panic.
+//! * **typed rejection** — [`DecisionParams::validated`] returns
+//!   [`ScenarioView::check`](crate::scenario::ScenarioView::check)'s
+//!   [`ParamError`](crate::scenario::ParamError) instead of panicking,
+//!   because requests arrive from an untrusted socket and a malformed one
+//!   must produce an error *response*, never a worker panic.
 //!
 //! [`Scenario`]: crate::scenario::Scenario
 
 use crate::failure::{ExponentialFailure, FailureSpec};
 use crate::optimizer::{optimize_view, OptimalTransfer};
-use crate::scenario::{ScenarioView, BYTES_PER_MB};
+use crate::scenario::{ParamError, ScenarioView, BYTES_PER_MB};
 use crate::throughput::{LogFitThroughput, ThroughputSpec};
 
 /// The two measured platforms of the paper (Table 1).
@@ -93,49 +94,6 @@ impl Platform {
     }
 }
 
-/// Why a request's parameters were rejected (serving layer maps these to
-/// `bad-request` error responses).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParamError {
-    /// A parameter is NaN or infinite.
-    NotFinite {
-        /// Offending field name.
-        field: &'static str,
-        /// The raw value.
-        value: f64,
-    },
-    /// A parameter that must be strictly positive is not.
-    NotPositive {
-        /// Offending field name.
-        field: &'static str,
-        /// The raw value.
-        value: f64,
-    },
-    /// ρ must be non-negative.
-    NegativeRho {
-        /// The raw value.
-        value: f64,
-    },
-}
-
-impl std::fmt::Display for ParamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParamError::NotFinite { field, value } => {
-                write!(f, "{field} must be finite (got {value})")
-            }
-            ParamError::NotPositive { field, value } => {
-                write!(f, "{field} must be > 0 (got {value})")
-            }
-            ParamError::NegativeRho { value } => {
-                write!(f, "rho must be >= 0 (got {value})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParamError {}
-
 /// One decision query: which platform, and the live numbers of Eq. (2).
 ///
 /// `d0_m` is clamped to at least [`D_MIN_M`] by [`validated`]; a UAV
@@ -171,41 +129,17 @@ impl DecisionParams {
         }
     }
 
-    /// Check every field and return a normalised copy (`d0` clamped up
-    /// to [`D_MIN_M`]) or a typed rejection. This is the *only* entrance
-    /// the serving layer uses: after it succeeds, [`solve`] cannot panic
-    /// on the domain asserts downstream.
+    /// Clamp a finite `d0` up to [`D_MIN_M`], then return the query or
+    /// [`ScenarioView::check`]'s typed rejection. This is how untrusted
+    /// input enters: [`solve`] of an accepted query cannot panic.
+    /// (Clamping only a finite `d0` keeps NaN and −∞ from becoming 20 m.)
     ///
     /// [`solve`]: DecisionParams::solve
     pub fn validated(mut self) -> Result<DecisionParams, ParamError> {
-        for (field, value) in [
-            ("d0", self.d0_m),
-            ("mdata_mb", self.mdata_bytes),
-            ("rho", self.rho_per_m),
-            ("speed", self.v_mps),
-        ] {
-            if !value.is_finite() {
-                return Err(ParamError::NotFinite { field, value });
-            }
+        if self.d0_m.is_finite() {
+            self.d0_m = self.d0_m.max(D_MIN_M);
         }
-        if self.mdata_bytes <= 0.0 {
-            return Err(ParamError::NotPositive {
-                field: "mdata_mb",
-                value: self.mdata_bytes,
-            });
-        }
-        if self.v_mps <= 0.0 {
-            return Err(ParamError::NotPositive {
-                field: "speed",
-                value: self.v_mps,
-            });
-        }
-        if self.rho_per_m < 0.0 {
-            return Err(ParamError::NegativeRho {
-                value: self.rho_per_m,
-            });
-        }
-        self.d0_m = self.d0_m.max(D_MIN_M);
+        self.view().check()?;
         Ok(self)
     }
 
@@ -218,12 +152,17 @@ impl DecisionParams {
             v_mps: self.v_mps,
             mdata_bytes: self.mdata_bytes,
             throughput: self.platform.throughput(),
-            failure: FailureSpec::Exponential(ExponentialFailure::new(self.rho_per_m)),
+            // A literal, not the asserting `ExponentialFailure::new`:
+            // `check` reports a bad ρ as a typed error.
+            failure: FailureSpec::Exponential(ExponentialFailure {
+                rho_per_m: self.rho_per_m,
+            }),
         }
     }
 
-    /// Solve Eq. (2) for this query. Call [`validated`] first on
-    /// untrusted input — `solve` inherits the model's domain asserts.
+    /// Solve Eq. (2) for this query. It panics, naming the field, when
+    /// the query fails [`ScenarioView::check`]; [`validated`] is the
+    /// non-panicking gate for untrusted input.
     ///
     /// [`validated`]: DecisionParams::validated
     pub fn solve(&self) -> OptimalTransfer {
@@ -311,9 +250,11 @@ impl Quantizer {
             && self.speed_step_mps.is_none()
     }
 
-    /// Snap validated params onto this grid (bucket centres, with the
-    /// domain floors re-applied so snapping cannot leave the valid
-    /// region: `d0 ≥ d_min`, `Mdata > 0`, `v > 0`, `ρ ≥ 0`).
+    /// Snap validated params onto this grid: bucket centres, with the
+    /// floors `d0 ≥ d_min`, `Mdata > 0`, `v > 0` and `ρ ≥ 0` re-applied.
+    /// The snap can still leave the domain — a huge `v` or ρ overflows to
+    /// `inf`, a huge `d0` can round past the solver's grid — so a server
+    /// runs [`ScenarioView::check`] on the snapped query too.
     pub fn snap(&self, p: &DecisionParams) -> DecisionParams {
         fn snap1(x: f64, step: Option<f64>) -> f64 {
             match step {
@@ -342,14 +283,6 @@ impl Quantizer {
                 }
             },
         }
-    }
-
-    /// The cache key of a query under this quantizer: the
-    /// [`bits`](DecisionParams::bits) of its [`snap`](Quantizer::snap).
-    /// Two queries share a key exactly when the solver would be handed
-    /// bit-equal snapped parameters.
-    pub fn key(&self, p: &DecisionParams) -> [u64; 5] {
-        self.snap(p).bits()
     }
 }
 
@@ -402,29 +335,14 @@ mod tests {
             f(&mut p);
             p.validated()
         };
-        assert!(matches!(
-            bad(|p| p.d0_m = f64::NAN),
-            Err(ParamError::NotFinite { field: "d0", .. })
-        ));
-        assert!(matches!(
-            bad(|p| p.mdata_bytes = 0.0),
-            Err(ParamError::NotPositive {
-                field: "mdata_mb",
-                ..
-            })
-        ));
-        assert!(matches!(
-            bad(|p| p.v_mps = -1.0),
-            Err(ParamError::NotPositive { field: "speed", .. })
-        ));
-        assert!(matches!(
-            bad(|p| p.rho_per_m = -0.1),
-            Err(ParamError::NegativeRho { .. })
-        ));
-        assert!(matches!(
+        assert!(matches!(bad(|p| p.d0_m = f64::NAN), Err(ParamError::D0(d)) if d.is_nan()));
+        assert_eq!(bad(|p| p.mdata_bytes = 0.0), Err(ParamError::Mdata(0.0)));
+        assert_eq!(bad(|p| p.v_mps = -1.0), Err(ParamError::Speed(-1.0)));
+        assert_eq!(bad(|p| p.rho_per_m = -0.1), Err(ParamError::Rho(-0.1)));
+        assert_eq!(
             bad(|p| p.v_mps = f64::INFINITY),
-            Err(ParamError::NotFinite { field: "speed", .. })
-        ));
+            Err(ParamError::Speed(f64::INFINITY))
+        );
     }
 
     #[test]
@@ -446,8 +364,12 @@ mod tests {
         assert_eq!(q.snap(&a), a, "exact mode never alters params");
         let mut b = a;
         b.d0_m += 1e-9;
-        assert_ne!(q.key(&a), q.key(&b), "any bit difference is a new key");
-        assert_eq!(q.key(&a), q.key(&a.clone()));
+        assert_ne!(
+            q.snap(&a).bits(),
+            q.snap(&b).bits(),
+            "any bit difference is a new key"
+        );
+        assert_eq!(q.snap(&a).bits(), q.snap(&a.clone()).bits());
     }
 
     #[test]
@@ -458,15 +380,15 @@ mod tests {
         let mut b = a;
         a.d0_m = 299.0;
         b.d0_m = 301.0; // same 5 m bucket as 299 → centre 300
-        assert_eq!(q.key(&a), q.key(&b));
+        assert_eq!(q.snap(&a).bits(), q.snap(&b).bits());
         assert_eq!(q.snap(&a).d0_m, 300.0);
         assert_eq!(q.snap(&b).d0_m, 300.0);
         b.d0_m = 303.0; // next bucket
-        assert_ne!(q.key(&a), q.key(&b));
+        assert_ne!(q.snap(&a).bits(), q.snap(&b).bits());
         // Platforms never share keys even with equal numbers.
         let mut c = a;
         c.platform = Platform::Quadrocopter;
-        assert_ne!(q.key(&a), q.key(&c));
+        assert_ne!(q.snap(&a).bits(), q.snap(&c).bits());
     }
 
     fn snap_bits(q: &Quantizer, p: &DecisionParams) -> [u64; 4] {
@@ -509,7 +431,7 @@ mod tests {
         for q in [Quantizer::default_buckets(), Quantizer::exact()] {
             for a in &params {
                 for b in &params {
-                    if q.key(a) == q.key(b) {
+                    if q.snap(a).bits() == q.snap(b).bits() {
                         assert_eq!(snap_bits(&q, a), snap_bits(&q, b), "{q:?}: {a:?} vs {b:?}");
                     }
                 }

@@ -14,11 +14,73 @@ use skyferry_sim::stable::KeyHasher;
 use skyferry_units::{Bytes, Meters, MetersPerSec, Seconds};
 
 use crate::failure::{ExponentialFailure, FailureSpec};
-use crate::optimizer::{optimize, OptimalTransfer};
+use crate::optimizer::{grid_point, optimize, OptimalTransfer, GRID_POINTS};
 use crate::throughput::{LogFitThroughput, ThroughputSpec};
 
 /// Bytes per megabyte (decimal, as the paper uses).
 pub const BYTES_PER_MB: f64 = 1e6;
+
+/// Why a view is outside the Eq. (2) domain ([`ScenarioView::check`]).
+/// The serving layer answers each with a `bad-request`; the payloads are
+/// the offending values, in the units their messages name.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ParamError {
+    /// `d_min` is not positive.
+    DMin(f64),
+    /// `d0` is not finite, or lies below `d_min`.
+    D0(f64),
+    /// `v` is not finite and positive.
+    Speed(f64),
+    /// `Mdata` (bytes) is not finite and positive.
+    Mdata(f64),
+    /// A log-fit coefficient `(a, b)` is not finite.
+    LogFit(f64, f64),
+    /// ρ is negative or not finite.
+    Rho(f64),
+    /// A Weibull law `(scale m, shape, flown m)` is out of range.
+    Weibull(f64, f64, f64),
+    /// The Weibull hazard overflows: `(distance flown m, scale m, shape)`.
+    Hazard(f64, f64, f64),
+    /// `Mdata / s_max` is not a positive time: `(Mdata B, s_max bit/s)`.
+    TransmitTime(f64, f64),
+    /// The solver's grid ends past `d0`: `(d0, last grid point)`.
+    Grid(f64, f64),
+}
+
+impl std::fmt::Display for ParamError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ParamError::DMin(_) => write!(f, "d_min must be positive"),
+            ParamError::D0(d0) => write!(f, "d0 must be finite and ≥ d_min (got {d0})"),
+            ParamError::Speed(v) => write!(f, "v must be finite and positive (Eq. 2; got {v})"),
+            ParamError::Mdata(m) => {
+                write!(f, "Mdata must be finite and positive (Eq. 2; got {m})")
+            }
+            ParamError::LogFit(a, b) => {
+                write!(f, "log-fit coefficients must be finite (a = {a}, b = {b})")
+            }
+            ParamError::Rho(rho) => write!(f, "invalid failure rate {rho}"),
+            ParamError::Weibull(scale, shape, flown) => write!(
+                f,
+                "invalid Weibull law: scale {scale} m, shape {shape}, flown {flown} m"
+            ),
+            ParamError::Hazard(x, scale, shape) => write!(
+                f,
+                "Weibull hazard overflows at {x} m flown: scale {scale} m, shape {shape}"
+            ),
+            ParamError::TransmitTime(m, s) => write!(
+                f,
+                "Mdata / peak rate must be a positive time (Mdata {m} B, peak rate {s} bit/s)"
+            ),
+            ParamError::Grid(d0, end) => write!(
+                f,
+                "d0 must keep the solver's grid inside [d_min, d0] (got {d0}; last grid point {end})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ParamError {}
 
 /// One decision instance: who, where, how much, how risky.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,42 +304,67 @@ impl<'a> ScenarioView<'a> {
         self
     }
 
-    /// Validate the constraint set of Eq. (2) and the model parameters
-    /// the optimizer's block bound relies on: finite `d0`, `v` and
-    /// `Mdata`, and in-range throughput and failure laws. The fields are
-    /// public, so a literal can bypass every constructor check; this is
-    /// where [`optimize_view`](crate::optimizer::optimize_view) catches
-    /// it, with a panic that names the field.
+    /// The Eq. (2) domain, stated once: `Ok` exactly when
+    /// [`optimize_view`](crate::optimizer::optimize_view) can solve this
+    /// view. The fields are public, so a literal can bypass every
+    /// constructor check; this catches it and names the field.
     ///
-    /// It also keeps `U = δ / Cdelay` a number on `[d_min, d0]`: δ is
-    /// finite (see [`FailureSpec::validate`]) and `Cdelay ≥ Mdata /
-    /// s_max > 0`, so `U` is never `0 / 0`.
-    pub fn validate(&self) {
-        assert!(self.d_min_m > 0.0, "d_min must be positive");
-        assert!(
+    /// It covers the constraint set (`0 < d_min ≤ d0`), finite `d0`, `v`
+    /// and `Mdata` with `v, Mdata > 0`, a log fit's finite coefficients
+    /// and an in-range failure law — the preconditions of the optimizer's
+    /// block bound. It keeps `U = δ / Cdelay` a number on `[d_min, d0]`:
+    /// the Weibull hazard is finite over the longest leg, so δ is, and
+    /// `Cdelay ≥ Mdata / s_max > 0`, so `U` is never `0 / 0`. Last, the
+    /// solver's grid over `[d_min, d0]` must end inside it (within the
+    /// 1e-9 m slack of the candidate asserts). At `d_min = 20 m` that
+    /// bounds `d0` at 8.782086638311263e304 m, above which the grid
+    /// overflows to `inf`, and refuses the rare `d0` above 2^24 m whose
+    /// last grid point rounds an ulp past it.
+    pub fn check(&self) -> Result<(), ParamError> {
+        let ensure = |ok: bool, e| if ok { Ok(()) } else { Err(e) };
+        let finite_positive = |x: f64| x.is_finite() && x > 0.0;
+        ensure(self.d_min_m > 0.0, ParamError::DMin(self.d_min_m))?;
+        ensure(
             self.d0_m.is_finite() && self.d0_m >= self.d_min_m,
-            "d0 must be finite and ≥ d_min (got {})",
-            self.d0_m
-        );
-        assert!(
-            self.v_mps.is_finite() && self.v_mps > 0.0,
-            "v must be finite and positive (Eq. 2; got {})",
-            self.v_mps
-        );
-        assert!(
-            self.mdata_bytes.is_finite() && self.mdata_bytes > 0.0,
-            "Mdata must be finite and positive (Eq. 2; got {})",
-            self.mdata_bytes
-        );
-        self.throughput.validate();
-        self.failure.validate(self.d0() - self.d_min());
+            ParamError::D0(self.d0_m),
+        )?;
+        ensure(finite_positive(self.v_mps), ParamError::Speed(self.v_mps))?;
+        ensure(
+            finite_positive(self.mdata_bytes),
+            ParamError::Mdata(self.mdata_bytes),
+        )?;
+        if let ThroughputSpec::LogFit(m) = self.throughput {
+            ensure(
+                m.a_mbps.is_finite() && m.b_mbps.is_finite(),
+                ParamError::LogFit(m.a_mbps, m.b_mbps),
+            )?;
+        }
+        match self.failure {
+            FailureSpec::Exponential(m) => m.check()?,
+            FailureSpec::Weibull(m) => {
+                m.check()?;
+                // The hazard rises with the leg, so the longest leg
+                // covers every shorter one.
+                let x_m = m.flown_m + (self.d0_m - self.d_min_m);
+                ensure(
+                    m.cumulative_hazard(x_m).is_finite(),
+                    ParamError::Hazard(x_m, m.scale_m, m.shape),
+                )?;
+            }
+        }
         let s_max = self.throughput.peak_rate_bps(self.d_min(), self.d0());
-        assert!(
+        ensure(
             self.mdata() / s_max > Seconds::ZERO,
-            "Mdata / peak rate must be a positive time (Mdata {} B, peak rate {} bit/s)",
-            self.mdata_bytes,
-            s_max.get()
-        );
+            ParamError::TransmitTime(self.mdata_bytes, s_max.get()),
+        )?;
+        let end = grid_point(self.d_min_m, self.d0_m, GRID_POINTS - 1);
+        ensure(end <= self.d0_m + 1e-9, ParamError::Grid(self.d0_m, end))
+    }
+
+    /// Panic with [`check`](ScenarioView::check)'s message unless this
+    /// view is in the Eq. (2) domain.
+    pub fn validate(&self) {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Solve Eq. (2) for this view.

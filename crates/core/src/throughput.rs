@@ -211,20 +211,6 @@ impl ThroughputSpec {
             }
         }
     }
-
-    /// Panic unless the model's parameters are finite. A log fit's
-    /// coefficients are public fields that no constructor checks; an
-    /// empirical table is checked when it is built.
-    pub(crate) fn validate(&self) {
-        if let ThroughputSpec::LogFit(m) = self {
-            assert!(
-                m.a_mbps.is_finite() && m.b_mbps.is_finite(),
-                "log-fit coefficients must be finite (a = {}, b = {})",
-                m.a_mbps,
-                m.b_mbps
-            );
-        }
-    }
 }
 
 impl ThroughputModel for ThroughputSpec {

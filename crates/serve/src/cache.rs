@@ -7,7 +7,8 @@
 //! repro harness made whole-campaign cells reusable; this is the same
 //! economics at per-request granularity, plus bounded capacity.)
 //!
-//! A key is [`Quantizer::key`](skyferry_core::request::Quantizer::key):
+//! A key is [`DecisionParams::bits`](skyferry_core::request::DecisionParams::bits)
+//! of the [`Quantizer::snap`](skyferry_core::request::Quantizer::snap):
 //! the platform index plus the bits of the snapped parameters, so two
 //! requests share an entry exactly when the solver would be handed the
 //! same parameters. The engine serves one request at a time —
@@ -269,8 +270,8 @@ mod tests {
         let mut b = a;
         a.d0_m = 299.0;
         b.d0_m = 301.0;
-        assert_eq!(c.get(q.key(&a)), None);
-        c.insert(q.key(&a), v(1.0));
-        assert_eq!(c.get(q.key(&b)), Some(v(1.0)));
+        assert_eq!(c.get(q.snap(&a).bits()), None);
+        c.insert(q.snap(&a).bits(), v(1.0));
+        assert_eq!(c.get(q.snap(&b).bits()), Some(v(1.0)));
     }
 }

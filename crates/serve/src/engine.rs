@@ -4,8 +4,8 @@
 //! soon as it has it, and the engine answers it before it looks at the
 //! next:
 //!
-//! 1. snap the parameters with the [`Quantizer`]; their bits are the
-//!    cache key ([`Quantizer::key`]);
+//! 1. the shard that parsed the decide snapped its parameters with the
+//!    [`Quantizer`] and checked the snap; its bits are the cache key;
 //! 2. [`DecisionCache::get`] — a hit answers from the stored value;
 //! 3. on a miss, solve the snapped parameters inline on the shard thread
 //!    and [`DecisionCache::insert`] the result.
@@ -88,15 +88,19 @@ impl Engine {
         &self.quant
     }
 
-    /// Answer one validated request, adding the time its solve took (if
-    /// it needed one) to `solve_ns`; a hit reads no clock.
-    pub fn decide(&mut self, p: &DecisionParams, solve_ns: &mut u64) -> Decision {
+    /// Answer one validated request `p`, given its snap under this
+    /// engine's quantizer, adding the time its solve took (if it needed
+    /// one) to `solve_ns`; a hit reads no clock.
+    pub fn decide(
+        &mut self,
+        p: &DecisionParams,
+        snapped: &DecisionParams,
+        solve_ns: &mut u64,
+    ) -> Decision {
         // No cache: solve raw (un-snapped) parameters — this is the
         // reference path `--no-cache` comparisons measure against.
-        // `snapped.bits()` is `self.quant.key(p)` without a second snap.
         let (params, key) = if self.cache_enabled {
-            let snapped = self.quant.snap(p);
-            (snapped, Some(snapped.bits()))
+            (*snapped, Some(snapped.bits()))
         } else {
             (*p, None)
         };
@@ -136,7 +140,8 @@ mod tests {
     use skyferry_sim::rng::DetRng;
 
     fn serve_one(engine: &mut Engine, p: DecisionParams) -> Decision {
-        engine.decide(&p, &mut 0)
+        let snapped = engine.quantizer().snap(&p);
+        engine.decide(&p, &snapped, &mut 0)
     }
 
     fn random_params(rng: &mut DetRng) -> DecisionParams {

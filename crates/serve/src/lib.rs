@@ -22,7 +22,7 @@
 //!   responses, hit flags and eviction order cannot depend on how the
 //!   stream is batched;
 //! * [`cache`] — a deterministic LRU keyed on the bits of the snapped
-//!   parameters ([`skyferry_core::request::Quantizer::key`]), mirroring
+//!   parameters ([`skyferry_core::request::Quantizer::snap`]), mirroring
 //!   the repro harness's `CampaignStore` economics at per-request scale;
 //! * [`metrics`] — lock-free atomic counters plus a streaming
 //!   log-bucket latency histogram (p50/p95/p99), kept per shard and

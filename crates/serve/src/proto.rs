@@ -22,6 +22,17 @@
 //! rejected — a typo like `"mdta"` silently falling back to a baseline
 //! would be a wrong answer served with confidence.
 //!
+//! A `d0` below 20 m is clamped up to 20 m. The server then refuses, with
+//! [`RequestError::Invalid`], a query that fails `ScenarioView::check`:
+//! a non-finite field, `mdata` or `speed` not positive, `rho` negative,
+//! an `mdata` so small that it takes no time to send (a subnormal MB
+//! count), or a `d0` past the solver's grid — above
+//! 8.782086638311263e304 m, or one of the rare `d0` above 2^24 m whose
+//! last grid point rounds an ulp past it. The query snapped onto the
+//! server's cache buckets must pass the same check, so under the default
+//! buckets a `speed` above about 9e307 m/s or a `rho` above about 9e303
+//! /m, which snap to `inf`, is refused too, with or without the cache.
+//!
 //! A **control request** is an object with a `"cmd"` member: `stats`,
 //! `reset`, `shutdown`, `cache`, or `policy` (the latter two with
 //! `"enabled": true|false`).
@@ -41,7 +52,8 @@
 //! bodies" a testable claim.
 
 use skyferry_core::optimizer::OptimalTransfer;
-use skyferry_core::request::{DecisionParams, ParamError, Platform};
+use skyferry_core::request::{DecisionParams, Platform};
+use skyferry_core::scenario::ParamError;
 use skyferry_stats::json::{self, Json};
 
 /// A parsed request line.
@@ -89,7 +101,8 @@ pub enum RequestError {
     NotANumber(String),
     /// An object member the grammar does not define.
     UnknownField(String),
-    /// Parameters parsed but failed validation.
+    /// Parameters parsed, but the query or its snap fails
+    /// `ScenarioView::check`.
     Invalid(ParamError),
     /// `cmd` names no known control request.
     UnknownCommand(String),

@@ -77,6 +77,7 @@ use crate::metrics::{LatencyHistogram, Metrics};
 use crate::policy::PolicyState;
 use crate::proto::{
     ack_response, decision_response, error_response, parse_request, Decision, ErrorKind, Request,
+    RequestError,
 };
 
 /// Token 0 is every shard's waker; connection tokens start at 1.
@@ -259,6 +260,7 @@ pub(crate) enum Msg {
 #[derive(Debug)]
 pub(crate) struct DecideJob {
     params: DecisionParams,
+    snapped: DecisionParams,
     origin: usize,
     conn: u64,
     seq: u64,
@@ -763,16 +765,17 @@ impl ShardLoop {
         params: DecisionParams,
         t_recv_ns: u64,
     ) {
-        let params = match params.validated() {
-            Ok(p) => p,
+        // Snap once, here: the query and its snap must both pass
+        // `check`, whatever the cache toggle, and the snap is the key.
+        let checked = params.validated().and_then(|p| {
+            let snapped = self.engine.quantizer().snap(&p);
+            snapped.view().check().map(|()| (p, snapped))
+        });
+        let (params, snapped) = match checked {
+            Ok(q) => q,
             Err(e) => {
-                return self.send_err(
-                    id,
-                    seq,
-                    codec,
-                    ErrorKind::BadRequest,
-                    &format!("invalid parameters: {e}"),
-                );
+                let msg = RequestError::Invalid(e).to_string();
+                return self.send_err(id, seq, codec, ErrorKind::BadRequest, &msg);
             }
         };
         let req_id = self
@@ -825,8 +828,7 @@ impl ShardLoop {
                 &[("parse", t_recv_ns, t_parsed_ns)],
             );
         }
-        let key = self.engine.quantizer().key(&params);
-        let target = route_shard(&key, self.nshards());
+        let target = route_shard(&snapped.bits(), self.nshards());
         if !try_reserve(&self.state.shards[target].backlog, self.state.queue_depth) {
             self.send_err(
                 id,
@@ -843,6 +845,7 @@ impl ShardLoop {
         }
         let job = DecideJob {
             params,
+            snapped,
             origin: self.id,
             conn: id,
             seq,
@@ -932,7 +935,7 @@ impl ShardLoop {
     /// latency record and `request` tree time this decide alone.
     fn serve_decide(&mut self, job: DecideJob, t_start_ns: u64) {
         let mut solve_ns = 0;
-        let decision = self.engine.decide(&job.params, &mut solve_ns);
+        let decision = self.engine.decide(&job.params, &job.snapped, &mut solve_ns);
         let t_done_ns = monotonic_ns();
         let dt_us = t_done_ns.saturating_sub(t_start_ns) as f64 / 1e3;
         let us_served = if self.state.deterministic {
@@ -1312,7 +1315,7 @@ mod tests {
                             rho_per_m: rho,
                             v_mps: v,
                         };
-                        keys.push(q.key(&p));
+                        keys.push(q.snap(&p).bits());
                     }
                 }
             }

@@ -148,10 +148,14 @@ fn malformed_and_invalid_requests_get_typed_errors() {
             r#"{"platform":"airplane","speed":-4}"#,
             r#"{"platform":"airplane","rho":1e999}"#,
             r#"{"cmd":"explode"}"#,
+            // Past the solver's grid, and a payload that takes no time
+            // to send: `check` refuses both without a panic.
+            r#"{"platform":"airplane","d0":1e308}"#,
+            r#"{"platform":"airplane","mdata":5e-324}"#,
             r#"{"platform":"airplane"}"#,
         ],
     );
-    for r in &responses[..7] {
+    for r in &responses[..9] {
         assert_eq!(
             error_kind(r).as_deref(),
             Some("bad-request"),
@@ -159,11 +163,59 @@ fn malformed_and_invalid_requests_get_typed_errors() {
         );
     }
     // The valid request after all that garbage is still served.
-    assert!(error_kind(&responses[7]).is_none());
-    assert!(json::parse(&responses[7])
+    assert!(error_kind(&responses[9]).is_none());
+    assert!(json::parse(&responses[9])
         .expect("valid")
         .get("d_star")
         .is_some());
+    drop(handle); // drop = shutdown + join
+}
+
+/// Queries whose default-bucket snap leaves the Eq. (2) domain are
+/// refused on the parsing shard, so no owning shard's thread dies: the
+/// decides after them, on the same and on a fresh connection, are
+/// answered, and `stats` counts the three refusals.
+#[test]
+fn snapped_queries_outside_the_domain_are_refused_and_shards_survive() {
+    let handle = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        queue_depth: 64,
+        engine: EngineConfig {
+            cache_capacity: 64,
+            quant: Quantizer::default_buckets(),
+            cache_enabled: true,
+        },
+        shards: 2,
+        policy: None,
+        deterministic: true,
+    })
+    .expect("bind loopback");
+    let baseline = r#"{"platform":"quadrocopter"}"#;
+    let responses = round_trip(
+        &handle,
+        &[
+            r#"{"platform":"airplane","d0":1e308}"#,
+            r#"{"platform":"airplane","speed":1.7e308}"#,
+            r#"{"platform":"airplane","rho":1e304}"#,
+            baseline,
+        ],
+    );
+    for r in &responses[..3] {
+        assert_eq!(error_kind(r).as_deref(), Some("bad-request"), "{r}");
+    }
+    assert!(error_kind(&responses[3]).is_none(), "{}", responses[3]);
+    let responses = round_trip(
+        &handle,
+        &[r#"{"platform":"airplane"}"#, r#"{"cmd":"stats"}"#],
+    );
+    assert!(error_kind(&responses[0]).is_none(), "{}", responses[0]);
+    let stats = json::parse(&responses[1]).expect("stats");
+    assert_eq!(
+        stats.get("bad_requests").and_then(Json::as_i64),
+        Some(3),
+        "{}",
+        responses[1]
+    );
     drop(handle); // drop = shutdown + join
 }
 

@@ -6,7 +6,8 @@
 
 use skyferry::core::failure::{ExponentialFailure, FailureSpec, WeibullFailure};
 use skyferry::core::optimizer::{optimize, search_max, utility_curve_view, OptimalTransfer};
-use skyferry::core::scenario::{Scenario, ScenarioView};
+use skyferry::core::request::{DecisionParams, Platform, Quantizer, D_MIN_M};
+use skyferry::core::scenario::{ParamError, Scenario, ScenarioView};
 use skyferry::core::strategy::{evaluate, EvalConfig, Strategy as DeliveryStrategy};
 use skyferry::core::throughput::{
     EmpiricalThroughput, LogFitThroughput, ThroughputModel, ThroughputSpec,
@@ -361,6 +362,108 @@ fn validated_literals_solve_to_numbers() {
         solved > 0 && rejected > 0,
         "{solved} solved, {rejected} rejected"
     );
+}
+
+/// The largest `d0` (at `d_min = 20 m`) whose solver grid stays finite.
+const D0_BOUND_M: f64 = 8.782086638311263e304;
+/// A `d0` whose last solver grid point rounds one ulp (3.7e-9 m) past it.
+const D0_OVERSHOT_M: f64 = 27_416_548.192_768_097;
+
+/// `x` moved by `ulps` units in the last place (`x` positive).
+fn ulp_step(x: f64, ulps: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+}
+
+/// One request field: raw `f64` bits, a decade sweep, or an edge value.
+fn arb_field(rng: &mut DetRng) -> f64 {
+    let pool = [
+        0.0,
+        5e-324,
+        1e-323,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        ulp_step(D0_BOUND_M, -1),
+        D0_BOUND_M,
+        ulp_step(D0_BOUND_M, 1),
+        D0_OVERSHOT_M,
+        ulp_step(D_MIN_M, -1),
+        D_MIN_M,
+        ulp_step(D_MIN_M, 1),
+    ];
+    match rng.index(3) {
+        0 => f64::from_bits(rng.next_u64()),
+        1 => magnitude(rng, -324.0, 308.3),
+        _ => pool[rng.index(pool.len())],
+    }
+}
+
+/// Solve `p`, which passed `check`, and require five numbers back.
+fn solves_to_numbers(p: DecisionParams) {
+    let o = std::panic::catch_unwind(|| p.solve())
+        .unwrap_or_else(|_| panic!("{p:?} was accepted, and its solve panicked"));
+    let fields = [o.d_opt, o.utility, o.survival, o.ship_s, o.tx_s];
+    assert!(!fields.iter().any(|x| x.is_nan()), "{p:?}: {o:?}");
+    assert!(
+        o.d_opt >= D_MIN_M && o.d_opt <= p.d0_m + 1e-9,
+        "{p:?}: {o:?}"
+    );
+}
+
+#[test]
+fn validated_queries_solve_under_both_quantizers() {
+    // What `validated()` accepts, the solver answers: no query accepted
+    // off the wire may panic a serving shard. A server also checks the
+    // query its quantizer snaps, and under the default buckets a huge
+    // `v` or ρ snaps to `inf`, so `check` must refuse those snaps.
+    let mut rng = rng(16);
+    let buckets = Quantizer::default_buckets();
+    let (mut accepted, mut rejected, mut snap_refused) = (0, 0, 0);
+    for i in 0..24_000 {
+        let platform = [Platform::Airplane, Platform::Quadrocopter][i % 2];
+        let raw = DecisionParams {
+            platform,
+            d0_m: arb_field(&mut rng),
+            mdata_bytes: arb_field(&mut rng),
+            rho_per_m: arb_field(&mut rng),
+            v_mps: arb_field(&mut rng),
+        };
+        let Ok(p) = raw.validated() else {
+            rejected += 1;
+            continue;
+        };
+        accepted += 1;
+        solves_to_numbers(p);
+        let snapped = buckets.snap(&p);
+        let overflowed = [
+            snapped.d0_m,
+            snapped.mdata_bytes,
+            snapped.rho_per_m,
+            snapped.v_mps,
+        ]
+        .iter()
+        .any(|x| !x.is_finite());
+        match snapped.view().check() {
+            Ok(()) => {
+                assert!(!overflowed, "{p:?} snaps to {snapped:?}");
+                solves_to_numbers(snapped);
+            }
+            Err(_) => snap_refused += 1,
+        }
+    }
+    assert!(
+        accepted > 8_000 && rejected > 2_000 && snap_refused > 200,
+        "{accepted} accepted, {rejected} rejected, {snap_refused} snaps refused"
+    );
+    // The d0 bound sits exactly where the grid overflows, and the grid
+    // clause also refuses a d0 its last point overshoots.
+    let at = |d0_m| DecisionParams {
+        d0_m,
+        ..DecisionParams::baseline(Platform::Airplane)
+    };
+    assert!(at(D0_BOUND_M).validated().is_ok());
+    for d0_m in [ulp_step(D0_BOUND_M, 1), D0_OVERSHOT_M] {
+        assert!(matches!(at(d0_m).validated(), Err(ParamError::Grid(..))));
+    }
 }
 
 #[test]
