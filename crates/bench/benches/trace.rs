@@ -3,8 +3,7 @@
 //! Three span-cost regimes:
 //!
 //! * **disabled** — tracer never installed: `span!` is one relaxed
-//!   atomic load (the compile-time no-op with `--no-default-features`
-//!   is not measurable from an enabled build);
+//!   atomic load;
 //! * **unsampled** — installed with sample rate 0: the per-span
 //!   sampling check runs, nothing is recorded;
 //! * **full** — every span recorded into the thread-local buffer.

@@ -23,11 +23,11 @@
 //! difference. `--bench-parallel FILE` times the replication-heavy
 //! figures serially and at the configured thread count and writes the
 //! comparison as JSON. `--trace FILE` records the whole run as one span
-//! tree (`repro` → per-experiment → per-task) — compact JSONL when the
-//! path ends in `.jsonl`, Chrome `trace_event` JSON (Perfetto-loadable)
-//! otherwise; with `--deterministic` the span timestamps come from the
-//! virtual tick clock, making the trace byte-identical across runs and
-//! `--threads` settings.
+//! tree (`repro` → per-experiment → per-task) and writes it as JSONL
+//! (`skyferry-trace convert` turns it into Perfetto-loadable Chrome
+//! `trace_event` JSON); with `--deterministic` the span timestamps come
+//! from the virtual tick clock, making the trace byte-identical across
+//! runs and `--threads` settings.
 
 use std::path::Path;
 use std::process::ExitCode;

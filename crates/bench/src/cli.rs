@@ -46,8 +46,8 @@ pub struct CliArgs {
     /// straight + optimized waypoint paths for the canonical crosswind
     /// campaign, one JSON object per line.
     pub export_traj: Option<PathBuf>,
-    /// Execution trace output path (`--trace FILE`; `.jsonl` = compact,
-    /// anything else = Chrome `trace_event` JSON for Perfetto).
+    /// Execution trace output path (`--trace FILE`), written as JSONL
+    /// whatever the extension.
     pub trace: Option<PathBuf>,
     /// Virtual trace clock (`--deterministic`): span timestamps come
     /// from the deterministic tick clock so traces are byte-identical

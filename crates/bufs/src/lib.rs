@@ -11,7 +11,8 @@
 //! * `Bytes` is an immutable view with a read cursor: `Buf::get_*`
 //!   consume from the front; `Deref<Target = [u8]>` exposes the
 //!   *remaining* bytes.
-//! * `BytesMut` is an append-only builder; `freeze` converts to `Bytes`.
+//! * `BytesMut` is an append-only builder; `Deref<Target = [u8]>`
+//!   exposes what has been written.
 //!
 //! The one intentional divergence: cloning `Bytes` copies the buffer
 //! instead of sharing a refcount. Frames in the simulator are small and
@@ -243,14 +244,6 @@ impl BytesMut {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// Convert into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.data,
-            pos: 0,
-        }
-    }
 }
 
 impl BufMut for BytesMut {
@@ -292,7 +285,7 @@ mod tests {
         w.put_f32_le(1.5);
         w.put_f64_le(-0.1);
         w.put_slice(&[1, 2, 3]);
-        let mut r = w.freeze();
+        let mut r = Bytes::from(&w[..]);
         assert_eq!(r.get_u8(), 0xAB);
         assert_eq!(r.get_u16_le(), 0xBEEF);
         assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);

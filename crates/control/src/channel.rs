@@ -7,7 +7,6 @@
 //! cutoff with a soft loss zone near the edge, and a per-message base
 //! loss floor for 2.4 GHz clutter.
 
-use bytes::Bytes;
 use skyferry_sim::rng::DetRng;
 use skyferry_sim::time::SimDuration;
 
@@ -96,9 +95,10 @@ impl ControlChannel {
         self.config.base_loss + (1.0 - self.config.base_loss) * edge
     }
 
-    /// Transmit `message` over `distance_m`; samples delivery.
-    pub fn send(&mut self, message: &Bytes, distance_m: f64) -> SendOutcome {
-        let airtime = self.airtime_for(message.len());
+    /// Transmit a `payload_bytes` message over `distance_m`; samples
+    /// delivery.
+    pub fn send(&mut self, payload_bytes: usize, distance_m: f64) -> SendOutcome {
+        let airtime = self.airtime_for(payload_bytes);
         let lost = self.rng.chance(self.loss_probability(distance_m));
         self.sent += 1;
         if !lost {
@@ -151,9 +151,8 @@ mod tests {
     #[test]
     fn in_range_mostly_delivers() {
         let mut c = channel(3);
-        let msg = Bytes::from(vec![0u8; 32]);
         for _ in 0..1000 {
-            c.send(&msg, 500.0);
+            c.send(32, 500.0);
         }
         let ratio = c.delivered() as f64 / c.sent() as f64;
         assert!((ratio - 0.98).abs() < 0.02, "ratio={ratio}");
@@ -162,9 +161,8 @@ mod tests {
     #[test]
     fn out_of_range_never_delivers() {
         let mut c = channel(4);
-        let msg = Bytes::from(vec![0u8; 16]);
         for _ in 0..100 {
-            let out = c.send(&msg, 2_000.0);
+            let out = c.send(16, 2_000.0);
             assert!(!out.delivered);
             assert!(out.airtime > SimDuration::ZERO);
         }

@@ -10,9 +10,8 @@
 //! telemetry data … sent to the central planner … and (ii) new waypoints
 //! from the planner to the UAVs." (Section 3.)
 //!
-//! * [`message`] — the telemetry wire format, with a byte-exact codec
-//!   (so channel airtime is computed from real frame sizes), and the
-//!   planner's command type;
+//! * [`message`] — the telemetry report with its wire size (the channel
+//!   charges airtime for it), and the planner's command type;
 //! * [`channel`] — the 250 kbit/s / 1.5 km shared channel model;
 //! * [`planner`] — the central planner: ingests telemetry, runs the
 //!   `skyferry-core` decision engine, and issues rendezvous waypoints;

@@ -289,7 +289,7 @@ pub fn run_mission(cfg: &MissionConfig) -> MissionReport {
                         data_ready_bytes: agent.camera.data().get() as u64
                             - agent.delivered_bytes.min(agent.camera.data().get() as u64),
                     };
-                    let out = xbee.send(&report.encode(), fix.distance(ground_station));
+                    let out = xbee.send(Telemetry::WIRE_BYTES, fix.distance(ground_station));
                     if out.delivered {
                         planner.ingest(now, report);
                         // Keep the relay's entry fresh too.

@@ -6,6 +6,8 @@
 //! that planner embeds: give it the live situation (separation, batch
 //! size, battery-derived failure rate) and it answers *transmit now* or
 //! *move to `dopt` first*, re-evaluating as conditions change.
+//!
+//! [`DecisionEngine`]: crate::decision::DecisionEngine
 
 use crate::optimizer::{optimize, OptimalTransfer};
 use crate::scenario::Scenario;

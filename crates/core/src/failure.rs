@@ -6,6 +6,8 @@
 //! generic so non-stationary laws (named as future work in Section 7)
 //! can be dropped in; [`WeibullFailure`] is one such extension with a
 //! distance-dependent hazard.
+//!
+//! [`WeibullFailure`]: crate::failure::WeibullFailure
 
 use skyferry_units::Meters;
 

@@ -50,6 +50,9 @@
 //!
 //! This module contains no `unsafe` code (audited for the determinism
 //! pass; the crate is `#![forbid(unsafe_code)]`).
+//!
+//! [`search_max`]: crate::optimizer::search_max
+//! [`optimize_view`]: crate::optimizer::optimize_view
 
 use skyferry_units::Meters;
 

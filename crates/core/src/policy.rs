@@ -23,7 +23,7 @@
 //! # Artifact format (version 1)
 //!
 //! Little-endian throughout, all raw byte codec confined to the private
-//! [`codec`] submodule (enforced by the `raw-endian-bytes` lint rule):
+//! `codec` submodule (enforced by the `raw-endian-bytes` lint rule):
 //!
 //! ```text
 //! offset  size  field
@@ -37,10 +37,16 @@
 //!  128+40c    8  FNV-1a-64 checksum over all preceding bytes
 //! ```
 //!
-//! Decoding validates magic, version, checksum and header consistency —
-//! in that order — before trusting any length field, so corrupted or
-//! version-mismatched tables are rejected with a typed [`PolicyError`]
-//! and never a panic or an over-allocation.
+//! Decoding validates magic, version, checksum, the file size the cell
+//! count implies, and header consistency — in that order — before
+//! trusting any length field, so corrupted or version-mismatched tables
+//! are rejected with a typed [`PolicyError`] and never a panic or an
+//! over-allocation.
+//!
+//! [`PolicyGrid`]: crate::policy::PolicyGrid
+//! [`Quantizer`]: crate::request::Quantizer
+//! [`PolicyTable::build`]: crate::policy::PolicyTable::build
+//! [`PolicyError`]: crate::policy::PolicyError
 
 use crate::optimizer::OptimalTransfer;
 use crate::request::{bucket_centre, bucket_of, DecisionParams, Platform, Quantizer, D_MIN_M};
@@ -215,9 +221,14 @@ const BUILD_RUN: usize = 64;
 impl PolicyGrid {
     /// Validate and assemble a grid. Every axis step must be finite and
     /// positive, the total cell count must stay under [`MAX_CELLS`], and
-    /// each platform's lowest and highest cell must pass
+    /// every cell must pass
     /// [`ScenarioView::check`](crate::scenario::ScenarioView::check), so
     /// the table's bucket centres are queries the solver can answer.
+    ///
+    /// `check`'s grid clause depends on `d0` alone and its other clauses
+    /// are monotone in each axis, so checking every `d0` bucket at each
+    /// platform's lowest and highest corner of the other three axes
+    /// covers every cell.
     pub fn new(d0: Axis, mdata: Axis, rho: Axis, speed: Axis) -> Result<PolicyGrid, PolicyError> {
         for (name, a) in [("d0", d0), ("mdata", mdata), ("rho", rho), ("speed", speed)] {
             if !a.step.is_finite() || a.step <= 0.0 {
@@ -252,12 +263,18 @@ impl PolicyGrid {
             rho,
             speed,
         };
-        let per_platform = grid.cells() / NUM_PLATFORMS;
-        for cell in [0, per_platform - 1, per_platform, grid.cells() - 1] {
-            if let Err(e) = grid.params_at(cell).view().check() {
-                return Err(PolicyError::BadHeader(format!(
-                    "cell {cell} is outside the request domain: {e}"
-                )));
+        let top = |a: Axis| a.n as usize - 1;
+        let corners = [[0, 0, 0], [top(mdata), top(rho), top(speed)]];
+        for platform in [Platform::Airplane, Platform::Quadrocopter] {
+            for i_d in 0..d0.n as usize {
+                for [i_m, i_r, i_s] in corners {
+                    let cell = grid.flat(platform, [i_d, i_m, i_r, i_s]);
+                    if let Err(e) = grid.params_at(cell).view().check() {
+                        return Err(PolicyError::BadHeader(format!(
+                            "cell {cell} is outside the request domain: {e}"
+                        )));
+                    }
+                }
             }
         }
         Ok(grid)
@@ -705,18 +722,23 @@ mod codec {
                 n: n as u32,
             };
         }
-        let grid = PolicyGrid::new(axes[0], axes[1], axes[2], axes[3])?;
         let declared = r.u64()?;
+        // Match the file's size before `PolicyGrid::new`, whose domain
+        // check costs time in proportion to the declared `d0` buckets.
+        let needed = usize::try_from(declared)
+            .ok()
+            .and_then(|c| c.checked_mul(CELL_LEN))
+            .and_then(|c| c.checked_add(HEADER_LEN + 8));
+        if needed != Some(bytes.len()) {
+            return Err(PolicyError::Truncated {
+                needed: needed.unwrap_or(usize::MAX),
+                got: bytes.len(),
+            });
+        }
+        let grid = PolicyGrid::new(axes[0], axes[1], axes[2], axes[3])?;
         let expected = grid.cells() as u64;
         if declared != expected {
             return Err(PolicyError::WrongCellCount { expected, declared });
-        }
-        let needed = HEADER_LEN + declared as usize * CELL_LEN + 8;
-        if bytes.len() != needed {
-            return Err(PolicyError::Truncated {
-                needed,
-                got: bytes.len(),
-            });
         }
         let mut cells = Vec::with_capacity(declared as usize);
         for _ in 0..declared {
@@ -895,6 +917,20 @@ mod tests {
             PolicyTable::from_bytes(&good[..40]),
             Err(PolicyError::Truncated { .. })
         ));
+
+        // A checksum-valid header whose grid `PolicyGrid::new` refuses, with
+        // no cells behind it: the size check comes first, so a crafted
+        // header never reaches the grid's per-bucket domain check.
+        let mut crafted = good[..HEADER_LEN].to_vec();
+        crafted[40..48].copy_from_slice(&8_000_000u64.to_le_bytes());
+        let cells = 2 * 8_000_000 * 3 * 3 * 3u64;
+        crafted[120..128].copy_from_slice(&cells.to_le_bytes());
+        let checksum = codec::fnv1a(&crafted);
+        crafted.extend_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(
+            PolicyTable::from_bytes(&crafted),
+            Err(PolicyError::Truncated { .. })
+        ));
     }
 
     #[test]
@@ -923,6 +959,17 @@ mod tests {
         };
         assert!(matches!(
             PolicyGrid::new(far_d0, ok, ok, ok),
+            Err(PolicyError::BadHeader(_))
+        ));
+        // Both end d0 buckets solve, but the middle one, 27416548.192768097
+        // m, overshoots the solver's grid.
+        let mid_d0 = Axis {
+            step: 13708274.096384048,
+            lo_idx: 1,
+            n: 3,
+        };
+        assert!(matches!(
+            PolicyGrid::new(mid_d0, ok, ok, ok),
             Err(PolicyError::BadHeader(_))
         ));
         // Oversized grid.

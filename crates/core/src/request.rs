@@ -20,6 +20,12 @@
 //!   must produce an error *response*, never a worker panic.
 //!
 //! [`Scenario`]: crate::scenario::Scenario
+//! [`DecisionParams`]: crate::request::DecisionParams
+//! [`DecisionParams::solve`]: crate::request::DecisionParams::solve
+//! [`DecisionParams::validated`]: crate::request::DecisionParams::validated
+//! [`ScenarioView`]: crate::scenario::ScenarioView
+//! [`Quantizer`]: crate::request::Quantizer
+//! [`Quantizer::exact`]: crate::request::Quantizer::exact
 
 use crate::failure::{ExponentialFailure, FailureSpec};
 use crate::optimizer::{optimize_view, OptimalTransfer};

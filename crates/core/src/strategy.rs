@@ -14,6 +14,8 @@
 //! [`evaluate`] produces, analytically, the same cumulative
 //! delivered-data-vs-time curves the paper measured, plus the scalar
 //! utility of Eq. (1) extended with an in-motion term.
+//!
+//! [`evaluate`]: crate::strategy::evaluate
 
 use skyferry_units::{Bytes, Meters};
 

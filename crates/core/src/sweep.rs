@@ -4,6 +4,9 @@
 //!   on a baseline scenario (Figure 8);
 //! * [`gratification_sweep`] — `(dopt, U(dopt))` across a grid of batch
 //!   sizes and speeds (Figure 9: each `Mdata` draws a curve over `v`).
+//!
+//! [`rho_sweep`]: crate::sweep::rho_sweep
+//! [`gratification_sweep`]: crate::sweep::gratification_sweep
 
 use crate::optimizer::{optimize_view, utility_curve_view, OptimalTransfer};
 use crate::scenario::Scenario;

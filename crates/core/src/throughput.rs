@@ -20,6 +20,11 @@
 //! // A duration is not a distance: rejected at compile time.
 //! let _ = LogFitThroughput::AIRPLANE.rate_bps(Seconds::new(20.0));
 //! ```
+//!
+//! [`LogFitThroughput`]: crate::throughput::LogFitThroughput
+//! [`EmpiricalThroughput`]: crate::throughput::EmpiricalThroughput
+//! [`Meters`]: skyferry_units::Meters
+//! [`BitsPerSec`]: skyferry_units::BitsPerSec
 
 use skyferry_units::{BitsPerSec, Meters};
 

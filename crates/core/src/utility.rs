@@ -12,6 +12,8 @@
 //! // Seconds where Meters belong: rejected at compile time.
 //! let _ = utility(&s, Seconds::new(50.0));
 //! ```
+//!
+//! [`Meters`]: skyferry_units::Meters
 
 use skyferry_units::{Meters, Seconds};
 

@@ -101,8 +101,8 @@ pub struct FnItem {
     pub test_only: bool,
 }
 
-/// A non-fn item declaration (struct/enum/trait/…): enough for
-/// documentation-oriented rules and `--fix` stubs.
+/// A non-fn item declaration (struct/enum/trait/…): enough for the
+/// documentation-oriented rules.
 #[derive(Debug, Clone)]
 pub struct ItemDecl {
     /// The introducing keyword (`struct`, `enum`, `trait`, …).

@@ -23,11 +23,10 @@
 //!   `lint:allow` escapes.
 //!
 //! Run it as `cargo run -p skyferry-lint` (add `-- --check` for CI,
-//! `-- --json` / `-- --sarif PATH` for machine-readable output,
-//! `-- --rules` to list the registry, `-- --baseline PATH` to diff
-//! against a checked-in baseline, `-- --allows` to audit escapes,
-//! `-- --fix` to apply mechanical fixes). A file opts out of a legacy
-//! rule with a justified escape, and any rule line-locally:
+//! `-- --sarif PATH` for a machine-readable log, `-- --rules` to list
+//! the registry, `-- --allows` to audit escapes). The one way to accept
+//! a finding is a justified escape: a file opts out of a legacy rule
+//! with a file-level escape, and any rule line-locally:
 //!
 //! ```text
 //! // lint:allow(float-narrowing): wire codec quantises to f32 on purpose
@@ -41,14 +40,12 @@
 //! The analysis pipeline is [`lexer`] (byte-accurate tokens) →
 //! [`scanner`] (per-line code/comment views derived from the tokens) →
 //! [`items`] (per-file fn/enum/use model) → [`taint`] (workspace
-//! symbol map + call-graph rules) → [`rules`] (the registry). SARIF
-//! emission lives in [`sarif`], baseline diffing in [`baseline`], and
-//! mechanical rewrites in [`fix`].
+//! symbol map + call-graph rules) → [`rules`] (the registry). Text
+//! and escape-audit output lives in [`report`], SARIF emission in
+//! [`sarif`].
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
-pub mod fix;
 pub mod items;
 pub mod lexer;
 pub mod report;

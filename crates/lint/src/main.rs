@@ -3,12 +3,8 @@
 //! ```text
 //! cargo run -p skyferry-lint                      # human-readable findings
 //! cargo run -p skyferry-lint -- --check           # exit 1 on deny findings (CI)
-//! cargo run -p skyferry-lint -- --json            # machine-readable report
-//! cargo run -p skyferry-lint -- --sarif PATH      # write a SARIF 2.1.0 log
-//! cargo run -p skyferry-lint -- --baseline PATH   # subtract a checked-in baseline
-//! cargo run -p skyferry-lint -- --write-baseline PATH  # snapshot current findings
+//! cargo run -p skyferry-lint -- --sarif PATH      # also write a SARIF 2.1.0 log
 //! cargo run -p skyferry-lint -- --allows          # audit lint:allow escapes
-//! cargo run -p skyferry-lint -- --fix             # apply mechanical fixes in place
 //! cargo run -p skyferry-lint -- --rules           # list the rule registry
 //! cargo run -p skyferry-lint -- PATH...           # restrict to given files/dirs
 //! ```
@@ -24,41 +20,29 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use skyferry_lint::baseline::Baseline;
-use skyferry_lint::fix::apply_fixes;
-use skyferry_lint::report::{render_allows, render_json, render_text};
+use skyferry_lint::report::{render_allows, render_text};
 use skyferry_lint::rules::{lint_files_with, registry, Severity};
 use skyferry_lint::sarif::render_sarif;
 use skyferry_lint::walk::{rust_files, workspace_root};
 
 fn main() -> ExitCode {
     let mut check = false;
-    let mut json = false;
     let mut list_rules = false;
     let mut allows = false;
-    let mut fix = false;
     let mut sarif_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => check = true,
-            "--json" => json = true,
             "--rules" => list_rules = true,
             "--allows" => allows = true,
-            "--fix" => fix = true,
-            "--sarif" | "--baseline" | "--write-baseline" => {
+            "--sarif" => {
                 let Some(value) = args.next() else {
                     eprintln!("`{arg}` requires a path argument\n{}", usage());
                     return ExitCode::from(2);
                 };
-                match arg.as_str() {
-                    "--sarif" => sarif_path = Some(value),
-                    "--baseline" => baseline_path = Some(value),
-                    _ => write_baseline = Some(value),
-                }
+                sarif_path = Some(value);
             }
             "--help" | "-h" => {
                 print!("{}", usage());
@@ -115,52 +99,11 @@ fn main() -> ExitCode {
     }
     let scanned = files.len();
 
-    if fix {
-        let mut total = 0;
-        for out in apply_fixes(&files) {
-            if out.applied == 0 {
-                continue;
-            }
-            let full = root.join(&out.path);
-            if let Err(e) = fs::write(&full, &out.source) {
-                eprintln!("skyferry-lint: cannot write {}: {e}", full.display());
-                return ExitCode::FAILURE;
-            }
-            println!("fixed {} ({} edit(s))", out.path, out.applied);
-            total += out.applied;
-        }
-        println!("skyferry-lint: applied {total} fix(es)");
-        return ExitCode::SUCCESS;
-    }
-
     let outcome = lint_files_with(&files, &rules);
-
-    if let Some(path) = write_baseline {
-        let text = Baseline::render(&outcome.findings);
-        if let Err(e) = fs::write(&path, text) {
-            eprintln!("skyferry-lint: cannot write baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "skyferry-lint: wrote baseline with {} finding(s) to {path}",
-            outcome.findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let findings = match &baseline_path {
-        Some(path) => {
-            let Ok(text) = fs::read_to_string(path) else {
-                eprintln!("skyferry-lint: cannot read baseline {path}");
-                return ExitCode::from(2);
-            };
-            Baseline::parse(&text).diff(&outcome.findings)
-        }
-        None => outcome.findings.clone(),
-    };
+    let findings = &outcome.findings;
 
     if let Some(path) = &sarif_path {
-        if let Err(e) = fs::write(path, render_sarif(&findings, &rules)) {
+        if let Err(e) = fs::write(path, render_sarif(findings, &rules)) {
             eprintln!("skyferry-lint: cannot write SARIF {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -177,17 +120,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if json {
-        print!("{}", render_json(&findings));
-    } else {
-        print!("{}", render_text(&findings));
-        println!(
-            "skyferry-lint: {} finding(s) in {} file(s) ({} rules)",
-            findings.len(),
-            scanned,
-            rules.len()
-        );
-    }
+    print!("{}", render_text(findings));
+    println!(
+        "skyferry-lint: {} finding(s) in {} file(s) ({} rules)",
+        findings.len(),
+        scanned,
+        rules.len()
+    );
 
     let denies = findings
         .iter()
@@ -201,17 +140,12 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage: skyferry-lint [--check] [--json] [--sarif PATH] [--baseline PATH]\n\
-     \x20                    [--write-baseline PATH] [--allows] [--fix] [--rules] [PATH...]\n\
+    "usage: skyferry-lint [--check] [--sarif PATH] [--allows] [--rules] [PATH...]\n\
      \n\
-     --check                exit 1 when any deny-severity finding survives\n\
-     --json                 emit a machine-readable JSON report\n\
-     --sarif PATH           write a SARIF 2.1.0 log to PATH\n\
-     --baseline PATH        subtract the checked-in baseline from the findings\n\
-     --write-baseline PATH  snapshot current findings as a new baseline\n\
-     --allows               report every lint:allow escape and its usage\n\
-     --fix                  apply mechanical fixes (stale escapes, stubs) in place\n\
-     --rules                list the rule registry and exit\n\
-     PATH...                restrict the scan to the given files or directories\n"
+     --check       exit 1 when any deny-severity finding survives\n\
+     --sarif PATH  write a SARIF 2.1.0 log to PATH\n\
+     --allows      report every lint:allow escape and its usage\n\
+     --rules       list the rule registry and exit\n\
+     PATH...       restrict the scan to the given files or directories\n"
         .to_string()
 }

@@ -1,6 +1,7 @@
-//! Rendering findings for humans (`file:line: [rule] message`) and for
-//! machines (a small hand-rolled JSON emitter — the lint stays
-//! dependency-free so it can never be the thing that breaks the build).
+//! Rendering findings for humans (`file:line: [rule] message`), the
+//! `--allows` escape audit, and the JSON string escaping that the SARIF
+//! emitter shares (the lint stays dependency-free so it can never be the
+//! thing that breaks the build).
 
 use crate::rules::{AllowStatus, Finding};
 
@@ -13,25 +14,6 @@ pub fn render_text(findings: &[Finding]) -> String {
             f.file, f.line, f.rule, f.message
         ));
     }
-    out
-}
-
-/// Render findings as a JSON document:
-/// `{"findings": [...], "count": N}`.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}{}\n",
-            json_string(f.rule),
-            json_string(f.severity.as_str()),
-            json_string(&f.file),
-            f.line,
-            json_string(&f.message),
-            if i + 1 == findings.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!("  ],\n  \"count\": {}\n}}\n", findings.len()));
     out
 }
 
@@ -97,21 +79,6 @@ mod tests {
     fn text_format() {
         let t = render_text(&sample());
         assert_eq!(t, "crates/x/src/a.rs:7: [wall-clock] uses \"Instant\"\n");
-    }
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let j = render_json(&sample());
-        assert!(j.contains("\\\"Instant\\\""));
-        assert!(j.contains("\"severity\": \"error\""));
-        assert!(j.contains("\"count\": 1"));
-        assert!(j.contains("\"line\": 7"));
-    }
-
-    #[test]
-    fn json_empty() {
-        let j = render_json(&[]);
-        assert!(j.contains("\"count\": 0"));
     }
 
     #[test]

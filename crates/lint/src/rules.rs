@@ -12,10 +12,10 @@
 //!
 //! * **line rules** run over the [`scanner`](crate::scanner) views
 //!   (code/comment split, strings blanked);
-//! * **model rules** run over the per-file [`items`](crate::items)
-//!   model (signatures, visibility, doc-adjacency);
+//! * **model rules** run over the per-file [`items`] model (signatures,
+//!   visibility, doc-adjacency);
 //! * **workspace rules** run once over every analyzed file via the
-//!   [`taint`](crate::taint) symbol map and call graph.
+//!   [`taint`] symbol map and call graph.
 //!
 //! Files opt out of a *line rule* with a justified escape comment
 //! anywhere in the file; any rule can be escaped on a single line:
@@ -45,7 +45,7 @@ use crate::taint;
 pub enum Severity {
     /// Reported, but does not fail the build.
     Warn,
-    /// Fails `--check` (unless matched by the baseline).
+    /// Fails `--check`.
     Deny,
 }
 

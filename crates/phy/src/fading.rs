@@ -22,6 +22,8 @@
 //! that interfere when the channel matrix is rank-deficient — which a pure
 //! LOS channel is — so each stream sees a self-interference floor that
 //! caps its SINR (see [`FadingConfig::sdm_sir_db`]).
+//!
+//! [`FadingConfig::sdm_sir_db`]: crate::fading::FadingConfig::sdm_sir_db
 
 use skyferry_sim::rng::DetRng;
 use skyferry_sim::time::{SimDuration, SimTime};

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N]
-//!           [--cache-capacity N] [--exact | --quant-d0 M --quant-mdata MB
-//!            --quant-rho R --quant-speed V] [--no-cache]
+//!           [--cache-capacity N] [--exact] [--no-cache]
 //!           [--policy FILE] [--policy-interp]
 //!           [--deterministic] [--trace PATH]
 //! ```
@@ -22,8 +21,8 @@
 //! instead of nearest-cell lookup. `--trace PATH` records every request
 //! as a span tree (parse → queue → cache → compute → respond, or parse
 //! → policy-lookup → respond on the table path) and writes the merged
-//! trace on shutdown — `.jsonl` for the compact format, anything else
-//! for Chrome `trace_event` JSON (loadable in Perfetto).
+//! trace as JSONL on shutdown (`skyferry-trace convert` turns it into
+//! Chrome `trace_event` JSON for Perfetto).
 
 use std::sync::Arc;
 
@@ -48,7 +47,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut trace_path = None;
     let mut policy_path = None;
     let mut policy_interp = false;
-    let mut quant = Quantizer::default_buckets();
     let mut raw = raw.into_iter();
     fn value<T: std::str::FromStr>(
         args: &mut impl Iterator<Item = String>,
@@ -66,11 +64,7 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--cache-capacity" => {
                 server.engine.cache_capacity = value(&mut raw, "--cache-capacity")?
             }
-            "--exact" => quant = Quantizer::exact(),
-            "--quant-d0" => quant.d0_step_m = Some(value(&mut raw, "--quant-d0")?),
-            "--quant-mdata" => quant.mdata_step_mb = Some(value(&mut raw, "--quant-mdata")?),
-            "--quant-rho" => quant.rho_step_per_m = Some(value(&mut raw, "--quant-rho")?),
-            "--quant-speed" => quant.speed_step_mps = Some(value(&mut raw, "--quant-speed")?),
+            "--exact" => server.engine.quant = Quantizer::exact(),
             "--no-cache" => server.engine.cache_enabled = false,
             "--deterministic" => server.deterministic = true,
             "--trace" => trace_path = Some(value(&mut raw, "--trace")?),
@@ -83,7 +77,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if policy_interp && policy_path.is_none() {
         return Err("--policy-interp needs --policy FILE".to_string());
     }
-    server.engine.quant = quant;
     Ok(Args {
         server,
         trace_path,
@@ -93,9 +86,8 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: skyferryd [--addr HOST:PORT] [--shards N] [--queue-depth N] \
-[--cache-capacity N] [--exact] [--quant-d0 M] [--quant-mdata MB] [--quant-rho R] \
-[--quant-speed V] [--no-cache] [--policy FILE] [--policy-interp] [--deterministic] \
-[--trace PATH]";
+[--cache-capacity N] [--exact] [--no-cache] [--policy FILE] [--policy-interp] \
+[--deterministic] [--trace PATH]";
 
 fn main() {
     let mut args = match parse_args(std::env::args().skip(1)) {
@@ -225,9 +217,12 @@ mod tests {
 
     #[test]
     fn quant_flags_and_errors() {
-        let a = parse(&["--quant-d0", "2.5", "--no-cache"]).expect("valid");
-        assert_eq!(a.server.engine.quant.d0_step_m, Some(2.5));
+        let a = parse(&["--no-cache"]).expect("valid");
         assert!(!a.server.engine.cache_enabled);
+        assert_eq!(
+            parse(&["--quant-d0", "2.5"]).err().as_deref(),
+            Some("unknown flag '--quant-d0'")
+        );
         assert!(parse(&["--queue-depth"]).is_err());
         assert!(parse(&["--queue-depth", "many"]).is_err());
         assert!(parse(&["--frob"]).is_err());

@@ -6,9 +6,10 @@
 //!   round-robin (it owns nothing else — no per-connection threads);
 //! * N **shard** threads, each an event loop over a `poll(2)` reactor
 //!   ([`crate::shard`]): every shard owns its connections, a private
-//!   [`Engine`] (decision cache included), and its slice of the
-//!   metrics. Decide requests are routed to the shard owning their
-//!   quantized key; everything else happens where the connection lives.
+//!   [`Engine`](crate::engine::Engine) (decision cache included), and
+//!   its slice of the metrics. Decide requests are routed to the shard
+//!   owning their quantized key; everything else happens where the
+//!   connection lives.
 //!
 //! Requests are **pipelined**: a shard parses as many complete frames
 //! per readable event as the socket delivered, and the shard that owns

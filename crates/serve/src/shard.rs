@@ -17,11 +17,11 @@
 //! message after the target's last drain pays a `write(2)`, so a busy
 //! target costs its senders an atomic swap per message:
 //!
-//! * [`Msg::Remote`] — a decide whose key hashes to another shard; the
+//! * `Msg::Remote` — a decide whose key hashes to another shard; the
 //!   owning shard serves it when it drains its inbox and sends
-//!   [`Msg::RemoteDone`] back to the origin, which renders the response
+//!   `Msg::RemoteDone` back to the origin, which renders the response
 //!   in the codec tagged at parse time.
-//! * [`Msg::Control`] — `reset`/`cache` broadcasts. Each shard applies
+//! * `Msg::Control` — `reset`/`cache` broadcasts. Each shard applies
 //!   the op after every decide that reached it first, and decrements a
 //!   countdown; the last shard acks to the origin. The origin enqueues
 //!   the broadcast *before* parsing the next frame, and inboxes are

@@ -2,16 +2,17 @@
 //! `skyferryd --trace`.
 //!
 //! ```text
-//! skyferry-trace summarize <trace.{json,jsonl}> [--top N] [--check]
+//! skyferry-trace summarize <trace.jsonl> [--top N] [--check]
 //!     [--expect-requests N] [--min-coverage FRAC]
-//! skyferry-trace convert <in.{json,jsonl}> <out.{json,jsonl}>
+//! skyferry-trace convert <trace.jsonl> <out.json>
 //! ```
 //!
+//! Both commands read the JSONL trace files that the tracer writes.
 //! `summarize` prints record counts, extent/coverage, top spans by
 //! self-time with p50/p95/p99, event counts and the critical path.
 //! `--check` turns structural problems (empty trace, wrong request count,
-//! poor coverage) into a non-zero exit for CI. `convert` re-encodes between
-//! the JSONL and Chrome `trace_event` formats (by output extension).
+//! poor coverage) into a non-zero exit for CI. `convert` writes the trace
+//! as Chrome `trace_event` JSON, for Perfetto or `chrome://tracing`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,9 +20,9 @@ use std::process::ExitCode;
 use skyferry_trace::sink;
 use skyferry_trace::summary::{self, CheckSpec};
 
-const USAGE: &str = "usage:\n  skyferry-trace summarize <trace> [--top N] [--check] \
+const USAGE: &str = "usage:\n  skyferry-trace summarize <trace.jsonl> [--top N] [--check] \
                      [--expect-requests N] [--min-coverage FRAC]\n  \
-                     skyferry-trace convert <in> <out>";
+                     skyferry-trace convert <trace.jsonl> <out.json>";
 
 struct SummarizeArgs {
     path: PathBuf,
@@ -101,11 +102,11 @@ fn summarize(args: &[String]) -> Result<(), String> {
 
 fn convert(args: &[String]) -> Result<(), String> {
     let [input, output] = args else {
-        return Err("convert takes <in> <out>".to_string());
+        return Err("convert takes <trace.jsonl> <out.json>".to_string());
     };
     let records = sink::read_file(&PathBuf::from(input)).map_err(|e| e.to_string())?;
-    let out = PathBuf::from(output);
-    sink::write_file(&out, &records).map_err(|e| format!("cannot write {output}: {e}"))?;
+    std::fs::write(output, sink::to_chrome(&records))
+        .map_err(|e| format!("cannot write {output}: {e}"))?;
     println!("wrote {} records to {output}", records.len());
     Ok(())
 }

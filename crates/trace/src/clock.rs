@@ -5,11 +5,13 @@
 //! 1. All real-time reads in the workspace funnel through this module
 //!    (`monotonic_ns()`), enforced by the `wall-clock` and
 //!    `instant-now-outside-clock` lint rules.
-//! 2. Trace timestamps come from a [`Clock`] implementation chosen at
-//!    [`install`](crate::install) time: [`MonoClock`] for profiling runs,
-//!    [`SimClock`] for deterministic runs (tests, `--deterministic`), whose
-//!    "time" is a per-lane tick counter and therefore bit-identical across
-//!    worker counts and reruns.
+//! 2. Trace timestamps come from one of two fixed clocks, chosen by
+//!    [`ClockMode`](crate::ClockMode) at [`install`](crate::install)
+//!    time: [`monotonic_ns`] for profiling runs, or virtual time for
+//!    deterministic runs (tests, `--deterministic`), where each clock
+//!    read advances the lane's tick counter by 1,000 ns. Virtual
+//!    timestamps are therefore bit-identical across worker counts and
+//!    reruns.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -24,57 +26,6 @@ pub fn monotonic_ns() -> u64 {
     anchor.elapsed().as_nanos() as u64
 }
 
-/// A source of trace timestamps.
-///
-/// `ticks` is per-lane state owned by the collector: it is reset to zero
-/// every time a [`lane`](crate::lane) guard activates, so deterministic
-/// clocks can derive time purely from the record stream position.
-pub trait Clock {
-    /// Produce the next timestamp in nanoseconds.
-    fn now_ns(&self, ticks: &mut u64) -> u64;
-    /// True when timestamps are virtual (deterministic across runs).
-    fn is_virtual(&self) -> bool {
-        false
-    }
-}
-
-/// Real monotonic time via [`monotonic_ns`]. Timestamps differ run to run;
-/// use for profiling, never in byte-stability tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MonoClock;
-
-impl Clock for MonoClock {
-    fn now_ns(&self, _ticks: &mut u64) -> u64 {
-        monotonic_ns()
-    }
-}
-
-/// Virtual time: each read advances the lane's tick counter by a fixed
-/// stride. Because ticks reset per lane activation and every lane's record
-/// stream is deterministic, the resulting timestamps are bit-identical
-/// across 1/2/8 worker threads and across reruns with the same seed.
-#[derive(Debug, Clone, Copy)]
-pub struct SimClock {
-    /// Virtual nanoseconds added per clock read.
-    pub tick_ns: u64,
-}
-
-impl Default for SimClock {
-    fn default() -> Self {
-        SimClock { tick_ns: 1_000 }
-    }
-}
-
-impl Clock for SimClock {
-    fn now_ns(&self, ticks: &mut u64) -> u64 {
-        *ticks += 1;
-        *ticks * self.tick_ns
-    }
-    fn is_virtual(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,17 +35,5 @@ mod tests {
         let a = monotonic_ns();
         let b = monotonic_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn sim_clock_is_a_pure_function_of_ticks() {
-        let c = SimClock::default();
-        let mut t = 0;
-        assert_eq!(c.now_ns(&mut t), 1_000);
-        assert_eq!(c.now_ns(&mut t), 2_000);
-        let mut t2 = 0;
-        assert_eq!(c.now_ns(&mut t2), 1_000);
-        assert!(c.is_virtual());
-        assert!(!MonoClock.is_virtual());
     }
 }

@@ -2,40 +2,42 @@
 //! and the guard types behind the `span!`/`event!` macros.
 //!
 //! Determinism contract (see also [`crate::record`]): a record's merge key
-//! `(epoch, lane, seq)` and its timestamps under [`SimClock`] depend only on
-//! the *logical* position of the emission — which parallel region, which
-//! task rank, which emission within that task — never on which OS thread
-//! executed it or how threads interleaved. [`drain`] sorts by the merge key,
-//! so the drained trace is bit-identical across worker counts.
+//! `(epoch, lane, seq)` and its timestamps under [`ClockMode::Sim`] depend
+//! only on the *logical* position of the emission — which parallel region,
+//! which task rank, which emission within that task — never on which OS
+//! thread executed it or how threads interleaved. [`drain`] sorts by the
+//! merge key, so the drained trace is bit-identical across worker counts.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 
-use crate::clock::{Clock, MonoClock, SimClock};
+use crate::clock::monotonic_ns;
 use crate::record::{Fields, Record, RecordKind, AUTO_LANE_BASE};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Fast-path flag: true when the installed clock is the stock [`MonoClock`],
-/// letting [`now`] call [`crate::clock::monotonic_ns`] directly instead of
-/// taking the `CLOCK` read lock on every record.
-static FAST_MONO: AtomicBool = AtomicBool::new(false);
+/// The installed clock: true for [`ClockMode::Sim`], false for
+/// [`ClockMode::Mono`] (and while nothing is installed).
+static VIRTUAL: AtomicBool = AtomicBool::new(false);
 /// 1 = record everything, 0 = record nothing (enabled-but-unsampled),
 /// N = record every Nth span/event per thread.
 static SAMPLE: AtomicU32 = AtomicU32::new(1);
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 static AUTO_LANE: AtomicU64 = AtomicU64::new(AUTO_LANE_BASE);
 static SINK: Mutex<Vec<Record>> = Mutex::new(Vec::new());
-static CLOCK: RwLock<Option<Arc<dyn Clock + Send + Sync>>> = RwLock::new(None);
 
-/// Which built-in [`Clock`] to install.
+/// Virtual nanoseconds per clock read under [`ClockMode::Sim`].
+const SIM_TICK_NS: u64 = 1_000;
+
+/// Which clock stamps span and event timestamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockMode {
-    /// Real monotonic time ([`MonoClock`]).
+    /// Real monotonic time ([`monotonic_ns`]), for profiling.
     #[default]
     Mono,
-    /// Virtual per-lane ticks ([`SimClock`]), for deterministic traces.
+    /// Virtual time: each read advances the lane's tick counter by
+    /// 1,000 ns, so timestamps are deterministic.
     Sim,
 }
 
@@ -58,7 +60,7 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// Deterministic preset: [`SimClock`] timestamps, full recording.
+    /// Deterministic preset: [`ClockMode::Sim`] timestamps, full recording.
     pub fn deterministic() -> Self {
         TraceConfig {
             clock: ClockMode::Sim,
@@ -131,19 +133,8 @@ thread_local! {
 /// and resets the epoch, auto-lane and current-thread counters, so traces
 /// from consecutive `install`/[`drain`] cycles are independent.
 pub fn install(cfg: TraceConfig) {
-    let clock: Arc<dyn Clock + Send + Sync> = match cfg.clock {
-        ClockMode::Mono => Arc::new(MonoClock),
-        ClockMode::Sim => Arc::new(SimClock::default()),
-    };
-    install_with_clock(clock, cfg.sample);
-    FAST_MONO.store(cfg.clock == ClockMode::Mono, Ordering::SeqCst);
-}
-
-/// [`install`] with a caller-provided [`Clock`] implementation.
-pub fn install_with_clock(clock: Arc<dyn Clock + Send + Sync>, sample: u32) {
-    FAST_MONO.store(false, Ordering::SeqCst);
-    *CLOCK.write().expect("trace clock poisoned") = Some(clock);
-    SAMPLE.store(sample, Ordering::SeqCst);
+    VIRTUAL.store(cfg.clock == ClockMode::Sim, Ordering::SeqCst);
+    SAMPLE.store(cfg.sample, Ordering::SeqCst);
     EPOCH.store(0, Ordering::SeqCst);
     AUTO_LANE.store(AUTO_LANE_BASE, Ordering::SeqCst);
     SINK.lock().expect("trace sink poisoned").clear();
@@ -161,11 +152,7 @@ pub fn enabled() -> bool {
 
 /// True when the installed clock is virtual (deterministic timestamps).
 pub fn clock_is_virtual() -> bool {
-    CLOCK
-        .read()
-        .expect("trace clock poisoned")
-        .as_ref()
-        .is_some_and(|c| c.is_virtual())
+    VIRTUAL.load(Ordering::Relaxed)
 }
 
 /// Stop recording and return all records sorted by `(epoch, lane, seq)`.
@@ -174,22 +161,20 @@ pub fn clock_is_virtual() -> bool {
 /// flushed when they exited — call after joining any traced workers.
 pub fn drain() -> Vec<Record> {
     ENABLED.store(false, Ordering::SeqCst);
-    FAST_MONO.store(false, Ordering::SeqCst);
+    VIRTUAL.store(false, Ordering::SeqCst);
     LOCAL.with(|l| l.borrow_mut().flush());
     let mut records = std::mem::take(&mut *SINK.lock().expect("trace sink poisoned"));
-    *CLOCK.write().expect("trace clock poisoned") = None;
     records.sort_by_key(Record::sort_key);
     records
 }
 
+/// The installed clock's next timestamp for this thread's lane.
 fn now(local: &mut Local) -> u64 {
-    if FAST_MONO.load(Ordering::Relaxed) {
-        return crate::clock::monotonic_ns();
-    }
-    let guard = CLOCK.read().expect("trace clock poisoned");
-    match guard.as_ref() {
-        Some(clock) => clock.now_ns(&mut local.ticks),
-        None => 0,
+    if VIRTUAL.load(Ordering::Relaxed) {
+        local.ticks += 1;
+        local.ticks * SIM_TICK_NS
+    } else {
+        monotonic_ns()
     }
 }
 
@@ -451,9 +436,9 @@ pub fn record_event(name: &'static str, fields: Fields) {
 /// itself (the serve dispatcher builds request trees from queue/cache/solve
 /// boundary timestamps it already collects for metrics).
 ///
-/// The parent sequence number is reserved at construction, so child spans
-/// recorded later sort *after* their parent (tree preorder) even though the
-/// parent record is written last, by [`ManualSpan::finish`].
+/// The parent sequence number is reserved at construction, so the child
+/// spans sort *after* their parent (tree preorder) even though
+/// [`ManualSpan::finish_tree`] writes the parent record last.
 pub struct ManualSpan {
     seq: u64,
     parent: Option<u64>,
@@ -462,7 +447,7 @@ pub struct ManualSpan {
 }
 
 /// Open a manual span (no-op when disabled; nothing is recorded until
-/// [`ManualSpan::finish`]).
+/// [`ManualSpan::finish_tree`]).
 pub fn manual_span(name: &'static str) -> ManualSpan {
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
@@ -492,39 +477,8 @@ impl ManualSpan {
         self.live
     }
 
-    /// Record a child span with explicit timestamps.
-    pub fn child(&self, name: &'static str, start_ns: u64, end_ns: u64) {
-        self.child_with(name, start_ns, end_ns, Vec::new());
-    }
-
-    /// Record a child span with explicit timestamps and fields.
-    pub fn child_with(&self, name: &'static str, start_ns: u64, end_ns: u64, fields: Fields) {
-        if !self.live || !enabled() {
-            return;
-        }
-        LOCAL.with(|l| {
-            let mut l = l.borrow_mut();
-            let seq = l.seq;
-            l.seq += 1;
-            let epoch = current_epoch(&l);
-            let lane = current_lane(&mut l);
-            l.records.push(Record {
-                epoch,
-                lane,
-                seq,
-                parent: Some(self.seq),
-                name: Cow::Borrowed(name),
-                kind: RecordKind::Span { start_ns, end_ns },
-                fields,
-            });
-            l.maybe_flush();
-        });
-    }
-
-    /// Close the span and record `children` (name, start, end) under it in
-    /// a single thread-local access — the cheapest way to emit a whole
-    /// request tree on a hot path (one borrow + reserve instead of one per
-    /// child).
+    /// Close the span and record `children` (name, start, end) under it,
+    /// in one thread-local access and one reserve for the whole tree.
     pub fn finish_tree(
         self,
         start_ns: u64,
@@ -568,37 +522,4 @@ impl ManualSpan {
             l.maybe_flush();
         });
     }
-
-    /// Close the span, writing its record with the sequence reserved at
-    /// construction.
-    pub fn finish(self, start_ns: u64, end_ns: u64, fields: Fields) {
-        if !self.live || !enabled() {
-            return;
-        }
-        LOCAL.with(|l| {
-            let mut l = l.borrow_mut();
-            let epoch = current_epoch(&l);
-            let lane = current_lane(&mut l);
-            l.records.push(Record {
-                epoch,
-                lane,
-                seq: self.seq,
-                parent: self.parent,
-                name: Cow::Borrowed(self.name),
-                kind: RecordKind::Span { start_ns, end_ns },
-                fields,
-            });
-            l.maybe_flush();
-        });
-    }
-}
-
-/// Current timestamp from the installed clock (0 when disabled). Prefer
-/// [`crate::clock::monotonic_ns`] for measurements that must also work when
-/// tracing is off.
-pub fn now_ns() -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    LOCAL.with(|l| now(&mut l.borrow_mut()))
 }

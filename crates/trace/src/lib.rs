@@ -12,9 +12,9 @@
 //! A trace is a flat list of [`Record`]s (spans with start/end, events with
 //! a single timestamp) ordered by the logical key `(epoch, lane, seq)` —
 //! see [`record`] for the key's semantics. Because the key and the
-//! [`SimClock`](clock::SimClock) timestamps are functions of *logical*
-//! position only, traces are bit-identical across 1/2/8 worker threads and
-//! across reruns (enforced by `tests/trace_determinism.rs`).
+//! [`ClockMode::Sim`] timestamps are functions of *logical* position only,
+//! traces are bit-identical across 1/2/8 worker threads and across reruns
+//! (enforced by `tests/trace_determinism.rs`).
 //!
 //! # Usage
 //!
@@ -35,13 +35,13 @@
 //! ```
 //!
 //! The `span!`/`event!` macros cost one relaxed atomic load when the
-//! collector is not installed, and compile to literal no-ops when the crate
-//! is built without the default `record` feature.
+//! collector is not installed.
 //!
 //! # Sinks and tooling
 //!
-//! [`sink`] writes/reads compact JSONL and Chrome `trace_event` JSON (load
-//! the latter in Perfetto / `chrome://tracing`); [`summary`] computes
+//! [`sink`] writes and reads trace files, which are always compact JSONL,
+//! and renders Chrome `trace_event` JSON for `skyferry-trace convert`
+//! (load it in Perfetto / `chrome://tracing`); [`summary`] computes
 //! self-time tables, per-span percentiles and critical paths, rendered by
 //! the `skyferry-trace` CLI binary.
 
@@ -52,9 +52,8 @@ pub mod sink;
 pub mod summary;
 
 pub use collector::{
-    clock_is_virtual, drain, enabled, install, install_with_clock, lane, manual_span, now_ns,
-    record_event, region, start_span, ClockMode, LaneGuard, ManualSpan, RegionGuard, SpanGuard,
-    TraceConfig,
+    clock_is_virtual, drain, enabled, install, lane, manual_span, record_event, region, start_span,
+    ClockMode, LaneGuard, ManualSpan, RegionGuard, SpanGuard, TraceConfig,
 };
 pub use record::{FieldValue, Fields, Record, RecordKind, AUTO_LANE_BASE};
 
@@ -80,8 +79,7 @@ macro_rules! fields {
 ///
 /// Evaluates to `Option<SpanGuard>`; the span closes (and records) when the
 /// guard drops. Field expressions are **not evaluated** unless recording is
-/// enabled. Compiles to `None` without the `record` feature.
-#[cfg(feature = "record")]
+/// enabled.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
@@ -93,21 +91,9 @@ macro_rules! span {
     };
 }
 
-/// Disabled-path `span!`: a literal no-op (fields never evaluated).
-#[cfg(not(feature = "record"))]
-#[macro_export]
-macro_rules! span {
-    ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
-        let _ = $name;
-        None::<$crate::SpanGuard>
-    }};
-}
-
 /// Record a point event: `event!("name", key = value, ...);`.
 ///
 /// Field expressions are **not evaluated** unless recording is enabled.
-/// Compiles to nothing without the `record` feature.
-#[cfg(feature = "record")]
 #[macro_export]
 macro_rules! event {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
@@ -115,13 +101,4 @@ macro_rules! event {
             $crate::record_event($name, $crate::fields!($($key = $val),*));
         }
     };
-}
-
-/// Disabled-path `event!`: a literal no-op (fields never evaluated).
-#[cfg(not(feature = "record"))]
-#[macro_export]
-macro_rules! event {
-    ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
-        let _ = $name;
-    }};
 }

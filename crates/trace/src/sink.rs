@@ -1,15 +1,15 @@
-//! Trace serialization: compact JSONL and Chrome `trace_event` JSON.
+//! Trace serialization. A trace file is always compact JSONL, whatever
+//! its extension; Chrome `trace_event` JSON is an export for viewers.
 //!
-//! Both formats are lossless: the exact nanosecond timestamps and the
-//! `(epoch, lane, seq, parent)` merge key survive a round trip, so
-//! `skyferry-trace summarize` produces identical output from either file.
-//!
-//! - **JSONL** (`.jsonl`): one record per line with short keys —
-//!   `{"e":epoch,"l":lane,"s":seq,"p":parent,"k":"S"|"E","n":name,
-//!   "t0":start_ns,"t1":end_ns,"f":{...}}` (events carry only `t0`).
-//! - **Chrome `trace_event`** (`.json`): `{"traceEvents":[...]}` with
-//!   complete (`"ph":"X"`) events for spans and instant (`"ph":"i"`) events
-//!   for point events; `ts`/`dur` are microsecond floats as the viewer
+//! - **JSONL** ([`write_file`], [`read_file`]): one record per line with
+//!   short keys — `{"e":epoch,"l":lane,"s":seq,"p":parent,"k":"S"|"E",
+//!   "n":name,"t0":start_ns,"t1":end_ns,"f":{...}}` (events carry only
+//!   `t0`). Lossless: the exact nanosecond timestamps and the
+//!   `(epoch, lane, seq, parent)` merge key survive a round trip.
+//! - **Chrome `trace_event`** ([`to_chrome`], written by
+//!   `skyferry-trace convert`): `{"traceEvents":[...]}` with complete
+//!   (`"ph":"X"`) events for spans and instant (`"ph":"i"`) events for
+//!   point events; `ts`/`dur` are microsecond floats as the viewer
 //!   expects, while `args` carries the exact nanoseconds and merge key.
 //!   Load in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
 //!   lanes appear as tracks (`tid` = lane).
@@ -189,56 +189,16 @@ pub fn to_chrome(records: &[Record]) -> String {
     .render_pretty()
 }
 
-/// Parse a Chrome `trace_event` trace written by [`to_chrome`] (the exact
-/// record lives in each event's `args`).
-pub fn from_chrome(text: &str) -> Result<Vec<Record>, TraceFileError> {
-    let json = json::parse(text).map_err(|e| err(format!("chrome trace: {e:?}")))?;
-    let events = json
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err("chrome trace: missing traceEvents array"))?;
-    let mut records = Vec::with_capacity(events.len());
-    for (i, event) in events.iter().enumerate() {
-        let args = event
-            .get("args")
-            .ok_or_else(|| err(format!("traceEvents[{i}]: missing args")))?;
-        records.push(record_from_json(args).map_err(|e| err(format!("traceEvents[{i}]: {e}")))?);
-    }
-    records.sort_by_key(Record::sort_key);
-    Ok(records)
-}
-
-/// Parse either supported format. A file that parses as one JSON value
-/// with a `traceEvents` member is a Chrome trace; anything else is JSONL
-/// (including a single-record JSONL file, which is also one JSON value).
-pub fn parse_any(text: &str) -> Result<Vec<Record>, TraceFileError> {
-    if let Ok(json) = json::parse(text) {
-        if json.get("traceEvents").is_some() {
-            return from_chrome(text);
-        }
-    }
-    from_jsonl(text)
-}
-
-/// Render for a path: `.jsonl` → JSONL, anything else → Chrome JSON.
-pub fn render_for_path(path: &Path, records: &[Record]) -> String {
-    if path.extension().is_some_and(|e| e == "jsonl") {
-        to_jsonl(records)
-    } else {
-        to_chrome(records)
-    }
-}
-
-/// Write a trace to `path`, choosing the format from the extension.
+/// Write a trace to `path` as JSONL.
 pub fn write_file(path: &Path, records: &[Record]) -> std::io::Result<()> {
-    std::fs::write(path, render_for_path(path, records))
+    std::fs::write(path, to_jsonl(records))
 }
 
-/// Read and parse a trace file in either format.
+/// Read and parse a JSONL trace file.
 pub fn read_file(path: &Path) -> Result<Vec<Record>, TraceFileError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
-    parse_any(&text)
+    from_jsonl(&text)
 }
 
 #[cfg(test)]
@@ -310,22 +270,19 @@ mod tests {
     }
 
     #[test]
-    fn chrome_round_trip_is_lossless() {
+    fn chrome_export_has_one_event_per_record() {
         let records = sample();
-        let text = to_chrome(&records);
-        assert!(text.contains("\"traceEvents\""));
-        assert!(text.contains("\"ph\": \"X\"") || text.contains("\"ph\":\"X\""));
-        let back = from_chrome(&text).unwrap();
-        assert_eq!(back, from_jsonl(&to_jsonl(&records)).unwrap());
-    }
-
-    #[test]
-    fn parse_any_sniffs_format() {
-        let records = sample();
-        assert_eq!(
-            parse_any(&to_chrome(&records)).unwrap(),
-            parse_any(&to_jsonl(&records)).unwrap()
-        );
+        let chrome = json::parse(&to_chrome(&records)).unwrap();
+        let events = chrome.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events.len(), records.len());
+        let phases: Vec<_> = events
+            .iter()
+            .map(|e| e.get("ph").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(phases, ["X", "X", "i"]);
+        for (event, record) in events.iter().zip(&records) {
+            assert_eq!(event.get("args"), Some(&record_to_json(record)));
+        }
     }
 
     #[test]
@@ -334,13 +291,5 @@ mod tests {
         assert!(e.message.contains("line 1"), "{}", e.message);
         let e2 = from_jsonl("not json\n").unwrap_err();
         assert!(e2.message.contains("line 1"), "{}", e2.message);
-    }
-
-    #[test]
-    fn render_for_path_picks_format() {
-        let records = sample();
-        assert!(render_for_path(Path::new("t.jsonl"), &records).starts_with("{\"e\""));
-        assert!(render_for_path(Path::new("t.json"), &records).starts_with("{"));
-        assert!(render_for_path(Path::new("t.json"), &records).contains("traceEvents"));
     }
 }

@@ -53,7 +53,7 @@ fn collector_behavior() {
         (mark.name.as_ref(), mark.seq, mark.parent),
         ("mark", 2, Some(1))
     );
-    // SimClock: outer reads tick 1 (start) then tick 5 (end, after
+    // Virtual clock: outer reads tick 1 (start) then tick 5 (end, after
     // inner start/mark/inner end consumed 2..4).
     assert_eq!(
         outer.kind,
@@ -150,9 +150,12 @@ fn collector_behavior() {
     {
         let req = trace::manual_span("request");
         assert!(req.live());
-        req.child("parse", 100, 200);
-        req.child_with("queue", 200, 250, trace::fields!(depth = 3usize));
-        req.finish(100, 400, trace::fields!(id = 42u64, hit = false));
+        req.finish_tree(
+            100,
+            400,
+            trace::fields!(id = 42u64, hit = false),
+            &[("parse", 100, 200), ("queue", 200, 250)],
+        );
     }
     let records = trace::drain();
     assert_eq!(records.len(), 3);
@@ -164,9 +167,20 @@ fn collector_behavior() {
             end_ns: 400
         }
     );
+    assert_eq!(records[0].field("id"), Some(&FieldValue::U64(42)));
+    assert_eq!(records[0].field("hit"), Some(&FieldValue::Bool(false)));
     assert_eq!(records[1].name, "parse");
-    assert_eq!(records[1].parent, Some(records[0].seq));
-    assert_eq!(records[2].field("depth"), Some(&FieldValue::U64(3)));
+    assert_eq!(records[2].name, "queue");
+    for child in &records[1..] {
+        assert_eq!(child.parent, Some(records[0].seq));
+    }
+    assert_eq!(
+        records[2].kind,
+        RecordKind::Span {
+            start_ns: 200,
+            end_ns: 250
+        }
+    );
 
     // --- Sampling: 0 records nothing while enabled. ---
     trace::install(TraceConfig {

@@ -93,12 +93,14 @@ fn main() {
     let mut xbee = ControlChannel::xbee_pro(seeds.rng("xbee"));
     let ground_station = Vec3::new(-200.0, 0.0, 0.0);
     for report in [&scanner_report, &relay_report] {
-        let wire = report.encode();
-        let out = xbee.send(&wire, report.position.distance(ground_station));
+        let out = xbee.send(
+            Telemetry::WIRE_BYTES,
+            report.position.distance(ground_station),
+        );
         println!(
             "telemetry from UAV{}: {} bytes, {:.2} ms airtime, {}",
             report.uav.0,
-            wire.len(),
+            Telemetry::WIRE_BYTES,
             out.airtime.as_secs_f64() * 1e3,
             if out.delivered { "delivered" } else { "lost" }
         );

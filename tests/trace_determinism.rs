@@ -81,7 +81,7 @@ fn traces_bit_identical_across_thread_counts_and_runs() {
     // `I64(100)` — so the contract is on the rendered text, and on the
     // merge keys / structure of the parsed records).
     let jsonl = trace::sink::to_jsonl(&reference);
-    let back = trace::sink::parse_any(&jsonl).expect("parse rendered JSONL");
+    let back = trace::sink::from_jsonl(&jsonl).expect("parse rendered JSONL");
     assert_eq!(trace::sink::to_jsonl(&back), jsonl, "JSONL not canonical");
     for (a, b) in back.iter().zip(&reference) {
         assert_eq!(a.sort_key(), b.sort_key());
