@@ -6,8 +6,8 @@
 //!                  [--saturation R1,R2,...] [--codec ndjson|bin1]
 //!                  [--seed N] [--grid quick|full]
 //!                  [--fleet-trace FILE] [--compare]
-//!                  [--policy-compare] [--miss-heavy] [--min-speedup X]
-//!                  [--min-table-speedup X] [--expect-identical]
+//!                  [--policy-compare] [--miss-heavy] [--min-cache-ratio X]
+//!                  [--min-table-ratio X] [--expect-identical]
 //!                  [--check] [--out FILE] [--shutdown-after]
 //! ```
 //!
@@ -25,7 +25,10 @@
 //! fleet request stream (`repro --export-fleet-trace` JSONL) instead of
 //! the random mix and prints its inter-arrival statistics; with
 //! `--compare --expect-identical` the replayed `d_star` streams are
-//! gated bitwise across phases. Exit codes: 0 success, 1 a `--check`
+//! gated bitwise across phases. `--min-cache-ratio` and
+//! `--min-table-ratio` add a `floor` phase of requests the server refuses
+//! unsolved, and gate the cache and table phases on their path counters
+//! and on their throughput over the floor's. Exit codes: 0 success, 1 a `--check`
 //! gate failed, the server was unreachable, or it owed a reply for 10 s
 //! without sending one, 2 bad arguments.
 
@@ -34,8 +37,8 @@ use skyferry_serve::loadgen::{parse_args, run};
 const USAGE: &str = "usage: skyferry-loadgen --addr HOST:PORT [--requests N] \
 [--concurrency N] [--window N] [--rate RPS] [--conns N] [--saturation R1,R2,...] \
 [--codec ndjson|bin1] [--seed N] [--grid quick|full] [--fleet-trace FILE] \
-[--compare] [--policy-compare] [--miss-heavy] [--min-speedup X] \
-[--min-table-speedup X] [--expect-identical] [--check] [--out FILE] \
+[--compare] [--policy-compare] [--miss-heavy] [--min-cache-ratio X] \
+[--min-table-ratio X] [--expect-identical] [--check] [--out FILE] \
 [--shutdown-after]";
 
 fn main() {
@@ -49,7 +52,7 @@ fn main() {
     };
     match run(&cfg) {
         Ok(report) => {
-            for p in &report.phases {
+            for p in report.phases.iter().chain(&report.gate) {
                 println!(
                     "{:<13} {:>8.0} req/s   rtt p50 {:>8.1} us  p99 {:>8.1} us   \
                      svc p50 {:>7.1} us  p99 {:>7.1} us   hits {}   errors {}",
@@ -86,6 +89,12 @@ fn main() {
             }
             if let Some(s) = report.table_speedup_miss {
                 println!("table speedup (miss-heavy): {s:.2}x");
+            }
+            if let Some(s) = report.cache_floor_ratio {
+                println!("cache / floor: {s:.2}x");
+            }
+            if let Some(s) = report.table_floor_ratio {
+                println!("table / floor: {s:.2}x");
             }
             if let Some(identical) = report.d_star_identical {
                 println!(

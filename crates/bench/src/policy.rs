@@ -125,12 +125,15 @@ pub fn compile_policy(out: &Path, quick: bool, seed: u64) -> Result<CompileSumma
     };
     let t0 = monotonic_ns();
     let table = PolicyTable::build(grid, seed);
-    table.write_file(out)?;
+    // Encoded once, for the file, the manifest and the summary.
+    let bytes = table.to_bytes();
+    let io = |e: std::io::Error| PolicyError::Io(e.to_string());
+    std::fs::write(out, &bytes).map_err(io)?;
     let manifest_path = out.with_extension("manifest.txt");
-    std::fs::write(&manifest_path, table.manifest()).map_err(|e| PolicyError::Io(e.to_string()))?;
+    std::fs::write(&manifest_path, table.manifest(&bytes)).map_err(io)?;
     Ok(CompileSummary {
         cells: table.len(),
-        bytes: table.to_bytes().len(),
+        bytes: bytes.len(),
         wall_s: monotonic_ns().saturating_sub(t0) as f64 / 1e9,
         manifest_path,
     })
@@ -270,7 +273,7 @@ mod tests {
         let mut cells: Vec<_> = (0..table.len()).map(|i| *table.value(i)).collect();
         cells[42].utility += 1e-9;
         let doctored = PolicyTable::from_cells(grid, 7, cells).expect("same grid");
-        doctored.write_file(&out).expect("write");
+        std::fs::write(&out, doctored.to_bytes()).expect("write");
         match verify_policy(&out) {
             Err(PolicyVerifyError::CellMismatch {
                 cell: 42, field, ..

@@ -1,26 +1,27 @@
-//! Objective and bound calls per Eq. (2) solve, counted from outside the
-//! solver: counting closures around the public [`search_max`], called
-//! the way `optimize_view` calls it. The solver itself carries no
-//! counter.
+//! Point evaluations and bound calls per Eq. (2) solve, counted from
+//! outside the solver: counting closures around the public
+//! [`search_max_points`], called the way `optimize_view` calls it. The
+//! solver itself carries no counter.
 //!
 //! `benches/kernels.rs` records these counts in `BENCH_kernels.json`,
 //! and a test holds the Fig. 9 grid's mean to the pruning target.
 
 use std::cell::Cell;
 
-use skyferry_core::optimizer::search_max;
+use skyferry_core::optimizer::search_max_points;
 use skyferry_core::policy::PolicyGrid;
 use skyferry_core::scenario::{Scenario, ScenarioView};
 use skyferry_core::sweep::paper_grid;
-use skyferry_core::utility::{utility_bound_view, utility_view};
+use skyferry_core::utility::UtilityPoint;
 use skyferry_units::Meters;
 
 /// Mean calls per solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolveCalls {
-    /// Objective (`utility_view`) evaluations.
+    /// Objective evaluations: `UtilityPoint::at`, one `s(d)` and one
+    /// `δ(d)` each.
     pub objective: f64,
-    /// Block-bound evaluations.
+    /// Block-bound calls: arithmetic on two evaluated points.
     pub bound: f64,
 }
 
@@ -31,23 +32,23 @@ impl SolveCalls {
     }
 }
 
-/// Solve `s` through `search_max` with the Eq. (2) block bound
+/// Solve `s` through `search_max_points` with the Eq. (2) block bound
 /// (`pruned`) or with `f64::INFINITY` (the full scan), counting calls;
 /// returns `d*` with the objective and bound counts.
 fn count_solve(s: ScenarioView<'_>, pruned: bool) -> (Meters, [u32; 2]) {
     let objective = Cell::new(0u32);
     let bound = Cell::new(0u32);
-    let d = search_max(
+    let d = search_max_points(
         s.d_min(),
         s.d0(),
         |d| {
             objective.set(objective.get() + 1);
-            utility_view(s, Meters::new(d))
+            UtilityPoint::at(s, Meters::new(d))
         },
-        |d1, d2| {
+        |lo, hi| {
             bound.set(bound.get() + 1);
             if pruned {
-                utility_bound_view(s, Meters::new(d1), Meters::new(d2))
+                lo.bound_to(s, &hi)
             } else {
                 f64::INFINITY
             }

@@ -20,7 +20,7 @@
 //! let _ = CommunicationDelay::at(&s, Seconds::new(100.0));
 //! ```
 
-use skyferry_units::{Meters, Seconds};
+use skyferry_units::{BitsPerSec, Meters, Seconds};
 
 use crate::scenario::{Scenario, ScenarioView};
 use crate::throughput::ThroughputModel;
@@ -48,6 +48,12 @@ impl CommunicationDelay {
     /// [`CommunicationDelay::at`] on a borrowed [`ScenarioView`] — the
     /// allocation-free form sweeps call per grid cell.
     pub fn at_view(scenario: ScenarioView<'_>, d: Meters) -> Self {
+        Self::at_rate(scenario, d, scenario.throughput.rate_bps(d))
+    }
+
+    /// [`CommunicationDelay::at_view`] with the link rate `s(d)` already
+    /// evaluated — the one statement of `Tship` and `Ttx`.
+    pub(crate) fn at_rate(scenario: ScenarioView<'_>, d: Meters, rate: BitsPerSec) -> Self {
         assert!(
             d.get() >= scenario.d_min_m - 1e-9 && d.get() <= scenario.d0_m + 1e-9,
             "d={} outside [{}, {}]",
@@ -56,7 +62,7 @@ impl CommunicationDelay {
             scenario.d0_m
         );
         let ship = (scenario.d0() - d).max(Meters::ZERO) / scenario.speed();
-        let tx = scenario.mdata() / scenario.throughput.rate_bps(d);
+        let tx = scenario.mdata() / rate;
         CommunicationDelay { d, ship, tx }
     }
 

@@ -12,14 +12,25 @@
 //!
 //! The grid scan's answer is the *first* index of the grid maximum, and
 //! everything downstream (the golden-section bracket, the final pick)
-//! is a function of that index. [`search_max`] finds the same index
-//! while skipping most of the grid:
+//! is a function of that index. [`search_max_points`] finds the same
+//! index while skipping most of the grid, and evaluates each grid point
+//! it visits once, into a point that both the scan's comparison and the
+//! block bounds read:
 //!
-//! 1. it evaluates the 64 block heads (every 32nd grid point) and takes
-//!    their maximum as a threshold `T`;
+//! 1. it evaluates the 65 knots (grid points 0, 32, …, 2016 and the last
+//!    point, 2047) and takes their maximum as a threshold `T`;
 //! 2. it walks the 32-point blocks in order and skips any block whose
-//!    caller-supplied bound is strictly below `max(T, running best)`,
-//!    then does the same for each 8-point sub-block of a surviving block.
+//!    caller-supplied bound over its two end knots is strictly below
+//!    `max(T, running best)`;
+//! 3. in a surviving block it evaluates the three inner sub-block starts
+//!    (every 8th point) and does the same for each 8-point sub-block,
+//!    bounded over its start and the next start or knot; a surviving
+//!    sub-block evaluates its other points.
+//!
+//! A block's bound spans one grid step more than the block, up to the
+//! next knot, which can only loosen it. Knots and starts are evaluated
+//! once: the same point is an end of the bounds beside it and a value
+//! the scan offers when its sub-block survives.
 //!
 //! `T` and the running best are values the full scan also computes at
 //! grid points, so both are ≤ the grid maximum `M`. A skipped point lies
@@ -29,18 +40,24 @@
 //! update. The scan therefore ends on the full scan's `(index, value)`,
 //! bit for bit, whenever the bound is sound.
 //!
-//! [`optimize_view`] supplies the Eq. (2) bound
-//! [`utility_bound_view`](crate::utility::utility_bound_view). Its
-//! soundness rests on δ rising with `d` (ρ ≥ 0, or a Weibull law with
-//! positive scale and shape) and on `v > 0` — preconditions
-//! [`check`](crate::scenario::ScenarioView::check) states and
-//! [`validate`](crate::scenario::ScenarioView::validate) asserts before
-//! every solve, together with the finite hazard and positive transmit
-//! time that keep `U` from ever being NaN — and it carries a 1e-9
-//! relative slack so that a last-ulp non-monotonicity in libm's `exp`,
-//! `powf` or `log2` cannot make it cut a block that holds the maximum. A caller without a bound passes
-//! `|_, _| f64::INFINITY` and gets the full scan; `skyferry-traj` does,
-//! because its path objective has no such bound.
+//! [`optimize_view`] evaluates each point into Eq. (1)'s factors, a
+//! [`UtilityPoint`], and bounds a block with
+//! [`UtilityPoint::bound_to`]: plain arithmetic on the factors at the
+//! two ends, bit-equal to
+//! [`utility_bound_view`](crate::utility::utility_bound_view) on their
+//! distances. Its soundness rests on δ rising with `d` (ρ ≥ 0, or a
+//! Weibull law with positive scale and shape) and on `v > 0` —
+//! preconditions [`check`](crate::scenario::ScenarioView::check) states
+//! and [`validate`](crate::scenario::ScenarioView::validate) asserts
+//! before every solve, together with the finite hazard and positive
+//! transmit time that keep `U` from ever being NaN — and it carries a
+//! 1e-9 relative slack so that a last-ulp non-monotonicity in libm's
+//! `exp`, `powf` or `log2` cannot make it cut a block that holds the
+//! maximum. [`search_max`] is the same scan for an objective and bound
+//! on bare distances; a caller without a bound passes
+//! `|_, _| f64::INFINITY` and gets the full scan, every grid point
+//! evaluated once. `skyferry-traj` does, because its path objective has
+//! no such bound.
 //!
 //! Golden-section refinement is unchanged. The final pick compares the
 //! refined point, the grid best, `lo` and `hi` under `Iterator::max_by`'s
@@ -52,19 +69,28 @@
 //! pass; the crate is `#![forbid(unsafe_code)]`).
 //!
 //! [`search_max`]: crate::optimizer::search_max
+//! [`search_max_points`]: crate::optimizer::search_max_points
 //! [`optimize_view`]: crate::optimizer::optimize_view
+//! [`UtilityPoint`]: crate::utility::UtilityPoint
+//! [`UtilityPoint::bound_to`]: crate::utility::UtilityPoint::bound_to
 
 use skyferry_units::Meters;
 
 use crate::scenario::{Scenario, ScenarioView};
-use crate::utility::{utility_bound_view, utility_breakdown_view, utility_view};
+use crate::utility::{utility_breakdown_view, utility_view, UtilityPoint};
 
 /// Number of initial grid points.
 pub(crate) const GRID_POINTS: usize = 2048;
-/// Grid points per block; the block heads seed the skip threshold.
+/// The last grid point's index.
+const LAST: usize = GRID_POINTS - 1;
+/// Grid points per block.
 const BLOCK: usize = 32;
+/// Block ends: every 32nd grid point, then the last one. Their values
+/// seed the skip threshold.
+const KNOTS: usize = GRID_POINTS / BLOCK + 1;
 /// Grid points per sub-block, the skip unit inside a surviving block.
 const SUB_BLOCK: usize = 8;
+const _: () = assert!(BLOCK == 4 * SUB_BLOCK);
 /// Golden-section iterations (interval shrinks by 0.618 each).
 const GOLDEN_ITERS: usize = 80;
 
@@ -111,70 +137,129 @@ pub fn optimize(scenario: &Scenario) -> OptimalTransfer {
     optimize_view(scenario.view())
 }
 
-/// Maximise an arbitrary objective over `[lo, hi]` with the Eq. (2)
-/// solver's strategy: a dense grid scan to locate the global basin,
-/// golden-section refinement of the best bracket, then a final
-/// comparison against the raw grid best and both interval endpoints.
-///
-/// `f` is evaluated on raw metres and may return `f64::NEG_INFINITY`
-/// for infeasible candidates (the grid scan steps over them); it must
-/// be a pure function and never return NaN. A degenerate interval
-/// (`hi − lo < 1e-9`) returns `hi` without evaluating anything.
-///
-/// `bound(d1, d2)` must be ≥ `f(d)` at every grid point `d ∈ [d1, d2]`
-/// (NaN counts as no bound); the scan skips the grid blocks whose bound
-/// proves they cannot hold the maximum (see the module docs).
-/// `|_, _| f64::INFINITY` is always sound and skips nothing.
-///
-/// Bit-exactness contract: policy tables, golden CSVs and the traj
-/// planner's degenerate-equivalence guarantee all observe the exact
-/// sequence of float operations here — [`optimize_view`] and
-/// `skyferry-traj` call this one routine so the scalar d\* and the
-/// planner's straight-corridor commit are the *same* computation, not
-/// two computations that happen to agree. A sound bound changes which
-/// grid points are evaluated, never the result.
+/// What [`search_max_points`] evaluates at a candidate distance: a value
+/// to maximise, plus whatever a block bound reads from the point.
+pub trait GridPoint: Copy {
+    /// The objective at this point.
+    fn value(&self) -> f64;
+}
+
+/// A distance and the objective there: the point of [`search_max`].
+impl GridPoint for (f64, f64) {
+    fn value(&self) -> f64 {
+        self.1
+    }
+}
+
+/// Eq. (1)'s factors; the value is `U(d)`.
+impl GridPoint for UtilityPoint {
+    fn value(&self) -> f64 {
+        self.utility()
+    }
+}
+
+/// [`search_max_points`] for an objective `f` on raw metres and a bound
+/// `bound(d1, d2)` on distances: `f` must never return NaN, and
+/// `bound(d1, d2)` must be ≥ `f(d)` at every grid point `d ∈ [d1, d2]`.
+/// `skyferry-traj` passes `|_, _| f64::INFINITY`, so the scan evaluates
+/// every grid point.
 pub fn search_max(
     lo: Meters,
     hi: Meters,
     f: impl Fn(f64) -> f64,
     bound: impl Fn(f64, f64) -> f64,
 ) -> Meters {
+    search_max_points(lo, hi, |d| (d, f(d)), |p1, p2| bound(p1.0, p2.0))
+}
+
+/// Maximise an arbitrary objective over `[lo, hi]` with the Eq. (2)
+/// solver's strategy: a dense grid scan to locate the global basin,
+/// golden-section refinement of the best bracket, then a final
+/// comparison against the raw grid best and both interval endpoints.
+///
+/// `eval` is called on raw metres and returns the evaluated point; its
+/// [`value`](GridPoint::value) may be `f64::NEG_INFINITY` for infeasible
+/// candidates (the grid scan steps over them). `eval` must be a pure
+/// function and its value never NaN. A degenerate interval
+/// (`hi − lo < 1e-9`) returns `hi` without evaluating anything.
+///
+/// `bound(p1, p2)` must be ≥ the value at every grid point between the
+/// distances of `p1` and `p2` (NaN counts as no bound); the scan skips
+/// the grid blocks whose bound proves they cannot hold the maximum (see
+/// the module docs). `|_, _| f64::INFINITY` is always sound and skips
+/// nothing, and the scan then evaluates every grid point once.
+///
+/// Bit-exactness contract: policy tables, golden CSVs and the traj
+/// planner's degenerate-equivalence guarantee all observe the exact
+/// sequence of float operations here — [`optimize_view`] and
+/// `skyferry-traj` (through [`search_max`]) run this one scan so the
+/// scalar d\* and the planner's straight-corridor commit are the *same*
+/// computation, not two computations that happen to agree. A sound
+/// bound changes which grid points are evaluated, never the result.
+pub fn search_max_points<P: GridPoint>(
+    lo: Meters,
+    hi: Meters,
+    eval: impl Fn(f64) -> P,
+    bound: impl Fn(P, P) -> f64,
+) -> Meters {
     let lo = lo.get();
     let hi = hi.get();
     let at = |i: usize| grid_point(lo, hi, i);
+    let f = |d: f64| eval(d).value();
     if hi - lo < 1e-9 {
         // Degenerate interval: the only choice is the upper endpoint.
         return Meters::new(hi);
     }
-    let heads: [f64; GRID_POINTS / BLOCK] = std::array::from_fn(|k| f(at(k * BLOCK)));
-    // `f64::max` drops NaN, so a NaN head never raises the threshold.
-    let seed = heads.iter().fold(f64::NEG_INFINITY, |t, &u| t.max(u));
-    let cut = |first: usize, len: usize, best_u: f64| {
-        bound(at(first), at(first + len - 1)) < seed.max(best_u)
+    // The knots are filled by a plain loop and the starts below by a
+    // literal: built with `std::array::from_fn`, or the starts by an
+    // indexing iterator, a whole solve measured about 1.4× slower.
+    let mut knots = [eval(at(0)); KNOTS];
+    for (k, p) in knots.iter_mut().enumerate().skip(1) {
+        *p = eval(at((k * BLOCK).min(LAST)));
+    }
+    // `f64::max` drops NaN, so a NaN knot never raises the threshold.
+    let seed = knots
+        .iter()
+        .fold(f64::NEG_INFINITY, |t, p| t.max(p.value()));
+    let mut best = (0usize, f64::NEG_INFINITY);
+    let offer = |best: &mut (usize, f64), i: usize, u: f64| {
+        if u > best.1 {
+            *best = (i, u);
+        }
     };
-    let (mut best_i, mut best_u) = (0usize, f64::NEG_INFINITY);
-    for (k, &head) in heads.iter().enumerate() {
+    for (k, block_ends) in knots.windows(2).enumerate() {
         let block = k * BLOCK;
-        if cut(block, BLOCK, best_u) {
+        if bound(block_ends[0], block_ends[1]) < seed.max(best.1) {
             continue;
         }
-        for sub in (block..block + BLOCK).step_by(SUB_BLOCK) {
-            if cut(sub, SUB_BLOCK, best_u) {
+        // The four sub-blocks' starts, closed by the next knot.
+        let starts = [
+            block_ends[0],
+            eval(at(block + SUB_BLOCK)),
+            eval(at(block + 2 * SUB_BLOCK)),
+            eval(at(block + 3 * SUB_BLOCK)),
+            block_ends[1],
+        ];
+        for (j, ends) in starts.windows(2).enumerate() {
+            let sub = block + j * SUB_BLOCK;
+            if bound(ends[0], ends[1]) < seed.max(best.1) {
                 continue;
             }
-            for i in sub..sub + SUB_BLOCK {
-                let u = if i == block { head } else { f(at(i)) };
-                if u > best_u {
-                    best_u = u;
-                    best_i = i;
-                }
+            offer(&mut best, sub, ends[0].value());
+            for i in sub + 1..(sub + SUB_BLOCK).min(LAST) {
+                offer(&mut best, i, f(at(i)));
+            }
+            if sub + SUB_BLOCK > LAST {
+                // The last sub-block ends on the last knot.
+                offer(&mut best, LAST, ends[1].value());
             }
         }
     }
+    let (best_i, best_u) = best;
 
     // Refine inside the bracket around the best grid point.
     let mut a = at(best_i.saturating_sub(1));
-    let mut b = at((best_i + 1).min(GRID_POINTS - 1));
+    let mut b = at((best_i + 1).min(LAST));
     let inv_phi = (5f64.sqrt() - 1.0) / 2.0;
     let mut c = b - inv_phi * (b - a);
     let mut d = a + inv_phi * (b - a);
@@ -200,7 +285,7 @@ pub fn search_max(
     // interval endpoints (the optimum may sit on a constraint).
     // `at(0)` is `lo + 0.0`, which is `lo` itself unless `lo` is −0.0.
     let u_lo = if at(0).to_bits() == lo.to_bits() {
-        heads[0]
+        knots[0].value()
     } else {
         f(lo)
     };
@@ -226,11 +311,11 @@ pub fn optimize_view(scenario: ScenarioView<'_>) -> OptimalTransfer {
         mdata_bytes = scenario.mdata_bytes
     );
     scenario.validate();
-    let best = search_max(
+    let best = search_max_points(
         scenario.d_min(),
         scenario.d0(),
-        |d| utility_view(scenario, Meters::new(d)),
-        |d1, d2| utility_bound_view(scenario, Meters::new(d1), Meters::new(d2)),
+        |d| UtilityPoint::at(scenario, Meters::new(d)),
+        |lo, hi| lo.bound_to(scenario, &hi),
     )
     .get();
 
@@ -263,6 +348,7 @@ mod tests {
     use super::*;
     use crate::delay::CommunicationDelay;
     use crate::scenario::Scenario;
+    use crate::utility::utility_bound_view;
 
     /// Closed-form optimality check for the ρ = 0 case: the optimum
     /// balances marginal transmit-time increase against marginal

@@ -424,7 +424,8 @@ impl PolicyTable {
         let _span = trace::span!("policy-build", cells = n, seed = seed);
         // One task per run of cells: each task fills one small vector, so
         // no worker buffers a table-sized share that grows by doubling
-        // (a ~3 µs solve lets one worker race far ahead of the other).
+        // (with solves of a few µs, one worker can race far ahead of the
+        // other).
         let runs = par_map_indexed(n.div_ceil(BUILD_RUN), |r| {
             (r * BUILD_RUN..n.min((r + 1) * BUILD_RUN))
                 .map(|i| grid.params_at(i).solve())
@@ -539,11 +540,6 @@ impl PolicyTable {
         codec::decode(bytes)
     }
 
-    /// Write the artifact to `path`.
-    pub fn write_file(&self, path: &std::path::Path) -> Result<(), PolicyError> {
-        std::fs::write(path, self.to_bytes()).map_err(|e| PolicyError::Io(e.to_string()))
-    }
-
     /// Load and validate an artifact from `path`.
     pub fn load_file(path: &std::path::Path) -> Result<PolicyTable, PolicyError> {
         let bytes = std::fs::read(path).map_err(|e| PolicyError::Io(e.to_string()))?;
@@ -552,9 +548,10 @@ impl PolicyTable {
 
     /// Human-readable manifest: format, grid, seed, size and checksum —
     /// written alongside the artifact by `repro --compile-policy`.
-    pub fn manifest(&self) -> String {
-        let bytes = self.to_bytes();
-        let checksum = codec::fnv1a(&bytes[..bytes.len() - 8]);
+    /// `artifact` is this table's [`to_bytes`](PolicyTable::to_bytes),
+    /// whose size and trailing checksum the manifest reports.
+    pub fn manifest(&self, artifact: &[u8]) -> String {
+        let checksum = codec::stored_checksum(artifact);
         let axis = |name: &str, a: &Axis, unit: &str| {
             format!(
                 "{name:8} {lo} ..= {hi} {unit} step {step} ({n} buckets)\n",
@@ -574,7 +571,7 @@ impl PolicyTable {
             self.len(),
             NUM_PLATFORMS
         ));
-        s.push_str(&format!("bytes    {}\n", bytes.len()));
+        s.push_str(&format!("bytes    {}\n", artifact.len()));
         s.push_str(&format!("checksum {checksum:#018x} (fnv1a-64)\n"));
         s.push_str(&axis("d0", &self.grid.d0, "m"));
         s.push_str(&axis("mdata", &self.grid.mdata, "MB"));
@@ -674,6 +671,15 @@ mod codec {
         out
     }
 
+    /// The checksum an artifact carries in its last 8 bytes.
+    pub(super) fn stored_checksum(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(
+            bytes[bytes.len() - 8..]
+                .try_into()
+                .expect("slice is exactly 8 bytes"),
+        )
+    }
+
     pub(super) fn decode(bytes: &[u8]) -> Result<PolicyTable, PolicyError> {
         if bytes.len() < HEADER_LEN + 8 {
             return Err(PolicyError::Truncated {
@@ -691,11 +697,7 @@ mod codec {
         }
         // Checksum before trusting any length or count field.
         let body = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(
-            bytes[bytes.len() - 8..]
-                .try_into()
-                .expect("slice is exactly 8 bytes"),
-        );
+        let stored = stored_checksum(bytes);
         let computed = fnv1a(body);
         if stored != computed {
             return Err(PolicyError::ChecksumMismatch { stored, computed });
@@ -1046,7 +1048,7 @@ mod tests {
     #[test]
     fn manifest_names_the_format_and_grid() {
         let t = PolicyTable::build(tiny_grid(), 3);
-        let m = t.manifest();
+        let m = t.manifest(&t.to_bytes());
         assert!(m.contains("format version 1"));
         assert!(m.contains("cells"));
         assert!(m.contains("fnv1a-64"));

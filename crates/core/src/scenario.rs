@@ -15,7 +15,7 @@ use skyferry_units::{Bytes, Meters, MetersPerSec, Seconds};
 
 use crate::failure::{ExponentialFailure, FailureSpec};
 use crate::optimizer::{grid_point, optimize, OptimalTransfer, GRID_POINTS};
-use crate::throughput::{LogFitThroughput, ThroughputSpec};
+use crate::throughput::{LogFitThroughput, ThroughputModel, ThroughputSpec};
 
 /// Bytes per megabyte (decimal, as the paper uses).
 pub const BYTES_PER_MB: f64 = 1e6;
@@ -352,7 +352,11 @@ impl<'a> ScenarioView<'a> {
                 )?;
             }
         }
-        let s_max = self.throughput.peak_rate_bps(self.d_min(), self.d0());
+        let ends = self
+            .throughput
+            .rate_bps(self.d_min())
+            .max(self.throughput.rate_bps(self.d0()));
+        let s_max = self.throughput.peak_rate_bps(self.d_min(), self.d0(), ends);
         ensure(
             self.mdata() / s_max > Seconds::ZERO,
             ParamError::TransmitTime(self.mdata_bytes, s_max.get()),

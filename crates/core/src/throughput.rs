@@ -196,14 +196,14 @@ impl ThroughputSpec {
         }
     }
 
-    /// The highest [`rate_bps`](ThroughputModel::rate_bps) over `[lo, hi]`.
+    /// The highest [`rate_bps`](ThroughputModel::rate_bps) over `[lo, hi]`,
+    /// given `ends`, the larger of the rates at `lo` and `hi`.
     ///
     /// A log fit is monotone in `d` for either sign of `a`, and so is its
     /// [`MIN_RATE_BPS`] floor, so the peak sits at an end. An empirical
     /// table is linear between knots and flat outside them, so the peak
     /// is an end or a knot inside the interval.
-    pub(crate) fn peak_rate_bps(&self, lo: Meters, hi: Meters) -> BitsPerSec {
-        let ends = self.rate_bps(lo).max(self.rate_bps(hi));
+    pub(crate) fn peak_rate_bps(&self, lo: Meters, hi: Meters, ends: BitsPerSec) -> BitsPerSec {
         match self {
             ThroughputSpec::LogFit(_) => ends,
             ThroughputSpec::Empirical(m) => {
@@ -345,22 +345,22 @@ mod tests {
         let _ = LogFitThroughput::AIRPLANE.scaled(0.0);
     }
 
+    /// `peak_rate_bps` over `[lo, hi]` with the end rates evaluated.
+    fn peak(model: &ThroughputSpec, lo: f64, hi: f64) -> BitsPerSec {
+        let ends = model.rate_bps(m(lo)).max(model.rate_bps(m(hi)));
+        model.peak_rate_bps(m(lo), m(hi), ends)
+    }
+
     #[test]
     fn peak_rate_takes_ends_and_interior_knots() {
         // Log fits peak at an end for either sign of `a`.
         let falling = ThroughputSpec::LogFit(LogFitThroughput::AIRPLANE);
-        assert_eq!(
-            falling.peak_rate_bps(m(30.0), m(90.0)),
-            falling.rate_bps(m(30.0))
-        );
+        assert_eq!(peak(&falling, 30.0, 90.0), falling.rate_bps(m(30.0)));
         let rising = ThroughputSpec::LogFit(LogFitThroughput {
             a_mbps: 3.0,
             b_mbps: 1.0,
         });
-        assert_eq!(
-            rising.peak_rate_bps(m(30.0), m(90.0)),
-            rising.rate_bps(m(90.0))
-        );
+        assert_eq!(peak(&rising, 30.0, 90.0), rising.rate_bps(m(90.0)));
         // Tables also peak at a knot strictly inside the interval, and
         // only there.
         let table = ThroughputSpec::Empirical(EmpiricalThroughput::new(vec![
@@ -369,7 +369,7 @@ mod tests {
             (60.0, 5e6),
             (80.0, 50e6),
         ]));
-        let peak = |lo: f64, hi: f64| table.peak_rate_bps(m(lo), m(hi)).get();
+        let peak = |lo: f64, hi: f64| peak(&table, lo, hi).get();
         assert_eq!(peak(30.0, 50.0), 30e6);
         assert_eq!(peak(40.0, 40.0), 30e6);
         assert_eq!(peak(45.0, 75.0), 38.75e6, "s(75) beats the 5 Mb/s knot");

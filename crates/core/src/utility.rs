@@ -15,7 +15,7 @@
 //!
 //! [`Meters`]: skyferry_units::Meters
 
-use skyferry_units::{Meters, Seconds};
+use skyferry_units::{BitsPerSec, Meters, Seconds};
 
 use crate::delay::CommunicationDelay;
 use crate::failure::FailureModel;
@@ -57,43 +57,81 @@ pub fn utility_view(scenario: ScenarioView<'_>, d: Meters) -> f64 {
         scenario.d_min_m,
         scenario.d0_m
     );
-    let delay = CommunicationDelay::at_view(scenario, d);
-    let survival = scenario.failure.survival(scenario.d0_m, d.get());
-    survival / delay.total().get()
+    UtilityPoint::at(scenario, d).utility()
 }
 
-/// Relative slack on [`utility_bound_view`]: far above the last-ulp
+/// Eq. (1)'s factors at one candidate distance: the one evaluation that
+/// [`utility_view`], [`utility_breakdown_view`] and the block bounds all
+/// read. The optimizer's scan evaluates each grid point it visits once,
+/// into this, and bounds a block from the points at its two ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UtilityPoint {
+    /// The candidate distance `d`, `Tship(d)` and `Ttx(d)`.
+    delay: CommunicationDelay,
+    /// The link rate `s(d)` behind `Ttx(d)`.
+    rate: BitsPerSec,
+    /// Discount `δ(d)`.
+    survival: f64,
+}
+
+impl UtilityPoint {
+    /// Evaluate the factors at `d`, under the hard domain assert of
+    /// [`CommunicationDelay::at_view`].
+    pub fn at(scenario: ScenarioView<'_>, d: Meters) -> Self {
+        let rate = scenario.throughput.rate_bps(d);
+        UtilityPoint {
+            delay: CommunicationDelay::at_rate(scenario, d, rate),
+            rate,
+            survival: scenario.failure.survival(scenario.d0_m, d.get()),
+        }
+    }
+
+    /// `U(d) = δ(d) / Cdelay(d)`.
+    pub fn utility(&self) -> f64 {
+        self.survival / self.delay.total().get()
+    }
+
+    /// An upper bound on `U` over every `d` between this point and `hi`
+    /// — the block bound that lets the optimizer's grid scan skip blocks
+    /// that cannot hold the maximum.
+    ///
+    /// Each factor of Eq. (1) is bounded at one end of the interval: δ
+    /// rises with `d`, so δ ≤ δ(hi); `Tship` falls with `d`, so `Tship ≥
+    /// Tship(hi)`; and `Ttx ≥ Mdata / s_max` with `s_max` the larger end
+    /// rate, or an empirical table's knot between the ends. Before its
+    /// `1 + 1e-9` slack factor, the bound of an interval whose peak rate
+    /// is `s(hi)` is bit-equal to `U(hi)`.
+    ///
+    /// Sound under the preconditions [`ScenarioView::check`] states (ρ ≥ 0
+    /// or a Weibull law with positive scale and shape, `v > 0`, finite
+    /// parameters), for points of the same scenario.
+    pub fn bound_to(&self, scenario: ScenarioView<'_>, hi: &UtilityPoint) -> f64 {
+        debug_assert!(
+            self.delay.d <= hi.delay.d,
+            "block bound needs d1 ≤ d2: {} > {}",
+            self.delay.d.get(),
+            hi.delay.d.get()
+        );
+        let ends = self.rate.max(hi.rate);
+        let peak = scenario
+            .throughput
+            .peak_rate_bps(self.delay.d, hi.delay.d, ends);
+        let tx = scenario.mdata() / peak;
+        hi.survival / (hi.delay.ship + tx).get() * (1.0 + BOUND_SLACK)
+    }
+}
+
+/// Relative slack on [`UtilityPoint::bound_to`]: far above the last-ulp
 /// wobble of a libm `exp`/`powf`/`log2` that is not exactly monotone,
 /// far below any utility gap the optimizer could skip on.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// An upper bound on [`utility_view`] over every `d ∈ [d1, d2]` — the
-/// block bound that lets the optimizer's grid scan skip blocks that
-/// cannot hold the maximum.
-///
-/// Each factor of Eq. (1) is bounded at one end of the block: δ rises
-/// with `d`, so δ ≤ δ(d2); `Tship` falls with `d`, so `Tship ≥
-/// Tship(d2)`; and `Ttx ≥ Mdata / s_max` with `s_max` the throughput
-/// model's peak rate over the block (an end, or an empirical table's
-/// knot inside it). The terms use the same typed operations as
-/// [`utility_view`], so before its `1 + 1e-9` slack factor the bound of
-/// a block whose peak rate is `s(d2)` is bit-equal to `U(d2)`.
-///
-/// Sound under the preconditions [`ScenarioView::validate`] asserts
-/// (ρ ≥ 0 or a Weibull law with positive scale and shape, `v > 0`,
-/// finite parameters); the domain contract of [`utility`] applies to
-/// both ends.
+/// [`UtilityPoint::bound_to`] between the points at `d1 ≤ d2`: an upper
+/// bound on [`utility_view`] over every `d ∈ [d1, d2]`. The domain
+/// contract of [`utility`] applies to both ends.
+// lint:allow-line(test-only-pub): the distance-form reference of tests/model_properties.rs::block_bound_is_sound_on_random_blocks
 pub fn utility_bound_view(scenario: ScenarioView<'_>, d1: Meters, d2: Meters) -> f64 {
-    debug_assert!(
-        d1 <= d2,
-        "block bound needs d1 ≤ d2: {} > {}",
-        d1.get(),
-        d2.get()
-    );
-    let ship = (scenario.d0() - d2).max(Meters::ZERO) / scenario.speed();
-    let tx = scenario.mdata() / scenario.throughput.peak_rate_bps(d1, d2);
-    let survival = scenario.failure.survival(scenario.d0_m, d2.get());
-    survival / (ship + tx).get() * (1.0 + BOUND_SLACK)
+    UtilityPoint::at(scenario, d1).bound_to(scenario, &UtilityPoint::at(scenario, d2))
 }
 
 /// Eq. (1) generalised from the straight corridor to an arbitrary flown
@@ -175,8 +213,9 @@ pub fn utility_breakdown_view(scenario: ScenarioView<'_>, d: Meters) -> UtilityB
         scenario.d_min_m,
         scenario.d0_m
     );
-    let delay = CommunicationDelay::at_view(scenario, d);
-    let survival = scenario.failure.survival(scenario.d0_m, d.get());
+    let UtilityPoint {
+        delay, survival, ..
+    } = UtilityPoint::at(scenario, d);
     let instantaneous = 1.0 / delay.total().get();
     UtilityBreakdown {
         d,

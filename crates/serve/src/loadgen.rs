@@ -63,6 +63,17 @@
 //!   bit-identical parameters and the `d_star` streams can be compared
 //!   bitwise across all three.
 //!
+//! `--min-cache-ratio X` and `--min-table-ratio X` gate the two fast
+//! paths without dividing by the solver. After the phases above they run
+//! 15 gate rounds on the same codec and connections, each a `floor`
+//! phase — the warm workload with every `speed` set to 0, which the
+//! server refuses as `bad-request` after parsing, without the cache, the
+//! table or the solver — followed by a warm `cache` phase (table off)
+//! and a warm `table` phase. With `--check`, every `cache` round must
+//! miss exactly once per distinct query (against an `--exact` server),
+//! no table phase may fall back or solve, and the median round's ratio
+//! of each path's throughput to its own round's floor must reach X.
+//!
 //! `--fleet-trace FILE` replaces the random mix with a recorded fleet
 //! request stream (`repro --export-fleet-trace` JSONL): each line's
 //! contended-equivalent `(platform, d0, mdata, rho, speed)` tuple is
@@ -100,6 +111,8 @@ use crate::proto::{self, Request};
 
 /// Distinct parameter tuples in the repeated (warm) request pool.
 const POOL: usize = 64;
+/// Rounds of the floor-ratio gate (see [`run_gate`]).
+const GATE_ROUNDS: usize = 15;
 /// Connections of an open loop when `--conns` is not set.
 const OPEN_LOOP_CONNS: usize = 64;
 /// How long the client waits for a reply it is owed before the run
@@ -175,12 +188,16 @@ pub struct LoadgenConfig {
     /// Repeat every phase with a workload whose every request is drawn
     /// fresh, reported as `<label>-miss`.
     pub miss_heavy: bool,
-    /// With `--check`: fail unless cached/uncached throughput ratio
-    /// reaches this.
-    pub min_speedup: Option<f64>,
-    /// With `--check`: fail unless table/uncached throughput ratio
-    /// (miss-heavy variant when present) reaches this.
-    pub min_table_speedup: Option<f64>,
+    /// Run the gate's `floor` and `cache` rounds and, with `--check`,
+    /// fail unless each `cache` round misses once per distinct query and
+    /// the median round's throughput reaches this multiple of its
+    /// floor's.
+    pub min_cache_ratio: Option<f64>,
+    /// Run the gate's `floor` and `table` rounds (needs
+    /// `policy_compare`) and, with `--check`, fail unless no table phase
+    /// falls back or solves and the median round's `table` throughput
+    /// reaches this multiple of its floor's.
+    pub min_table_ratio: Option<f64>,
     /// With `--compare`: require bit-identical `d_star` streams across
     /// phases (valid against a server in exactness mode).
     pub expect_identical: bool,
@@ -221,8 +238,8 @@ impl Default for LoadgenConfig {
             compare: false,
             policy_compare: false,
             miss_heavy: false,
-            min_speedup: None,
-            min_table_speedup: None,
+            min_cache_ratio: None,
+            min_table_ratio: None,
             expect_identical: false,
             check: false,
             out: None,
@@ -338,6 +355,25 @@ fn build_workload(cfg: &LoadgenConfig, streams: usize, unique_frac: f64) -> Vec<
                 })
                 .collect()
         })
+        .collect()
+}
+
+/// The `floor` phase's streams: `warm` with every request's `speed` set
+/// to 0, which `check` refuses, so the server parses each request and
+/// answers `bad-request` without the cache, the table or the solver.
+fn floor_streams(warm: &[Vec<String>]) -> Result<Vec<Vec<String>>, LoadgenError> {
+    let refused = |line: &String| match json::parse(line) {
+        Ok(Json::Obj(mut members)) => {
+            members.retain(|(k, _)| k != "speed");
+            members.push(("speed".into(), Json::Int(0)));
+            Ok(Json::Obj(members).render())
+        }
+        _ => Err(LoadgenError::Protocol(format!(
+            "workload line is not a JSON object: {line}"
+        ))),
+    };
+    warm.iter()
+        .map(|lines| lines.iter().map(refused).collect())
         .collect()
 }
 
@@ -1108,6 +1144,10 @@ impl SatPoint {
 pub struct Report {
     /// Phases in execution order.
     pub phases: Vec<PhaseReport>,
+    /// The floor-ratio gate's phases in execution order (`floor`,
+    /// `cache`, `table`), empty without `--min-cache-ratio` or
+    /// `--min-table-ratio`.
+    pub gate: Vec<PhaseReport>,
     /// Latency-under-load curve (`--saturation`), in sweep order.
     pub saturation: Vec<SatPoint>,
     /// Cached/uncached throughput ratio on the warm workload.
@@ -1119,6 +1159,10 @@ pub struct Report {
     pub table_speedup: Option<f64>,
     /// Table/uncached throughput ratio on the miss-heavy workload.
     pub table_speedup_miss: Option<f64>,
+    /// Median over the gate's rounds of `cache` over `floor` throughput.
+    pub cache_floor_ratio: Option<f64>,
+    /// Median over the gate's rounds of `table` over `floor` throughput.
+    pub table_floor_ratio: Option<f64>,
     /// Were the `d_star` streams bit-identical across the phases of
     /// each workload (warm phases vs warm, miss vs miss)?
     pub d_star_identical: Option<bool>,
@@ -1193,6 +1237,10 @@ impl Report {
                 Json::Arr(self.phases.iter().map(PhaseReport::to_json).collect()),
             ),
             (
+                "gate",
+                Json::Arr(self.gate.iter().map(PhaseReport::to_json).collect()),
+            ),
+            (
                 "saturation",
                 Json::Arr(self.saturation.iter().map(SatPoint::to_json).collect()),
             ),
@@ -1200,6 +1248,8 @@ impl Report {
             ("speedup_miss", ratio(self.speedup_miss)),
             ("table_speedup", ratio(self.table_speedup)),
             ("table_speedup_miss", ratio(self.table_speedup_miss)),
+            ("cache_floor_ratio", ratio(self.cache_floor_ratio)),
+            ("table_floor_ratio", ratio(self.table_floor_ratio)),
             (
                 "d_star_identical",
                 self.d_star_identical.map(Json::Bool).unwrap_or(Json::Null),
@@ -1333,6 +1383,127 @@ fn run_saturation(cfg: &LoadgenConfig) -> Result<Vec<SatPoint>, LoadgenError> {
     Ok(curve)
 }
 
+/// A counter of a phase's server `STATS` snapshot, `0` when absent.
+fn stat(phase: &PhaseReport, path: &[&str]) -> i64 {
+    path.iter()
+        .try_fold(&phase.server_stats, |j, key| j.get(key))
+        .and_then(Json::as_i64)
+        .unwrap_or(0)
+}
+
+/// `--min-cache-ratio`: every gate `cache` phase missed once per
+/// distinct query of `warm`, so every other request was a hit, and
+/// [`Report::cache_floor_ratio`] reached `min`.
+fn check_cache_path(report: &Report, warm: &[Vec<String>], min: f64) -> Result<(), LoadgenError> {
+    let mut keys = std::collections::BTreeSet::new();
+    for line in warm.iter().flatten() {
+        if let Ok(p) = workload_params(line)?.validated() {
+            keys.insert(p.bits());
+        }
+    }
+    for c in report.gate.iter().filter(|p| p.label == "cache") {
+        let misses = stat(c, &["cache", "misses"]);
+        if misses != keys.len() as i64 {
+            return Err(LoadgenError::CheckFailed(format!(
+                "cache phase missed {misses} times for {} distinct queries",
+                keys.len()
+            )));
+        }
+    }
+    let got = report.cache_floor_ratio.unwrap_or(0.0);
+    if got < min {
+        return Err(LoadgenError::CheckFailed(format!(
+            "cache phase ran at {got:.2}x the floor, below the required {min:.2}x"
+        )));
+    }
+    Ok(())
+}
+
+/// `--min-table-ratio`: no table phase fell back or solved, and
+/// [`Report::table_floor_ratio`] reached `min`.
+fn check_table_path(report: &Report, min: f64) -> Result<(), LoadgenError> {
+    for t in report
+        .phases
+        .iter()
+        .chain(&report.gate)
+        .filter(|p| p.label.starts_with("table"))
+    {
+        let fallbacks = stat(t, &["policy", "fallbacks"]);
+        let solves = stat(t, &["cache", "misses"]);
+        if fallbacks != 0 || solves != 0 {
+            return Err(LoadgenError::CheckFailed(format!(
+                "{} phase: {fallbacks} fallbacks and {solves} solves, expected none",
+                t.label
+            )));
+        }
+    }
+    let got = report.table_floor_ratio.unwrap_or(0.0);
+    if got < min {
+        return Err(LoadgenError::CheckFailed(format!(
+            "table phase ran at {got:.2}x the floor, below the required {min:.2}x"
+        )));
+    }
+    Ok(())
+}
+
+/// The median over the gate's rounds of `label`'s throughput over the
+/// floor's of the same round; `None` when the gate did not run `label`.
+fn floor_ratio(gate: &[PhaseReport], label: &str) -> Option<f64> {
+    let mut floor = 0.0;
+    let mut ratios = Vec::new();
+    for p in gate {
+        if p.label == "floor" {
+            floor = p.throughput_rps;
+        } else if p.label == label {
+            ratios.push(p.throughput_rps / floor.max(1e-9));
+        }
+    }
+    quantile(&ratios, 0.5)
+}
+
+/// The floor-ratio gate: [`GATE_ROUNDS`] rounds, each a `floor` phase
+/// and then a warm-workload phase per gated path — `cache` (table off)
+/// for `--min-cache-ratio`, `table` for `--min-table-ratio` — each after
+/// a `reset`. Each path is compared with the floor of its own round, a
+/// fraction of a second earlier, so that a noisy host slows both sides
+/// alike, and the median round is what the gate reads. Empty without
+/// either flag.
+fn run_gate(cfg: &LoadgenConfig, warm: &[Vec<String>]) -> Result<Vec<PhaseReport>, LoadgenError> {
+    if cfg.min_table_ratio.is_some() && !cfg.policy_compare {
+        return Err(LoadgenError::CheckFailed(
+            "--min-table-ratio needs --policy-compare".into(),
+        ));
+    }
+    let mut paths = Vec::new();
+    if cfg.min_cache_ratio.is_some() {
+        paths.push(("cache", false));
+    }
+    if cfg.min_table_ratio.is_some() {
+        paths.push(("table", true));
+    }
+    if paths.is_empty() {
+        return Ok(Vec::new());
+    }
+    let floor = floor_streams(warm)?;
+    let mut phases = Vec::new();
+    for _ in 0..GATE_ROUNDS {
+        control_ok(&cfg.addr, r#"{"cmd":"reset"}"#)?;
+        phases.push(run_phase(cfg, "floor", &floor)?);
+        for &(label, table_on) in &paths {
+            if cfg.policy_compare {
+                let toggle = format!(r#"{{"cmd":"policy","enabled":{table_on}}}"#);
+                control_ok(&cfg.addr, &toggle)?;
+            }
+            control_ok(&cfg.addr, r#"{"cmd":"reset"}"#)?;
+            phases.push(run_phase(cfg, label, warm)?);
+        }
+    }
+    if cfg.policy_compare {
+        control_ok(&cfg.addr, r#"{"cmd":"policy","enabled":true}"#)?;
+    }
+    Ok(phases)
+}
+
 /// Run the configured workload; on success the report is also written
 /// to `cfg.out` (pretty JSON) when set.
 pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
@@ -1388,6 +1559,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
     if cfg.compare || cfg.policy_compare {
         control_ok(&cfg.addr, r#"{"cmd":"cache","enabled":true}"#)?;
     }
+    let gate = run_gate(cfg, &warm)?;
 
     let saturation = run_saturation(cfg)?;
 
@@ -1405,6 +1577,8 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
     let speedup_miss = ratio(rps("cache-miss"), rps("no-cache-miss"));
     let table_speedup = ratio(rps("table"), rps("no-cache"));
     let table_speedup_miss = ratio(rps("table-miss"), rps("no-cache-miss"));
+    let cache_floor_ratio = floor_ratio(&gate, "cache");
+    let table_floor_ratio = floor_ratio(&gate, "table");
 
     let warm_group: Vec<&PhaseReport> = phases
         .iter()
@@ -1427,11 +1601,14 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
         .and_then(|_| phases.first().map(d_star_stream_digest));
     let report = Report {
         phases,
+        gate,
         saturation,
         speedup,
         speedup_miss,
         table_speedup,
         table_speedup_miss,
+        cache_floor_ratio,
+        table_floor_ratio,
         d_star_identical,
         fleet_trace: fleet.as_ref().map(|f| trace_stats(&f.arrivals_s)),
         d_star_digest,
@@ -1446,10 +1623,13 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
     }
 
     if cfg.check {
-        let errors: u64 = report.phases.iter().map(|p| p.protocol_errors).sum();
+        let (floors, gated): (Vec<&PhaseReport>, Vec<&PhaseReport>) =
+            report.gate.iter().partition(|p| p.label == "floor");
+        let measured = || report.phases.iter().chain(gated.iter().copied());
+        let errors: u64 = measured().map(|p| p.protocol_errors).sum();
         if errors > 0 {
             let mut by_kind = ErrorTally::default();
-            for p in &report.phases {
+            for p in measured() {
                 by_kind.merge(&p.errors_by_kind);
             }
             return Err(LoadgenError::CheckFailed(format!(
@@ -1457,28 +1637,23 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, LoadgenError> {
                 by_kind.describe()
             )));
         }
+        for f in floors {
+            let replies = f.d_stars.iter().map(Vec::len).sum::<usize>() as u64;
+            if f.errors_by_kind.bad_request != replies {
+                return Err(LoadgenError::CheckFailed(format!(
+                    "floor phase: {} of {replies} replies were bad-request errors",
+                    f.errors_by_kind.bad_request
+                )));
+            }
+        }
         if report.phases.iter().any(|p| p.rtt.p99_us <= 0.0) {
             return Err(LoadgenError::CheckFailed("p99 latency is zero".into()));
         }
-        if let (Some(min), Some(got)) = (cfg.min_speedup, report.speedup) {
-            if got < min {
-                return Err(LoadgenError::CheckFailed(format!(
-                    "cache speedup {got:.2}x below required {min:.2}x"
-                )));
-            }
+        if let Some(min) = cfg.min_cache_ratio {
+            check_cache_path(&report, &warm, min)?;
         }
-        if let Some(min) = cfg.min_table_speedup {
-            let got = report
-                .table_speedup_miss
-                .or(report.table_speedup)
-                .ok_or_else(|| {
-                    LoadgenError::CheckFailed("--min-table-speedup needs --policy-compare".into())
-                })?;
-            if got < min {
-                return Err(LoadgenError::CheckFailed(format!(
-                    "table speedup {got:.2}x below required {min:.2}x"
-                )));
-            }
+        if let Some(min) = cfg.min_table_ratio {
+            check_table_path(&report, min)?;
         }
         if cfg.expect_identical && report.d_star_identical == Some(false) {
             return Err(LoadgenError::CheckFailed(
@@ -1534,9 +1709,11 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<LoadgenConfi
                         .ok_or("--fleet-trace needs a value".to_string())?,
                 ))
             }
-            "--min-speedup" => cfg.min_speedup = Some(value(&mut args, "--min-speedup")?),
-            "--min-table-speedup" => {
-                cfg.min_table_speedup = Some(value(&mut args, "--min-table-speedup")?)
+            "--min-cache-ratio" => {
+                cfg.min_cache_ratio = Some(value(&mut args, "--min-cache-ratio")?)
+            }
+            "--min-table-ratio" => {
+                cfg.min_table_ratio = Some(value(&mut args, "--min-table-ratio")?)
             }
             "--out" => {
                 cfg.out = Some(PathBuf::from(
@@ -1698,9 +1875,9 @@ mod tests {
                 "--compare",
                 "--policy-compare",
                 "--miss-heavy",
-                "--min-speedup",
+                "--min-cache-ratio",
                 "5",
-                "--min-table-speedup",
+                "--min-table-ratio",
                 "3",
                 "--expect-identical",
                 "--check",
@@ -1724,8 +1901,8 @@ mod tests {
         assert_eq!(cfg.grid, Some(GridMode::Quick));
         assert!(cfg.compare && cfg.check && cfg.expect_identical && cfg.shutdown_after);
         assert!(cfg.policy_compare && cfg.miss_heavy);
-        assert_eq!(cfg.min_speedup, Some(5.0));
-        assert_eq!(cfg.min_table_speedup, Some(3.0));
+        assert_eq!(cfg.min_cache_ratio, Some(5.0));
+        assert_eq!(cfg.min_table_ratio, Some(3.0));
         assert_eq!(
             cfg.out.as_deref(),
             Some(std::path::Path::new("BENCH_serve.json"))
@@ -1969,6 +2146,7 @@ mod tests {
         cfg.codec = Codec::Bin1;
         let report = Report {
             phases: Vec::new(),
+            gate: Vec::new(),
             saturation: vec![SatPoint {
                 offered_rps: 1000.0,
                 achieved_rps: 950.0,
@@ -1994,6 +2172,8 @@ mod tests {
             speedup_miss: None,
             table_speedup: Some(7.25),
             table_speedup_miss: None,
+            cache_floor_ratio: None,
+            table_floor_ratio: Some(0.8),
             d_star_identical: None,
             fleet_trace: None,
             d_star_digest: None,
@@ -2015,6 +2195,8 @@ mod tests {
             Some(7.25),
             "ratio members survive the round trip"
         );
+        assert_eq!(j.get("table_floor_ratio").and_then(Json::as_f64), Some(0.8));
+        assert_eq!(j.get("gate"), Some(&Json::Arr(Vec::new())));
         let sat = match j.get("saturation") {
             Some(Json::Arr(points)) => points,
             other => panic!("saturation must be an array, got {other:?}"),

@@ -993,6 +993,79 @@ fn loadgen_identical_across_shard_counts() {
     }
 }
 
+/// The fast-path gates read path counters and a floor of refused
+/// requests, never the solver. Each of the gate's 15 rounds is a floor
+/// phase answered with `bad-request` only, then a cache and a table
+/// phase; a bound the table cannot reach fails with the measured
+/// ratio, and a cache too small for the pool fails the miss count.
+#[test]
+fn fast_path_gates_read_counters_and_a_floor() {
+    use skyferry_serve::loadgen::{run, GridMode, LoadgenConfig, LoadgenError};
+
+    let table = Arc::new(PolicyTable::build(PolicyGrid::quick(), 0x5AFE));
+    let handle = policy_server_sharded(2, table);
+    let cfg = LoadgenConfig {
+        addr: handle.addr().to_string(),
+        requests: 300,
+        concurrency: 3,
+        window: 32,
+        grid: Some(GridMode::Quick),
+        policy_compare: true,
+        min_cache_ratio: Some(0.0),
+        min_table_ratio: Some(0.0),
+        check: true,
+        ..Default::default()
+    };
+    let report = run(&cfg).unwrap_or_else(|e| panic!("gates at ratio 0: {e}"));
+    let labels: Vec<&str> = report.gate.iter().map(|p| p.label).collect();
+    assert_eq!(labels.len(), 45);
+    assert!(labels.chunks(3).all(|r| r == ["floor", "cache", "table"]));
+    for p in &report.gate {
+        let refused = if p.label == "floor" { 300 } else { 0 };
+        assert_eq!(p.protocol_errors, refused, "{}", p.label);
+        assert_eq!(p.errors_by_kind.bad_request, refused, "{}", p.label);
+    }
+    assert!(report.cache_floor_ratio.is_some_and(|r| r > 0.0));
+    assert!(report.table_floor_ratio.is_some_and(|r| r > 0.0));
+
+    let unreachable = LoadgenConfig {
+        min_table_ratio: Some(1e9),
+        ..cfg.clone()
+    };
+    match run(&unreachable) {
+        Err(LoadgenError::CheckFailed(m)) => assert!(m.contains("table phase ran at"), "{m}"),
+        other => panic!("a 1e9x table bound must fail: {other:?}"),
+    }
+    drop(handle);
+
+    // Eight slots for the 64-query pool: the cache phase misses on
+    // evictions, more than once per distinct query.
+    let small = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        queue_depth: 1024,
+        engine: EngineConfig {
+            cache_capacity: 8,
+            quant: Quantizer::exact(),
+            cache_enabled: true,
+        },
+        shards: 1,
+        policy: None,
+        deterministic: true,
+    })
+    .expect("bind loopback");
+    let evicting = LoadgenConfig {
+        addr: small.addr().to_string(),
+        grid: None,
+        policy_compare: false,
+        min_table_ratio: None,
+        ..cfg
+    };
+    match run(&evicting) {
+        Err(LoadgenError::CheckFailed(m)) => assert!(m.contains("distinct queries"), "{m}"),
+        other => panic!("an evicting cache must fail the miss count: {other:?}"),
+    }
+}
+
 /// Fleet-trace replay: a recorded fleet request stream (the
 /// `repro --export-fleet-trace` JSONL shape) must solve to bit-identical
 /// `d_star` streams across phases *and* across shard counts — the

@@ -19,12 +19,13 @@
 //! optimum — it must reproduce `core::optimizer`'s d\* bit-for-bit.
 //! Three mechanisms make that structural rather than coincidental:
 //!
-//! 1. the final commit refinement calls the *same*
-//!    [`search_max`] routine `optimize_view` is built on, over the same
-//!    interval, with an objective whose float operations are
-//!    bit-identical to `utility_view` when the path prefix is zero
-//!    (`0.0 + x == x`, `x − 0.0 == x`) — without `optimize_view`'s
-//!    block bound, which only skips grid points that cannot win;
+//! 1. the final commit refinement runs the *same* scan
+//!    `optimize_view` runs, through its distance-closure form
+//!    [`search_max`], over the same interval, with an objective whose
+//!    float operations are bit-identical to `utility_view` when the
+//!    path prefix is zero (`0.0 + x == x`, `x − 0.0 == x`) — without
+//!    `optimize_view`'s block bound, which only skips grid points that
+//!    cannot win;
 //! 2. the straight commit-at-encounter strategy is always evaluated,
 //!    and the DP winner replaces it only when it is *better by more
 //!    than a relative epsilon* — sub-ulp noise from summing ring legs

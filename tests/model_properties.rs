@@ -12,7 +12,9 @@ use skyferry::core::strategy::{evaluate, EvalConfig, Strategy as DeliveryStrateg
 use skyferry::core::throughput::{
     EmpiricalThroughput, LogFitThroughput, ThroughputModel, ThroughputSpec,
 };
-use skyferry::core::utility::{utility, utility_bound_view, utility_breakdown_view, utility_view};
+use skyferry::core::utility::{
+    utility, utility_bound_view, utility_breakdown_view, utility_view, UtilityPoint,
+};
 use skyferry::sim::rng::DetRng;
 use skyferry_bench::solver_calls::figure9_calls;
 use skyferry_units::Meters;
@@ -266,33 +268,78 @@ fn pruned_solve_equals_full_scan_on_peaked_empirical_tables() {
     }
 }
 
+/// A scenario of model family `case % 4`: the log fit with a small ρ, a
+/// Fig. 8 stress ρ up to 1 /m, a Weibull hazard, or a peaked table.
+fn arb_family(rng: &mut DetRng, case: usize) -> Scenario {
+    let mut s = arb_scenario(rng);
+    match case % 4 {
+        1 => s = s.with_rho(10f64.powf(rng.uniform_range(-6.0, 0.0))),
+        2 => s.failure = arb_weibull(rng),
+        3 => s.throughput = arb_peaked_table(rng),
+        _ => {}
+    }
+    s
+}
+
+/// Grid point `i` of the solver's 2,048-point scan of `v`.
+fn solver_grid(v: ScenarioView<'_>, i: usize) -> Meters {
+    Meters::new(v.d_min_m + (v.d0_m - v.d_min_m) * i as f64 / 2047.0)
+}
+
 #[test]
 fn block_bound_is_sound_on_random_blocks() {
     // The solver's own grid, random blocks of 1–64 points, every model
-    // family: the bound is ≥ U at every grid point in the block.
+    // family: the bound is ≥ U at every grid point in the block, also
+    // when taken one grid step wider, up to the next block's first point,
+    // as the scan takes it.
     let mut rng = rng(14);
     for case in 0..CASES * 4 {
-        let mut s = arb_scenario(&mut rng);
-        match case % 4 {
-            1 => s = s.with_rho(10f64.powf(rng.uniform_range(-6.0, 0.0))),
-            2 => s.failure = arb_weibull(&mut rng),
-            3 => s.throughput = arb_peaked_table(&mut rng),
-            _ => {}
-        }
+        let s = arb_family(&mut rng, case);
         let v = s.view();
-        let (lo, hi) = (v.d_min_m, v.d0_m);
-        let at = |i: usize| lo + (hi - lo) * i as f64 / 2047.0;
+        let at = |i: usize| solver_grid(v, i);
         let len = 1 + rng.index(64);
         let first = rng.index(2048 - len + 1);
-        let bound = utility_bound_view(v, Meters::new(at(first)), Meters::new(at(first + len - 1)));
-        for i in first..first + len {
-            let u = utility_view(v, Meters::new(at(i)));
-            assert!(
-                bound >= u,
-                "{s:?}: block {first}+{len}, U({}) = {u} > {bound}",
-                at(i)
+        for last in [first + len - 1, (first + len).min(2047)] {
+            let bound = utility_bound_view(v, at(first), at(last));
+            for i in first..first + len {
+                let u = utility_view(v, at(i));
+                assert!(
+                    bound >= u,
+                    "{s:?}: block {first}+{len} to {last}, U({}) = {u} > {bound}",
+                    at(i).get()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn points_carry_the_utility_and_the_block_bound_bitwise() {
+    // Every model family: the scan's evaluated point reads `U` exactly as
+    // `utility_view` does, and its bound between two points is
+    // `utility_bound_view` on their distances.
+    let mut rng = rng(18);
+    for case in 0..CASES * 4 {
+        let s = arb_family(&mut rng, case);
+        let v = s.view();
+        let (i, j) = (rng.index(2048), rng.index(2048));
+        let (d1, d2) = (solver_grid(v, i.min(j)), solver_grid(v, i.max(j)));
+        let (p1, p2) = (UtilityPoint::at(v, d1), UtilityPoint::at(v, d2));
+        for (p, d) in [(p1, d1), (p2, d2)] {
+            assert_eq!(
+                p.utility().to_bits(),
+                utility_view(v, d).to_bits(),
+                "{s:?} at {}",
+                d.get()
             );
         }
+        assert_eq!(
+            p1.bound_to(v, &p2).to_bits(),
+            utility_bound_view(v, d1, d2).to_bits(),
+            "{s:?} over [{}, {}]",
+            d1.get(),
+            d2.get()
+        );
     }
 }
 
@@ -464,6 +511,47 @@ fn validated_queries_solve_under_both_quantizers() {
     for d0_m in [ulp_step(D0_BOUND_M, 1), D0_OVERSHOT_M] {
         assert!(matches!(at(d0_m).validated(), Err(ParamError::Grid(..))));
     }
+}
+
+/// FNV-1a-64 of every field of [`wire_query_solves`]' answers.
+const WIRE_SOLVE_DIGEST: u64 = 0x18ea_131b_c603_0b79;
+
+/// Seeded wire-shaped queries through `validated()` and `solve()`: both
+/// platforms, with `d0`, `Mdata`, ρ and `v` each log-uniform over its
+/// decades. Returns the FNV-1a-64 of all five fields of every answer.
+fn wire_query_solves(queries: usize) -> u64 {
+    let mut rng = rng(17);
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for i in 0..queries {
+        let p = DecisionParams {
+            platform: [Platform::Airplane, Platform::Quadrocopter][i % 2],
+            d0_m: magnitude(&mut rng, 1.0, 4.0),
+            mdata_bytes: magnitude(&mut rng, 3.0, 9.0),
+            rho_per_m: magnitude(&mut rng, -7.0, 0.0),
+            v_mps: magnitude(&mut rng, -1.0, 2.5),
+        };
+        let o = p
+            .validated()
+            .unwrap_or_else(|e| panic!("{p:?}: {e}"))
+            .solve();
+        for x in [o.d_opt, o.utility, o.survival, o.ship_s, o.tx_s] {
+            // Byte-wise FNV-1a over the bits, low byte first.
+            let bits = x.to_bits();
+            for k in 0..8 {
+                hash = (hash ^ (bits >> (8 * k) & 0xff)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+#[test]
+fn wire_query_solves_are_pinned() {
+    // Every bit of every field, over far more of the request domain than
+    // the 7,560 quick-table cell centres `quick_table_bytes_are_pinned`
+    // covers: a solver rewrite must not move a single answer.
+    let digest = wire_query_solves(16_000);
+    assert_eq!(digest, WIRE_SOLVE_DIGEST, "digest {digest:#018x}");
 }
 
 #[test]

@@ -35,7 +35,7 @@ fn tiny_table() -> PolicyTable {
 fn file_round_trip_preserves_every_cell_bitwise() {
     let table = tiny_table();
     let path = temp_path("roundtrip.bin");
-    table.write_file(&path).expect("write");
+    fs::write(&path, table.to_bytes()).expect("write");
     let back = PolicyTable::load_file(&path).expect("load");
     assert_eq!(back, table);
     for cell in 0..table.len() {
@@ -51,7 +51,7 @@ fn file_round_trip_preserves_every_cell_bitwise() {
 fn corrupted_file_is_rejected_with_checksum_error() {
     let table = tiny_table();
     let path = temp_path("corrupt.bin");
-    table.write_file(&path).expect("write");
+    fs::write(&path, table.to_bytes()).expect("write");
     let mut bytes = fs::read(&path).expect("read back");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
