@@ -6,6 +6,14 @@
 //! benches, median ns per call of every other kernel, and objective and
 //! bound calls per solve on the Fig. 9 grid and the quick policy grid —
 //! pruned, and with an infinite bound (the full scan) as the base.
+//!
+//! The single-scenario `optimizer/*` benches solve one scenario over
+//! and over; `policy_quick_strided` solves a different quick-grid cell
+//! on each call, the mix `PolicyTable::build` sweeps. Likewise
+//! `mac/txop` is a hovering quadrocopter, whose TXOPs rarely resample
+//! the channel or evaluate a PER; `mac/txop-airplane-20mps` has the
+//! shape of Figure 6's fixed-MCS campaigns, which dominate a full
+//! `repro` run.
 
 use std::hint::black_box;
 
@@ -14,6 +22,7 @@ use skyferry_bench::solver_calls::{figure9_calls, quick_policy_calls, SolveCalls
 use skyferry_control::mission::{run_mission, MissionConfig};
 use skyferry_core::mixed::{optimize_mixed, MixedConfig};
 use skyferry_core::optimizer::optimize;
+use skyferry_core::policy::PolicyGrid;
 use skyferry_core::scenario::Scenario;
 use skyferry_core::sweep::{gratification_sweep, paper_grid};
 use skyferry_geo::vector::Vec3;
@@ -32,9 +41,10 @@ use skyferry_stats::json::Json;
 use skyferry_units::{Db, MetersPerSec};
 
 /// The kernels below the optimizer, reported per call under `kernel_ns`.
-const KERNELS: [&str; 5] = [
+const KERNELS: [&str; 6] = [
     "phy/per-subframe-error-chain",
     "mac/txop",
+    "mac/txop-airplane-20mps",
     "mac/arf-full-ladder-feedback",
     "campaign/one-simulated-second-autorate",
     "mission/single-uav-full-mission",
@@ -59,6 +69,15 @@ fn bench_optimizer(h: &mut Harness) {
     let s = Scenario::quadrocopter_baseline().with_mdata_mb(15.0);
     let cfg = MixedConfig::for_speed(MetersPerSec::new(4.5));
     h.bench("optimizer/mixed-2d", || black_box(optimize_mixed(&s, &cfg)));
+    // A prime stride, coprime to the 7,560 cells: consecutive solves
+    // differ in every axis, and every cell is visited once per lap.
+    const STRIDE: usize = 211;
+    let grid = PolicyGrid::quick();
+    let mut cell = 0;
+    h.bench("optimizer/policy-quick-strided", || {
+        cell = (cell + STRIDE) % grid.cells();
+        black_box(grid.params_at(cell).solve())
+    });
 }
 
 fn bench_phy(h: &mut Harness) {
@@ -66,11 +85,14 @@ fn bench_phy(h: &mut Harness) {
     let mut fading = FadingProcess::new(preset.fading, DetRng::seed(1));
     let snr = db_to_linear(preset.mean_snr(skyferry_units::Meters::new(100.0)).get());
     let mut t = SimTime::ZERO;
+    // Opaque, as a rate controller's choice is to the link: a literal
+    // MCS lets the compiler fold the chain's per-MCS constants.
+    let mcs = black_box(Mcs::new(3));
     h.bench("phy/per-subframe-error-chain", || {
         t += SimDuration::from_micros(500);
         let state = fading.state_at(t);
-        let eff = effective_snr_linear(Mcs::new(3), true, snr, &state, Db::new(12.0));
-        black_box(coded_per(Mcs::new(3), eff, 1500))
+        let eff = effective_snr_linear(mcs, true, snr, &state, Db::new(12.0));
+        black_box(coded_per(mcs, eff, 1500))
     });
 }
 
@@ -87,6 +109,23 @@ fn bench_mac(h: &mut Harness) {
     let mut now = SimTime::ZERO;
     h.bench("mac/txop", || {
         let out = link.execute_txop(now, 40.0, 0.0, &mut queue);
+        now += out.airtime;
+        black_box(out.delivered)
+    });
+
+    // Figure 6's fixed-MCS cell at mid range: the airplane preset's host
+    // rate, and the channel at the preset's 20 m/s floor speed.
+    let preset = ChannelPreset::airplane(MetersPerSec::new(20.0));
+    let mut link = LinkState::new(
+        LinkConfig::paper_default(preset),
+        Box::new(FixedMcs(Mcs::new(3))),
+        seeds.rng("fading"),
+        seeds.rng("link"),
+    );
+    let mut queue = TxQueue::saturated(preset.host_fill_rate_bps, 1 << 17);
+    let mut now = SimTime::ZERO;
+    h.bench("mac/txop-airplane-20mps", || {
+        let out = link.execute_txop(now, 140.0, 20.0, &mut queue);
         now += out.airtime;
         black_box(out.delivered)
     });
@@ -171,6 +210,10 @@ fn main() {
                     ns("optimizer/figure9-grid-30-cells", 30.0),
                 ),
                 ("mixed_2d", ns("optimizer/mixed-2d", 1.0)),
+                (
+                    "policy_quick_strided",
+                    ns("optimizer/policy-quick-strided", 1.0),
+                ),
             ]),
         ),
         (

@@ -23,14 +23,16 @@
 //! the mean SNR and the channel state, and a channel state outlives
 //! several subframes. The link therefore keeps the last PER it computed
 //! for a data subframe and for a block ACK, keyed on the exact bits of
-//! those inputs, and recomputes only when one of them changes; every
-//! error draw still happens, so the link RNG stream is unchanged.
+//! those inputs, and recomputes only when one of them changes. Within an
+//! A-MPDU it looks the PER up once per run of same-size subframes that
+//! start inside one channel state. Every error draw still happens, once
+//! per subframe and in order, so the link RNG stream is unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use skyferry_phy::airtime::ppdu_duration;
 use skyferry_phy::channel::db_to_linear;
-use skyferry_phy::error::{coded_per, effective_snr_linear};
+use skyferry_phy::error::{coded_per, effective_snr};
 use skyferry_phy::fading::{ChannelState, FadingProcess};
 use skyferry_phy::mcs::Mcs;
 use skyferry_phy::presets::ChannelPreset;
@@ -149,13 +151,22 @@ impl LinkWork {
     }
 }
 
+/// The inputs of `effective_snr` that the [`LinkConfig`] fixes, in the
+/// form it reads them: converted once, in [`LinkState::new`].
+#[derive(Debug, Clone, Copy)]
+struct PhyConstants {
+    use_stbc: bool,
+    /// The SDM interference floor as a linear power ratio.
+    sdm_sir: f64,
+}
+
 /// The last PER one frame kind evaluated.
 #[derive(Debug, Default)]
 struct PerMemo(Option<(PerKey, f64)>);
 
-/// Every input of `effective_snr_linear` + `coded_per` that can differ
-/// between two frames of one link, compared by bits (STBC use and the
-/// SDM interference floor are fixed by the [`LinkConfig`]).
+/// Every input of `effective_snr` + `coded_per` that can differ between
+/// two frames of one link, compared by bits (the [`PhyConstants`] are
+/// fixed).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PerKey {
     mcs: Mcs,
@@ -171,7 +182,7 @@ impl PerMemo {
     fn per(
         &mut self,
         work: &mut LinkWork,
-        config: &LinkConfig,
+        phy: &PhyConstants,
         mcs: Mcs,
         len_bytes: usize,
         mean_snr: f64,
@@ -194,13 +205,7 @@ impl PerMemo {
             }
         }
         work.per_evals += 1;
-        let eff = effective_snr_linear(
-            mcs,
-            config.use_stbc,
-            mean_snr,
-            state,
-            Db::new(config.preset.fading.sdm_sir_db),
-        );
+        let eff = effective_snr(mcs, phy.use_stbc, mean_snr, state, phy.sdm_sir);
         let per = coded_per(mcs, eff, len_bytes);
         self.0 = Some((key, per));
         per
@@ -217,6 +222,7 @@ pub struct LinkState {
     retry_streak: u32,
     /// Airtime of the block ACK, which the preset fixes.
     ba_air: SimDuration,
+    phy: PhyConstants,
     /// The linear mean SNR at the last TXOP's distance and speed, keyed
     /// on their bits.
     mean_snr: Option<((u64, u64), f64)>,
@@ -258,6 +264,10 @@ impl LinkState {
                 config.preset.gi,
                 BLOCK_ACK_BYTES,
             ),
+            phy: PhyConstants {
+                use_stbc: config.use_stbc,
+                sdm_sir: Db::new(config.preset.fading.sdm_sir_db).ratio(),
+            },
             config,
             controller,
             rng: link_rng,
@@ -371,27 +381,42 @@ impl LinkState {
         let mean_snr = self.mean_snr(distance_m, relative_speed_mps);
         let tx_start = now + self.config.dcf.difs() + backoff;
         let per_subframe_air = SimDuration::from_secs_f64(data_air.as_secs_f64() / n as f64);
+        let starts_at = |i: usize| tx_start + per_subframe_air * i as i64;
         let mut delivered: u32 = 0;
         let mut delivered_bytes: usize = 0;
         let mut failed_bytes: usize = 0;
-        for i in 0..n {
-            let pl = if i < full { payload } else { tail };
-            let t_i = tx_start + per_subframe_air * i as i64;
-            let state = self.fading.state_at(t_i);
+        // Same-size subframes that start inside one channel state share
+        // one PER, so each such run fetches the state and the PER once.
+        // Skipping `state_at` for the rest of a run moves no fading draw:
+        // it draws only once the state has expired.
+        let mut i = 0;
+        while i < n {
+            let (pl, same_size) = if i < full { (payload, full) } else { (tail, n) };
+            let state = self.fading.state_at(starts_at(i));
             let per = self.data_per.per(
                 &mut self.work,
-                &self.config,
+                &self.phy,
                 mcs,
                 pl + DATA_OVERHEAD_BYTES,
                 mean_snr,
                 &state,
             );
-            if !self.rng.chance(per) {
-                delivered += 1;
-                delivered_bytes += pl;
-            } else {
-                failed_bytes += pl;
+            let mut end = i + 1;
+            while end < same_size && starts_at(end) < state.valid_until {
+                end += 1;
             }
+            // A per-subframe look-up would have hit the memo for the
+            // rest of the run; count those hits.
+            self.work.per_memo_hits += (end - i - 1) as u64;
+            for _ in i..end {
+                if self.rng.chance(per) {
+                    failed_bytes += pl;
+                } else {
+                    delivered += 1;
+                    delivered_bytes += pl;
+                }
+            }
+            i = end;
         }
         self.work.subframes += n as u64;
 
@@ -401,7 +426,7 @@ impl LinkState {
         let ba_state = self.fading.state_at(ba_time);
         let ba_per = self.ba_per.per(
             &mut self.work,
-            &self.config,
+            &self.phy,
             Mcs::new(0),
             BLOCK_ACK_BYTES,
             mean_snr,
@@ -591,6 +616,20 @@ mod tests {
             now += out.airtime;
         }
         assert!(l.retry_streak <= 6);
+    }
+
+    #[test]
+    fn sdm_floor_keeps_the_db_formula_bits() {
+        // The per-link linear floor must be the dB formula's `powf`, bit
+        // for bit; the link stream digest misses a floor a few ulps off.
+        for preset in [
+            ChannelPreset::quadrocopter(MetersPerSec::new(0.0)),
+            ChannelPreset::airplane(MetersPerSec::new(20.0)),
+        ] {
+            let l = link(preset, 8, 11);
+            let db = preset.fading.sdm_sir_db;
+            assert_eq!(l.phy.sdm_sir.to_bits(), 10f64.powf(db / 10.0).to_bits());
+        }
     }
 
     #[test]

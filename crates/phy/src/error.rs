@@ -12,6 +12,8 @@
 //! the strategy model consumes *throughput vs distance medians*, and the
 //! presets are calibrated end-to-end against the paper's fits anyway.
 
+use std::sync::LazyLock;
+
 use crate::fading::ChannelState;
 use crate::mcs::{CodingRate, Mcs, Modulation};
 use skyferry_units::Db;
@@ -67,10 +69,27 @@ pub fn coding_gain_db(rate: CodingRate) -> Db {
     })
 }
 
+/// The linear power ratio of [`coding_gain_db`]. The four ratios are
+/// computed once per process, by the same `Db::ratio`, so a PER
+/// evaluation pays no `powf` and sees the same bits.
+fn coding_gain(rate: CodingRate) -> f64 {
+    // In `CodingRate` declaration order, so `rate as usize` indexes it.
+    static GAINS: LazyLock<[f64; 4]> = LazyLock::new(|| {
+        [
+            CodingRate::Half,
+            CodingRate::TwoThirds,
+            CodingRate::ThreeQuarters,
+            CodingRate::FiveSixths,
+        ]
+        .map(|rate| coding_gain_db(rate).ratio())
+    });
+    GAINS[rate as usize]
+}
+
 /// Post-decoding residual bit error rate for an MCS at per-symbol SNR
 /// `snr_linear`: the uncoded BER evaluated at the coding-gain-boosted SNR.
 pub fn coded_ber(mcs: Mcs, snr_linear: f64) -> f64 {
-    let boosted = snr_linear * coding_gain_db(mcs.coding_rate()).ratio();
+    let boosted = snr_linear * coding_gain(mcs.coding_rate());
     ber(mcs.modulation(), boosted)
 }
 
@@ -87,13 +106,10 @@ pub fn coded_per(mcs: Mcs, snr_linear: f64, len_bytes: usize) -> f64 {
 /// one transmission, combining the mean link SNR, the instantaneous
 /// fading state, STBC diversity and SDM self-interference.
 ///
-/// * Single-stream MCS with `use_stbc`: diversity-combined branch gain
-///   (Alamouti: diversity order 2, no array gain — branch average).
-/// * Single-stream MCS without STBC: a single faded branch.
-/// * Two-stream MCS (SDM with MMSE reception): the TX power split across
-///   streams (÷2) is offset by the two-chain receive array gain (×2), but
-///   each stream sees an inter-stream interference floor of `sdm_sir_db`
-///   (low-rank LOS channels separate streams poorly) and no diversity.
+/// This is the dB-form entry point: it takes the SDM interference floor
+/// as presets state it and converts it for SDM MCS only. A link, which
+/// evaluates many frames under one floor, converts it once and calls
+/// [`effective_snr`].
 pub fn effective_snr_linear(
     mcs: Mcs,
     use_stbc: bool,
@@ -101,10 +117,35 @@ pub fn effective_snr_linear(
     state: &ChannelState,
     sdm_sir: Db,
 ) -> f64 {
+    // Single-stream MCS never read the floor, so they skip its `powf`.
+    let sdm_sir = if mcs.uses_sdm() {
+        sdm_sir.ratio()
+    } else {
+        f64::INFINITY
+    };
+    effective_snr(mcs, use_stbc, mean_snr_linear, state, sdm_sir)
+}
+
+/// [`effective_snr_linear`] with the SDM interference floor `sdm_sir`
+/// as a linear power ratio.
+///
+/// * Single-stream MCS with `use_stbc`: diversity-combined branch gain
+///   (Alamouti: diversity order 2, no array gain — branch average).
+/// * Single-stream MCS without STBC: a single faded branch.
+/// * Two-stream MCS (SDM with MMSE reception): the TX power split across
+///   streams (÷2) is offset by the two-chain receive array gain (×2), but
+///   each stream sees an inter-stream interference floor of `sdm_sir`
+///   (low-rank LOS channels separate streams poorly) and no diversity.
+pub fn effective_snr(
+    mcs: Mcs,
+    use_stbc: bool,
+    mean_snr_linear: f64,
+    state: &ChannelState,
+    sdm_sir: f64,
+) -> f64 {
     if mcs.uses_sdm() {
         let per_stream = mean_snr_linear * state.siso_gain();
-        let sir = sdm_sir.ratio();
-        1.0 / (1.0 / per_stream.max(1e-12) + 1.0 / sir)
+        1.0 / (1.0 / per_stream.max(1e-12) + 1.0 / sdm_sir)
     } else if use_stbc {
         mean_snr_linear * state.stbc_gain()
     } else {
@@ -228,6 +269,59 @@ mod tests {
         let eff = effective_snr_linear(Mcs::new(8), false, mean, &flat_state(), Db::new(12.0));
         let cap = db_to_linear(12.0);
         assert!(eff < cap && eff > 0.9 * cap);
+    }
+
+    #[test]
+    fn link_chain_keeps_the_db_formula_bits() {
+        // The link reads the coding gain and the SDM interference floor
+        // as linear ratios computed once. Each must be the dB formula's
+        // `powf`, bit for bit, at every input the link can produce.
+        let ratio = |g: f64| 10f64.powf(g / 10.0);
+        let sir_db = 12.0;
+        let states = [
+            flat_state(),
+            ChannelState {
+                branch_gain: [0.1, 1.2],
+                shadowing: 0.8,
+                valid_until: SimTime::MAX,
+            },
+            ChannelState {
+                branch_gain: [2.3, 0.02],
+                shadowing: 1.7,
+                valid_until: SimTime::MAX,
+            },
+        ];
+        for mcs in Mcs::all() {
+            let gain = ratio(coding_gain_db(mcs.coding_rate()).get());
+            // A gain one ulp off can leave every PER below unchanged.
+            assert_eq!(coding_gain(mcs.coding_rate()).to_bits(), gain.to_bits());
+            for stbc in [false, true] {
+                for step in 0..=200 {
+                    let mean = ratio(-10.0 + 0.25 * f64::from(step));
+                    for state in &states {
+                        let eff = if mcs.uses_sdm() {
+                            let per_stream = mean * state.siso_gain();
+                            1.0 / (1.0 / per_stream.max(1e-12) + 1.0 / ratio(sir_db))
+                        } else if stbc {
+                            mean * state.stbc_gain()
+                        } else {
+                            mean * state.siso_gain()
+                        };
+                        let linked = effective_snr(mcs, stbc, mean, state, ratio(sir_db));
+                        let db_form = effective_snr_linear(mcs, stbc, mean, state, Db::new(sir_db));
+                        assert_eq!(linked.to_bits(), eff.to_bits(), "{mcs} stbc {stbc}");
+                        assert_eq!(db_form.to_bits(), eff.to_bits(), "{mcs} stbc {stbc}");
+                        // A block ACK, a full subframe and a runt.
+                        for len in [32, 1500, 437] {
+                            let pb = ber(mcs.modulation(), eff * gain);
+                            let want = 1.0 - ((1.0 - pb).ln() * (len * 8) as f64).exp();
+                            let got = coded_per(mcs, eff, len);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{mcs} at {eff}, {len} B");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

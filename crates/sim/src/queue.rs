@@ -1,15 +1,20 @@
 //! The pending-event set.
 //!
 //! A time-ordered priority queue with stable FIFO ordering among events
-//! scheduled for the same instant, plus O(log n) cancellation through
-//! tombstones. Determinism of the whole simulator reduces to determinism of
-//! this queue, so ordering is defined purely by `(time, sequence number)`
-//! and never by heap internals.
+//! scheduled for the same instant, plus cancellation through tombstones.
+//! Determinism of the whole simulator reduces to determinism of this
+//! queue, so ordering is defined purely by `(time, sequence number)` and
+//! never by heap internals.
+//!
+//! Scheduling, peeking and popping cost one binary-heap operation and
+//! nothing more while no event is cancelled: no set is hashed or grown
+//! per event. The cost sits in cancellation, which scans the pending
+//! events (O(n)) to tell a pending id from one that has fired, and then
+//! keeps a tombstone in an ordered set until the event reaches the top
+//! of the heap.
 
 use std::cmp::Ordering;
-// lint:allow(hash-collection): membership/tombstone sets only — never
-// iterated, so hash order cannot leak into results.
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -52,10 +57,9 @@ impl<E> Eq for Scheduled<E> {}
 /// programming error and panics.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    /// Ids currently in the heap and not cancelled.
-    pending: HashSet<EventId>,
-    /// Ids in the heap whose events must be silently discarded.
-    cancelled: HashSet<EventId>,
+    /// Ids in the heap whose events must be silently discarded; every
+    /// heap entry not in it is pending.
+    cancelled: BTreeSet<EventId>,
     next_id: u64,
     now: SimTime,
 }
@@ -71,8 +75,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            cancelled: BTreeSet::new(),
             next_id: 0,
             now: SimTime::ZERO,
         }
@@ -85,7 +88,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len() - self.cancelled.len()
     }
 
     /// `true` if no events are pending.
@@ -107,7 +110,6 @@ impl<E> EventQueue<E> {
         let id = EventId(self.next_id);
         self.next_id += 1;
         self.heap.push(Scheduled { at, id, event });
-        self.pending.insert(id);
         id
     }
 
@@ -124,13 +126,9 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `true` if the event was still pending (it will now never be
     /// delivered), `false` if it had already fired or been cancelled.
+    /// Costs a scan of the pending events.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.pending.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
+        self.heap.iter().any(|s| s.id == id) && self.cancelled.insert(id)
     }
 
     /// Timestamp of the next pending event, if any.
@@ -143,18 +141,20 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.drop_cancelled();
         let s = self.heap.pop()?;
-        self.pending.remove(&s.id);
         debug_assert!(s.at >= self.now);
         self.now = s.at;
         Some((s.at, s.event))
     }
 
+    /// Discard tombstoned events from the top of the heap; nothing to do
+    /// while no event is cancelled.
     fn drop_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.id) {
-                self.heap.pop();
-            } else {
-                break;
+        while !self.cancelled.is_empty() {
+            match self.heap.peek() {
+                Some(top) if self.cancelled.remove(&top.id) => {
+                    self.heap.pop();
+                }
+                _ => break,
             }
         }
     }
