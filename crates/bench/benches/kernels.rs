@@ -54,21 +54,21 @@ fn bench_optimizer(h: &mut Harness) {
     let air = Scenario::airplane_baseline();
     let quad = Scenario::quadrocopter_baseline();
     h.bench("optimizer/airplane-baseline", || {
-        black_box(optimize(black_box(&air)))
+        black_box(optimize(black_box(air)))
     });
     h.bench("optimizer/quadrocopter-baseline", || {
-        black_box(optimize(black_box(&quad)))
+        black_box(optimize(black_box(quad)))
     });
     h.bench("optimizer/figure9-grid-30-cells", || {
         black_box(gratification_sweep(
-            &air,
+            air,
             &paper_grid::MDATA_MB,
             &paper_grid::SPEEDS_MPS,
         ))
     });
     let s = Scenario::quadrocopter_baseline().with_mdata_mb(15.0);
     let cfg = MixedConfig::for_speed(MetersPerSec::new(4.5));
-    h.bench("optimizer/mixed-2d", || black_box(optimize_mixed(&s, &cfg)));
+    h.bench("optimizer/mixed-2d", || black_box(optimize_mixed(s, &cfg)));
     // A prime stride, coprime to the 7,560 cells: consecutive solves
     // differ in every axis, and every cell is visited once per lap.
     const STRIDE: usize = 211;
@@ -239,10 +239,6 @@ fn main() {
             ]),
         ),
     ]);
-    // Cargo runs benches with cwd = the package dir; anchor the report
-    // at the workspace root next to the other BENCH_*.json files.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(out, json.render_pretty()).expect("write BENCH_kernels.json");
-    println!("wrote BENCH_kernels.json");
+    h.write_report("kernels", &json);
     h.finish();
 }

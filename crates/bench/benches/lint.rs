@@ -37,14 +37,6 @@ fn corpus() -> Vec<(String, String)> {
         .collect()
 }
 
-fn median_ns(h: &Harness, name: &str) -> f64 {
-    h.results()
-        .iter()
-        .find(|m| m.name == name)
-        .map(|m| m.median.as_nanos() as f64)
-        .unwrap_or(f64::NAN)
-}
-
 fn main() {
     let files = corpus();
     let total_bytes: usize = files.iter().map(|(_, s)| s.len()).sum();
@@ -89,8 +81,8 @@ fn main() {
         gate_ms / 1e3
     );
 
-    let v1_ns = median_ns(&h, "lint/v1-line-rules");
-    let v2_ns = median_ns(&h, "lint/v2-full-pass");
+    let v1_ns = h.median_ns("lint/v1-line-rules");
+    let v2_ns = h.median_ns("lint/v2-full-pass");
     let json = Json::obj([
         ("bench", Json::str("lint-engine")),
         (
@@ -105,7 +97,7 @@ fn main() {
         (
             "workspace_pass_ns",
             Json::obj([
-                ("lex", Json::Fixed(median_ns(&h, "lint/lex-workspace"), 1)),
+                ("lex", Json::Fixed(h.median_ns("lint/lex-workspace"), 1)),
                 ("v1_line_rules", Json::Fixed(v1_ns, 1)),
                 ("v2_full_pass", Json::Fixed(v2_ns, 1)),
             ]),
@@ -119,11 +111,7 @@ fn main() {
             ]),
         ),
     ]);
-    // Cargo runs benches with cwd = the package dir; anchor the report
-    // at the workspace root next to the other BENCH_*.json files.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lint.json");
-    std::fs::write(out, json.render_pretty()).expect("write BENCH_lint.json");
-    println!("wrote BENCH_lint.json");
+    h.write_report("lint", &json);
     h.finish();
 
     if full_pass_s * 1e3 >= gate_ms {

@@ -1,19 +1,35 @@
-//! Scaling benchmark for the deterministic replication engine:
-//! `run_replications` over a short saturated-traffic campaign at 1, 2, 4
-//! and 8 worker threads. Prints wall-clock per thread count and asserts
-//! the pooled output is bit-identical across all of them.
+//! Serial-versus-parallel timing of the deterministic replication engine,
+//! written to `BENCH_parallel.json`:
+//!
+//! * **replications** — `run_replications` over a short saturated-traffic
+//!   campaign at 1, 2, 4 and 8 worker threads; the pooled output must be
+//!   bit-identical at every count;
+//! * **figures** — the replication- and sweep-heavy experiments (full
+//!   size, default seed) end to end on a fresh campaign store, on one
+//!   worker and on one worker per hardware thread.
+//!
+//! On a single hardware thread the parallel columns measure the
+//! engine's overhead, not a speedup.
 
-use std::hint::black_box;
-
+use skyferry_bench::experiments;
+use skyferry_bench::microbench::Harness;
+use skyferry_bench::report::ReproConfig;
+use skyferry_bench::store::CampaignStore;
 use skyferry_net::campaign::{measure_throughput, CampaignConfig, ControllerKind};
 use skyferry_net::profile::MotionProfile;
 use skyferry_phy::presets::ChannelPreset;
-use skyferry_sim::parallel::{run_replications, set_max_threads};
+use skyferry_sim::parallel::{max_threads, run_replications, set_max_threads};
 use skyferry_sim::prelude::*;
-use skyferry_trace::clock::monotonic_ns;
+use skyferry_stats::json::Json;
 use skyferry_units::MetersPerSec;
 
 const REPS: u64 = 16;
+
+/// Worker counts of the replication-engine benches.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The experiments timed serially and in parallel.
+const FIGURES: [&str; 4] = ["fig1", "fig4", "fig8", "fig9"];
 
 fn campaign() -> CampaignConfig {
     CampaignConfig {
@@ -34,39 +50,66 @@ fn run_once(cfg: &CampaignConfig) -> Vec<Vec<f64>> {
 }
 
 fn main() {
-    let cfg = campaign();
-    println!(
-        "run_replications scaling: {REPS} reps × {} simulated seconds (hardware threads: {})",
-        cfg.duration.as_secs_f64(),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    );
+    let mut h = Harness::from_env();
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let mut reference: Option<Vec<Vec<f64>>> = None;
-    let mut serial_secs = 0.0;
-    for threads in [1usize, 2, 4, 8] {
+    let cfg = campaign();
+    set_max_threads(1);
+    let reference = run_once(&cfg);
+    for threads in THREADS {
         set_max_threads(threads);
-        // Warm-up, then best-of-3 wall clock.
-        black_box(run_once(&cfg));
-        let mut best = f64::INFINITY;
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            let t0 = monotonic_ns();
-            out = run_once(&cfg);
-            best = best.min(monotonic_ns().saturating_sub(t0) as f64 / 1e9);
-        }
-        match &reference {
-            None => {
-                reference = Some(out);
-                serial_secs = best;
-            }
-            Some(r) => assert_eq!(r, &out, "outputs differ at {threads} threads"),
-        }
-        println!(
-            "  threads={threads}: {:>8.3} s  (speedup {:.2}x)",
-            best,
-            serial_secs / best
+        assert_eq!(
+            run_once(&cfg),
+            reference,
+            "outputs differ at {threads} threads"
         );
+        h.bench(&format!("parallel/replications-{threads}-threads"), || {
+            run_once(&cfg)
+        });
+    }
+
+    let repro = ReproConfig::default();
+    for id in FIGURES {
+        for (mode, threads) in [("serial", 1), ("parallel", 0)] {
+            set_max_threads(threads);
+            h.bench(&format!("parallel/{id}-{mode}"), || {
+                let mut store = CampaignStore::new(repro.quick);
+                let report = experiments::run(id, &repro, &mut store).expect("known experiment");
+                report.tables.len()
+            });
+        }
     }
     set_max_threads(0);
-    println!("outputs bit-identical across all thread counts.");
+
+    let secs = |name: String| h.median_ns(&name) / 1e9;
+    let replications = THREADS.map(|threads| {
+        Json::obj([
+            ("threads", Json::Int(threads as i64)),
+            (
+                "s",
+                Json::Fixed(secs(format!("parallel/replications-{threads}-threads")), 6),
+            ),
+        ])
+    });
+    let figures = FIGURES.map(|id| {
+        let serial = secs(format!("parallel/{id}-serial"));
+        let parallel = secs(format!("parallel/{id}-parallel"));
+        Json::obj([
+            ("figure", Json::str(id)),
+            ("serial_s", Json::Fixed(serial, 6)),
+            ("parallel_s", Json::Fixed(parallel, 6)),
+            ("speedup", Json::Fixed(serial / parallel, 4)),
+        ])
+    });
+    let json = Json::obj([
+        ("bench", Json::str("parallel")),
+        ("quick", Json::Bool(repro.quick)),
+        ("seed", Json::Int(repro.seed as i64)),
+        ("threads", Json::Int(max_threads() as i64)),
+        ("hardware_threads", Json::Int(hardware_threads as i64)),
+        ("replications", Json::Arr(replications.into())),
+        ("figures", Json::Arr(figures.into())),
+    ]);
+    h.write_report("parallel", &json);
+    h.finish();
 }

@@ -24,14 +24,6 @@ use skyferry_serve::server::{start, ServerConfig};
 use skyferry_stats::json::Json;
 use skyferry_trace as trace;
 
-fn median_ns(h: &Harness, name: &str) -> f64 {
-    h.results()
-        .iter()
-        .find(|m| m.name == name)
-        .map(|m| m.median.as_nanos() as f64)
-        .unwrap_or(f64::NAN)
-}
-
 fn bench_span_paths(h: &mut Harness) {
     assert!(!trace::enabled(), "tracer must start uninstalled");
     let mut i = 0u64;
@@ -102,11 +94,11 @@ fn bench_optimize_paths(h: &mut Harness) {
     let s = Scenario::airplane_baseline();
     assert!(!trace::enabled());
     h.bench("trace/optimize-untraced", || {
-        black_box(optimize(black_box(&s)))
+        black_box(optimize(black_box(s)))
     });
     trace::install(trace::TraceConfig::default());
     h.bench("trace/optimize-traced", || {
-        black_box(optimize(black_box(&s)))
+        black_box(optimize(black_box(s)))
     });
     let _ = trace::drain();
 }
@@ -210,16 +202,16 @@ fn main() {
             Json::obj([
                 (
                     "disabled",
-                    Json::Fixed(median_ns(&h, "trace/span-disabled"), 1),
+                    Json::Fixed(h.median_ns("trace/span-disabled"), 1),
                 ),
                 (
                     "unsampled",
-                    Json::Fixed(median_ns(&h, "trace/span-unsampled"), 1),
+                    Json::Fixed(h.median_ns("trace/span-unsampled"), 1),
                 ),
-                ("full", Json::Fixed(median_ns(&h, "trace/span-full"), 1)),
+                ("full", Json::Fixed(h.median_ns("trace/span-full"), 1)),
                 (
                     "request_tree",
-                    Json::Fixed(median_ns(&h, "trace/request-tree"), 1),
+                    Json::Fixed(h.median_ns("trace/request-tree"), 1),
                 ),
             ]),
         ),
@@ -228,11 +220,11 @@ fn main() {
             Json::obj([
                 (
                     "untraced",
-                    Json::Fixed(median_ns(&h, "trace/optimize-untraced"), 1),
+                    Json::Fixed(h.median_ns("trace/optimize-untraced"), 1),
                 ),
                 (
                     "traced",
-                    Json::Fixed(median_ns(&h, "trace/optimize-traced"), 1),
+                    Json::Fixed(h.median_ns("trace/optimize-traced"), 1),
                 ),
             ]),
         ),
@@ -249,11 +241,7 @@ fn main() {
             ]),
         ),
     ]);
-    // Cargo runs benches with cwd = the package dir; anchor the report at
-    // the workspace root next to the other checked-in BENCH_*.json files.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    std::fs::write(out, json.render_pretty()).expect("write BENCH_trace.json");
-    println!("wrote BENCH_trace.json");
+    h.write_report("trace", &json);
     h.finish();
 
     if overhead * 100.0 >= gate_pct {

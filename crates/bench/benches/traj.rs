@@ -110,11 +110,7 @@ fn main() {
             ]),
         ),
     ]);
-    // Cargo runs benches with cwd = the package dir; anchor the report
-    // at the workspace root next to the other BENCH_*.json files.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_traj.json");
-    std::fs::write(out, json.render_pretty()).expect("write BENCH_traj.json");
-    println!("wrote BENCH_traj.json");
+    h.write_report("traj", &json);
     h.finish();
 
     if build_s * 1e3 >= gate_ms {

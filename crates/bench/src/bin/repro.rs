@@ -5,7 +5,6 @@
 //!       [--trace FILE] [--deterministic] [EXPERIMENT...]
 //! repro --list
 //! repro --verify [--quick] [--seed N] [--threads N] [EXPERIMENT...]
-//! repro --bench-parallel FILE [--quick] [--seed N] [--threads N]
 //! repro --compile-policy FILE [--quick] [--seed N] [--threads N]
 //! repro --verify-policy FILE
 //! repro --export-fleet-trace FILE [--quick] [--seed N]
@@ -20,9 +19,7 @@
 //! registry (id, title, campaign dependencies). `--verify` regenerates
 //! the selected tables and diffs them cell by cell against the goldens
 //! under `results/` (`results/quick/` with `--quick`), exiting 1 on any
-//! difference. `--bench-parallel FILE` times the replication-heavy
-//! figures serially and at the configured thread count and writes the
-//! comparison as JSON. `--trace FILE` records the whole run as one span
+//! difference. `--trace FILE` records the whole run as one span
 //! tree (`repro` → per-experiment → per-task) and writes it as JSONL
 //! (`skyferry-trace convert` turns it into Perfetto-loadable Chrome
 //! `trace_event` JSON); with `--deterministic` the span timestamps come
@@ -35,11 +32,9 @@ use std::process::ExitCode;
 use skyferry_bench::cli::{self, CliArgs, CliError};
 use skyferry_bench::experiments::{self, REGISTRY};
 use skyferry_bench::policy;
-use skyferry_bench::report::ReproConfig;
 use skyferry_bench::store::CampaignStore;
 use skyferry_bench::verify::verify_report;
-use skyferry_sim::parallel::{max_threads, set_max_threads};
-use skyferry_stats::json::Json;
+use skyferry_sim::parallel::set_max_threads;
 use skyferry_trace as trace;
 use skyferry_trace::clock::monotonic_ns;
 
@@ -49,7 +44,6 @@ fn usage() {
          [--trace FILE] [--deterministic] [EXPERIMENT...]\n\
          \x20      repro --list\n\
          \x20      repro --verify [--quick] [--seed N] [--threads N] [EXPERIMENT...]\n\
-         \x20      repro --bench-parallel FILE [--quick] [--seed N] [--threads N]\n\
          \x20      repro --compile-policy FILE [--quick] [--seed N] [--threads N]\n\
          \x20      repro --verify-policy FILE\n\
          \x20      repro --export-fleet-trace FILE [--quick] [--seed N]\n\
@@ -57,68 +51,6 @@ fn usage() {
          experiments: {} (default: all)",
         experiments::ids().join(" ")
     );
-}
-
-/// The figures timed by `--bench-parallel`: the ones the issue calls
-/// out as replication- or sweep-dominated.
-const BENCH_FIGURES: [&str; 4] = ["fig1", "fig4", "fig8", "fig9"];
-
-/// Time one experiment end to end on a fresh store, returning seconds.
-fn time_experiment(id: &str, cfg: &ReproConfig) -> f64 {
-    let mut store = CampaignStore::new(cfg.quick);
-    let t0 = monotonic_ns();
-    let report = experiments::run(id, cfg, &mut store).expect("known experiment");
-    let secs = monotonic_ns().saturating_sub(t0) as f64 / 1e9;
-    std::hint::black_box(report.tables.len());
-    secs
-}
-
-/// Run the serial-vs-parallel comparison and render it as JSON.
-fn bench_parallel(cfg: &ReproConfig, threads: usize) -> String {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut rows = Vec::new();
-    for id in BENCH_FIGURES {
-        set_max_threads(1);
-        let serial = time_experiment(id, cfg);
-        set_max_threads(threads);
-        let parallel = time_experiment(id, cfg);
-        // A degenerate denominator (an experiment too fast for the clock)
-        // yields no speedup claim rather than an infinite one.
-        let speedup = if parallel > 1e-9 {
-            Json::Fixed(serial / parallel, 4)
-        } else {
-            Json::Null
-        };
-        match &speedup {
-            Json::Fixed(s, _) => eprintln!(
-                "{id}: serial {serial:.3} s, parallel ({} workers) {parallel:.3} s, speedup {s:.2}x",
-                max_threads(),
-            ),
-            _ => eprintln!(
-                "{id}: serial {serial:.3} s, parallel ({} workers) {parallel:.3} s, speedup n/a",
-                max_threads(),
-            ),
-        }
-        rows.push(Json::obj([
-            ("figure", Json::str(id)),
-            ("serial_s", Json::Fixed(serial, 6)),
-            ("parallel_s", Json::Fixed(parallel, 6)),
-            ("speedup", speedup),
-        ]));
-    }
-    set_max_threads(0);
-    Json::obj([
-        ("bench", Json::str("repro --bench-parallel")),
-        ("quick", Json::Bool(cfg.quick)),
-        ("seed", Json::Int(cfg.seed as i64)),
-        (
-            "threads",
-            Json::Int(if threads == 0 { hw } else { threads } as i64),
-        ),
-        ("hardware_threads", Json::Int(hw as i64)),
-        ("figures", Json::Arr(rows)),
-    ])
-    .render_pretty()
 }
 
 /// Print the registry: id, title, campaign dependencies.
@@ -145,16 +77,6 @@ fn run(args: CliArgs) -> ExitCode {
 
     if args.list {
         list_experiments();
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = &args.bench_parallel {
-        let json = bench_parallel(&cfg, args.threads);
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
         return ExitCode::SUCCESS;
     }
 

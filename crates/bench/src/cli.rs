@@ -8,7 +8,6 @@
 //!       [--trace FILE] [--deterministic] [EXPERIMENT...]
 //! repro --list
 //! repro --verify [--quick] [--seed N] [--threads N] [EXPERIMENT...]
-//! repro --bench-parallel FILE [--quick] [--seed N] [--threads N]
 //! repro --compile-policy FILE [--quick] [--seed N] [--threads N]
 //! repro --verify-policy FILE
 //! repro --export-fleet-trace FILE [--quick] [--seed N]
@@ -30,8 +29,6 @@ pub struct CliArgs {
     pub threads: usize,
     /// CSV output directory (`--out DIR`).
     pub out: Option<PathBuf>,
-    /// Serial-vs-parallel timing output path (`--bench-parallel FILE`).
-    pub bench_parallel: Option<PathBuf>,
     /// Compiled-policy artifact output path (`--compile-policy FILE`;
     /// the grid is [`quick`](CliArgs::quick)-dependent).
     pub compile_policy: Option<PathBuf>,
@@ -73,7 +70,6 @@ impl Default for CliArgs {
             seed: cfg.seed,
             threads: 0,
             out: None,
-            bench_parallel: None,
             compile_policy: None,
             verify_policy: None,
             export_fleet_trace: None,
@@ -151,12 +147,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<CliArgs, CliError
             "--out" => {
                 let dir = args.next().ok_or(CliError::MissingValue("--out"))?;
                 out.out = Some(dir.into());
-            }
-            "--bench-parallel" => {
-                let path = args
-                    .next()
-                    .ok_or(CliError::MissingValue("--bench-parallel"))?;
-                out.bench_parallel = Some(path.into());
             }
             "--compile-policy" => {
                 let path = args
@@ -246,19 +236,6 @@ mod tests {
         assert!(parse_strs(&["--json"]).unwrap().json);
         assert!(!parse_strs(&[]).unwrap().json);
         assert!(parse_strs(&["--json", "--quick", "fig5"]).unwrap().quick);
-    }
-
-    #[test]
-    fn bench_parallel_takes_a_path() {
-        let a = parse_strs(&["--bench-parallel", "bench.json"]).unwrap();
-        assert_eq!(
-            a.bench_parallel.as_deref(),
-            Some(std::path::Path::new("bench.json"))
-        );
-        assert_eq!(
-            parse_strs(&["--bench-parallel"]),
-            Err(CliError::MissingValue("--bench-parallel"))
-        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 use skyferry_core::failure::{FailureSpec, WeibullFailure};
 use skyferry_core::mixed::{optimize_mixed, MixedConfig};
+use skyferry_core::optimizer::optimize;
 use skyferry_core::scenario::Scenario;
 use skyferry_core::utility::utility;
 use skyferry_mac::link::{LinkConfig, LinkState};
@@ -241,7 +242,7 @@ pub fn channel_harshness_table(cfg: &ReproConfig, store: &mut CampaignStore) -> 
 }
 
 /// Ablation 6: optimizer grid resolution (via a coarse manual scan).
-pub fn optimizer_grid_table(store: &mut CampaignStore) -> Table {
+pub fn optimizer_grid_table() -> Table {
     let mut t = Table::new(vec![
         Column::text("grid points"),
         Column::float("dopt (m)", 1),
@@ -253,7 +254,7 @@ pub fn optimizer_grid_table(store: &mut CampaignStore) -> Table {
         let (mut best_d, mut best_u) = (s.d_min_m, f64::NEG_INFINITY);
         for i in 0..points {
             let d = s.d_min_m + (s.d0_m - s.d_min_m) * i as f64 / (points - 1) as f64;
-            let u = utility(&s, skyferry_units::Meters::new(d));
+            let u = utility(s, Meters::new(d));
             if u > best_u {
                 best_u = u;
                 best_d = d;
@@ -265,7 +266,7 @@ pub fn optimizer_grid_table(store: &mut CampaignStore) -> Table {
             Value::Num(best_u),
         ]);
     }
-    let refined = store.optimum(&s);
+    let refined = optimize(s);
     t.push(vec![
         "2048+golden (default)".into(),
         refined.d_opt.into(),
@@ -275,14 +276,14 @@ pub fn optimizer_grid_table(store: &mut CampaignStore) -> Table {
 }
 
 /// Ablation 7: failure law — exponential vs Weibull wear-out.
-pub fn failure_law_table(store: &mut CampaignStore) -> Table {
+pub fn failure_law_table() -> Table {
     let mut t = Table::new(vec![
         Column::text("failure law"),
         Column::float("dopt (m)", 1),
         Column::float("U(dopt)", 5),
     ]);
     let base = Scenario::quadrocopter_baseline().with_mdata_mb(10.0);
-    let exp = store.optimum(&base.clone().with_rho(2.0e-3));
+    let exp = optimize(base.with_rho(2.0e-3));
     t.push(vec![
         "exponential rho=2e-3".into(),
         exp.d_opt.into(),
@@ -292,13 +293,13 @@ pub fn failure_law_table(store: &mut CampaignStore) -> Table {
     // wear-out shape k = 2 and half the mission already flown.
     let lambda = 1.0 / 2.0e-3 / 0.886;
     for flown in [0.0, lambda / 2.0] {
-        let mut s = base.clone();
+        let mut s = base;
         s.failure = FailureSpec::Weibull(WeibullFailure::new(
             Meters::new(lambda),
             2.0,
             Meters::new(flown),
         ));
-        let o = store.optimum(&s);
+        let o = optimize(s);
         t.push(vec![
             format!("weibull k=2, flown {flown:.0} m").into(),
             o.d_opt.into(),
@@ -309,7 +310,7 @@ pub fn failure_law_table(store: &mut CampaignStore) -> Table {
 }
 
 /// Ablation 8: the §7 mixed-strategy extension's payoff.
-pub fn mixed_strategy_table(store: &mut CampaignStore) -> Table {
+pub fn mixed_strategy_table() -> Table {
     let mut t = Table::new(vec![
         Column::text("Mdata (MB)"),
         Column::float("pure U", 5),
@@ -318,8 +319,8 @@ pub fn mixed_strategy_table(store: &mut CampaignStore) -> Table {
     ]);
     for mb in [5.0, 15.0, 56.2] {
         let s = Scenario::quadrocopter_baseline().with_mdata_mb(mb);
-        let pure = store.optimum(&s);
-        let mixed = optimize_mixed(&s, &MixedConfig::for_speed(MetersPerSec::new(4.5)));
+        let pure = optimize(s);
+        let mixed = optimize_mixed(s, &MixedConfig::for_speed(MetersPerSec::new(4.5)));
         t.push(vec![
             format!("{mb:.1}").into(),
             pure.utility.into(),
@@ -341,9 +342,9 @@ pub fn run(cfg: &ReproConfig, store: &mut CampaignStore) -> ExperimentReport {
     );
     r.table("4. Rate controllers", controller_table(cfg, store));
     r.table("5. Channel harshness", channel_harshness_table(cfg, store));
-    r.table("6. Optimizer grid resolution", optimizer_grid_table(store));
-    r.table("7. Failure law", failure_law_table(store));
-    r.table("8. Mixed vs pure strategies", mixed_strategy_table(store));
+    r.table("6. Optimizer grid resolution", optimizer_grid_table());
+    r.table("7. Failure law", failure_law_table());
+    r.table("8. Mixed vs pure strategies", mixed_strategy_table());
     r.note("aggregation and the host cap dominate close-range goodput");
     r.note(
         "STBC pays off in the deep-fade regime at range; close in, both \
@@ -487,7 +488,7 @@ mod tests {
 
     #[test]
     fn optimizer_grid_converges() {
-        let t = optimizer_grid_table(&mut fresh());
+        let t = optimizer_grid_table();
         let text = t.render_text();
         let dopts: Vec<f64> = text
             .lines()
@@ -503,7 +504,7 @@ mod tests {
 
     #[test]
     fn weibull_wearout_transmits_sooner() {
-        let t = failure_law_table(&mut fresh());
+        let t = failure_law_table();
         let text = t.render_text();
         let dopts: Vec<f64> = text
             .lines()
@@ -520,7 +521,7 @@ mod tests {
 
     #[test]
     fn mixed_gain_is_at_least_one() {
-        let t = mixed_strategy_table(&mut fresh());
+        let t = mixed_strategy_table();
         let text = t.render_text();
         for line in text.lines().skip(2) {
             let gain: f64 = line

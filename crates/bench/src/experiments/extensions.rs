@@ -21,6 +21,7 @@
 
 use skyferry_control::mission::{run_mission, MissionConfig};
 use skyferry_core::mixed::{optimize_mixed, MixedConfig};
+use skyferry_core::optimizer::optimize;
 use skyferry_core::scenario::Scenario;
 use skyferry_core::throughput::{EmpiricalThroughput, ThroughputSpec};
 use skyferry_geo::vector::Vec3;
@@ -99,7 +100,7 @@ pub fn relay_table(cfg: &ReproConfig) -> Table {
 }
 
 /// Mixed-strategy payoff across motion penalties.
-pub fn mixed_table(store: &mut CampaignStore) -> Table {
+pub fn mixed_table() -> Table {
     let mut t = Table::new(vec![
         Column::float("motion penalty (dB per m/s)", 1).left(),
         Column::int("pure dopt (m)"),
@@ -109,11 +110,11 @@ pub fn mixed_table(store: &mut CampaignStore) -> Table {
         Column::text("utility gain").right(),
     ]);
     let s = Scenario::quadrocopter_baseline().with_mdata_mb(15.0);
-    let pure = store.optimum(&s);
+    let pure = optimize(s);
     for loss in [0.0, 0.3, 0.7, 2.0] {
         let mut cfg = MixedConfig::for_speed(MetersPerSec::new(4.5));
         cfg.penalty.loss_db_per_mps = loss;
-        let m = optimize_mixed(&s, &cfg);
+        let m = optimize_mixed(s, &cfg);
         t.push(vec![
             Value::Num(loss),
             Value::Num(pure.d_opt),
@@ -138,7 +139,7 @@ pub fn closed_loop_table(cfg: &ReproConfig, store: &mut CampaignStore) -> Table 
     };
     let distances: Vec<f64> = (1..=9).map(|i| 10.0 * i as f64 + 5.0).collect();
     let rows = store.throughput_vs_distance(&campaign, &distances, cfg.reps(6));
-    let empirical = EmpiricalThroughput::from_campaign_mbps(&rows);
+    let empirical = ThroughputSpec::Empirical(EmpiricalThroughput::from_campaign_mbps(&rows));
 
     let mut t = Table::new(vec![
         Column::float("Mdata (MB)", 1).left(),
@@ -147,12 +148,14 @@ pub fn closed_loop_table(cfg: &ReproConfig, store: &mut CampaignStore) -> Table 
     ]);
     for mb in [5.0, 10.0, 56.2] {
         let fit_scenario = Scenario::quadrocopter_baseline().with_mdata_mb(mb);
-        let mut emp_scenario = fit_scenario.clone();
-        emp_scenario.throughput = ThroughputSpec::Empirical(empirical.clone());
+        let emp_scenario = Scenario {
+            throughput: &empirical,
+            ..fit_scenario
+        };
         t.push(vec![
             Value::Num(mb),
-            Value::Num(store.optimum(&fit_scenario).d_opt),
-            Value::Num(store.optimum(&emp_scenario).d_opt),
+            Value::Num(optimize(fit_scenario).d_opt),
+            Value::Num(optimize(emp_scenario).d_opt),
         ]);
     }
     t
@@ -194,10 +197,7 @@ pub fn mission_table(cfg: &ReproConfig) -> Table {
 pub fn run(cfg: &ReproConfig, store: &mut CampaignStore) -> ExperimentReport {
     let mut r = ExperimentReport::new("extensions", Extensions.title());
     r.table("Relay economics (8 MB batch)", relay_table(cfg));
-    r.table(
-        "Mixed-strategy payoff (15 MB quad batch)",
-        mixed_table(store),
-    );
+    r.table("Mixed-strategy payoff (15 MB quad batch)", mixed_table());
     r.table(
         "Closed loop: optimizer on simulated vs paper throughput",
         closed_loop_table(cfg, store),
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn mixed_gain_decreases_with_penalty() {
-        let t = mixed_table(&mut fresh());
+        let t = mixed_table();
         let gains: Vec<f64> = t
             .render_text()
             .lines()

@@ -18,13 +18,9 @@ const POINTS: usize = 15;
 
 /// Compute both panels.
 pub fn simulate() -> (Vec<RhoCurve>, Vec<RhoCurve>) {
-    let air = rho_sweep(
-        &Scenario::airplane_baseline(),
-        &paper_rhos::AIRPLANE,
-        POINTS,
-    );
+    let air = rho_sweep(Scenario::airplane_baseline(), &paper_rhos::AIRPLANE, POINTS);
     let quad = rho_sweep(
-        &Scenario::quadrocopter_baseline(),
+        Scenario::quadrocopter_baseline(),
         &paper_rhos::QUADROCOPTER,
         POINTS,
     );

@@ -19,7 +19,7 @@ use crate::store::CampaignStore;
 /// Compute the Figure 9 grid.
 pub fn simulate() -> Vec<Vec<GratificationPoint>> {
     gratification_sweep(
-        &Scenario::airplane_baseline(),
+        Scenario::airplane_baseline(),
         &paper_grid::MDATA_MB,
         &paper_grid::SPEEDS_MPS,
     )

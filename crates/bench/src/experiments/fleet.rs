@@ -22,6 +22,8 @@
 //! 4. **Campaign sweep** — the full stochastic pipeline (placement →
 //!    plan → decide → conflicts) versus K.
 
+use skyferry_core::failure::FailureSpec;
+use skyferry_core::optimizer::optimize;
 use skyferry_core::scenario::Scenario;
 use skyferry_fleet::campaign::{FleetCampaign, FleetConfig, MediumSpec};
 use skyferry_fleet::medium::{contended, CyclicalTdma, UdMac};
@@ -39,7 +41,7 @@ pub const FLEET_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 /// The representative geometry of the sweep tables: a quadrocopter
 /// carrying a 10 MB batch whose link comes up at 200 m (mid operating
 /// area). Interior optimum, sensitive to both contention forces.
-fn sweep_scenario() -> Scenario {
+fn sweep_scenario() -> Scenario<'static> {
     Scenario::quadrocopter_baseline()
         .with_mdata_mb(10.0)
         .with_d0(200.0)
@@ -53,7 +55,7 @@ fn media() -> [MediumSpec; 2] {
     ]
 }
 
-fn fleet_size_table(store: &mut CampaignStore) -> Table {
+fn fleet_size_table() -> Table {
     let base = sweep_scenario();
     let mut t = Table::new(vec![
         Column::int("K").left(),
@@ -74,11 +76,11 @@ fn fleet_size_table(store: &mut CampaignStore) -> Table {
         let mut utils = Vec::new();
         for spec in media() {
             let m = spec.access();
-            let c = contended(&base, m, k);
-            let o = store.optimum(&c);
+            let c = contended(base, m, k);
+            let o = optimize(c.scenario());
             shares.push(m.slot_share(k));
-            rhos.push(match c.failure {
-                skyferry_core::failure::FailureSpec::Exponential(e) => e.rho_per_m,
+            rhos.push(match c.scenario().failure {
+                FailureSpec::Exponential(e) => e.rho_per_m,
                 _ => unreachable!("contended scenarios are exponential"),
             });
             dopts.push(o.d_opt);
@@ -93,7 +95,7 @@ fn fleet_size_table(store: &mut CampaignStore) -> Table {
     t
 }
 
-fn contention_model_table(store: &mut CampaignStore, k: usize) -> Table {
+fn contention_model_table(k: usize) -> Table {
     let base = sweep_scenario();
     let mut t = Table::new(vec![
         Column::text("medium").left(),
@@ -109,10 +111,10 @@ fn contention_model_table(store: &mut CampaignStore, k: usize) -> Table {
     ]);
     for spec in media() {
         let m = spec.access();
-        let c = contended(&base, m, k);
-        let o = store.optimum(&c);
-        let rho_eff = match c.failure {
-            skyferry_core::failure::FailureSpec::Exponential(e) => e.rho_per_m,
+        let c = contended(base, m, k);
+        let o = optimize(c.scenario());
+        let rho_eff = match c.scenario().failure {
+            FailureSpec::Exponential(e) => e.rho_per_m,
             _ => unreachable!("contended scenarios are exponential"),
         };
         t.push(vec![
@@ -226,10 +228,10 @@ pub fn export_trace(cfg: &ReproConfig) -> String {
 }
 
 /// Regenerate the fleet experiment family.
-pub fn run(cfg: &ReproConfig, store: &mut CampaignStore) -> ExperimentReport {
+pub fn run(cfg: &ReproConfig) -> ExperimentReport {
     let mut r = ExperimentReport::new("fleet", Fleet.title());
 
-    let sizes = fleet_size_table(store);
+    let sizes = fleet_size_table();
     let (first_t, last_t) = (sizes.rows()[0][5].clone(), sizes.rows()[4][5].clone());
     let (first_u, last_u) = (sizes.rows()[0][6].clone(), sizes.rows()[4][6].clone());
     if let (Value::Num(a), Value::Num(b), Value::Num(c), Value::Num(d)) =
@@ -247,7 +249,7 @@ pub fn run(cfg: &ReproConfig, store: &mut CampaignStore) -> ExperimentReport {
             .to_string(),
     );
     r.table("Fleet size sweep", sizes);
-    r.table("Contention models at K=8", contention_model_table(store, 8));
+    r.table("Contention models at K=8", contention_model_table(8));
     r.table("Planner ablation", planner_ablation_table(cfg));
     r.table("Campaign sweep", campaign_sweep_table(cfg));
     r
@@ -269,8 +271,8 @@ impl Experiment for Fleet {
         &[]
     }
 
-    fn run(&self, cfg: &ReproConfig, store: &mut CampaignStore) -> ExperimentReport {
-        run(cfg, store)
+    fn run(&self, cfg: &ReproConfig, _store: &mut CampaignStore) -> ExperimentReport {
+        run(cfg)
     }
 }
 
@@ -289,8 +291,7 @@ mod tests {
     fn dopt_shifts_transmit_earlier_as_fleet_grows() {
         // The acceptance claim: under BOTH contention models the
         // optimum moves outward (transmit earlier) monotonically in K.
-        let mut store = CampaignStore::new(true);
-        let t = fleet_size_table(&mut store);
+        let t = fleet_size_table();
         for col in [5usize, 6] {
             let mut prev = f64::NEG_INFINITY;
             for row in t.rows() {
@@ -312,8 +313,7 @@ mod tests {
 
     #[test]
     fn utility_falls_with_contention() {
-        let mut store = CampaignStore::new(true);
-        let t = fleet_size_table(&mut store);
+        let t = fleet_size_table();
         for col in [7usize, 8] {
             let mut prev = f64::INFINITY;
             for row in t.rows() {
@@ -328,8 +328,7 @@ mod tests {
     fn udmac_dominates_tdma_at_every_k() {
         // Delay-tolerant priority access wastes less medium and loses
         // fewer slots, so it preserves more utility than TDMA.
-        let mut store = CampaignStore::new(true);
-        let t = fleet_size_table(&mut store);
+        let t = fleet_size_table();
         for row in t.rows().iter().skip(1) {
             assert!(num(&row[2]) > num(&row[1]), "ud-mac share > tdma share");
             assert!(num(&row[8]) >= num(&row[7]), "ud-mac U >= tdma U");
@@ -372,8 +371,7 @@ mod tests {
 
     #[test]
     fn report_has_four_tables_and_notes() {
-        let mut store = CampaignStore::new(true);
-        let r = run(&ReproConfig::quick(), &mut store);
+        let r = run(&ReproConfig::quick());
         assert_eq!(r.tables.len(), 4);
         assert!(!r.notes.is_empty());
     }

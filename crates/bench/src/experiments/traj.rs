@@ -56,7 +56,7 @@ const FRACTIONS: [f64; 5] = [0.012, 0.0145, 0.0155, 0.016, 0.03];
 
 /// The representative corridor: a quadrocopter with a 10 MB batch
 /// (interior optimum at d\* ≈ 69 m on the 100 m encounter).
-fn corridor() -> Scenario {
+fn corridor() -> Scenario<'static> {
     Scenario::quadrocopter_baseline().with_mdata_mb(10.0)
 }
 
@@ -70,7 +70,12 @@ fn planner_grid(cfg: &ReproConfig) -> GridSpec {
 }
 
 /// Plan one cell of the sweep space.
-fn solve(cfg: &ReproConfig, scenario: Scenario, wind: WindConfig, budget: Joules) -> TrajSolution {
+fn solve(
+    cfg: &ReproConfig,
+    scenario: Scenario<'static>,
+    wind: WindConfig,
+    budget: Joules,
+) -> TrajSolution {
     plan(&TrajConfig {
         name: "traj-experiment".into(),
         platform: PlatformKind::Quadrocopter,
@@ -138,7 +143,7 @@ fn wind_table(cfg: &ReproConfig) -> Table {
     let ample = battery_budget(PlatformKind::Quadrocopter, 1.0);
     for w in WINDS_MPS {
         let wind = WindConfig::steady(0.0, MetersPerSec::new(w));
-        let sol = solve(cfg, corridor.clone(), wind, ample);
+        let sol = solve(cfg, corridor, wind, ample);
         // Ground speed on the straight radial track under pure
         // crosswind: the wind-triangle crab solution.
         let gs = (airspeed * airspeed - w * w).sqrt();
@@ -175,7 +180,7 @@ fn failure_table(cfg: &ReproConfig) -> Table {
     let ample = battery_budget(PlatformKind::Quadrocopter, 1.0);
     for mult in [0.0, 0.5, 1.0, 2.0, 4.0] {
         let rho = rho0 * mult;
-        let sol = solve(cfg, base.clone().with_rho(rho), wind, ample);
+        let sol = solve(cfg, base.with_rho(rho), wind, ample);
         t.push(vec![
             Value::Num(mult),
             Value::Num(rho),

@@ -5,11 +5,13 @@
 //! then run batches of iterations until a time budget is spent, and
 //! report the per-iteration median over batches. That is robust enough
 //! to compare kernels and thread counts on the same machine; it does not
-//! attempt Criterion's statistical machinery.
+//! attempt Criterion's statistical machinery. [`Harness::write_report`]
+//! is the one writer of the `BENCH_*.json` files at the workspace root.
 
 use std::hint::black_box;
 use std::time::Duration;
 
+use skyferry_stats::json::Json;
 use skyferry_trace::clock::monotonic_ns;
 
 /// One finished measurement.
@@ -60,6 +62,8 @@ pub struct Harness {
     budget: Duration,
     /// Completed measurements.
     results: Vec<Measurement>,
+    /// Benchmarks the filter skipped.
+    skipped: usize,
 }
 
 impl Harness {
@@ -80,6 +84,7 @@ impl Harness {
             filter,
             budget: Duration::from_millis(budget_ms),
             results: Vec::new(),
+            skipped: 0,
         }
     }
 
@@ -87,6 +92,7 @@ impl Harness {
     pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
+                self.skipped += 1;
                 return;
             }
         }
@@ -136,6 +142,29 @@ impl Harness {
             .map_or(f64::NAN, |m| m.median.as_nanos() as f64)
     }
 
+    /// Write `report` to `BENCH_<name>.json` at the workspace root, next
+    /// to the other checked-in reports — unless the name filter skipped
+    /// a bench. Every bench of a bench binary feeds its report, so a
+    /// filtered run would replace the skipped benches' numbers with
+    /// `null`; it writes nothing and says so instead.
+    pub fn write_report(&self, name: &str, report: &Json) {
+        let file = format!("BENCH_{name}.json");
+        if self.skipped > 0 {
+            println!(
+                "not writing {file}: the filter skipped {} bench(es)",
+                self.skipped
+            );
+            return;
+        }
+        // Cargo runs benches with cwd = the package dir.
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(&file);
+        std::fs::write(&path, report.render_pretty())
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("wrote {file}");
+    }
+
     /// Print a closing summary line.
     pub fn finish(self) {
         println!("\n{} benchmark(s) run.", self.results.len());
@@ -152,6 +181,7 @@ mod tests {
             filter: None,
             budget: Duration::from_millis(20),
             results: Vec::new(),
+            skipped: 0,
         };
         let mut x = 0u64;
         h.bench("spin", || {
@@ -169,11 +199,20 @@ mod tests {
             filter: Some("match-me".into()),
             budget: Duration::from_millis(5),
             results: Vec::new(),
+            skipped: 0,
         };
         h.bench("other", || 1);
         assert!(h.results().is_empty());
         h.bench("yes/match-me", || 1);
         assert_eq!(h.results().len(), 1);
+        assert!(h.median_ns("other").is_nan());
+        // A report would carry the skipped bench as `null`: none is written.
+        h.write_report("filtered-test", &Json::Null);
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_filtered-test.json"
+        );
+        assert!(!std::path::Path::new(path).exists());
     }
 
     #[test]

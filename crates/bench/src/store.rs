@@ -23,13 +23,10 @@
 
 use std::collections::BTreeMap;
 
-use skyferry_core::optimizer::{optimize, OptimalTransfer};
-use skyferry_core::scenario::Scenario;
 use skyferry_mac::link::LinkWork;
 use skyferry_net::campaign::{measure_throughput, CampaignConfig, CampaignKey};
 use skyferry_net::profile::MotionProfile;
 use skyferry_sim::parallel::par_map_indexed;
-use skyferry_sim::stable::KeyHasher;
 use skyferry_stats::json::Json;
 use skyferry_trace as trace;
 use skyferry_trace::clock::monotonic_ns;
@@ -57,11 +54,8 @@ struct Cell {
 pub struct CampaignStore {
     quick: bool,
     cells: BTreeMap<CellKey, Cell>,
-    optima: BTreeMap<u64, OptimalTransfer>,
     hits: u64,
     misses: u64,
-    opt_hits: u64,
-    opt_misses: u64,
     saved_s: f64,
     fill_s: f64,
     /// Process link-work totals when the store was created.
@@ -75,11 +69,8 @@ impl CampaignStore {
         CampaignStore {
             quick,
             cells: BTreeMap::new(),
-            optima: BTreeMap::new(),
             hits: 0,
             misses: 0,
-            opt_hits: 0,
-            opt_misses: 0,
             saved_s: 0.0,
             fill_s: 0.0,
             work_start: LinkWork::totals(),
@@ -168,22 +159,6 @@ impl CampaignStore {
             .collect()
     }
 
-    /// Memoized Eq. (2) solution for a scenario (keyed by the scenario's
-    /// stable parameter key, so equal parameter sets solve once).
-    pub fn optimum(&mut self, scenario: &Scenario) -> OptimalTransfer {
-        let k = scenario.stable_key(KeyHasher::new("scenario")).finish();
-        if let Some(v) = self.optima.get(&k) {
-            self.opt_hits += 1;
-            trace::event!("optimum-hit");
-            return *v;
-        }
-        self.opt_misses += 1;
-        trace::event!("optimum-miss");
-        let v = optimize(scenario);
-        self.optima.insert(k, v);
-        v
-    }
-
     /// Distinct campaign cells served from the memo.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -232,31 +207,22 @@ impl CampaignStore {
                     ("resamples", count(work.resamples)),
                 ]),
             ),
-            (
-                "optimizer_memo",
-                Json::obj([
-                    ("hits", Json::Int(self.opt_hits as i64)),
-                    ("misses", Json::Int(self.opt_misses as i64)),
-                ]),
-            ),
         ])
     }
 
-    /// Two-line stats summary for the `repro` footer: the memos, then
-    /// the simulated link work.
+    /// Two-line stats summary for the `repro` footer: the campaign memo,
+    /// then the simulated link work.
     pub fn summary(&self) -> String {
         let work = self.simulated();
         format!(
             "campaign store: {} hits / {} misses, ~{:.2} s of simulation reused \
-             ({:.2} s spent filling); optimizer memo: {} hits / {} misses\n\
+             ({:.2} s spent filling)\n\
              simulated: {} TXOPs, {} subframes, {} fading resamples; \
              PER chain: {} evaluations, {} memo hits",
             self.hits,
             self.misses,
             self.saved_s,
             self.fill_s,
-            self.opt_hits,
-            self.opt_misses,
             work.txops,
             work.subframes,
             work.resamples,
@@ -356,7 +322,6 @@ mod tests {
         let mut store = CampaignStore::new(true);
         store.samples(&cfg, 40.0, 2);
         store.samples(&cfg, 40.0, 2);
-        store.optimum(&Scenario::airplane_baseline());
         let doc = store.summary_json();
         let cells = doc.get("campaign_store").expect("campaign_store block");
         assert_eq!(cells.get("hits").and_then(Json::as_i64), Some(1));
@@ -368,26 +333,9 @@ mod tests {
                 .expect("reused")
                 > 0.0
         );
-        let memo = doc.get("optimizer_memo").expect("optimizer block");
-        assert_eq!(memo.get("misses").and_then(Json::as_i64), Some(1));
         // The footer renders as a single line of valid JSON.
         let line = doc.render();
         assert!(!line.contains('\n'));
         assert!(skyferry_stats::json::parse(&line).is_ok());
-    }
-
-    #[test]
-    fn optimizer_memo_shares_equal_scenarios() {
-        let mut store = CampaignStore::new(false);
-        let a = Scenario::airplane_baseline();
-        let mut renamed = a.clone();
-        renamed.name = "alias".into();
-        let first = store.optimum(&a);
-        let second = store.optimum(&renamed);
-        assert_eq!(first, second);
-        assert_eq!(store.opt_hits, 1);
-        let changed = store.optimum(&a.with_mdata_mb(5.0));
-        assert_eq!(store.opt_hits, 1, "changed parameters must re-solve");
-        assert_ne!(changed, first);
     }
 }

@@ -215,7 +215,7 @@ pub fn run_mission(cfg: &MissionConfig) -> MissionReport {
     let mut xbee = ControlChannel::xbee_pro(seeds.rng("xbee"));
     let relay_id = UavId(0);
     let mut planner = CentralPlanner::new(
-        DecisionEngine::from_scenario(&Scenario::quadrocopter_baseline()),
+        DecisionEngine::from_scenario(Scenario::quadrocopter_baseline()),
         spec,
     );
 

@@ -168,7 +168,7 @@ mod tests {
 
     fn planner() -> CentralPlanner {
         CentralPlanner::new(
-            DecisionEngine::from_scenario(&Scenario::quadrocopter_baseline()),
+            DecisionEngine::from_scenario(Scenario::quadrocopter_baseline()),
             PlatformSpec::quadrocopter(),
         )
     }

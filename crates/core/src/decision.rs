@@ -9,6 +9,7 @@
 //!
 //! [`DecisionEngine`]: crate::decision::DecisionEngine
 
+use crate::failure::{ExponentialFailure, FailureSpec};
 use crate::optimizer::{optimize, OptimalTransfer};
 use crate::scenario::Scenario;
 use crate::throughput::ThroughputSpec;
@@ -49,7 +50,7 @@ pub struct DecisionEngine {
 
 impl DecisionEngine {
     /// Build an engine for a platform's scenario defaults.
-    pub fn from_scenario(s: &Scenario) -> Self {
+    pub fn from_scenario(s: Scenario<'_>) -> Self {
         DecisionEngine {
             throughput: s.throughput.clone(),
             d_min_m: s.d_min_m,
@@ -67,17 +68,14 @@ impl DecisionEngine {
         rho_per_m: f64,
     ) -> (TransferDecision, OptimalTransfer) {
         let scenario = Scenario {
-            name: "online".into(),
             d0_m: d0.get().max(self.d_min_m),
             d_min_m: self.d_min_m,
             v_mps: self.v_mps,
             mdata_bytes: mdata.get(),
-            throughput: self.throughput.clone(),
-            failure: crate::failure::FailureSpec::Exponential(
-                crate::failure::ExponentialFailure::new(rho_per_m),
-            ),
+            throughput: &self.throughput,
+            failure: FailureSpec::Exponential(ExponentialFailure::new(rho_per_m)),
         };
-        let opt = optimize(&scenario);
+        let opt = optimize(scenario);
         let decision = if scenario.d0_m - opt.d_opt < MOVE_TOLERANCE_M {
             TransferDecision::TransmitNow {
                 expected_tx_s: opt.tx_s,
@@ -96,7 +94,6 @@ impl DecisionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
 
     fn d(m: f64) -> Meters {
         Meters::new(m)
@@ -107,7 +104,7 @@ mod tests {
     }
 
     fn engine() -> DecisionEngine {
-        DecisionEngine::from_scenario(&Scenario::quadrocopter_baseline())
+        DecisionEngine::from_scenario(Scenario::quadrocopter_baseline())
     }
 
     #[test]

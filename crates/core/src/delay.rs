@@ -17,12 +17,12 @@
 //! use skyferry_units::Seconds;
 //! let s = Scenario::airplane_baseline();
 //! // A duration is not a candidate distance: rejected at compile time.
-//! let _ = CommunicationDelay::at(&s, Seconds::new(100.0));
+//! let _ = CommunicationDelay::at(s, Seconds::new(100.0));
 //! ```
 
 use skyferry_units::{BitsPerSec, Meters, Seconds};
 
-use crate::scenario::{Scenario, ScenarioView};
+use crate::scenario::Scenario;
 use crate::throughput::ThroughputModel;
 
 /// The components of the communication delay at one candidate distance.
@@ -41,19 +41,13 @@ impl CommunicationDelay {
     ///
     /// # Panics
     /// Panics if `d` is outside the feasible interval.
-    pub fn at(scenario: &Scenario, d: Meters) -> Self {
-        Self::at_view(scenario.view(), d)
-    }
-
-    /// [`CommunicationDelay::at`] on a borrowed [`ScenarioView`] — the
-    /// allocation-free form sweeps call per grid cell.
-    pub fn at_view(scenario: ScenarioView<'_>, d: Meters) -> Self {
+    pub fn at(scenario: Scenario<'_>, d: Meters) -> Self {
         Self::at_rate(scenario, d, scenario.throughput.rate_bps(d))
     }
 
-    /// [`CommunicationDelay::at_view`] with the link rate `s(d)` already
+    /// [`CommunicationDelay::at`] with the link rate `s(d)` already
     /// evaluated — the one statement of `Tship` and `Ttx`.
-    pub(crate) fn at_rate(scenario: ScenarioView<'_>, d: Meters, rate: BitsPerSec) -> Self {
+    pub(crate) fn at_rate(scenario: Scenario<'_>, d: Meters, rate: BitsPerSec) -> Self {
         assert!(
             d.get() >= scenario.d_min_m - 1e-9 && d.get() <= scenario.d0_m + 1e-9,
             "d={} outside [{}, {}]",
@@ -99,7 +93,6 @@ impl CommunicationDelay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
 
     fn m(v: f64) -> Meters {
         Meters::new(v)
@@ -108,7 +101,7 @@ mod tests {
     #[test]
     fn transmit_immediately_has_no_shipping() {
         let s = Scenario::airplane_baseline();
-        let c = CommunicationDelay::at(&s, s.d0());
+        let c = CommunicationDelay::at(s, s.d0());
         assert_eq!(c.ship, Seconds::ZERO);
         assert!(c.tx > Seconds::ZERO);
         assert_eq!(c.total(), c.tx);
@@ -117,7 +110,7 @@ mod tests {
     #[test]
     fn shipping_time_is_distance_over_speed() {
         let s = Scenario::airplane_baseline();
-        let c = CommunicationDelay::at(&s, m(100.0));
+        let c = CommunicationDelay::at(s, m(100.0));
         assert!((c.ship_s() - 200.0 / 10.0).abs() < 1e-12);
     }
 
@@ -126,7 +119,7 @@ mod tests {
         // s(100) = −5.56·log2(100)+49 ≈ 12.06 Mb/s;
         // Ttx = 28 MB·8 / 12.06 Mb/s ≈ 18.6 s; Tship = 20 s.
         let s = Scenario::airplane_baseline();
-        let c = CommunicationDelay::at(&s, m(100.0));
+        let c = CommunicationDelay::at(s, m(100.0));
         assert!((c.tx_s() - 18.6).abs() < 0.2, "tx={}", c.tx_s());
         assert!((c.total_s() - 38.6).abs() < 0.3);
     }
@@ -134,8 +127,8 @@ mod tests {
     #[test]
     fn moving_closer_trades_ship_for_tx() {
         let s = Scenario::quadrocopter_baseline();
-        let far = CommunicationDelay::at(&s, m(90.0));
-        let near = CommunicationDelay::at(&s, m(40.0));
+        let far = CommunicationDelay::at(s, m(90.0));
+        let near = CommunicationDelay::at(s, m(40.0));
         assert!(near.ship > far.ship);
         assert!(near.tx < far.tx);
     }
@@ -143,7 +136,7 @@ mod tests {
     #[test]
     fn total_is_sum() {
         let s = Scenario::quadrocopter_baseline();
-        let c = CommunicationDelay::at(&s, m(50.0));
+        let c = CommunicationDelay::at(s, m(50.0));
         assert_eq!(c.total(), c.ship + c.tx);
         assert_eq!(c.total_s(), c.ship_s() + c.tx_s());
     }
@@ -152,7 +145,7 @@ mod tests {
     #[should_panic]
     fn below_dmin_rejected() {
         let s = Scenario::quadrocopter_baseline();
-        let _ = CommunicationDelay::at(&s, m(5.0));
+        let _ = CommunicationDelay::at(s, m(5.0));
     }
 
     #[test]
@@ -161,6 +154,6 @@ mod tests {
         // "It is never convenient for a UAV to move further away"
         // (footnote 2) — the API forbids it outright.
         let s = Scenario::quadrocopter_baseline();
-        let _ = CommunicationDelay::at(&s, m(150.0));
+        let _ = CommunicationDelay::at(s, m(150.0));
     }
 }

@@ -99,7 +99,7 @@ impl WeibullFailure {
     /// distance is finite and ≥ 0, the range in which the cumulative
     /// hazard grows with the leg, so δ rises with `d`. Whether the hazard
     /// stays finite also depends on the leg;
-    /// [`ScenarioView::check`](crate::scenario::ScenarioView::check)
+    /// [`Scenario::check`](crate::scenario::Scenario::check)
     /// checks that.
     pub(crate) fn check(&self) -> Result<(), ParamError> {
         let positive = |x: f64| x.is_finite() && x > 0.0;

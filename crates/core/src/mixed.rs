@@ -16,7 +16,7 @@
 use skyferry_units::{Meters, MetersPerSec};
 
 use crate::failure::FailureModel;
-use crate::scenario::{Scenario, ScenarioView};
+use crate::scenario::Scenario;
 use crate::throughput::ThroughputModel;
 use skyferry_sim::parallel::par_map_indexed;
 
@@ -91,10 +91,10 @@ pub struct MixedOutcome {
     pub utility: f64,
 }
 
-/// Evaluate one mixed strategy point on a borrowed [`ScenarioView`] —
-/// the form the 2-D solver calls per grid cell.
-pub fn evaluate_mixed_view(
-    scenario: ScenarioView<'_>,
+/// Evaluate one mixed strategy point — what the 2-D solver calls per
+/// grid cell.
+pub fn evaluate_mixed(
+    scenario: Scenario<'_>,
     cfg: &MixedConfig,
     d: Meters,
     v: MetersPerSec,
@@ -163,18 +163,17 @@ pub fn evaluate_mixed_view(
 /// sequentially in speed order with the same strictly-greater test —
 /// so the selected triple is bit-identical to the serial solver at any
 /// thread count, including when several cells tie on utility.
-pub fn optimize_mixed(scenario: &Scenario, cfg: &MixedConfig) -> MixedOutcome {
+pub fn optimize_mixed(scenario: Scenario<'_>, cfg: &MixedConfig) -> MixedOutcome {
     scenario.validate();
     assert!(cfg.speed_grid >= 1 && cfg.distance_grid >= 2);
-    let view = scenario.view();
     let per_speed = par_map_indexed(cfg.speed_grid, |i| {
         let v = cfg.v_max_mps * (i + 1) as f64 / cfg.speed_grid as f64;
         let mut best: Option<MixedOutcome> = None;
         for di in 0..cfg.distance_grid {
-            let d = view.d_min_m
-                + (view.d0_m - view.d_min_m) * di as f64 / (cfg.distance_grid - 1) as f64;
+            let d = scenario.d_min_m
+                + (scenario.d0_m - scenario.d_min_m) * di as f64 / (cfg.distance_grid - 1) as f64;
             for tx in [false, true] {
-                let o = evaluate_mixed_view(view, cfg, Meters::new(d), MetersPerSec::new(v), tx);
+                let o = evaluate_mixed(scenario, cfg, Meters::new(d), MetersPerSec::new(v), tx);
                 if best.is_none_or(|b| o.utility > b.utility) {
                     best = Some(o);
                 }
@@ -193,7 +192,7 @@ mod tests {
     use super::*;
     use crate::optimizer::optimize;
 
-    fn quad_10mb() -> Scenario {
+    fn quad_10mb() -> Scenario<'static> {
         Scenario::quadrocopter_baseline().with_mdata_mb(10.0)
     }
 
@@ -217,12 +216,11 @@ mod tests {
         // in-motion transmission at the 1-D optimum), so the 2-D optimum
         // must dominate it.
         for s in [quad_10mb(), Scenario::quadrocopter_baseline()] {
-            let pure = optimize(&s);
-            let mixed = optimize_mixed(&s, &cfg());
+            let pure = optimize(s);
+            let mixed = optimize_mixed(s, &cfg());
             assert!(
                 mixed.utility >= pure.utility * (1.0 - 1e-6),
-                "{}: mixed {:.5} < pure {:.5}",
-                s.name,
+                "{s:?}: mixed {:.5} < pure {:.5}",
                 mixed.utility,
                 pure.utility
             );
@@ -234,11 +232,11 @@ mod tests {
         let s = quad_10mb();
         let mut c = cfg();
         c.penalty.loss_db_per_mps = 0.0;
-        let best = optimize_mixed(&s, &c);
+        let best = optimize_mixed(s, &c);
         assert!(best.transmit_while_moving, "free in-motion rate unused");
         assert!(best.in_motion_bytes > 0.0);
         // And it strictly beats the silent-approach optimum.
-        let pure = optimize(&s);
+        let pure = optimize(s);
         assert!(best.utility > pure.utility * 1.001);
     }
 
@@ -247,8 +245,8 @@ mod tests {
         let s = quad_10mb();
         let mut c = cfg();
         c.penalty.loss_db_per_mps = 20.0; // in-motion rate ≈ 0
-        let best = optimize_mixed(&s, &c);
-        let pure = optimize(&s);
+        let best = optimize_mixed(s, &c);
+        let pure = optimize(s);
         // Same distance (within grid resolution) and utility.
         assert!(
             (best.d_m - pure.d_opt).abs() < 3.0,
@@ -268,7 +266,7 @@ mod tests {
         // With no in-motion transmission, arriving sooner is always
         // better: the solver must pick v = v_max.
         let s = quad_10mb();
-        let best = optimize_mixed(&s, &cfg());
+        let best = optimize_mixed(s, &cfg());
         if !best.transmit_while_moving {
             assert!((best.v_mps - 4.5).abs() < 1e-9);
         }
@@ -278,13 +276,13 @@ mod tests {
     fn evaluate_conserves_data_and_time() {
         let s = quad_10mb();
         let (d, v) = (Meters::new(40.0), MetersPerSec::new(4.5));
-        let o = evaluate_mixed_view(s.view(), &cfg(), d, v, true);
+        let o = evaluate_mixed(s, &cfg(), d, v, true);
         assert!(o.completion_s > 0.0);
         assert!(o.in_motion_bytes <= s.mdata_bytes);
         assert!(o.survival > 0.0 && o.survival <= 1.0);
         // In-motion transmission can only speed things up vs silence at
         // the same (d, v).
-        let silent = evaluate_mixed_view(s.view(), &cfg(), d, v, false);
+        let silent = evaluate_mixed(s, &cfg(), d, v, false);
         assert!(o.completion_s <= silent.completion_s + 1e-9);
     }
 
@@ -294,8 +292,8 @@ mod tests {
         // over the paper's pure strategy is real but small — supporting
         // the paper's choice to keep the tractable 1-D model.
         let s = Scenario::quadrocopter_baseline();
-        let mixed = optimize_mixed(&s, &cfg());
-        let pure = optimize(&s);
+        let mixed = optimize_mixed(s, &cfg());
+        let pure = optimize(s);
         let gain = mixed.utility / pure.utility;
         assert!((1.0..1.35).contains(&gain), "gain={gain:.3}");
     }

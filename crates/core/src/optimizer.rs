@@ -40,15 +40,15 @@
 //! update. The scan therefore ends on the full scan's `(index, value)`,
 //! bit for bit, whenever the bound is sound.
 //!
-//! [`optimize_view`] evaluates each point into Eq. (1)'s factors, a
+//! [`optimize`] evaluates each point into Eq. (1)'s factors, a
 //! [`UtilityPoint`], and bounds a block with
 //! [`UtilityPoint::bound_to`]: plain arithmetic on the factors at the
 //! two ends, bit-equal to
-//! [`utility_bound_view`](crate::utility::utility_bound_view) on their
+//! [`utility_bound`](crate::utility::utility_bound) on their
 //! distances. Its soundness rests on δ rising with `d` (ρ ≥ 0, or a
 //! Weibull law with positive scale and shape) and on `v > 0` —
-//! preconditions [`check`](crate::scenario::ScenarioView::check) states
-//! and [`validate`](crate::scenario::ScenarioView::validate) asserts
+//! preconditions [`check`](crate::scenario::Scenario::check) states
+//! and [`validate`](crate::scenario::Scenario::validate) asserts
 //! before every solve, together with the finite hazard and positive
 //! transmit time that keep `U` from ever being NaN — and it carries a
 //! 1e-9 relative slack so that a last-ulp non-monotonicity in libm's
@@ -70,14 +70,14 @@
 //!
 //! [`search_max`]: crate::optimizer::search_max
 //! [`search_max_points`]: crate::optimizer::search_max_points
-//! [`optimize_view`]: crate::optimizer::optimize_view
+//! [`optimize`]: crate::optimizer::optimize
 //! [`UtilityPoint`]: crate::utility::UtilityPoint
 //! [`UtilityPoint::bound_to`]: crate::utility::UtilityPoint::bound_to
 
 use skyferry_units::Meters;
 
-use crate::scenario::{Scenario, ScenarioView};
-use crate::utility::{utility_breakdown_view, utility_view, UtilityPoint};
+use crate::scenario::Scenario;
+use crate::utility::{utility, utility_breakdown, UtilityPoint};
 
 /// Number of initial grid points.
 pub(crate) const GRID_POINTS: usize = 2048;
@@ -120,21 +120,18 @@ impl OptimalTransfer {
         self.ship_s + self.tx_s
     }
 
-    /// `true` when the optimum is to transmit immediately (no shipping).
-    pub fn transmit_now(&self, scenario: &Scenario) -> bool {
-        (scenario.d0_m - self.d_opt).abs() < 1e-3
+    /// `true` when the optimum is to transmit immediately from `d0`:
+    /// `d_opt` lies within 1 mm of it. This is the one transmit-now rule
+    /// of every report and served answer.
+    pub fn transmit_now(&self, d0: Meters) -> bool {
+        (d0.get() - self.d_opt).abs() < 1e-3
     }
 }
 
 /// Grid point `i` of [`search_max`]'s scan over `[lo, hi]`.
-/// [`ScenarioView::check`] refuses a view whose last point lands past `hi`.
+/// [`Scenario::check`] refuses a scenario whose last point lands past `hi`.
 pub(crate) fn grid_point(lo: f64, hi: f64, i: usize) -> f64 {
     lo + (hi - lo) * i as f64 / (GRID_POINTS - 1) as f64
-}
-
-/// Solve Eq. (2) for `scenario`.
-pub fn optimize(scenario: &Scenario) -> OptimalTransfer {
-    optimize_view(scenario.view())
 }
 
 /// What [`search_max_points`] evaluates at a candidate distance: a value
@@ -191,7 +188,7 @@ pub fn search_max(
 ///
 /// Bit-exactness contract: policy tables, golden CSVs and the traj
 /// planner's degenerate-equivalence guarantee all observe the exact
-/// sequence of float operations here — [`optimize_view`] and
+/// sequence of float operations here — [`optimize`] and
 /// `skyferry-traj` (through [`search_max`]) run this one scan so the
 /// scalar d\* and the planner's straight-corridor commit are the *same*
 /// computation, not two computations that happen to agree. A sound
@@ -302,9 +299,8 @@ pub fn search_max_points<P: GridPoint>(
     Meters::new(best)
 }
 
-/// [`optimize`] on a borrowed [`ScenarioView`] — what parameter sweeps
-/// call per grid cell without cloning the base scenario.
-pub fn optimize_view(scenario: ScenarioView<'_>) -> OptimalTransfer {
+/// Solve Eq. (2) for `scenario`.
+pub fn optimize(scenario: Scenario<'_>) -> OptimalTransfer {
     let _span = skyferry_trace::span!(
         "optimize",
         d0_m = scenario.d0_m,
@@ -319,7 +315,7 @@ pub fn optimize_view(scenario: ScenarioView<'_>) -> OptimalTransfer {
     )
     .get();
 
-    let bd = utility_breakdown_view(scenario, Meters::new(best));
+    let bd = utility_breakdown(scenario, Meters::new(best));
     OptimalTransfer {
         d_opt: best,
         utility: bd.utility,
@@ -329,16 +325,16 @@ pub fn optimize_view(scenario: ScenarioView<'_>) -> OptimalTransfer {
     }
 }
 
-/// Evaluate `U` on a uniform grid of a borrowed [`ScenarioView`] (for
-/// plotting Figure 8 curves).
-pub fn utility_curve_view(scenario: ScenarioView<'_>, points: usize) -> Vec<(f64, f64)> {
+/// Evaluate `U` on a uniform grid over `[d_min, d0]` (for plotting
+/// Figure 8 curves).
+pub fn utility_curve(scenario: Scenario<'_>, points: usize) -> Vec<(f64, f64)> {
     assert!(points >= 2);
     let lo = scenario.d_min_m;
     let hi = scenario.d0_m;
     (0..points)
         .map(|i| {
             let d = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-            (d, utility_view(scenario, Meters::new(d)))
+            (d, utility(scenario, Meters::new(d)))
         })
         .collect()
 }
@@ -347,13 +343,12 @@ pub fn utility_curve_view(scenario: ScenarioView<'_>, points: usize) -> Vec<(f64
 mod tests {
     use super::*;
     use crate::delay::CommunicationDelay;
-    use crate::scenario::Scenario;
-    use crate::utility::utility_bound_view;
+    use crate::utility::utility_bound;
 
     /// Closed-form optimality check for the ρ = 0 case: the optimum
     /// balances marginal transmit-time increase against marginal
     /// shipping-time decrease, `T'tx(d) = 1/v` (interior optima only).
-    fn marginal_balance_residual(scenario: &Scenario, d: Meters) -> f64 {
+    fn marginal_balance_residual(scenario: Scenario<'_>, d: Meters) -> f64 {
         let eps = 1e-3;
         let t = |d: f64| CommunicationDelay::at(scenario, Meters::new(d)).tx_s();
         let dtx = (t(d.get() + eps) - t(d.get() - eps)) / (2.0 * eps);
@@ -369,13 +364,8 @@ mod tests {
             Scenario::airplane_baseline(),
             Scenario::quadrocopter_baseline(),
         ] {
-            let o = optimize(&s);
-            assert!(
-                (o.d_opt - s.d_min_m).abs() < 0.5,
-                "{}: dopt={}",
-                s.name,
-                o.d_opt
-            );
+            let o = optimize(s);
+            assert!((o.d_opt - s.d_min_m).abs() < 0.5, "{s:?}: dopt={}", o.d_opt);
             assert!(o.utility > 0.0);
         }
     }
@@ -385,7 +375,7 @@ mod tests {
         // A 10 MB quadrocopter batch balances shipping against
         // transmission strictly inside (d_min, d0).
         let s = Scenario::quadrocopter_baseline().with_mdata_mb(10.0);
-        let o = optimize(&s);
+        let o = optimize(s);
         assert!(
             o.d_opt > s.d_min_m + 5.0 && o.d_opt < s.d0_m - 5.0,
             "dopt={}",
@@ -396,8 +386,8 @@ mod tests {
     #[test]
     fn optimum_beats_dense_grid() {
         let s = Scenario::airplane_baseline();
-        let o = optimize(&s);
-        for (_, u) in utility_curve_view(s.view(), 10_000) {
+        let o = optimize(s);
+        for (_, u) in utility_curve(s, 10_000) {
             assert!(o.utility >= u - 1e-12);
         }
     }
@@ -408,9 +398,9 @@ mod tests {
         let s = Scenario::quadrocopter_baseline()
             .with_mdata_mb(10.0)
             .with_rho(0.0);
-        let o = optimize(&s);
+        let o = optimize(s);
         assert!(o.d_opt > s.d_min_m + 2.0 && o.d_opt < s.d0_m - 2.0);
-        let r = marginal_balance_residual(&s, Meters::new(o.d_opt));
+        let r = marginal_balance_residual(s, Meters::new(o.d_opt));
         assert!(r.abs() < 1e-3, "residual={r}");
     }
 
@@ -421,7 +411,7 @@ mod tests {
         let mut prev = 0.0;
         for rho in [1.11e-4, 1e-3, 2e-3, 5e-3, 1e-2] {
             let s = Scenario::airplane_baseline().with_rho(rho);
-            let o = optimize(&s);
+            let o = optimize(s);
             assert!(
                 o.d_opt >= prev - 1e-6,
                 "rho={rho}: dopt={} < prev={prev}",
@@ -434,8 +424,8 @@ mod tests {
     #[test]
     fn huge_rho_transmits_immediately() {
         let s = Scenario::quadrocopter_baseline().with_rho(1.0);
-        let o = optimize(&s);
-        assert!(o.transmit_now(&s), "dopt={}", o.d_opt);
+        let o = optimize(s);
+        assert!(o.transmit_now(s.d0()), "dopt={}", o.d_opt);
         assert_eq!(o.ship_s, 0.0);
     }
 
@@ -446,17 +436,37 @@ mod tests {
         // to transmit immediately." (Near-invariance: ρ ≪ 1.) Use a
         // moderate batch so the optimum is interior.
         let base = Scenario::quadrocopter_baseline().with_mdata_mb(10.0);
-        let d_opt_100 = optimize(&base).d_opt;
+        let d_opt_100 = optimize(base).d_opt;
         assert!(d_opt_100 > 40.0 && d_opt_100 < 95.0, "dopt={d_opt_100}");
-        let d_opt_90 = optimize(&base.clone().with_d0(90.0)).d_opt;
+        let d_opt_90 = optimize(base.with_d0(90.0)).d_opt;
         assert!(
             (d_opt_100 - d_opt_90).abs() < 3.0,
             "{d_opt_100} vs {d_opt_90}"
         );
         // Once d0 < dopt, the optimum pins to d0 (transmit now).
         let tight = base.with_d0(d_opt_100 - 20.0);
-        let o = optimize(&tight);
-        assert!(o.transmit_now(&tight), "dopt={}", o.d_opt);
+        let o = optimize(tight);
+        assert!(o.transmit_now(tight.d0()), "dopt={}", o.d_opt);
+    }
+
+    #[test]
+    fn transmit_now_holds_strictly_inside_a_millimetre() {
+        let solved = |d_opt| OptimalTransfer {
+            d_opt,
+            utility: 0.0,
+            survival: 1.0,
+            ship_s: 0.0,
+            tx_s: 0.0,
+        };
+        // |d0 − d_opt| of exactly 1e-3 m is not "now"; one ulp less is,
+        // on either side of d0.
+        let below = f64::from_bits(1e-3f64.to_bits() - 1);
+        assert!(!solved(0.0).transmit_now(Meters::new(1e-3)));
+        assert!(solved(0.0).transmit_now(Meters::new(below)));
+        assert!(!solved(1e-3).transmit_now(Meters::ZERO));
+        assert!(solved(below).transmit_now(Meters::ZERO));
+        assert!(solved(300.0 - 0.9e-3).transmit_now(Meters::new(300.0)));
+        assert!(!solved(300.0 - 1.1e-3).transmit_now(Meters::new(300.0)));
     }
 
     /// The bound that skips nothing.
@@ -519,17 +529,16 @@ mod tests {
     #[test]
     fn pruned_scan_evaluates_a_fraction_of_the_grid() {
         use std::cell::Cell;
-        let s = Scenario::airplane_baseline().with_mdata_mb(10.0);
-        let v = s.view();
+        let v = Scenario::airplane_baseline().with_mdata_mb(10.0);
         let calls = Cell::new(0u32);
         let f = |d: f64| {
             calls.set(calls.get() + 1);
-            utility_view(v, Meters::new(d))
+            utility(v, Meters::new(d))
         };
         let full = search_max(v.d_min(), v.d0(), f, no_bound);
         let full_calls = calls.replace(0);
         let pruned = search_max(v.d_min(), v.d0(), f, |d1, d2| {
-            utility_bound_view(v, Meters::new(d1), Meters::new(d2))
+            utility_bound(v, Meters::new(d1), Meters::new(d2))
         });
         assert_eq!(pruned.get().to_bits(), full.get().to_bits());
         assert_eq!(full_calls as usize, GRID_POINTS + GOLDEN_ITERS + 4);
@@ -538,24 +547,18 @@ mod tests {
 
     #[test]
     fn search_max_is_the_optimizer_exactly() {
-        // optimize_view must be a thin wrapper: same routine, same bits —
+        // optimize must be a thin wrapper: same routine, same bits —
         // and its bound must not move the answer off the full scan's.
         let s = Scenario::quadrocopter_baseline().with_mdata_mb(10.0);
-        let v = s.view();
-        let direct = search_max(
-            v.d_min(),
-            v.d0(),
-            |d| utility_view(v, Meters::new(d)),
-            no_bound,
-        );
-        assert_eq!(direct.get().to_bits(), optimize(&s).d_opt.to_bits());
+        let direct = search_max(s.d_min(), s.d0(), |d| utility(s, Meters::new(d)), no_bound);
+        assert_eq!(direct.get().to_bits(), optimize(s).d_opt.to_bits());
     }
 
     #[test]
     fn degenerate_interval() {
         let mut s = Scenario::quadrocopter_baseline();
         s.d0_m = s.d_min_m;
-        let o = optimize(&s);
+        let o = optimize(s);
         assert_eq!(o.d_opt, s.d_min_m);
         assert_eq!(o.ship_s, 0.0);
     }
@@ -563,7 +566,7 @@ mod tests {
     #[test]
     fn curve_has_requested_resolution_and_bounds() {
         let s = Scenario::quadrocopter_baseline();
-        let curve = utility_curve_view(s.view(), 101);
+        let curve = utility_curve(s, 101);
         assert_eq!(curve.len(), 101);
         assert_eq!(curve[0].0, s.d_min_m);
         assert_eq!(curve[100].0, s.d0_m);
@@ -574,8 +577,8 @@ mod tests {
     fn larger_mdata_moves_optimum_closer() {
         // Figure 9: "having larger Mdata makes it more advantageous for a
         // UAV to move closer … at the cost of reduced U(d)".
-        let small = optimize(&Scenario::airplane_baseline().with_mdata_mb(5.0));
-        let large = optimize(&Scenario::airplane_baseline().with_mdata_mb(45.0));
+        let small = optimize(Scenario::airplane_baseline().with_mdata_mb(5.0));
+        let large = optimize(Scenario::airplane_baseline().with_mdata_mb(45.0));
         assert!(large.d_opt < small.d_opt);
         assert!(large.utility < small.utility);
     }
@@ -584,8 +587,8 @@ mod tests {
     fn higher_speed_moves_optimum_closer() {
         // Figure 9: "by increasing the speed it is better to move closer
         // and closer for a given Mdata".
-        let slow = optimize(&Scenario::airplane_baseline().with_speed(5.0));
-        let fast = optimize(&Scenario::airplane_baseline().with_speed(20.0));
+        let slow = optimize(Scenario::airplane_baseline().with_speed(5.0));
+        let fast = optimize(Scenario::airplane_baseline().with_speed(20.0));
         assert!(fast.d_opt <= slow.d_opt + 1e-6);
     }
 }

@@ -222,7 +222,7 @@ impl PolicyGrid {
     /// Validate and assemble a grid. Every axis step must be finite and
     /// positive, the total cell count must stay under [`MAX_CELLS`], and
     /// every cell must pass
-    /// [`ScenarioView::check`](crate::scenario::ScenarioView::check), so
+    /// [`Scenario::check`](crate::scenario::Scenario::check), so
     /// the table's bucket centres are queries the solver can answer.
     ///
     /// `check`'s grid clause depends on `d0` alone and its other clauses
@@ -269,7 +269,7 @@ impl PolicyGrid {
             for i_d in 0..d0.n as usize {
                 for [i_m, i_r, i_s] in corners {
                     let cell = grid.flat(platform, [i_d, i_m, i_r, i_s]);
-                    if let Err(e) = grid.params_at(cell).view().check() {
+                    if let Err(e) = grid.params_at(cell).scenario().check() {
                         return Err(PolicyError::BadHeader(format!(
                             "cell {cell} is outside the request domain: {e}"
                         )));

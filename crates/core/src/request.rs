@@ -1,20 +1,20 @@
 //! Per-request decision parameters: the serving layer's view of Eq. (2).
 //!
-//! The batch harness hands the optimizer whole [`Scenario`] values, but a
-//! decision *server* answers thousands of small queries per second, each
-//! carrying just the live numbers `(d0, Mdata, ρ, v)` plus a platform
-//! selector. [`DecisionParams`] is that request shape, with three
-//! properties the serving layer needs:
+//! The batch harness builds its [`Scenario`]s from the paper's baselines
+//! with `with_*` overrides, but a decision *server* answers thousands of
+//! small queries per second, each carrying just the live numbers
+//! `(d0, Mdata, ρ, v)` plus a platform selector. [`DecisionParams`] is
+//! that request shape, with three properties the serving layer needs:
 //!
-//! * **cache-friendly** — [`DecisionParams::solve`] evaluates through a
-//!   borrowed [`ScenarioView`] over the platform's `'static` throughput
-//!   model, so a request allocates nothing and two requests with equal
-//!   parameters are byte-equal keys;
+//! * **cache-friendly** — [`DecisionParams::solve`] evaluates a
+//!   [`Scenario`] over the platform's `'static` throughput model, so a
+//!   request allocates nothing and two requests with equal parameters
+//!   are byte-equal keys;
 //! * **quantizable** — [`Quantizer`] snaps parameters onto a configurable
 //!   bucket grid so near-identical queries share one cached solution
 //!   ([`Quantizer::exact`] turns that off for tests);
 //! * **typed rejection** — [`DecisionParams::validated`] returns
-//!   [`ScenarioView::check`](crate::scenario::ScenarioView::check)'s
+//!   [`Scenario::check`](crate::scenario::Scenario::check)'s
 //!   [`ParamError`](crate::scenario::ParamError) instead of panicking,
 //!   because requests arrive from an untrusted socket and a malformed one
 //!   must produce an error *response*, never a worker panic.
@@ -23,23 +23,21 @@
 //! [`DecisionParams`]: crate::request::DecisionParams
 //! [`DecisionParams::solve`]: crate::request::DecisionParams::solve
 //! [`DecisionParams::validated`]: crate::request::DecisionParams::validated
-//! [`ScenarioView`]: crate::scenario::ScenarioView
 //! [`Quantizer`]: crate::request::Quantizer
 //! [`Quantizer::exact`]: crate::request::Quantizer::exact
 
 use crate::failure::{ExponentialFailure, FailureSpec};
-use crate::optimizer::{optimize_view, OptimalTransfer};
-use crate::scenario::{ParamError, ScenarioView, BYTES_PER_MB};
+use crate::optimizer::{optimize, OptimalTransfer};
+use crate::scenario::{ParamError, Scenario, BYTES_PER_MB};
 use crate::throughput::{LogFitThroughput, ThroughputSpec};
 
-/// The two measured platforms of the paper (Table 1).
+/// The two measured platforms of the paper (Table 1); their Section 4
+/// baselines are [`DecisionParams::baseline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Platform {
-    /// Fixed-wing airplane (Section 4 baseline: `d0 = 300 m`,
-    /// `v = 10 m/s`, `Mdata = 28 MB`, `ρ = 1.11e-4 /m`).
+    /// Fixed-wing airplane.
     Airplane,
-    /// Quadrocopter (Section 4 baseline: `d0 = 100 m`, `v = 4.5 m/s`,
-    /// `Mdata = 56.2 MB`, `ρ = 2.46e-4 /m`).
+    /// Quadrocopter.
     Quadrocopter,
 }
 
@@ -89,15 +87,6 @@ impl Platform {
             Platform::Quadrocopter => &QUADROCOPTER_THROUGHPUT,
         }
     }
-
-    /// The paper's Section 4 baseline parameters as request defaults:
-    /// `(d0_m, mdata_bytes, rho_per_m, v_mps)`.
-    pub fn baseline(&self) -> (f64, f64, f64, f64) {
-        match self {
-            Platform::Airplane => (300.0, 28.0 * BYTES_PER_MB, 1.11e-4, 10.0),
-            Platform::Quadrocopter => (100.0, 56.2 * BYTES_PER_MB, 2.46e-4, 4.5),
-        }
-    }
 }
 
 /// One decision query: which platform, and the live numbers of Eq. (2).
@@ -123,20 +112,25 @@ pub struct DecisionParams {
 }
 
 impl DecisionParams {
-    /// The platform's Section 4 baseline query.
-    pub fn baseline(platform: Platform) -> DecisionParams {
-        let (d0_m, mdata_bytes, rho_per_m, v_mps) = platform.baseline();
+    /// The platform's Section 4 baseline query: the one place the
+    /// paper's `(d0 m, Mdata MB, ρ /m, v m/s)` are written (the
+    /// [`scenario`](crate::scenario) module docs give their sources).
+    pub const fn baseline(platform: Platform) -> DecisionParams {
+        let (d0_m, mdata_mb, rho_per_m, v_mps) = match platform {
+            Platform::Airplane => (300.0, 28.0, 1.11e-4, 10.0),
+            Platform::Quadrocopter => (100.0, 56.2, 2.46e-4, 4.5),
+        };
         DecisionParams {
             platform,
             d0_m,
-            mdata_bytes,
+            mdata_bytes: mdata_mb * BYTES_PER_MB,
             rho_per_m,
             v_mps,
         }
     }
 
     /// Clamp a finite `d0` up to [`D_MIN_M`], then return the query or
-    /// [`ScenarioView::check`]'s typed rejection. This is how untrusted
+    /// [`Scenario::check`]'s typed rejection. This is how untrusted
     /// input enters: [`solve`] of an accepted query cannot panic.
     /// (Clamping only a finite `d0` keeps NaN and −∞ from becoming 20 m.)
     ///
@@ -145,14 +139,14 @@ impl DecisionParams {
         if self.d0_m.is_finite() {
             self.d0_m = self.d0_m.max(D_MIN_M);
         }
-        self.view().check()?;
+        self.scenario().check()?;
         Ok(self)
     }
 
-    /// A borrowed evaluation view over the platform's static throughput
+    /// This query as a scenario over the platform's static throughput
     /// model — the zero-allocation path into the optimizer.
-    pub fn view(&self) -> ScenarioView<'static> {
-        ScenarioView {
+    pub fn scenario(&self) -> Scenario<'static> {
+        Scenario {
             d0_m: self.d0_m,
             d_min_m: D_MIN_M,
             v_mps: self.v_mps,
@@ -167,12 +161,12 @@ impl DecisionParams {
     }
 
     /// Solve Eq. (2) for this query. It panics, naming the field, when
-    /// the query fails [`ScenarioView::check`]; [`validated`] is the
+    /// the query fails [`Scenario::check`]; [`validated`] is the
     /// non-panicking gate for untrusted input.
     ///
     /// [`validated`]: DecisionParams::validated
     pub fn solve(&self) -> OptimalTransfer {
-        optimize_view(self.view())
+        optimize(self.scenario())
     }
 
     /// The platform index plus the raw bits of the four fields: two
@@ -260,7 +254,7 @@ impl Quantizer {
     /// floors `d0 ≥ d_min`, `Mdata > 0`, `v > 0` and `ρ ≥ 0` re-applied.
     /// The snap can still leave the domain — a huge `v` or ρ overflows to
     /// `inf`, a huge `d0` can round past the solver's grid — so a server
-    /// runs [`ScenarioView::check`] on the snapped query too.
+    /// runs [`Scenario::check`] on the snapped query too.
     pub fn snap(&self, p: &DecisionParams) -> DecisionParams {
         fn snap1(x: f64, step: Option<f64>) -> f64 {
             match step {
@@ -295,8 +289,6 @@ impl Quantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::optimize;
-    use crate::scenario::Scenario;
 
     #[test]
     fn platform_ids_round_trip() {
@@ -307,17 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_params_match_scenarios() {
-        let a = DecisionParams::baseline(Platform::Airplane).solve();
-        let b = optimize(&Scenario::airplane_baseline());
-        assert_eq!(a, b, "airplane");
-        let a = DecisionParams::baseline(Platform::Quadrocopter).solve();
-        let b = optimize(&Scenario::quadrocopter_baseline());
-        assert_eq!(a, b, "quadrocopter");
-    }
-
-    #[test]
-    fn solve_matches_owned_scenario_path() {
+    fn solve_matches_the_builder_path() {
         let p = DecisionParams {
             platform: Platform::Quadrocopter,
             d0_m: 90.0,
@@ -330,7 +312,7 @@ mod tests {
             .with_mdata_mb(10.0)
             .with_rho(1e-3)
             .with_speed(6.0);
-        assert_eq!(p.solve(), optimize(&s));
+        assert_eq!(p.solve(), optimize(s));
     }
 
     #[test]

@@ -8,19 +8,26 @@
 //!   10 m altitude), `v = 4.5 m/s`, `ρ = 2.46e-4 /m`, `d0 = 100 m`;
 //!
 //! both with the fitted throughput model of their platform and a minimum
-//! separation of 20 m "to avoid physical collisions".
+//! separation of 20 m "to avoid physical collisions". The numbers live
+//! in [`DecisionParams::baseline`], the serving layer's default query,
+//! and [`Scenario::airplane_baseline`] and
+//! [`Scenario::quadrocopter_baseline`] are that query's scenario.
+//!
+//! [`DecisionParams::baseline`]: crate::request::DecisionParams::baseline
+//! [`Scenario::airplane_baseline`]: crate::scenario::Scenario::airplane_baseline
+//! [`Scenario::quadrocopter_baseline`]: crate::scenario::Scenario::quadrocopter_baseline
 
-use skyferry_sim::stable::KeyHasher;
 use skyferry_units::{Bytes, Meters, MetersPerSec, Seconds};
 
 use crate::failure::{ExponentialFailure, FailureSpec};
-use crate::optimizer::{grid_point, optimize, OptimalTransfer, GRID_POINTS};
-use crate::throughput::{LogFitThroughput, ThroughputModel, ThroughputSpec};
+use crate::optimizer::{grid_point, GRID_POINTS};
+use crate::request::{DecisionParams, Platform};
+use crate::throughput::{ThroughputModel, ThroughputSpec};
 
 /// Bytes per megabyte (decimal, as the paper uses).
 pub const BYTES_PER_MB: f64 = 1e6;
 
-/// Why a view is outside the Eq. (2) domain ([`ScenarioView::check`]).
+/// Why a scenario is outside the Eq. (2) domain ([`Scenario::check`]).
 /// The serving layer answers each with a `bad-request`; the payloads are
 /// the offending values, in the units their messages name.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,11 +89,15 @@ impl std::fmt::Display for ParamError {
 
 impl std::error::Error for ParamError {}
 
-/// One decision instance: who, where, how much, how risky.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// Label for reports.
-    pub name: String,
+/// One Eq. (2) query: the numeric parameters by value, the throughput
+/// model `s(d)` by reference and the failure law by value (it is two
+/// floats), so a scenario is `Copy`. Sweeps hand it to the optimizer
+/// thousands of times: the `with_*` overrides replace one field of a
+/// copy and never clone a model, and a rate model built at run time
+/// (an empirical table, a contention-scaled fit) is owned by the
+/// caller and borrowed here.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario<'a> {
     /// Distance at which the link came up and data is ready, metres.
     pub d0_m: f64,
     /// Minimum allowed separation (collision safety), metres.
@@ -96,164 +107,24 @@ pub struct Scenario {
     /// Batch size to deliver, bytes.
     pub mdata_bytes: f64,
     /// Throughput-vs-distance model.
-    pub throughput: ThroughputSpec,
-    /// Failure / discount model.
-    pub failure: FailureSpec,
-}
-
-impl Scenario {
-    /// The paper's airplane baseline scenario (Section 4).
-    pub fn airplane_baseline() -> Self {
-        Scenario {
-            name: "airplane-baseline".into(),
-            d0_m: 300.0,
-            d_min_m: 20.0,
-            v_mps: 10.0,
-            mdata_bytes: 28.0 * BYTES_PER_MB,
-            throughput: ThroughputSpec::LogFit(LogFitThroughput::AIRPLANE),
-            failure: FailureSpec::Exponential(ExponentialFailure::new(1.11e-4)),
-        }
-    }
-
-    /// The paper's quadrocopter baseline scenario (Section 4).
-    pub fn quadrocopter_baseline() -> Self {
-        Scenario {
-            name: "quadrocopter-baseline".into(),
-            d0_m: 100.0,
-            d_min_m: 20.0,
-            v_mps: 4.5,
-            mdata_bytes: 56.2 * BYTES_PER_MB,
-            throughput: ThroughputSpec::LogFit(LogFitThroughput::QUADROCOPTER),
-            failure: FailureSpec::Exponential(ExponentialFailure::new(2.46e-4)),
-        }
-    }
-
-    /// Copy with a different failure rate ρ (Figure 8 sweeps this).
-    pub fn with_rho(mut self, rho_per_m: f64) -> Self {
-        self.failure = FailureSpec::Exponential(ExponentialFailure::new(rho_per_m));
-        self
-    }
-
-    /// Copy with a different batch size in MB (Figure 9 sweeps this).
-    // lint:allow-line(unit-safety): figure-sweep axis; MB is the paper's native grid unit
-    pub fn with_mdata_mb(mut self, mdata_mb: f64) -> Self {
-        assert!(mdata_mb > 0.0);
-        self.mdata_bytes = mdata_mb * BYTES_PER_MB;
-        self
-    }
-
-    /// Copy with a different cruise speed (Figure 9 sweeps this).
-    // lint:allow-line(unit-safety): figure-sweep axis; raw m/s is the sweep grid's native form
-    pub fn with_speed(mut self, v_mps: f64) -> Self {
-        assert!(v_mps > 0.0);
-        self.v_mps = v_mps;
-        self
-    }
-
-    /// Copy with a different initial separation.
-    // lint:allow-line(unit-safety): figure-sweep axis; raw metres is the sweep grid's native form
-    pub fn with_d0(mut self, d0_m: f64) -> Self {
-        assert!(d0_m >= self.d_min_m);
-        self.d0_m = d0_m;
-        self
-    }
-
-    /// Validate the constraint set of Eq. (2) (see [`ScenarioView::validate`]).
-    pub fn validate(&self) {
-        self.view().validate();
-    }
-
-    /// Solve Eq. (2) for this scenario (convenience wrapper around
-    /// [`optimize`]).
-    pub fn optimize(&self) -> OptimalTransfer {
-        optimize(self)
-    }
-
-    /// The encounter separation `d0` as a typed distance.
-    pub fn d0(&self) -> Meters {
-        Meters::new(self.d0_m)
-    }
-
-    /// The minimum separation `d_min` as a typed distance.
-    pub fn d_min(&self) -> Meters {
-        Meters::new(self.d_min_m)
-    }
-
-    /// The cruise speed `v` as a typed speed.
-    pub fn speed(&self) -> MetersPerSec {
-        MetersPerSec::new(self.v_mps)
-    }
-
-    /// The batch size `Mdata` as a typed data quantity.
-    pub fn mdata(&self) -> Bytes {
-        Bytes::new(self.mdata_bytes)
-    }
-
-    /// Fold every parameter that influences [`optimize`] into `h`: two
-    /// scenarios produce the same key exactly when Eq. (2) has the same
-    /// inputs (the `name` label is deliberately excluded). The bench
-    /// crate's campaign store uses this to memoize optimizer solutions
-    /// across experiments.
-    pub fn stable_key(&self, h: KeyHasher) -> KeyHasher {
-        let h = h
-            .f64(self.d0_m)
-            .f64(self.d_min_m)
-            .f64(self.v_mps)
-            .f64(self.mdata_bytes);
-        let h = match &self.throughput {
-            ThroughputSpec::LogFit(m) => h.str("log-fit").f64(m.a_mbps).f64(m.b_mbps),
-            ThroughputSpec::Empirical(m) => {
-                let mut h = h.str("empirical").u64(m.points().len() as u64);
-                for &(d, r) in m.points() {
-                    h = h.f64(d).f64(r);
-                }
-                h
-            }
-        };
-        match &self.failure {
-            FailureSpec::Exponential(m) => h.str("exponential").f64(m.rho_per_m),
-            FailureSpec::Weibull(m) => h.str("weibull").f64(m.scale_m).f64(m.shape).f64(m.flown_m),
-        }
-    }
-
-    /// A borrowed, `Copy` evaluation view of this scenario. All model
-    /// evaluation (utility, optimizer, sweeps) runs on views, so a
-    /// parameter sweep overrides one field per grid cell without cloning
-    /// the name string or an empirical throughput table.
-    pub fn view(&self) -> ScenarioView<'_> {
-        ScenarioView {
-            d0_m: self.d0_m,
-            d_min_m: self.d_min_m,
-            v_mps: self.v_mps,
-            mdata_bytes: self.mdata_bytes,
-            throughput: &self.throughput,
-            failure: self.failure,
-        }
-    }
-}
-
-/// A cheap (`Copy`) evaluation view of a [`Scenario`]: the numeric
-/// parameters by value, the throughput model by reference, the failure
-/// spec by value (it is two floats). This is what sweeps hand to the
-/// optimizer thousands of times — building one costs nothing, and the
-/// `with_*` overrides below replace a field without touching the base.
-#[derive(Debug, Clone, Copy)]
-pub struct ScenarioView<'a> {
-    /// Distance at which the link came up and data is ready, metres.
-    pub d0_m: f64,
-    /// Minimum allowed separation (collision safety), metres.
-    pub d_min_m: f64,
-    /// Cruise speed used for repositioning, m/s.
-    pub v_mps: f64,
-    /// Batch size to deliver, bytes.
-    pub mdata_bytes: f64,
-    /// Throughput-vs-distance model (borrowed from the base scenario).
     pub throughput: &'a ThroughputSpec,
     /// Failure / discount model.
     pub failure: FailureSpec,
 }
 
-impl<'a> ScenarioView<'a> {
+impl Scenario<'static> {
+    /// The paper's airplane baseline scenario (Section 4).
+    pub fn airplane_baseline() -> Self {
+        DecisionParams::baseline(Platform::Airplane).scenario()
+    }
+
+    /// The paper's quadrocopter baseline scenario (Section 4).
+    pub fn quadrocopter_baseline() -> Self {
+        DecisionParams::baseline(Platform::Quadrocopter).scenario()
+    }
+}
+
+impl Scenario<'_> {
     /// The encounter separation `d0` as a typed distance.
     pub fn d0(&self) -> Meters {
         Meters::new(self.d0_m)
@@ -305,8 +176,8 @@ impl<'a> ScenarioView<'a> {
     }
 
     /// The Eq. (2) domain, stated once: `Ok` exactly when
-    /// [`optimize_view`](crate::optimizer::optimize_view) can solve this
-    /// view. The fields are public, so a literal can bypass every
+    /// [`optimize`](crate::optimizer::optimize) can solve this
+    /// scenario. The fields are public, so a literal can bypass every
     /// constructor check; this catches it and names the field.
     ///
     /// It covers the constraint set (`0 < d_min ≤ d0`), finite `d0`, `v`
@@ -365,22 +236,18 @@ impl<'a> ScenarioView<'a> {
         ensure(end <= self.d0_m + 1e-9, ParamError::Grid(self.d0_m, end))
     }
 
-    /// Panic with [`check`](ScenarioView::check)'s message unless this
-    /// view is in the Eq. (2) domain.
+    /// Panic with [`check`](Scenario::check)'s message unless this
+    /// scenario is in the Eq. (2) domain.
     pub fn validate(&self) {
         self.check().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Solve Eq. (2) for this view.
-    pub fn optimize(&self) -> OptimalTransfer {
-        crate::optimizer::optimize_view(*self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::throughput::ThroughputModel;
+    use crate::optimizer::optimize;
+    use crate::throughput::LogFitThroughput;
 
     #[test]
     fn baselines_match_paper_parameters() {
@@ -389,11 +256,20 @@ mod tests {
         assert_eq!(a.v_mps, 10.0);
         assert_eq!(a.mdata_bytes, 28e6);
         assert_eq!(a.d_min_m, 20.0);
+        assert_eq!(
+            a.failure,
+            FailureSpec::Exponential(ExponentialFailure::new(1.11e-4))
+        );
 
         let q = Scenario::quadrocopter_baseline();
         assert_eq!(q.d0_m, 100.0);
         assert_eq!(q.v_mps, 4.5);
         assert_eq!(q.mdata_bytes, 56.2e6);
+        assert_eq!(q.d_min_m, 20.0);
+        assert_eq!(
+            q.failure,
+            FailureSpec::Exponential(ExponentialFailure::new(2.46e-4))
+        );
     }
 
     #[test]
@@ -421,6 +297,17 @@ mod tests {
     }
 
     #[test]
+    fn overrides_leave_the_base_untouched() {
+        let base = Scenario::airplane_baseline();
+        let copy = base; // Copy: no clone of the throughput model
+        let v = copy.with_rho(5e-3).with_speed(20.0).with_mdata_mb(7.0);
+        assert_eq!(base.v_mps, 10.0);
+        assert_eq!(v.v_mps, 20.0);
+        assert_eq!(v.mdata_bytes, 7e6);
+        assert!(std::ptr::eq(v.throughput, base.throughput));
+    }
+
+    #[test]
     fn validate_accepts_baselines() {
         Scenario::airplane_baseline().validate();
         Scenario::quadrocopter_baseline().validate();
@@ -441,7 +328,7 @@ mod tests {
         // falls with d and the optimizer's block bound would be unsound.
         let mut s = Scenario::airplane_baseline();
         s.failure = FailureSpec::Exponential(ExponentialFailure { rho_per_m: -1e-3 });
-        let _ = s.optimize();
+        let _ = optimize(s);
     }
 
     #[test]
@@ -449,7 +336,7 @@ mod tests {
     fn infinite_d0_is_rejected() {
         let mut s = Scenario::airplane_baseline();
         s.d0_m = f64::INFINITY;
-        let _ = s.view().optimize();
+        let _ = optimize(s);
     }
 
     #[test]
@@ -457,7 +344,7 @@ mod tests {
     fn infinite_speed_is_rejected() {
         let mut s = Scenario::airplane_baseline();
         s.v_mps = f64::INFINITY;
-        let _ = s.optimize();
+        let _ = optimize(s);
     }
 
     #[test]
@@ -465,7 +352,7 @@ mod tests {
     fn nan_mdata_is_rejected() {
         let mut s = Scenario::quadrocopter_baseline();
         s.mdata_bytes = f64::NAN;
-        let _ = s.optimize();
+        let _ = optimize(s);
     }
 
     #[test]
@@ -475,7 +362,7 @@ mod tests {
         s.failure = FailureSpec::Exponential(ExponentialFailure {
             rho_per_m: f64::INFINITY,
         });
-        let _ = s.optimize();
+        let _ = optimize(s);
     }
 
     #[test]
@@ -507,7 +394,7 @@ mod tests {
         ] {
             let mut s = Scenario::quadrocopter_baseline();
             s.failure = FailureSpec::Weibull(bad);
-            let err = std::panic::catch_unwind(|| s.optimize())
+            let err = std::panic::catch_unwind(|| optimize(s))
                 .expect_err("an out-of-range Weibull law must not solve");
             let msg = err.downcast_ref::<String>().expect("formatted message");
             assert!(msg.starts_with("invalid Weibull law"), "{bad:?}: {msg}");
@@ -517,12 +404,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "log-fit coefficients must be finite")]
     fn non_finite_log_fit_is_rejected() {
-        let mut s = Scenario::airplane_baseline();
-        s.throughput = ThroughputSpec::LogFit(LogFitThroughput {
+        let fit = ThroughputSpec::LogFit(LogFitThroughput {
             a_mbps: f64::NAN,
             b_mbps: 49.0,
         });
-        let _ = s.optimize();
+        let mut s = Scenario::airplane_baseline();
+        s.throughput = &fit;
+        let _ = optimize(s);
     }
 
     #[test]
@@ -537,7 +425,7 @@ mod tests {
             2.0,
             Meters::new(1.0),
         ));
-        let _ = s.optimize();
+        let _ = optimize(s);
     }
 
     #[test]
@@ -546,53 +434,13 @@ mod tests {
         // The fit overflows to s = ∞, so Ttx = 0. An ulp below d0, Tship
         // underflows to 0 and so does δ, and the golden-section steps
         // there would evaluate U = 0 / 0 = NaN.
-        let mut s = Scenario::airplane_baseline().with_rho(1e300);
-        (s.d_min_m, s.d0_m, s.v_mps) = (0.5, 1.0, f64::MAX);
-        s.throughput = ThroughputSpec::LogFit(LogFitThroughput {
+        let fit = ThroughputSpec::LogFit(LogFitThroughput {
             a_mbps: 0.0,
             b_mbps: 1e308,
         });
-        let _ = s.optimize();
-    }
-
-    #[test]
-    fn stable_key_ignores_name_but_sees_parameters() {
-        let k = |s: &Scenario| s.stable_key(KeyHasher::new("scenario")).finish();
-        let a = Scenario::airplane_baseline();
-        let mut renamed = a.clone();
-        renamed.name = "alias".into();
-        assert_eq!(k(&a), k(&renamed));
-        assert_ne!(k(&a), k(&a.clone().with_mdata_mb(5.0)));
-        assert_ne!(k(&a), k(&a.clone().with_rho(2e-4)));
-        assert_ne!(k(&a), k(&Scenario::quadrocopter_baseline()));
-    }
-
-    #[test]
-    fn view_is_copy_and_matches_owner() {
-        let s = Scenario::airplane_baseline();
-        let v = s.view();
-        let w = v; // Copy — no clone of the name or throughput table
-        assert_eq!(w.d0_m, s.d0_m);
-        assert_eq!(w.mdata_bytes, s.mdata_bytes);
-        assert_eq!(
-            w.throughput.rate_bps(Meters::new(40.0)),
-            s.throughput.rate_bps(Meters::new(40.0))
-        );
-    }
-
-    #[test]
-    fn view_overrides_do_not_touch_base() {
-        let s = Scenario::airplane_baseline();
-        let v = s.view().with_rho(5e-3).with_speed(20.0).with_mdata_mb(7.0);
-        assert_eq!(s.v_mps, 10.0);
-        assert_eq!(v.v_mps, 20.0);
-        assert_eq!(v.mdata_bytes, 7e6);
-        match v.failure {
-            FailureSpec::Exponential(e) => assert_eq!(e.rho_per_m, 5e-3),
-            _ => panic!("expected exponential"),
-        }
-        // The builder path and the view path describe the same scenario.
-        let owned = s.clone().with_rho(5e-3).with_speed(20.0).with_mdata_mb(7.0);
-        assert_eq!(crate::optimizer::optimize(&owned), v.optimize());
+        let mut s = Scenario::airplane_baseline().with_rho(1e300);
+        (s.d_min_m, s.d0_m, s.v_mps) = (0.5, 1.0, f64::MAX);
+        s.throughput = &fit;
+        let _ = optimize(s);
     }
 }

@@ -121,7 +121,11 @@ impl StrategyEvaluation {
 }
 
 /// Evaluate `strategy` on `scenario`.
-pub fn evaluate(scenario: &Scenario, strategy: Strategy, cfg: &EvalConfig) -> StrategyEvaluation {
+pub fn evaluate(
+    scenario: Scenario<'_>,
+    strategy: Strategy,
+    cfg: &EvalConfig,
+) -> StrategyEvaluation {
     scenario.validate();
     match strategy {
         Strategy::TransmitNow => eval_hover(scenario, strategy, scenario.d0_m),
@@ -136,7 +140,7 @@ pub fn evaluate(scenario: &Scenario, strategy: Strategy, cfg: &EvalConfig) -> St
 
 /// Evaluate every Figure 1 strategy variant at the given hover distances.
 pub fn evaluate_panel(
-    scenario: &Scenario,
+    scenario: Scenario<'_>,
     hover_distances_m: &[f64],
     cfg: &EvalConfig,
 ) -> Vec<StrategyEvaluation> {
@@ -155,7 +159,7 @@ pub fn evaluate_panel(
     out
 }
 
-fn eval_hover(scenario: &Scenario, strategy: Strategy, d_m: f64) -> StrategyEvaluation {
+fn eval_hover(scenario: Scenario<'_>, strategy: Strategy, d_m: f64) -> StrategyEvaluation {
     let delay = CommunicationDelay::at(scenario, Meters::new(d_m));
     let survival = scenario.failure.survival(scenario.d0_m, d_m);
     let completion = delay.total_s();
@@ -175,7 +179,7 @@ fn eval_hover(scenario: &Scenario, strategy: Strategy, d_m: f64) -> StrategyEval
     }
 }
 
-fn eval_moving(scenario: &Scenario, cfg: &EvalConfig) -> StrategyEvaluation {
+fn eval_moving(scenario: Scenario<'_>, cfg: &EvalConfig) -> StrategyEvaluation {
     assert!(cfg.moving_rate_penalty > 0.0 && cfg.moving_rate_penalty <= 1.0);
     assert!(cfg.integration_dt_s > 0.0);
     let mut t = 0.0;
@@ -260,7 +264,7 @@ mod tests {
         e.curve.last().expect("non-empty").1
     }
 
-    fn quad() -> Scenario {
+    fn quad() -> Scenario<'static> {
         // The Figure 1 setting: quadrocopters, 20 MB, encounter at 80 m.
         let mut s = Scenario::quadrocopter_baseline();
         s.d0_m = 80.0;
@@ -270,7 +274,7 @@ mod tests {
 
     #[test]
     fn transmit_now_has_immediate_rampup() {
-        let e = evaluate(&quad(), Strategy::TransmitNow, &EvalConfig::default());
+        let e = evaluate(quad(), Strategy::TransmitNow, &EvalConfig::default());
         assert!(delivered_at(&e, Seconds::ZERO) == 0.0);
         assert!(
             delivered_at(&e, Seconds::new(1.0)) > 0.0,
@@ -282,7 +286,7 @@ mod tests {
     #[test]
     fn move_then_transmit_is_silent_while_shipping() {
         let e = evaluate(
-            &quad(),
+            quad(),
             Strategy::MoveThenTransmit { d_m: 60.0 },
             &EvalConfig::default(),
         );
@@ -298,8 +302,8 @@ mod tests {
         // larger than ≈ 15 MB".
         let s = quad();
         let cfg = EvalConfig::default();
-        let now = evaluate(&s, Strategy::TransmitNow, &cfg);
-        let later = evaluate(&s, Strategy::MoveThenTransmit { d_m: 60.0 }, &cfg);
+        let now = evaluate(s, Strategy::TransmitNow, &cfg);
+        let later = evaluate(s, Strategy::MoveThenTransmit { d_m: 60.0 }, &cfg);
         // Small batches favour transmitting now…
         let small = 5e6;
         assert!(
@@ -337,8 +341,8 @@ mod tests {
         // hover strategies for the 20 MB batch.
         let s = quad();
         let cfg = EvalConfig::default();
-        let moving = evaluate(&s, Strategy::MoveAndTransmit, &cfg);
-        let d60 = evaluate(&s, Strategy::MoveThenTransmit { d_m: 60.0 }, &cfg);
+        let moving = evaluate(s, Strategy::MoveAndTransmit, &cfg);
+        let d60 = evaluate(s, Strategy::MoveThenTransmit { d_m: 60.0 }, &cfg);
         assert!(moving.completion_s > d60.completion_s);
     }
 
@@ -346,9 +350,9 @@ mod tests {
     fn optimal_strategy_maximises_utility_over_panel() {
         let s = quad();
         let cfg = EvalConfig::default();
-        let best = evaluate(&s, Strategy::Optimal, &cfg);
+        let best = evaluate(s, Strategy::Optimal, &cfg);
         for d in [20.0, 40.0, 60.0, 80.0] {
-            let e = evaluate(&s, Strategy::MoveThenTransmit { d_m: d }, &cfg);
+            let e = evaluate(s, Strategy::MoveThenTransmit { d_m: d }, &cfg);
             assert!(
                 best.utility >= e.utility - 1e-12,
                 "panel d={d} beats optimal"
@@ -359,7 +363,7 @@ mod tests {
     #[test]
     fn panel_contains_all_requested_strategies() {
         let s = quad();
-        let panel = evaluate_panel(&s, &[20.0, 40.0, 60.0, 80.0], &EvalConfig::default());
+        let panel = evaluate_panel(s, &[20.0, 40.0, 60.0, 80.0], &EvalConfig::default());
         assert_eq!(panel.len(), 5);
         assert_eq!(panel[3].strategy, Strategy::TransmitNow);
         assert_eq!(panel[4].strategy, Strategy::MoveAndTransmit);
@@ -368,7 +372,7 @@ mod tests {
     #[test]
     fn curves_are_monotone() {
         let s = quad();
-        for e in evaluate_panel(&s, &[20.0, 60.0, 80.0], &EvalConfig::default()) {
+        for e in evaluate_panel(s, &[20.0, 60.0, 80.0], &EvalConfig::default()) {
             for w in e.curve.windows(2) {
                 assert!(w[1].0 >= w[0].0, "{}: time goes backward", e.label);
                 assert!(w[1].1 >= w[0].1, "{}: bytes go backward", e.label);
@@ -381,8 +385,8 @@ mod tests {
     fn survival_accounts_for_distance_flown() {
         let s = quad();
         let cfg = EvalConfig::default();
-        let now = evaluate(&s, Strategy::TransmitNow, &cfg);
-        let far = evaluate(&s, Strategy::MoveThenTransmit { d_m: 20.0 }, &cfg);
+        let now = evaluate(s, Strategy::TransmitNow, &cfg);
+        let far = evaluate(s, Strategy::MoveThenTransmit { d_m: 20.0 }, &cfg);
         assert_eq!(now.survival, 1.0);
         assert!(far.survival < 1.0);
     }
@@ -391,7 +395,7 @@ mod tests {
     fn time_to_deliver_inverse_of_delivered_at() {
         let s = quad();
         let e = evaluate(
-            &s,
+            s,
             Strategy::MoveThenTransmit { d_m: 40.0 },
             &EvalConfig::default(),
         );

@@ -8,7 +8,7 @@
 //! [`rho_sweep`]: crate::sweep::rho_sweep
 //! [`gratification_sweep`]: crate::sweep::gratification_sweep
 
-use crate::optimizer::{optimize_view, utility_curve_view, OptimalTransfer};
+use crate::optimizer::{optimize, utility_curve, OptimalTransfer};
 use crate::scenario::Scenario;
 use skyferry_sim::parallel::{par_map, par_map_grid};
 
@@ -25,19 +25,17 @@ pub struct RhoCurve {
 
 /// Evaluate Figure 8 for a baseline scenario and a set of failure rates.
 ///
-/// Each ρ is an independent task: the base scenario is borrowed once as a
-/// [`ScenarioView`](crate::scenario::ScenarioView) and every cell is a
-/// `Copy` of that view with one field overridden — no `Scenario` clone,
-/// no allocation per cell. Runs on the deterministic thread pool
+/// Each ρ is an independent task: every cell is a copy of the base
+/// scenario with one field overridden, so no cell clones a throughput
+/// model or allocates. Runs on the deterministic thread pool
 /// ([`par_map`]); output is identical at any thread count.
-pub fn rho_sweep(base: &Scenario, rhos: &[f64], curve_points: usize) -> Vec<RhoCurve> {
-    let base = base.view();
+pub fn rho_sweep(base: Scenario<'_>, rhos: &[f64], curve_points: usize) -> Vec<RhoCurve> {
     par_map(rhos, |&rho| {
         let s = base.with_rho(rho);
         RhoCurve {
             rho_per_m: rho,
-            curve: utility_curve_view(s, curve_points),
-            optimum: optimize_view(s),
+            curve: utility_curve(s, curve_points),
+            optimum: optimize(s),
         }
     })
 }
@@ -57,29 +55,42 @@ pub struct GratificationPoint {
 ///
 /// The full `|Mdata| × |v|` grid is flattened into one task pool
 /// ([`par_map_grid`]) so load balances across cells, and each cell is a
-/// field override on a borrowed view rather than a `Scenario` clone.
+/// two-field override on a copy of the base scenario.
 pub fn gratification_sweep(
-    base: &Scenario,
+    base: Scenario<'_>,
     mdata_mb: &[f64],
     speeds_mps: &[f64],
 ) -> Vec<Vec<GratificationPoint>> {
-    let base = base.view();
     par_map_grid(mdata_mb, speeds_mps, |&m, &v| {
         let s = base.with_mdata_mb(m).with_speed(v);
         GratificationPoint {
             mdata_mb: m,
             v_mps: v,
-            optimum: optimize_view(s),
+            optimum: optimize(s),
         }
     })
 }
 
 /// The paper's Figure 8 rate lists.
 pub mod paper_rhos {
-    /// Airplane panel: baseline 1.11e-4 plus the four stress values.
-    pub const AIRPLANE: [f64; 5] = [1.11e-4, 1e-3, 2e-3, 5e-3, 1e-2];
-    /// Quadrocopter panel: baseline 2.46e-4 plus the four stress values.
-    pub const QUADROCOPTER: [f64; 5] = [2.46e-4, 1e-3, 2e-3, 5e-3, 1e-2];
+    use crate::request::{DecisionParams, Platform};
+
+    /// Airplane panel: the baseline ρ plus the four stress values.
+    pub const AIRPLANE: [f64; 5] = [
+        DecisionParams::baseline(Platform::Airplane).rho_per_m,
+        1e-3,
+        2e-3,
+        5e-3,
+        1e-2,
+    ];
+    /// Quadrocopter panel: the baseline ρ plus the four stress values.
+    pub const QUADROCOPTER: [f64; 5] = [
+        DecisionParams::baseline(Platform::Quadrocopter).rho_per_m,
+        1e-3,
+        2e-3,
+        5e-3,
+        1e-2,
+    ];
 }
 
 /// The paper's Figure 9 grids.
@@ -96,7 +107,7 @@ mod tests {
 
     #[test]
     fn rho_sweep_shapes() {
-        let out = rho_sweep(&Scenario::airplane_baseline(), &paper_rhos::AIRPLANE, 101);
+        let out = rho_sweep(Scenario::airplane_baseline(), &paper_rhos::AIRPLANE, 101);
         assert_eq!(out.len(), 5);
         for c in &out {
             assert_eq!(c.curve.len(), 101);
@@ -105,21 +116,15 @@ mod tests {
 
     #[test]
     fn figure8_dopt_monotone_in_rho() {
-        for base in [
-            Scenario::airplane_baseline(),
-            Scenario::quadrocopter_baseline(),
+        for (base, rhos) in [
+            (Scenario::airplane_baseline(), paper_rhos::AIRPLANE),
+            (Scenario::quadrocopter_baseline(), paper_rhos::QUADROCOPTER),
         ] {
-            let rhos = if base.name.starts_with("airplane") {
-                paper_rhos::AIRPLANE
-            } else {
-                paper_rhos::QUADROCOPTER
-            };
-            let out = rho_sweep(&base, &rhos, 64);
+            let out = rho_sweep(base, &rhos, 64);
             for w in out.windows(2) {
                 assert!(
                     w[1].optimum.d_opt >= w[0].optimum.d_opt - 1e-6,
-                    "{}: dopt not monotone",
-                    base.name
+                    "{base:?}: dopt not monotone"
                 );
             }
         }
@@ -130,7 +135,7 @@ mod tests {
         // At the baseline ρ the big batches pull the optimum onto the
         // 20 m constraint; at the stress ρ values the discount pushes it
         // visibly outwards (the moving "Maximum" markers of Figure 8).
-        let air = rho_sweep(&Scenario::airplane_baseline(), &paper_rhos::AIRPLANE, 64);
+        let air = rho_sweep(Scenario::airplane_baseline(), &paper_rhos::AIRPLANE, 64);
         assert!((air[0].optimum.d_opt - 20.0).abs() < 0.5);
         assert!(
             air.last().unwrap().optimum.d_opt > air[0].optimum.d_opt + 20.0,
@@ -138,7 +143,7 @@ mod tests {
             air.last().unwrap().optimum.d_opt
         );
         let quad = rho_sweep(
-            &Scenario::quadrocopter_baseline(),
+            Scenario::quadrocopter_baseline(),
             &paper_rhos::QUADROCOPTER,
             64,
         );
@@ -149,7 +154,7 @@ mod tests {
     #[test]
     fn figure9_grid_dimensions() {
         let out = gratification_sweep(
-            &Scenario::airplane_baseline(),
+            Scenario::airplane_baseline(),
             &paper_grid::MDATA_MB,
             &paper_grid::SPEEDS_MPS,
         );
@@ -160,7 +165,7 @@ mod tests {
     #[test]
     fn figure9_larger_mdata_smaller_dopt_lower_utility() {
         let out = gratification_sweep(
-            &Scenario::airplane_baseline(),
+            Scenario::airplane_baseline(),
             &paper_grid::MDATA_MB,
             &[10.0],
         );
@@ -174,7 +179,7 @@ mod tests {
     #[test]
     fn figure9_speed_moves_dopt_closer_per_mdata() {
         let out = gratification_sweep(
-            &Scenario::airplane_baseline(),
+            Scenario::airplane_baseline(),
             &[15.0],
             &paper_grid::SPEEDS_MPS,
         );
@@ -195,7 +200,7 @@ mod tests {
         // increase the gratification" — for 45 MB at high speed the
         // optimum pins at d_min and U grows with v (shipping gets
         // cheaper).
-        let out = gratification_sweep(&Scenario::airplane_baseline(), &[45.0], &[15.0, 20.0]);
+        let out = gratification_sweep(Scenario::airplane_baseline(), &[45.0], &[15.0, 20.0]);
         let row = &out[0];
         assert!((row[0].optimum.d_opt - 20.0).abs() < 1.0, "pinned at dmin");
         assert!((row[1].optimum.d_opt - 20.0).abs() < 1.0);

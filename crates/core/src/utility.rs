@@ -10,7 +10,7 @@
 //! use skyferry_units::Seconds;
 //! let s = Scenario::quadrocopter_baseline();
 //! // Seconds where Meters belong: rejected at compile time.
-//! let _ = utility(&s, Seconds::new(50.0));
+//! let _ = utility(s, Seconds::new(50.0));
 //! ```
 //!
 //! [`Meters`]: skyferry_units::Meters
@@ -19,7 +19,7 @@ use skyferry_units::{BitsPerSec, Meters, Seconds};
 
 use crate::delay::CommunicationDelay;
 use crate::failure::FailureModel;
-use crate::scenario::{Scenario, ScenarioView};
+use crate::scenario::Scenario;
 use crate::throughput::ThroughputModel;
 
 /// Evaluate `U(d)` for a scenario at candidate distance `d`.
@@ -30,7 +30,7 @@ use crate::throughput::ThroughputModel;
 /// never flies and the value would be meaningless. Out-of-range inputs
 /// are a caller bug: they are caught by a `debug_assert!` here and, in
 /// all build profiles, by the hard domain assert inside
-/// [`CommunicationDelay::at_view`] — the function never silently returns
+/// [`CommunicationDelay::at`] — the function never silently returns
 /// a value for an infeasible distance.
 ///
 /// ```
@@ -39,17 +39,9 @@ use crate::throughput::ThroughputModel;
 /// use skyferry_units::Meters;
 /// let s = Scenario::quadrocopter_baseline();
 /// // Waiting to transmit at 50 m beats transmitting at the range edge.
-/// assert!(utility(&s, Meters::new(50.0)) > utility(&s, Meters::new(99.0)));
+/// assert!(utility(s, Meters::new(50.0)) > utility(s, Meters::new(99.0)));
 /// ```
-pub fn utility(scenario: &Scenario, d: Meters) -> f64 {
-    utility_view(scenario.view(), d)
-}
-
-/// [`utility`] on a borrowed [`ScenarioView`] — the allocation-free form
-/// the optimizer and sweeps evaluate thousands of times per cell.
-///
-/// The domain contract of [`utility`] applies unchanged.
-pub fn utility_view(scenario: ScenarioView<'_>, d: Meters) -> f64 {
+pub fn utility(scenario: Scenario<'_>, d: Meters) -> f64 {
     debug_assert!(
         d.get() >= scenario.d_min_m - 1e-9 && d.get() <= scenario.d0_m + 1e-9,
         "utility evaluated outside the Eq. (2) domain: d={} not in [{}, {}]",
@@ -61,9 +53,9 @@ pub fn utility_view(scenario: ScenarioView<'_>, d: Meters) -> f64 {
 }
 
 /// Eq. (1)'s factors at one candidate distance: the one evaluation that
-/// [`utility_view`], [`utility_breakdown_view`] and the block bounds all
-/// read. The optimizer's scan evaluates each grid point it visits once,
-/// into this, and bounds a block from the points at its two ends.
+/// [`utility`], [`utility_breakdown`] and the block bounds all read. The
+/// optimizer's scan evaluates each grid point it visits once, into this,
+/// and bounds a block from the points at its two ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilityPoint {
     /// The candidate distance `d`, `Tship(d)` and `Ttx(d)`.
@@ -76,8 +68,13 @@ pub struct UtilityPoint {
 
 impl UtilityPoint {
     /// Evaluate the factors at `d`, under the hard domain assert of
-    /// [`CommunicationDelay::at_view`].
-    pub fn at(scenario: ScenarioView<'_>, d: Meters) -> Self {
+    /// [`CommunicationDelay::at`].
+    // `optimize` evaluates a point per visited grid point and bounds a
+    // block per pair: `#[inline]` keeps both calls inlined whichever
+    // codegen unit `optimize` lands in (out of line, a solve ran ~1.4×
+    // slower).
+    #[inline]
+    pub fn at(scenario: Scenario<'_>, d: Meters) -> Self {
         let rate = scenario.throughput.rate_bps(d);
         UtilityPoint {
             delay: CommunicationDelay::at_rate(scenario, d, rate),
@@ -102,10 +99,11 @@ impl UtilityPoint {
     /// `1 + 1e-9` slack factor, the bound of an interval whose peak rate
     /// is `s(hi)` is bit-equal to `U(hi)`.
     ///
-    /// Sound under the preconditions [`ScenarioView::check`] states (ρ ≥ 0
+    /// Sound under the preconditions [`Scenario::check`] states (ρ ≥ 0
     /// or a Weibull law with positive scale and shape, `v > 0`, finite
     /// parameters), for points of the same scenario.
-    pub fn bound_to(&self, scenario: ScenarioView<'_>, hi: &UtilityPoint) -> f64 {
+    #[inline] // see `at`
+    pub fn bound_to(&self, scenario: Scenario<'_>, hi: &UtilityPoint) -> f64 {
         debug_assert!(
             self.delay.d <= hi.delay.d,
             "block bound needs d1 ≤ d2: {} > {}",
@@ -127,10 +125,10 @@ impl UtilityPoint {
 const BOUND_SLACK: f64 = 1e-9;
 
 /// [`UtilityPoint::bound_to`] between the points at `d1 ≤ d2`: an upper
-/// bound on [`utility_view`] over every `d ∈ [d1, d2]`. The domain
+/// bound on [`utility`] over every `d ∈ [d1, d2]`. The domain
 /// contract of [`utility`] applies to both ends.
 // lint:allow-line(test-only-pub): the distance-form reference of tests/model_properties.rs::block_bound_is_sound_on_random_blocks
-pub fn utility_bound_view(scenario: ScenarioView<'_>, d1: Meters, d2: Meters) -> f64 {
+pub fn utility_bound(scenario: Scenario<'_>, d1: Meters, d2: Meters) -> f64 {
     UtilityPoint::at(scenario, d1).bound_to(scenario, &UtilityPoint::at(scenario, d2))
 }
 
@@ -150,18 +148,13 @@ pub fn utility_bound_view(scenario: ScenarioView<'_>, d1: Meters, d2: Meters) ->
 /// *actual* flight time, so a crabbed or wind-assisted path is valued
 /// on its own geometry. With a straight zero-wind prefix — `flown`
 /// computed as `0.0 + (d0 − d)` and `elapsed` as `0.0 + (d0 − d)/v` —
-/// every intermediate float is bit-identical to [`utility_view`]
+/// every intermediate float is bit-identical to [`utility`]
 /// (`0.0 + x == x` and `x − 0.0 == x` hold exactly in IEEE-754), which
 /// is the degenerate-equivalence guarantee the traj tests pin.
 ///
 /// The domain contract of [`utility`] applies to `d`; `flown` and
 /// `elapsed` must be non-negative.
-pub fn path_utility_view(
-    scenario: ScenarioView<'_>,
-    flown: Meters,
-    elapsed: Seconds,
-    d: Meters,
-) -> f64 {
+pub fn path_utility(scenario: Scenario<'_>, flown: Meters, elapsed: Seconds, d: Meters) -> f64 {
     debug_assert!(
         flown.get() >= 0.0 && elapsed.get() >= 0.0,
         "path prefix must be non-negative: flown={} elapsed={}",
@@ -199,13 +192,8 @@ pub struct UtilityBreakdown {
 ///
 /// The domain contract of [`utility`] applies unchanged: `d` must lie in
 /// `[d_min, d0]`, enforced by `debug_assert!` here and by the hard
-/// assert in [`CommunicationDelay::at_view`].
-pub fn utility_breakdown(scenario: &Scenario, d: Meters) -> UtilityBreakdown {
-    utility_breakdown_view(scenario.view(), d)
-}
-
-/// [`utility_breakdown`] on a borrowed [`ScenarioView`].
-pub fn utility_breakdown_view(scenario: ScenarioView<'_>, d: Meters) -> UtilityBreakdown {
+/// assert in [`CommunicationDelay::at`].
+pub fn utility_breakdown(scenario: Scenario<'_>, d: Meters) -> UtilityBreakdown {
     debug_assert!(
         d.get() >= scenario.d_min_m - 1e-9 && d.get() <= scenario.d0_m + 1e-9,
         "utility_breakdown evaluated outside the Eq. (2) domain: d={} not in [{}, {}]",
@@ -229,7 +217,6 @@ pub fn utility_breakdown_view(scenario: ScenarioView<'_>, d: Meters) -> UtilityB
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
 
     fn m(v: f64) -> Meters {
         Meters::new(v)
@@ -240,7 +227,7 @@ mod tests {
         let s = Scenario::airplane_baseline();
         for i in 0..50 {
             let d = 20.0 + i as f64 * (300.0 - 20.0) / 49.0;
-            let u = utility(&s, m(d));
+            let u = utility(s, m(d));
             assert!(u > 0.0 && u.is_finite());
             // δ ≤ 1 so U ≤ u = 1/Cdelay ≤ 1/Ttx(d0-free case); loose
             // upper bound: transmission alone takes > 4.5 s here.
@@ -251,28 +238,26 @@ mod tests {
     #[test]
     fn breakdown_consistent() {
         let s = Scenario::quadrocopter_baseline();
-        let b = utility_breakdown(&s, m(60.0));
+        let b = utility_breakdown(s, m(60.0));
         assert!((b.utility - b.survival * b.instantaneous).abs() < 1e-15);
         assert!((b.instantaneous - 1.0 / b.delay.total_s()).abs() < 1e-15);
         assert_eq!(b.d, m(60.0));
-        assert!((b.utility - utility(&s, m(60.0))).abs() < 1e-15);
+        assert!((b.utility - utility(s, m(60.0))).abs() < 1e-15);
     }
 
     #[test]
     fn point_bound_is_the_slacked_utility_bitwise() {
         // On a one-point block the bound takes the same float path as
-        // `utility_view`, so only the slack separates them.
+        // `utility`, so only the slack separates them.
         for s in [
             Scenario::airplane_baseline(),
             Scenario::quadrocopter_baseline().with_rho(0.5),
         ] {
-            let v = s.view();
-            for d in [v.d_min_m, 33.3, v.d0_m] {
+            for d in [s.d_min_m, 33.3, s.d0_m] {
                 assert_eq!(
-                    utility_bound_view(v, m(d), m(d)).to_bits(),
-                    (utility_view(v, m(d)) * (1.0 + BOUND_SLACK)).to_bits(),
-                    "{} at {d}",
-                    s.name
+                    utility_bound(s, m(d), m(d)).to_bits(),
+                    (utility(s, m(d)) * (1.0 + BOUND_SLACK)).to_bits(),
+                    "{s:?} at {d}"
                 );
             }
         }
@@ -283,20 +268,22 @@ mod tests {
         // The rate peaks at the 50 m knot, inside [40, 60]: a bound built
         // from the block's end rates alone would undercut U(50).
         use crate::throughput::{EmpiricalThroughput, ThroughputSpec};
-        let mut s = Scenario::quadrocopter_baseline().with_rho(0.0);
-        s.throughput = ThroughputSpec::Empirical(EmpiricalThroughput::new(vec![
+        let peaked = ThroughputSpec::Empirical(EmpiricalThroughput::new(vec![
             (20.0, 5e6),
             (50.0, 40e6),
             (100.0, 5e6),
         ]));
-        let v = s.view();
-        assert!(utility_bound_view(v, m(40.0), m(60.0)) >= utility_view(v, m(50.0)));
+        let s = Scenario {
+            throughput: &peaked,
+            ..Scenario::quadrocopter_baseline().with_rho(0.0)
+        };
+        assert!(utility_bound(s, m(40.0), m(60.0)) >= utility(s, m(50.0)));
     }
 
     #[test]
     fn zero_rho_reduces_to_pure_delay_minimisation() {
         let s = Scenario::airplane_baseline().with_rho(0.0);
-        let b = utility_breakdown(&s, m(150.0));
+        let b = utility_breakdown(s, m(150.0));
         assert_eq!(b.survival, 1.0);
         assert!((b.utility - b.instantaneous).abs() < 1e-15);
     }
@@ -306,7 +293,7 @@ mod tests {
         // With a huge failure rate, moving at all is bad: U(d0) must beat
         // any significant repositioning.
         let s = Scenario::quadrocopter_baseline().with_rho(0.05);
-        assert!(utility(&s, s.d0()) > utility(&s, m(40.0)));
+        assert!(utility(s, s.d0()) > utility(s, m(40.0)));
     }
 
     #[test]
@@ -318,19 +305,13 @@ mod tests {
             Scenario::airplane_baseline(),
             Scenario::quadrocopter_baseline().with_mdata_mb(10.0),
         ] {
-            let v = s.view();
             for i in 0..200 {
-                let d = v.d_min_m + (v.d0_m - v.d_min_m) * i as f64 / 199.0;
-                let travel = Meters::new(0.0 + (v.d0_m - d));
-                let elapsed = Seconds::new(0.0) + travel / v.speed();
+                let d = s.d_min_m + (s.d0_m - s.d_min_m) * i as f64 / 199.0;
+                let travel = Meters::new(0.0 + (s.d0_m - d));
+                let elapsed = Seconds::new(0.0) + travel / s.speed();
                 let flown = Meters::new(0.0) + travel;
-                let path = path_utility_view(v, flown, elapsed, m(d));
-                assert_eq!(
-                    path.to_bits(),
-                    utility_view(v, m(d)).to_bits(),
-                    "{} at d={d}",
-                    s.name
-                );
+                let path = path_utility(s, flown, elapsed, m(d));
+                assert_eq!(path.to_bits(), utility(s, m(d)).to_bits(), "{s:?} at d={d}");
             }
         }
     }
@@ -340,20 +321,19 @@ mod tests {
         // Same transmit distance, longer flown path and elapsed time:
         // both the hazard discount and the delay must penalise it.
         let s = Scenario::quadrocopter_baseline().with_mdata_mb(10.0);
-        let v = s.view();
         let d = m(60.0);
-        let direct = path_utility_view(v, m(40.0), Seconds::new(40.0 / v.v_mps), d);
-        let detour = path_utility_view(v, m(90.0), Seconds::new(90.0 / v.v_mps), d);
+        let direct = path_utility(s, m(40.0), Seconds::new(40.0 / s.v_mps), d);
+        let detour = path_utility(s, m(90.0), Seconds::new(90.0 / s.v_mps), d);
         assert!(detour < direct);
         // A faster path of the same length (tailwind) is worth more.
-        let assisted = path_utility_view(v, m(40.0), Seconds::new(25.0 / v.v_mps), d);
+        let assisted = path_utility(s, m(40.0), Seconds::new(25.0 / s.v_mps), d);
         assert!(assisted > direct);
     }
 
     #[test]
     fn doctest_scenario_holds() {
         let s = Scenario::quadrocopter_baseline();
-        assert!(utility(&s, m(50.0)) > utility(&s, m(99.0)));
+        assert!(utility(s, m(50.0)) > utility(s, m(99.0)));
     }
 
     #[test]
@@ -362,13 +342,13 @@ mod tests {
         // Out-of-range candidates are a caller bug: debug_assert here,
         // hard assert in the delay layer — never a silent bogus value.
         let s = Scenario::quadrocopter_baseline();
-        let _ = utility(&s, m(5.0));
+        let _ = utility(s, m(5.0));
     }
 
     #[test]
     #[should_panic]
     fn out_of_domain_panics_beyond_d0() {
         let s = Scenario::quadrocopter_baseline();
-        let _ = utility_breakdown(&s, m(150.0));
+        let _ = utility_breakdown(s, m(150.0));
     }
 }

@@ -89,7 +89,7 @@ impl FleetConfig {
     }
 
     /// The single-UAV scenario template this fleet contends over.
-    pub fn base_scenario(&self) -> Scenario {
+    pub fn base_scenario(&self) -> Scenario<'static> {
         let s = match self.platform {
             PlatformKind::Airplane => Scenario::airplane_baseline(),
             PlatformKind::Quadrocopter => Scenario::quadrocopter_baseline(),
@@ -154,7 +154,7 @@ impl FleetOutcome {
         let now = self
             .decisions
             .iter()
-            .filter(|d| (d.d0_m - d.transfer.d_opt).abs() < 1e-3)
+            .filter(|d| d.transfer.transmit_now(Meters::new(d.d0_m)))
             .count();
         now as f64 / self.decisions.len().max(1) as f64
     }
@@ -211,7 +211,7 @@ impl FleetCampaign {
         let medium = cfg.medium.access();
         let assignment: Assignment = plan(
             cfg.planner,
-            &base,
+            base,
             &uavs,
             &stations,
             medium,

@@ -37,6 +37,7 @@
 
 use skyferry_core::failure::{ExponentialFailure, FailureSpec};
 use skyferry_core::scenario::Scenario;
+use skyferry_core::throughput::ThroughputSpec;
 use skyferry_units::Seconds;
 
 /// A medium-access discipline for K contenders on one ground station.
@@ -160,14 +161,19 @@ impl MediumAccess for UdMac {
 /// medium: throughput discounted by slot share, and the slot-retention
 /// hazard folded into the exponential failure law as `ρ' = ρ + λ/v`.
 ///
-/// The returned scenario is solved by the unmodified Eq. (2) optimizer,
-/// so every figure, golden CSV, policy table and serving path composes
-/// with contention for free.
+/// The result owns the scaled rate model, and its
+/// [`scenario`](Contended::scenario) borrows it: that scenario is solved
+/// by the unmodified Eq. (2) optimizer, so every figure, golden CSV,
+/// policy table and serving path composes with contention for free.
 ///
 /// # Panics
 /// Panics if the scenario does not carry the paper's exponential
 /// failure law (the hazard composition is exponential-specific).
-pub fn contended(base: &Scenario, medium: &dyn MediumAccess, contenders: usize) -> Scenario {
+pub fn contended<'a>(
+    base: Scenario<'a>,
+    medium: &dyn MediumAccess,
+    contenders: usize,
+) -> Contended<'a> {
     let share = medium.slot_share(contenders);
     let hazard = medium.retention_hazard_per_s(contenders);
     let rho = match base.failure {
@@ -176,16 +182,39 @@ pub fn contended(base: &Scenario, medium: &dyn MediumAccess, contenders: usize) 
             panic!("shared-medium contention composes with the exponential failure law only")
         }
     };
-    let mut s = base.clone();
-    s.name = format!("{}+{}x{}", base.name, medium.name(), contenders);
-    s.throughput = base.throughput.scaled(share);
-    s.failure = FailureSpec::Exponential(ExponentialFailure::new(rho + hazard / base.v_mps));
-    s
+    Contended {
+        base: Scenario {
+            failure: FailureSpec::Exponential(ExponentialFailure::new(rho + hazard / base.v_mps)),
+            ..base
+        },
+        throughput: base.throughput.scaled(share),
+    }
+}
+
+/// What [`contended`] returns: the contended scenario, and the rate
+/// model it borrows.
+#[derive(Debug, Clone)]
+pub struct Contended<'a> {
+    /// The base scenario with the contended failure law.
+    base: Scenario<'a>,
+    /// The base rate model scaled by the slot share.
+    throughput: ThroughputSpec,
+}
+
+impl Contended<'_> {
+    /// The contended Eq. (2) query.
+    pub fn scenario(&self) -> Scenario<'_> {
+        Scenario {
+            throughput: &self.throughput,
+            ..self.base
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyferry_core::optimizer::optimize;
     use skyferry_core::throughput::ThroughputModel;
     use skyferry_units::Meters;
 
@@ -198,8 +227,8 @@ mod tests {
         ] {
             assert_eq!(medium.slot_share(1), 1.0);
             assert_eq!(medium.retention_hazard_per_s(1), 0.0);
-            let c = contended(&base, medium, 1);
-            assert_eq!(c.optimize(), base.optimize());
+            let c = contended(base, medium, 1);
+            assert_eq!(optimize(c.scenario()), optimize(base));
         }
     }
 
@@ -233,7 +262,8 @@ mod tests {
     #[test]
     fn contended_scales_rate_and_raises_rho() {
         let base = Scenario::quadrocopter_baseline();
-        let c = contended(&base, &CyclicalTdma::BASELINE, 4);
+        let c = contended(base, &CyclicalTdma::BASELINE, 4);
+        let c = c.scenario();
         let d = Meters::new(40.0);
         let full = base.throughput.rate_bps(d).get();
         assert!((c.throughput.rate_bps(d).get() - full * 0.25).abs() < 1e-9);
@@ -245,7 +275,6 @@ mod tests {
             }
             _ => panic!("expected exponential laws"),
         }
-        assert_eq!(c.name, "quadrocopter-baseline+tdma x4".replace(' ', ""));
     }
 
     #[test]
@@ -255,6 +284,6 @@ mod tests {
         let mut base = Scenario::quadrocopter_baseline();
         base.failure =
             FailureSpec::Weibull(WeibullFailure::new(Meters::new(5_000.0), 2.0, Meters::ZERO));
-        let _ = contended(&base, &CyclicalTdma::BASELINE, 2);
+        let _ = contended(base, &CyclicalTdma::BASELINE, 2);
     }
 }

@@ -23,7 +23,7 @@
 //! *re-scored* under the final realized station loads, so the two
 //! planners are compared on the same footing.
 
-use skyferry_core::optimizer::OptimalTransfer;
+use skyferry_core::optimizer::{optimize, OptimalTransfer};
 use skyferry_core::scenario::Scenario;
 use skyferry_geo::vector::Vec3;
 use skyferry_units::Meters;
@@ -90,14 +90,14 @@ impl Assignment {
 /// The contended Eq. (2) optimum for one (UAV, station) pair with the
 /// given contender count at the station.
 fn pair_optimum(
-    base: &Scenario,
+    base: Scenario<'_>,
     medium: &dyn MediumAccess,
     uav: Vec3,
     station: Vec3,
     contenders: usize,
 ) -> OptimalTransfer {
     let d0 = uav.distance(station).max(base.d_min_m);
-    contended(&base.clone().with_d0(d0), medium, contenders).optimize()
+    optimize(contended(base.with_d0(d0), medium, contenders).scenario())
 }
 
 /// Assign every UAV to a station and solve each UAV's contended
@@ -113,7 +113,7 @@ fn pair_optimum(
 /// Panics when there are no UAVs or no stations.
 pub fn plan(
     kind: PlannerKind,
-    base: &Scenario,
+    base: Scenario<'_>,
     uavs: &[Vec3],
     stations: &[Vec3],
     medium: &dyn MediumAccess,
@@ -163,7 +163,7 @@ pub fn plan(
 }
 
 fn greedy(
-    base: &Scenario,
+    base: Scenario<'_>,
     uavs: &[Vec3],
     stations: &[Vec3],
     medium: &dyn MediumAccess,
@@ -193,7 +193,7 @@ fn greedy(
 }
 
 fn hungarian_plan(
-    base: &Scenario,
+    base: Scenario<'_>,
     uavs: &[Vec3],
     stations: &[Vec3],
     medium: &dyn MediumAccess,
@@ -307,7 +307,7 @@ mod tests {
     use super::*;
     use crate::medium::CyclicalTdma;
 
-    fn base() -> Scenario {
+    fn base() -> Scenario<'static> {
         Scenario::quadrocopter_baseline().with_mdata_mb(10.0)
     }
 
@@ -347,7 +347,7 @@ mod tests {
         for kind in [PlannerKind::Greedy, PlannerKind::Hungarian] {
             let a = plan(
                 kind,
-                &base(),
+                base(),
                 &uavs,
                 &stations,
                 &CyclicalTdma::BASELINE,
@@ -374,7 +374,7 @@ mod tests {
         let medium = CyclicalTdma::BASELINE;
         let g = plan(
             PlannerKind::Greedy,
-            &base(),
+            base(),
             &uavs,
             &stations,
             &medium,
@@ -382,7 +382,7 @@ mod tests {
         );
         let h = plan(
             PlannerKind::Hungarian,
-            &base(),
+            base(),
             &uavs,
             &stations,
             &medium,
@@ -405,7 +405,7 @@ mod tests {
         let stations = vec![Vec3::new(0.0, 0.0, 0.0)];
         let a = plan(
             PlannerKind::Greedy,
-            &base(),
+            base(),
             &uavs,
             &stations,
             &CyclicalTdma::BASELINE,

@@ -148,6 +148,7 @@ mod tests {
     use super::*;
     use crate::campaign::{FleetCampaign, MediumSpec};
     use crate::medium::{contended, CyclicalTdma};
+    use skyferry_core::optimizer::optimize;
     use skyferry_core::scenario::Scenario;
 
     fn outcome() -> (FleetConfig, FleetOutcome) {
@@ -197,13 +198,9 @@ mod tests {
                 .with_mdata_mb(e.mdata_mb)
                 .with_rho(e.rho_per_m)
                 .with_speed(e.speed_mps);
-            let direct = contended(
-                &base.clone().with_d0(d.d0_m),
-                config.medium.access(),
-                d.contenders,
-            );
-            let a = equivalent.optimize();
-            let b = direct.optimize();
+            let direct = contended(base.with_d0(d.d0_m), config.medium.access(), d.contenders);
+            let a = optimize(equivalent);
+            let b = optimize(direct.scenario());
             // `M/σ / s(d)` and `M / (σ·s(d))` differ only in float
             // association, so the optima agree to well below the
             // optimizer's 1e-3 m transmit-now tolerance.

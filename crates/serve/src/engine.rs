@@ -14,9 +14,9 @@
 //! (`cache_hit` flags included), the counters and the eviction order
 //! depend only on the order the decides arrive in.
 
-use skyferry_core::optimizer::OptimalTransfer;
 use skyferry_core::request::{DecisionParams, Quantizer};
 use skyferry_trace::clock::monotonic_ns;
+use skyferry_units::Meters;
 
 use crate::cache::{CacheStats, DecisionCache};
 use crate::proto::Decision;
@@ -121,15 +121,11 @@ impl Engine {
             transfer,
             // `transmit_now` is judged against the d0 the solver actually
             // used (the snapped one in quantized mode).
-            transmit_now: transmit_now(params.d0_m, &transfer),
+            transmit_now: transfer.transmit_now(Meters::new(params.d0_m)),
             cache_hit: hit.is_some(),
             policy_hit: false,
         }
     }
-}
-
-fn transmit_now(d0_m: f64, t: &OptimalTransfer) -> bool {
-    (d0_m - t.d_opt).abs() < 1e-3
 }
 
 #[cfg(test)]
@@ -199,8 +195,7 @@ mod tests {
     // parameters, is within a few percent of the true optimum.
     #[test]
     fn quantized_utility_loss_is_bounded() {
-        use skyferry_core::utility::utility_view;
-        use skyferry_units::Meters;
+        use skyferry_core::utility::utility;
 
         let worst_loss = |quant: Quantizer| -> f64 {
             let mut rng = DetRng::seed(0x5E17E02);
@@ -220,7 +215,7 @@ mod tests {
                     .transfer
                     .d_opt
                     .clamp(skyferry_core::request::D_MIN_M, p.d0_m);
-                let u_served = utility_view(p.view(), Meters::new(d));
+                let u_served = utility(p.scenario(), Meters::new(d));
                 worst = worst.max(1.0 - u_served / truth.utility);
             }
             worst

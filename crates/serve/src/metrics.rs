@@ -150,8 +150,10 @@ impl LatencyHistogram {
 }
 
 /// A lock-free [`LatencyHistogram`]: the same quarter-octave buckets
-/// behind relaxed atomics, so the compiled-policy fast path (and the
-/// reader threads generally) can record observations with no mutex.
+/// behind relaxed atomics, so a shard records its decisions' latencies
+/// (and any shard its compiled-policy answers into the one shared
+/// policy histogram) with no mutex, while a `stats` request on any
+/// shard reads them.
 ///
 /// Sums and maxima are kept in tenths of a microsecond, integer — a
 /// relaxed `fetch_add`/`fetch_max` apiece — so the reported mean is
@@ -222,10 +224,10 @@ impl AtomicLatency {
     }
 }
 
-/// The server-wide counter registry: relaxed atomics shared directly by
-/// the connection threads (error counters, policy lookups) and the
-/// dispatcher (decision counters and latency) — no mutex anywhere on
-/// the request path.
+/// One shard's counter registry: relaxed atomics that the shard's own
+/// event loop bumps as it parses, refuses and answers requests, and that
+/// a `stats` request on any shard sums across shards — no mutex anywhere
+/// on the request path.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Connections accepted.

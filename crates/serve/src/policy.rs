@@ -1,13 +1,14 @@
 //! Serving state for a compiled policy table.
 //!
 //! When `skyferryd` is started with `--policy <file>`, the decoded
-//! [`PolicyTable`] lives here behind an `Arc`, and the *reader* threads
-//! answer in-range decide requests directly — one O(1) index (or a
-//! 16-corner multilinear blend with `--policy-interp`), a handful of
-//! relaxed atomic counter bumps, and a response. No optimizer, no LRU,
-//! no lock, no queue round-trip. Out-of-range requests fall back to the
-//! dispatcher's exact engine path and bump the `fallbacks` counter, so
-//! the table's coverage is observable in `STATS`.
+//! [`PolicyTable`] lives here behind an `Arc` shared by every shard, and
+//! the shard that parses an in-range decide request answers it directly
+//! — one O(1) index (or a 16-corner multilinear blend with
+//! `--policy-interp`), a handful of relaxed atomic counter bumps, and a
+//! response. No optimizer, no LRU, no lock, no cross-shard routing.
+//! Out-of-range requests fall back to the exact engine of the shard that
+//! owns their key and bump the `fallbacks` counter, so the table's
+//! coverage is observable in `STATS`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,6 +16,7 @@ use std::sync::Arc;
 use skyferry_core::policy::PolicyTable;
 use skyferry_core::request::DecisionParams;
 use skyferry_stats::json::Json;
+use skyferry_units::Meters;
 
 use crate::metrics::AtomicLatency;
 use crate::proto::Decision;
@@ -67,7 +69,7 @@ impl PolicyState {
             let t = self.table.interpolate(p)?;
             Some(Decision {
                 transfer: t,
-                transmit_now: (p.d0_m - t.d_opt).abs() < 1e-3,
+                transmit_now: t.transmit_now(Meters::new(p.d0_m)),
                 cache_hit: false,
                 policy_hit: true,
             })
@@ -77,7 +79,7 @@ impl PolicyState {
             let d0_snapped = self.table.grid.params_at(cell).d0_m;
             Some(Decision {
                 transfer: t,
-                transmit_now: (d0_snapped - t.d_opt).abs() < 1e-3,
+                transmit_now: t.transmit_now(Meters::new(d0_snapped)),
                 cache_hit: false,
                 policy_hit: true,
             })

@@ -23,7 +23,7 @@
 //! would be a wrong answer served with confidence.
 //!
 //! A `d0` below 20 m is clamped up to 20 m. The server then refuses, with
-//! [`RequestError::Invalid`], a query that fails `ScenarioView::check`:
+//! [`RequestError::Invalid`], a query that fails `Scenario::check`:
 //! a non-finite field, `mdata` or `speed` not positive, `rho` negative,
 //! an `mdata` so small that it takes no time to send (a subnormal MB
 //! count), or a `d0` past the solver's grid — above
@@ -102,7 +102,7 @@ pub enum RequestError {
     /// An object member the grammar does not define.
     UnknownField(String),
     /// Parameters parsed, but the query or its snap fails
-    /// `ScenarioView::check`.
+    /// `Scenario::check`.
     Invalid(ParamError),
     /// `cmd` names no known control request.
     UnknownCommand(String),

@@ -769,7 +769,7 @@ impl ShardLoop {
         // `check`, whatever the cache toggle, and the snap is the key.
         let checked = params.validated().and_then(|p| {
             let snapped = self.engine.quantizer().snap(&p);
-            snapped.view().check().map(|()| (p, snapped))
+            snapped.scenario().check().map(|()| (p, snapped))
         });
         let (params, snapped) = match checked {
             Ok(q) => q,

@@ -3,10 +3,10 @@
 //! [`Simulation`] wraps an [`EventQueue`] and drives a user-supplied handler
 //! until the queue drains, a time horizon is reached, or the handler stops
 //! the run. The handler receives a [`Context`] through which it can read the
-//! clock, schedule and cancel events, and request termination — this keeps
+//! clock, schedule events, and request termination — this keeps
 //! all mutation of engine state funnelled through one explicit interface.
 
-use crate::queue::{EventId, EventQueue};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Scheduling context handed to the event handler on every event.
@@ -23,18 +23,13 @@ impl<'a, E> Context<'a, E> {
     }
 
     /// Schedule an event at an absolute time (must not be in the past).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.queue.schedule_at(at, event)
     }
 
     /// Schedule an event after a non-negative delay.
-    pub fn schedule_in(&mut self, dt: SimDuration, event: E) -> EventId {
+    pub fn schedule_in(&mut self, dt: SimDuration, event: E) {
         self.queue.schedule_in(dt, event)
-    }
-
-    /// Cancel a pending event. Returns `false` if it already fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// Stop the run loop after this handler invocation returns.
@@ -93,12 +88,12 @@ impl<E> Simulation<E> {
     }
 
     /// Schedule an initial event at an absolute time.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.queue.schedule_at(at, event)
     }
 
     /// Schedule an initial event after a delay from the current time.
-    pub fn schedule_in(&mut self, dt: SimDuration, event: E) -> EventId {
+    pub fn schedule_in(&mut self, dt: SimDuration, event: E) {
         self.queue.schedule_in(dt, event)
     }
 

@@ -20,9 +20,8 @@
 //!
 //! * [`time::SimTime`] / [`time::SimDuration`] — nanosecond-resolution
 //!   simulated clock (u64/i64 wrappers, no floating point drift).
-//! * [`queue::EventQueue`] — the pending-event set with cancellation.
-//!   Scheduling and popping cost one heap operation and hash nothing;
-//!   a cancellation scans the pending events once.
+//! * [`queue::EventQueue`] — the pending-event set. Scheduling and
+//!   popping cost one heap operation and hash nothing.
 //! * [`engine::Simulation`] — a run loop that pops events and hands them to
 //!   a handler together with a scheduling context.
 //! * [`rng`] — seeded, splittable random streams so that independent model
@@ -70,7 +69,7 @@ pub mod prelude {
     pub use crate::parallel::{
         max_threads, par_map, par_map_grid, par_map_indexed, run_replications, set_max_threads,
     };
-    pub use crate::queue::{EventId, EventQueue};
+    pub use crate::queue::EventQueue;
     pub use crate::rng::{DetRng, SeedStream};
     pub use crate::time::{SimDuration, SimTime};
 }

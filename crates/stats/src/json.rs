@@ -1,7 +1,7 @@
 //! A minimal JSON value model, writer and parser.
 //!
 //! The reproduction harness emits machine-readable artifacts (table dumps,
-//! `--bench-parallel` timings) and the serving layer exchanges
+//! the `BENCH_*.json` reports) and the serving layer exchanges
 //! newline-delimited JSON over TCP, all without external crates, so this
 //! module provides the one JSON codec the workspace shares. Object
 //! members keep insertion order, which keeps every emitted artifact

@@ -15,7 +15,7 @@ use skyferry_uav::wind::WindConfig;
 use skyferry_units::Joules;
 
 use crate::energy::EnergyModel;
-use crate::planner::{plan_view, TrajConfig, TrajSolution};
+use crate::planner::{plan, TrajConfig, TrajSolution};
 
 /// Battery budget as a fraction of the platform's full capacity.
 pub fn battery_budget(platform: PlatformKind, fraction: f64) -> Joules {
@@ -65,17 +65,15 @@ impl TrajCampaign {
         let sigma = cfg.wind.gust_sigma_mps;
         let wind_mps =
             cfg.wind.mean_mps + Vec3::new(rng.normal(0.0, sigma), rng.normal(0.0, sigma), 0.0);
-        let realised = WindConfig {
-            mean_mps: wind_mps,
-            ..cfg.wind
-        };
-        let solution = plan_view(
-            cfg.scenario.view(),
-            cfg.platform,
-            &realised,
-            cfg.budget,
-            &cfg.grid,
-        );
+        // The planner never reads the label, so the copy takes none.
+        let solution = plan(&TrajConfig {
+            name: String::new(),
+            wind: WindConfig {
+                mean_mps: wind_mps,
+                ..cfg.wind
+            },
+            ..*cfg
+        });
         TrajOutcome { wind_mps, solution }
     }
 

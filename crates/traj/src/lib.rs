@@ -41,4 +41,4 @@ pub use energy::EnergyModel;
 pub use export::{PathRecord, TrajTrace};
 pub use grid::GridSpec;
 pub use motion::ground_speed;
-pub use planner::{plan, plan_view, PlannedPath, TrajConfig, TrajSolution};
+pub use planner::{plan, PlannedPath, TrajConfig, TrajSolution};

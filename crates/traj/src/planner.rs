@@ -9,7 +9,7 @@
 //! a straight radial final approach and transmitting at the best
 //! distance on it. The stage reward is the *unmodified* Eq. (2)
 //! utility, generalised to path prefixes by
-//! [`path_utility_view`]: hazard per metre actually flown, delay from
+//! [`path_utility`]: hazard per metre actually flown, delay from
 //! the actual flight time.
 //!
 //! ## Degenerate-equivalence guarantee
@@ -20,11 +20,11 @@
 //! Three mechanisms make that structural rather than coincidental:
 //!
 //! 1. the final commit refinement runs the *same* scan
-//!    `optimize_view` runs, through its distance-closure form
+//!    `optimize` runs, through its distance-closure form
 //!    [`search_max`], over the same interval, with an objective whose
-//!    float operations are bit-identical to `utility_view` when the
+//!    float operations are bit-identical to `utility` when the
 //!    path prefix is zero (`0.0 + x == x`, `x − 0.0 == x`) — without
-//!    `optimize_view`'s block bound, which only skips grid points that
+//!    `optimize`'s block bound, which only skips grid points that
 //!    cannot win;
 //! 2. the straight commit-at-encounter strategy is always evaluated,
 //!    and the DP winner replaces it only when it is *better by more
@@ -32,16 +32,16 @@
 //!    can never displace the analytically equal straight answer;
 //! 3. calm air short-circuits the wind triangle to the exact airspeed
 //!    ([`ground_speed`]), so the prefix times divide by the same bits
-//!    `utility_view` divides by.
+//!    `utility` divides by.
 //!
 //! The same comparison also makes the frontier claim structural: the
 //! reported optimized path never values below the straight-line d\*.
 
 use skyferry_core::failure::FailureModel;
 use skyferry_core::optimizer::search_max;
-use skyferry_core::scenario::{Scenario, ScenarioView};
+use skyferry_core::scenario::Scenario;
 use skyferry_core::throughput::ThroughputModel;
-use skyferry_core::utility::path_utility_view;
+use skyferry_core::utility::path_utility;
 use skyferry_geo::vector::Vec3;
 use skyferry_uav::platform::PlatformKind;
 use skyferry_uav::wind::WindConfig;
@@ -65,7 +65,7 @@ pub struct TrajConfig {
     /// Airframe flying the path (energy model and power draws).
     pub platform: PlatformKind,
     /// The Eq. (2) scenario being generalised (d0, Mdata, ρ, v, s(d)).
-    pub scenario: Scenario,
+    pub scenario: Scenario<'static>,
     /// Wind field; the planner uses the mean vector.
     pub wind: WindConfig,
     /// Battery energy available for the whole flight-and-transmit plan.
@@ -193,7 +193,7 @@ struct Commit {
 
 /// Everything fixed across one planning run.
 struct Problem<'a> {
-    view: ScenarioView<'a>,
+    scenario: Scenario<'a>,
     energy: EnergyModel,
     airspeed: MetersPerSec,
     wind: Vec3,
@@ -205,7 +205,7 @@ impl Problem<'_> {
     /// Radius of ring `i` on this problem's corridor.
     fn radius(&self, i: usize) -> f64 {
         self.grid
-            .ring_radius_m(self.view.d_min_m, self.view.d0_m, i)
+            .ring_radius_m(self.scenario.d_min_m, self.scenario.d0_m, i)
     }
 
     /// Ground speed on the straight radial approach from `pos` toward
@@ -220,7 +220,7 @@ impl Problem<'_> {
     /// approach ground speed; `None` is only valid when `d == node_r`
     /// (transmit in place, no approach flown).
     fn commit(&self, label: &Label, node_r: f64, gs: Option<MetersPerSec>, d: f64) -> Commit {
-        // The zero-prefix straight case must reproduce utility_view
+        // The zero-prefix straight case must reproduce `utility`
         // bit-for-bit: same max, same typed divisions, prefix folded in
         // with `0.0 + x`.
         let travel = (node_r - d).max(0.0);
@@ -233,21 +233,21 @@ impl Problem<'_> {
         };
         let flown = label.flown_m + travel;
         let elapsed = label.elapsed_s + t;
-        // Search/gate value: bit-identical to `utility_view` at zero
+        // Search/gate value: bit-identical to `utility` at zero
         // prefix (that is what makes d* come out bit-equal).
-        let value = path_utility_view(
-            self.view,
+        let value = path_utility(
+            self.scenario,
             Meters::new(flown),
             Seconds::new(elapsed),
             Meters::new(d),
         );
-        let session = self.view.mdata() / self.view.throughput.rate_bps(Meters::new(d));
+        let session = self.scenario.mdata() / self.scenario.throughput.rate_bps(Meters::new(d));
         // Reported utility: the breakdown form `survival · (1/total)`,
         // so the calm-air report matches `OptimalTransfer::utility`
         // bit-for-bit too (the two forms differ by an ulp).
-        let survival = self.view.failure.survival_over(flown);
+        let survival = self.scenario.failure.survival_over(flown);
         let utility = survival * (1.0 / (Seconds::new(elapsed) + session).get());
-        let tx_j = self.energy.transmit(self.view.mdata(), session);
+        let tx_j = self.energy.transmit(self.scenario.mdata(), session);
         let flight_j = label.spent_j + self.energy.flight(self.airspeed, Seconds::new(t)).get();
         let feasible = flight_j + tx_j.get() <= self.budget.get();
         Commit {
@@ -294,7 +294,7 @@ impl Problem<'_> {
         // The path objective has no block bound: an infinite bound makes
         // the search scan the full grid.
         let best = search_max(
-            Meters::new(self.view.d_min_m),
+            Meters::new(self.scenario.d_min_m),
             Meters::new(node_r),
             |d| self.commit(label, node_r, Some(gs), d).value,
             |_, _| f64::INFINITY,
@@ -312,33 +312,20 @@ impl Problem<'_> {
 
 /// Plan both strategies for a config.
 pub fn plan(config: &TrajConfig) -> TrajSolution {
-    plan_view(
-        config.scenario.view(),
-        config.platform,
-        &config.wind,
-        config.budget,
-        &config.grid,
-    )
-}
-
-/// [`plan`] on a borrowed [`ScenarioView`] — what sweeps and the
-/// degenerate-equivalence tests call per grid cell.
-pub fn plan_view(
-    view: ScenarioView<'_>,
-    platform: PlatformKind,
-    wind: &WindConfig,
-    budget: Joules,
-    grid: &GridSpec,
-) -> TrajSolution {
+    let (scenario, budget, grid) = (config.scenario, config.budget, &config.grid);
     grid.validate();
-    view.validate();
+    scenario.validate();
     assert!(budget.get() > 0.0, "battery budget must be positive");
-    let _span = skyferry_trace::span!("traj_plan", d0_m = view.d0_m, states = grid.states() as f64);
+    let _span = skyferry_trace::span!(
+        "traj_plan",
+        d0_m = scenario.d0_m,
+        states = grid.states() as f64
+    );
     let p = Problem {
-        view,
-        energy: EnergyModel::of(platform),
-        airspeed: view.speed(),
-        wind: wind.mean_mps,
+        scenario,
+        energy: EnergyModel::of(config.platform),
+        airspeed: scenario.speed(),
+        wind: config.wind.mean_mps,
         budget,
         grid,
     };
@@ -424,8 +411,8 @@ pub fn plan_view(
     // the winner must clear the same margin to displace the straight
     // answer, which keeps the calm-air case bit-equal to the scalar
     // optimizer and makes weak dominance structural.
-    let start_pos = grid.node_pos(view.d0_m, 0);
-    let straight_commit = p.refine_commit(&Label::START, view.d0_m, start_pos);
+    let start_pos = grid.node_pos(scenario.d0_m, 0);
+    let straight_commit = p.refine_commit(&Label::START, scenario.d0_m, start_pos);
     let straight = render(&p, &dp, slot, (grid.rings - 1, 0, 0), straight_commit);
 
     let (bi, bj, bb) = best;
@@ -469,7 +456,7 @@ fn render(
         .collect();
     // Pin the encounter point to exactly (d0, 0).
     if let Some(first) = waypoints.first_mut() {
-        *first = Vec3::new(p.view.d0_m, 0.0, 0.0);
+        *first = Vec3::new(p.scenario.d0_m, 0.0, 0.0);
     }
     let node_r = p.radius(state.0);
     if commit.d_m < node_r {
@@ -520,7 +507,7 @@ mod tests {
     fn calm_ample_reproduces_scalar_optimum_bitwise() {
         let cfg = quad(10.0);
         let sol = plan(&cfg);
-        let scalar = optimize(&cfg.scenario);
+        let scalar = optimize(cfg.scenario);
         assert_eq!(sol.straight.d_tx_m.to_bits(), scalar.d_opt.to_bits());
         assert_eq!(sol.optimized.d_tx_m.to_bits(), scalar.d_opt.to_bits());
         assert_eq!(sol.optimized.utility.to_bits(), scalar.utility.to_bits());
@@ -567,7 +554,7 @@ mod tests {
         let full = Scenario::quadrocopter_baseline();
         let at = |budget: f64| {
             let mut cfg = quad(10.0);
-            cfg.scenario = full.clone();
+            cfg.scenario = full;
             cfg.budget = Joules::new(budget);
             plan(&cfg)
         };
@@ -619,9 +606,9 @@ mod tests {
         let path = &sol.optimized;
         // Flight energy is draw × time exactly (constant airspeed).
         let e = EnergyModel::of(cfg.platform);
-        let expect = e.flight(cfg.scenario.view().speed(), path.elapsed).get();
+        let expect = e.flight(cfg.scenario.speed(), path.elapsed).get();
         assert!((path.energy_flight.get() - expect).abs() < 1e-6);
-        let tx = e.transmit(cfg.scenario.view().mdata(), path.tx_session);
+        let tx = e.transmit(cfg.scenario.mdata(), path.tx_session);
         assert!((path.energy_tx.get() - tx.get()).abs() < 1e-9);
     }
 }

@@ -8,19 +8,28 @@
 //! rather than a reimplementation: the scalar optimizer is literally
 //! the straight-corridor slice of the planner.
 
-use skyferry_core::optimizer::optimize_view;
+use skyferry_core::optimizer::optimize;
 use skyferry_core::policy::PolicyGrid;
-use skyferry_core::request::Platform;
+use skyferry_core::request::{DecisionParams, Platform};
 use skyferry_sim::parallel::par_map_indexed;
-use skyferry_traj::{plan_view, EnergyModel, GridSpec};
+use skyferry_traj::{plan, EnergyModel, GridSpec, TrajConfig, TrajSolution};
 use skyferry_uav::platform::PlatformKind;
 use skyferry_uav::wind::WindConfig;
 
-fn kind_of(platform: Platform) -> PlatformKind {
-    match platform {
+/// Plan the query's corridor in calm air on ten full batteries.
+fn calm_ample_plan(params: &DecisionParams, grid: GridSpec) -> TrajSolution {
+    let platform = match params.platform {
         Platform::Airplane => PlatformKind::Airplane,
         Platform::Quadrocopter => PlatformKind::Quadrocopter,
-    }
+    };
+    plan(&TrajConfig {
+        name: String::new(),
+        platform,
+        scenario: params.scenario(),
+        wind: WindConfig::calm(),
+        budget: EnergyModel::of(platform).capacity() * 10.0,
+        grid,
+    })
 }
 
 /// Tiny planner grid: the bit-equality is structural (the straight
@@ -39,15 +48,10 @@ fn tiny() -> GridSpec {
 #[test]
 fn calm_ample_equals_scalar_optimizer_across_the_quick_grid() {
     let grid = PolicyGrid::quick();
-    let calm = WindConfig::calm();
-    let planner_grid = tiny();
     let mismatches: Vec<String> = par_map_indexed(grid.cells(), |cell| {
         let params = grid.params_at(cell);
-        let kind = kind_of(params.platform);
-        let budget = EnergyModel::of(kind).capacity() * 10.0;
-        let view = params.view();
-        let scalar = optimize_view(view);
-        let sol = plan_view(view, kind, &calm, budget, &planner_grid);
+        let scalar = optimize(params.scenario());
+        let sol = calm_ample_plan(&params, tiny());
         for (label, path) in [("straight", &sol.straight), ("optimized", &sol.optimized)] {
             if path.d_tx_m.to_bits() != scalar.d_opt.to_bits()
                 || path.utility.to_bits() != scalar.utility.to_bits()
@@ -88,16 +92,15 @@ fn equality_holds_at_production_dp_resolution() {
     // Spot-check a spread of cells at the real planner resolutions —
     // the tiny grid above is a speed optimisation, not a loophole.
     let grid = PolicyGrid::quick();
-    let calm = WindConfig::calm();
     let n = grid.cells();
-    for (i, spec) in [GridSpec::baseline(), GridSpec::quick()].iter().enumerate() {
+    for (i, spec) in [GridSpec::baseline(), GridSpec::quick()]
+        .into_iter()
+        .enumerate()
+    {
         for cell in [0, n / 5 + i, 2 * n / 5, 3 * n / 5 + i, n - 1] {
             let params = grid.params_at(cell);
-            let kind = kind_of(params.platform);
-            let budget = EnergyModel::of(kind).capacity() * 10.0;
-            let view = params.view();
-            let scalar = optimize_view(view);
-            let sol = plan_view(view, kind, &calm, budget, spec);
+            let scalar = optimize(params.scenario());
+            let sol = calm_ample_plan(&params, spec);
             assert_eq!(
                 sol.optimized.d_tx_m.to_bits(),
                 scalar.d_opt.to_bits(),

@@ -46,7 +46,7 @@ fn main() {
     let sectors = area.grid(cols, rows);
     let relay_pos = Vec3::new(100.0, 100.0, 10.0);
 
-    let engine = DecisionEngine::from_scenario(&Scenario::quadrocopter_baseline());
+    let engine = DecisionEngine::from_scenario(Scenario::quadrocopter_baseline());
     let mut planner = CentralPlanner::new(engine, spec);
     let now = SimTime::from_secs(600);
 

@@ -14,8 +14,8 @@ use skyferry::core::prelude::*;
 use skyferry::core::utility::utility_breakdown;
 use skyferry_units::Meters;
 
-fn show(scenario: &Scenario) {
-    println!("scenario: {}", scenario.name);
+fn show(name: &str, scenario: Scenario<'_>) {
+    println!("scenario: {name}");
     println!(
         "  d0 = {:.0} m, v = {:.1} m/s, Mdata = {:.1} MB",
         scenario.d0_m,
@@ -39,7 +39,7 @@ fn show(scenario: &Scenario) {
     }
 
     // The optimum (Eq. 2).
-    let opt = scenario.optimize();
+    let opt = optimize(scenario);
     println!(
         "  optimum: transmit at d = {:.1} m (U = {:.5}, Cdelay = {:.1} s)",
         opt.d_opt,
@@ -76,11 +76,11 @@ fn show(scenario: &Scenario) {
 
 fn main() {
     println!("skyferry quickstart — now or later?\n");
-    show(&Scenario::airplane_baseline());
-    show(&Scenario::quadrocopter_baseline());
+    show("airplane-baseline", Scenario::airplane_baseline());
+    show("quadrocopter-baseline", Scenario::quadrocopter_baseline());
 
     // A smaller batch changes the answer: with only 5 MB to deliver,
     // repositioning is not worth it.
     let light = Scenario::airplane_baseline().with_mdata_mb(5.0);
-    show(&light);
+    show("airplane, 5 MB", light);
 }

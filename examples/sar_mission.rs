@@ -107,7 +107,7 @@ fn main() {
     }
 
     // --- Phase 3: the planner decides. ----------------------------------
-    let engine = DecisionEngine::from_scenario(&Scenario::quadrocopter_baseline());
+    let engine = DecisionEngine::from_scenario(Scenario::quadrocopter_baseline());
     let mut planner = CentralPlanner::new(engine, spec);
     let now = SimTime::from_secs_f64(t);
     planner.ingest(now, scanner_report);

@@ -32,7 +32,7 @@ fn main() {
         Column::float("ship (s)", 1),
         Column::float("tx (s)", 1),
     ]);
-    for c in rho_sweep(&base, &paper_rhos::AIRPLANE, 2) {
+    for c in rho_sweep(base, &paper_rhos::AIRPLANE, 2) {
         t.push(vec![
             Value::Num(c.rho_per_m),
             c.optimum.d_opt.into(),
@@ -46,7 +46,7 @@ fn main() {
 
     // --- Figure 9: the Mdata × v landscape. ------------------------------
     let grid = gratification_sweep(
-        &Scenario::airplane_baseline(),
+        Scenario::airplane_baseline(),
         &paper_grid::MDATA_MB,
         &paper_grid::SPEEDS_MPS,
     );
@@ -73,7 +73,7 @@ fn main() {
         Column::float("utility", 5),
     ]);
     for e in evaluate_panel(
-        &base,
+        base,
         &[20.0, 60.0, 120.0, base.d0_m],
         &EvalConfig::default(),
     ) {
@@ -87,7 +87,7 @@ fn main() {
     println!("strategy panel at Mdata = {mdata_mb} MB, v = {speed} m/s:");
     println!("{}", s.render_text());
 
-    let opt = base.optimize();
+    let opt = optimize(base);
     println!(
         "=> solve Eq. (2): wait until d = {:.1} m, expected delivery in {:.1} s",
         opt.d_opt,

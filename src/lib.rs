@@ -47,12 +47,12 @@
 //! // somewhat closer pays off, closing to the 20 m safety minimum
 //! // does not.
 //! let scenario = Scenario::quadrocopter_baseline().with_mdata_mb(10.0);
-//! let outcome = scenario.optimize();
+//! let outcome = optimize(scenario);
 //! assert!(outcome.d_opt > scenario.d_min_m && outcome.d_opt < scenario.d0_m);
 //!
 //! // The full 56.2 MB baseline batch pulls the rendezvous all the way
 //! // to the 20 m constraint.
-//! let outcome = Scenario::quadrocopter_baseline().optimize();
+//! let outcome = optimize(Scenario::quadrocopter_baseline());
 //! assert!((outcome.d_opt - 20.0).abs() < 0.5);
 //! ```
 

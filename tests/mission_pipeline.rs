@@ -79,7 +79,7 @@ fn planner_commands_rendezvous_and_transfer_beats_naive() {
     let spec = PlatformSpec::quadrocopter();
 
     let mut planner = CentralPlanner::new(
-        DecisionEngine::from_scenario(&Scenario::quadrocopter_baseline()),
+        DecisionEngine::from_scenario(Scenario::quadrocopter_baseline()),
         spec,
     );
     let now = SimTime::from_secs_f64(scan.scan_seconds);

@@ -5,16 +5,14 @@
 //! property, matching the old proptest configuration).
 
 use skyferry::core::failure::{ExponentialFailure, FailureSpec, WeibullFailure};
-use skyferry::core::optimizer::{optimize, search_max, utility_curve_view, OptimalTransfer};
+use skyferry::core::optimizer::{optimize, search_max, utility_curve, OptimalTransfer};
 use skyferry::core::request::{DecisionParams, Platform, Quantizer, D_MIN_M};
-use skyferry::core::scenario::{ParamError, Scenario, ScenarioView};
+use skyferry::core::scenario::{ParamError, Scenario};
 use skyferry::core::strategy::{evaluate, EvalConfig, Strategy as DeliveryStrategy};
 use skyferry::core::throughput::{
     EmpiricalThroughput, LogFitThroughput, ThroughputModel, ThroughputSpec,
 };
-use skyferry::core::utility::{
-    utility, utility_bound_view, utility_breakdown_view, utility_view, UtilityPoint,
-};
+use skyferry::core::utility::{utility, utility_bound, utility_breakdown, UtilityPoint};
 use skyferry::sim::rng::DetRng;
 use skyferry_bench::solver_calls::figure9_calls;
 use skyferry_units::Meters;
@@ -25,15 +23,35 @@ fn rng(salt: u64) -> DetRng {
     DetRng::seed(0x40DE1 ^ salt)
 }
 
-/// A randomised but well-formed scenario.
-fn arb_scenario(rng: &mut DetRng) -> Scenario {
-    Scenario {
-        name: "prop".into(),
+/// A randomised but well-formed scenario: the drawn parameters and the
+/// drawn rate model, which [`Arb::scenario`] borrows.
+struct Arb {
+    d0_m: f64,
+    v_mps: f64,
+    mdata_bytes: f64,
+    fit: ThroughputSpec,
+    failure: FailureSpec,
+}
+
+impl Arb {
+    fn scenario(&self) -> Scenario<'_> {
+        Scenario {
+            d0_m: self.d0_m,
+            d_min_m: 20.0,
+            v_mps: self.v_mps,
+            mdata_bytes: self.mdata_bytes,
+            throughput: &self.fit,
+            failure: self.failure,
+        }
+    }
+}
+
+fn arb_scenario(rng: &mut DetRng) -> Arb {
+    Arb {
         d0_m: 20.0 + rng.uniform_range(20.0, 120.0),
-        d_min_m: 20.0,
         v_mps: rng.uniform_range(1.0, 25.0),
         mdata_bytes: rng.uniform_range(1.0, 50.0) * 1e6,
-        throughput: ThroughputSpec::LogFit(LogFitThroughput {
+        fit: ThroughputSpec::LogFit(LogFitThroughput {
             a_mbps: rng.uniform_range(-15.0, -2.0),
             b_mbps: rng.uniform_range(30.0, 90.0),
         }),
@@ -45,8 +63,9 @@ fn arb_scenario(rng: &mut DetRng) -> Scenario {
 fn optimum_within_constraints() {
     let mut rng = rng(1);
     for _ in 0..CASES {
-        let s = arb_scenario(&mut rng);
-        let o = optimize(&s);
+        let arb = arb_scenario(&mut rng);
+        let s = arb.scenario();
+        let o = optimize(s);
         assert!(o.d_opt >= s.d_min_m - 1e-9);
         assert!(o.d_opt <= s.d0_m + 1e-9);
         assert!(o.utility > 0.0 && o.utility.is_finite());
@@ -58,11 +77,12 @@ fn optimum_within_constraints() {
 fn optimum_dominates_random_feasible_points() {
     let mut rng = rng(2);
     for _ in 0..CASES {
-        let s = arb_scenario(&mut rng);
+        let arb = arb_scenario(&mut rng);
+        let s = arb.scenario();
         let frac = rng.uniform();
-        let o = optimize(&s);
+        let o = optimize(s);
         let d = s.d_min_m + frac * (s.d0_m - s.d_min_m);
-        assert!(o.utility >= utility(&s, Meters::new(d)) - 1e-9);
+        assert!(o.utility >= utility(s, Meters::new(d)) - 1e-9);
     }
 }
 
@@ -72,11 +92,12 @@ fn utility_is_survival_over_delay() {
     use skyferry::core::failure::FailureModel;
     let mut rng = rng(3);
     for _ in 0..CASES {
-        let s = arb_scenario(&mut rng);
+        let arb = arb_scenario(&mut rng);
+        let s = arb.scenario();
         let frac = rng.uniform();
         let d = s.d_min_m + frac * (s.d0_m - s.d_min_m);
-        let u = utility(&s, Meters::new(d));
-        let c = CommunicationDelay::at(&s, Meters::new(d));
+        let u = utility(s, Meters::new(d));
+        let c = CommunicationDelay::at(s, Meters::new(d));
         let surv = s.failure.survival(s.d0_m, d);
         assert!((u - surv / c.total_s()).abs() < 1e-12);
         assert!(surv <= 1.0 + 1e-12);
@@ -88,8 +109,9 @@ fn utility_is_survival_over_delay() {
 fn utility_curve_is_positive_and_bounded() {
     let mut rng = rng(4);
     for _ in 0..CASES {
-        let s = arb_scenario(&mut rng);
-        for (d, u) in utility_curve_view(s.view(), 64) {
+        let arb = arb_scenario(&mut rng);
+        let s = arb.scenario();
+        for (d, u) in utility_curve(s, 64) {
             assert!(u > 0.0 && u.is_finite(), "U({d}) = {u}");
         }
     }
@@ -99,12 +121,13 @@ fn utility_curve_is_positive_and_bounded() {
 fn rho_zero_upper_bounds_all_rho() {
     let mut rng = rng(5);
     for _ in 0..CASES {
-        let s = arb_scenario(&mut rng);
+        let arb = arb_scenario(&mut rng);
+        let s = arb.scenario();
         let frac = rng.uniform();
         // Removing risk can only increase utility pointwise.
-        let risk_free = s.clone().with_rho(0.0);
+        let risk_free = s.with_rho(0.0);
         let d = s.d_min_m + frac * (s.d0_m - s.d_min_m);
-        assert!(utility(&risk_free, Meters::new(d)) >= utility(&s, Meters::new(d)) - 1e-12);
+        assert!(utility(risk_free, Meters::new(d)) >= utility(s, Meters::new(d)) - 1e-12);
     }
 }
 
@@ -112,9 +135,10 @@ fn rho_zero_upper_bounds_all_rho() {
 fn dopt_monotone_in_rho() {
     let mut rng = rng(6);
     for _ in 0..CASES {
-        let s = arb_scenario(&mut rng);
-        let lo = optimize(&s.clone().with_rho(1e-4)).d_opt;
-        let hi = optimize(&s.clone().with_rho(5e-3)).d_opt;
+        let arb = arb_scenario(&mut rng);
+        let s = arb.scenario();
+        let lo = optimize(s.with_rho(1e-4)).d_opt;
+        let hi = optimize(s.with_rho(5e-3)).d_opt;
         assert!(hi >= lo - 1e-6, "dopt fell with rho: {lo} -> {hi}");
     }
 }
@@ -141,14 +165,15 @@ fn throughput_model_positive_and_decreasing() {
 fn strategy_curves_conserve_data() {
     let mut rng = rng(8);
     for _ in 0..CASES {
-        let s = arb_scenario(&mut rng);
+        let arb = arb_scenario(&mut rng);
+        let s = arb.scenario();
         let cfg = EvalConfig::default();
         for strat in [
             DeliveryStrategy::TransmitNow,
             DeliveryStrategy::MoveAndTransmit,
             DeliveryStrategy::Optimal,
         ] {
-            let e = evaluate(&s, strat, &cfg);
+            let e = evaluate(s, strat, &cfg);
             let total = e.curve.last().unwrap().1;
             assert!((total - s.mdata_bytes).abs() < 1.0, "{}", e.label);
             // Monotone in both axes.
@@ -163,16 +188,16 @@ fn strategy_curves_conserve_data() {
 }
 
 /// The full-scan reference for the pruning contract: the `search_max`
-/// call `optimize_view` makes, with the bound that skips nothing, and
-/// the same breakdown at the answer.
-fn full_scan(v: ScenarioView<'_>) -> OptimalTransfer {
+/// call `optimize` makes, with the bound that skips nothing, and the
+/// same breakdown at the answer.
+fn full_scan(s: Scenario<'_>) -> OptimalTransfer {
     let d = search_max(
-        v.d_min(),
-        v.d0(),
-        |d| utility_view(v, Meters::new(d)),
+        s.d_min(),
+        s.d0(),
+        |d| utility(s, Meters::new(d)),
         |_, _| f64::INFINITY,
     );
-    let bd = utility_breakdown_view(v, d);
+    let bd = utility_breakdown(s, d);
     OptimalTransfer {
         d_opt: d.get(),
         utility: bd.utility,
@@ -184,10 +209,10 @@ fn full_scan(v: ScenarioView<'_>) -> OptimalTransfer {
 
 /// The bound-pruned solve equals the full scan on all five fields, bit
 /// for bit.
-fn assert_pruning_exact(s: &Scenario) {
+fn assert_pruning_exact(s: Scenario<'_>) {
     let bits =
         |o: &OptimalTransfer| [o.d_opt, o.utility, o.survival, o.ship_s, o.tx_s].map(f64::to_bits);
-    assert_eq!(bits(&optimize(s)), bits(&full_scan(s.view())), "{s:?}");
+    assert_eq!(bits(&optimize(s)), bits(&full_scan(s)), "{s:?}");
 }
 
 /// A Weibull law with shape in 0.5–3 and some mission already flown.
@@ -226,7 +251,7 @@ fn arb_peaked_table(rng: &mut DetRng) -> ThroughputSpec {
 fn pruned_solve_equals_full_scan_on_arb_scenarios() {
     let mut rng = rng(10);
     for _ in 0..CASES {
-        assert_pruning_exact(&arb_scenario(&mut rng));
+        assert_pruning_exact(arb_scenario(&mut rng).scenario());
     }
 }
 
@@ -236,14 +261,14 @@ fn pruned_solve_equals_full_scan_under_fig8_stress() {
     let mut rng = rng(11);
     for _ in 0..CASES {
         let rho = 10f64.powf(rng.uniform_range(-6.0, 0.0));
-        assert_pruning_exact(&arb_scenario(&mut rng).with_rho(rho));
+        assert_pruning_exact(arb_scenario(&mut rng).scenario().with_rho(rho));
     }
     for base in [
         Scenario::airplane_baseline(),
         Scenario::quadrocopter_baseline(),
     ] {
         for rho in [0.0, 1.11e-4, 1e-3, 2e-3, 5e-3, 1e-2, 0.1, 1.0] {
-            assert_pruning_exact(&base.clone().with_rho(rho));
+            assert_pruning_exact(base.with_rho(rho));
         }
     }
 }
@@ -252,9 +277,9 @@ fn pruned_solve_equals_full_scan_under_fig8_stress() {
 fn pruned_solve_equals_full_scan_under_weibull_hazard() {
     let mut rng = rng(12);
     for _ in 0..CASES {
-        let mut s = arb_scenario(&mut rng);
-        s.failure = arb_weibull(&mut rng);
-        assert_pruning_exact(&s);
+        let mut arb = arb_scenario(&mut rng);
+        arb.failure = arb_weibull(&mut rng);
+        assert_pruning_exact(arb.scenario());
     }
 }
 
@@ -262,28 +287,31 @@ fn pruned_solve_equals_full_scan_under_weibull_hazard() {
 fn pruned_solve_equals_full_scan_on_peaked_empirical_tables() {
     let mut rng = rng(13);
     for _ in 0..CASES {
-        let mut s = arb_scenario(&mut rng);
-        s.throughput = arb_peaked_table(&mut rng);
-        assert_pruning_exact(&s);
+        let mut arb = arb_scenario(&mut rng);
+        arb.fit = arb_peaked_table(&mut rng);
+        assert_pruning_exact(arb.scenario());
     }
 }
 
 /// A scenario of model family `case % 4`: the log fit with a small ρ, a
 /// Fig. 8 stress ρ up to 1 /m, a Weibull hazard, or a peaked table.
-fn arb_family(rng: &mut DetRng, case: usize) -> Scenario {
-    let mut s = arb_scenario(rng);
+fn arb_family(rng: &mut DetRng, case: usize) -> Arb {
+    let mut arb = arb_scenario(rng);
     match case % 4 {
-        1 => s = s.with_rho(10f64.powf(rng.uniform_range(-6.0, 0.0))),
-        2 => s.failure = arb_weibull(rng),
-        3 => s.throughput = arb_peaked_table(rng),
+        1 => {
+            let rho = 10f64.powf(rng.uniform_range(-6.0, 0.0));
+            arb.failure = FailureSpec::Exponential(ExponentialFailure::new(rho));
+        }
+        2 => arb.failure = arb_weibull(rng),
+        3 => arb.fit = arb_peaked_table(rng),
         _ => {}
     }
-    s
+    arb
 }
 
-/// Grid point `i` of the solver's 2,048-point scan of `v`.
-fn solver_grid(v: ScenarioView<'_>, i: usize) -> Meters {
-    Meters::new(v.d_min_m + (v.d0_m - v.d_min_m) * i as f64 / 2047.0)
+/// Grid point `i` of the solver's 2,048-point scan of `s`.
+fn solver_grid(s: Scenario<'_>, i: usize) -> Meters {
+    Meters::new(s.d_min_m + (s.d0_m - s.d_min_m) * i as f64 / 2047.0)
 }
 
 #[test]
@@ -294,15 +322,15 @@ fn block_bound_is_sound_on_random_blocks() {
     // as the scan takes it.
     let mut rng = rng(14);
     for case in 0..CASES * 4 {
-        let s = arb_family(&mut rng, case);
-        let v = s.view();
-        let at = |i: usize| solver_grid(v, i);
+        let arb = arb_family(&mut rng, case);
+        let s = arb.scenario();
+        let at = |i: usize| solver_grid(s, i);
         let len = 1 + rng.index(64);
         let first = rng.index(2048 - len + 1);
         for last in [first + len - 1, (first + len).min(2047)] {
-            let bound = utility_bound_view(v, at(first), at(last));
+            let bound = utility_bound(s, at(first), at(last));
             for i in first..first + len {
-                let u = utility_view(v, at(i));
+                let u = utility(s, at(i));
                 assert!(
                     bound >= u,
                     "{s:?}: block {first}+{len} to {last}, U({}) = {u} > {bound}",
@@ -316,26 +344,26 @@ fn block_bound_is_sound_on_random_blocks() {
 #[test]
 fn points_carry_the_utility_and_the_block_bound_bitwise() {
     // Every model family: the scan's evaluated point reads `U` exactly as
-    // `utility_view` does, and its bound between two points is
-    // `utility_bound_view` on their distances.
+    // `utility` does, and its bound between two points is
+    // `utility_bound` on their distances.
     let mut rng = rng(18);
     for case in 0..CASES * 4 {
-        let s = arb_family(&mut rng, case);
-        let v = s.view();
+        let arb = arb_family(&mut rng, case);
+        let s = arb.scenario();
         let (i, j) = (rng.index(2048), rng.index(2048));
-        let (d1, d2) = (solver_grid(v, i.min(j)), solver_grid(v, i.max(j)));
-        let (p1, p2) = (UtilityPoint::at(v, d1), UtilityPoint::at(v, d2));
+        let (d1, d2) = (solver_grid(s, i.min(j)), solver_grid(s, i.max(j)));
+        let (p1, p2) = (UtilityPoint::at(s, d1), UtilityPoint::at(s, d2));
         for (p, d) in [(p1, d1), (p2, d2)] {
             assert_eq!(
                 p.utility().to_bits(),
-                utility_view(v, d).to_bits(),
+                utility(s, d).to_bits(),
                 "{s:?} at {}",
                 d.get()
             );
         }
         assert_eq!(
-            p1.bound_to(v, &p2).to_bits(),
-            utility_bound_view(v, d1, d2).to_bits(),
+            p1.bound_to(s, &p2).to_bits(),
+            utility_bound(s, d1, d2).to_bits(),
             "{s:?} over [{}, {}]",
             d1.get(),
             d2.get()
@@ -376,16 +404,16 @@ fn validated_literals_solve_to_numbers() {
                 flown_m: magnitude(&mut rng, -300.0, 300.0),
             })
         };
+        let fit = ThroughputSpec::LogFit(LogFitThroughput { a_mbps, b_mbps });
         let s = Scenario {
-            name: "extreme".into(),
             d0_m: d_min_m * (1.0 + magnitude(&mut rng, -6.0, 3.0)),
             d_min_m,
             v_mps: magnitude(&mut rng, -300.0, 300.0),
             mdata_bytes: magnitude(&mut rng, -300.0, 300.0),
-            throughput: ThroughputSpec::LogFit(LogFitThroughput { a_mbps, b_mbps }),
+            throughput: &fit,
             failure,
         };
-        match std::panic::catch_unwind(|| optimize(&s)) {
+        match std::panic::catch_unwind(|| optimize(s)) {
             Ok(o) => {
                 solved += 1;
                 let fields = [o.d_opt, o.utility, o.survival, o.ship_s, o.tx_s];
@@ -489,7 +517,7 @@ fn validated_queries_solve_under_both_quantizers() {
         ]
         .iter()
         .any(|x| !x.is_finite());
-        match snapped.view().check() {
+        match snapped.scenario().check() {
             Ok(()) => {
                 assert!(!overflowed, "{p:?} snaps to {snapped:?}");
                 solves_to_numbers(snapped);
@@ -572,12 +600,13 @@ fn pruning_cuts_fig9_calls_at_least_fivefold() {
 fn optimal_strategy_never_loses_to_fixed_choices() {
     let mut rng = rng(9);
     for _ in 0..CASES {
-        let s = arb_scenario(&mut rng);
+        let arb = arb_scenario(&mut rng);
+        let s = arb.scenario();
         let frac = rng.uniform();
         let cfg = EvalConfig::default();
-        let best = evaluate(&s, DeliveryStrategy::Optimal, &cfg);
+        let best = evaluate(s, DeliveryStrategy::Optimal, &cfg);
         let d = s.d_min_m + frac * (s.d0_m - s.d_min_m);
-        let other = evaluate(&s, DeliveryStrategy::MoveThenTransmit { d_m: d }, &cfg);
+        let other = evaluate(s, DeliveryStrategy::MoveThenTransmit { d_m: d }, &cfg);
         assert!(best.utility >= other.utility - 1e-9);
     }
 }

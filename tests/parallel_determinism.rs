@@ -39,8 +39,8 @@ fn outputs_bit_identical_across_thread_counts_and_runs() {
     set_max_threads(1);
     let ref_reps = measure_throughput_replicated(&cfg, MotionProfile::hover(50.0), 6);
     let ref_dist = throughput_vs_distance(&cfg, &[30.0, 60.0, 90.0], 3);
-    let ref_rho = rho_sweep(&base, &paper_rhos::QUADROCOPTER, 32);
-    let ref_grat = gratification_sweep(&base, &mdata, &speeds);
+    let ref_rho = rho_sweep(base, &paper_rhos::QUADROCOPTER, 32);
+    let ref_grat = gratification_sweep(base, &mdata, &speeds);
     let ref_raw = run_replications(cfg.seed, "det-check", 12, |rep, mut rng| {
         (rep, rng.next_u64(), rng.uniform())
     });
@@ -57,7 +57,7 @@ fn outputs_bit_identical_across_thread_counts_and_runs() {
             let dist = throughput_vs_distance(&cfg, &[30.0, 60.0, 90.0], 3);
             assert_eq!(dist, ref_dist, "distance campaign diverged at {label}");
 
-            let rho = rho_sweep(&base, &paper_rhos::QUADROCOPTER, 32);
+            let rho = rho_sweep(base, &paper_rhos::QUADROCOPTER, 32);
             for (a, b) in rho.iter().zip(&ref_rho) {
                 assert_eq!(a.rho_per_m.to_bits(), b.rho_per_m.to_bits(), "{label}");
                 assert_eq!(a.curve.len(), b.curve.len(), "{label}");
@@ -72,7 +72,7 @@ fn outputs_bit_identical_across_thread_counts_and_runs() {
                 );
             }
 
-            let grat = gratification_sweep(&base, &mdata, &speeds);
+            let grat = gratification_sweep(base, &mdata, &speeds);
             assert_eq!(grat.len(), ref_grat.len());
             for (ra, rb) in grat.iter().zip(&ref_grat) {
                 for (pa, pb) in ra.iter().zip(rb) {

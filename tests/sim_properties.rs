@@ -1,5 +1,5 @@
 //! Randomised tests of the discrete-event engine against a reference
-//! model: arbitrary schedules, cancellations and reschedules must always
+//! model: arbitrary interleavings of schedules and pops must always
 //! deliver in (time, insertion) order with exact clock semantics.
 //!
 //! The generators run on a fixed-seed [`DetRng`] loop (256 cases per
@@ -19,8 +19,6 @@ fn rng(salt: u64) -> DetRng {
 enum Action {
     /// Schedule at now + offset_ns with payload = action index.
     Schedule(u64),
-    /// Cancel the n-th *still-pending* event (modulo pending count).
-    Cancel(usize),
     /// Pop one event.
     Pop,
 }
@@ -28,15 +26,14 @@ enum Action {
 fn arb_actions(rng: &mut DetRng) -> Vec<Action> {
     let len = 1 + rng.index(119);
     (0..len)
-        .map(|_| match rng.index(3) {
+        .map(|_| match rng.index(2) {
             0 => Action::Schedule(rng.next_u64() % 1_000_000),
-            1 => Action::Cancel(rng.index(16)),
             _ => Action::Pop,
         })
         .collect()
 }
 
-/// Reference model: a plain Vec of (time, seq, id, cancelled).
+/// Reference model: a plain Vec of (time, seq, id, delivered).
 #[derive(Debug, Default)]
 struct Model {
     items: Vec<(u64, u64, usize, bool)>,
@@ -54,21 +51,6 @@ impl Model {
         let mut live: Vec<&(u64, u64, usize, bool)> = self.items.iter().filter(|e| !e.3).collect();
         live.sort_by_key(|e| (e.0, e.1));
         live.iter().map(|e| e.2).collect()
-    }
-
-    fn cancel_nth(&mut self, n: usize) -> Option<usize> {
-        let ids = self.pending_ids();
-        if ids.is_empty() {
-            return None;
-        }
-        let id = ids[n % ids.len()];
-        for e in self.items.iter_mut() {
-            if e.2 == id && !e.3 {
-                e.3 = true;
-                return Some(id);
-            }
-        }
-        None
     }
 
     fn pop(&mut self) -> Option<(u64, usize)> {
@@ -102,26 +84,13 @@ fn queue_matches_reference_model() {
         let actions = arb_actions(&mut rng);
         let mut q: EventQueue<usize> = EventQueue::new();
         let mut model = Model::default();
-        let mut handles: Vec<(usize, EventId)> = Vec::new();
 
         for (idx, action) in actions.iter().enumerate() {
             match *action {
                 Action::Schedule(offset) => {
                     let at = SimTime::from_nanos(q.now().as_nanos() + offset);
-                    let h = q.schedule_at(at, idx);
+                    q.schedule_at(at, idx);
                     model.schedule(at.as_nanos(), idx);
-                    handles.push((idx, h));
-                }
-                Action::Cancel(n) => {
-                    let cancelled_id = model.cancel_nth(n);
-                    if let Some(id) = cancelled_id {
-                        let h = handles
-                            .iter()
-                            .find(|(i, _)| *i == id)
-                            .expect("handle recorded")
-                            .1;
-                        assert!(q.cancel(h), "queue refused live cancel of {id}");
-                    }
                 }
                 Action::Pop => {
                     let expect = model.pop();

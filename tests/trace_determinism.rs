@@ -25,7 +25,7 @@ fn traced_run() -> Vec<Record> {
     trace::install(trace::TraceConfig::deterministic());
     let scenario = Scenario::quadrocopter_baseline();
     let out = run_replications(0xD7_ACE, "trace-det", REPS, |rep, _rng| {
-        let outcome = optimize(&scenario);
+        let outcome = optimize(scenario);
         (rep, outcome.d_opt.to_bits())
     });
     // The workload itself must be deterministic for the trace to be.
