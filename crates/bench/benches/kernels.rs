@@ -1,6 +1,6 @@
 //! Benchmarks of the computational kernels underneath the reproduction:
-//! the Eq. (2) optimizer, the PHY error chain, one MAC TXOP, and a
-//! second of simulated saturated traffic.
+//! the Eq. (2) optimizer, the PHY error chain, one MAC TXOP, a second of
+//! simulated saturated traffic, and a campaign-store fill.
 //!
 //! Writes `BENCH_kernels.json`: median ns per solve of the optimizer
 //! benches, median ns per call of every other kernel, and objective and
@@ -13,12 +13,18 @@
 //! `mac/txop` is a hovering quadrocopter, whose TXOPs rarely resample
 //! the channel or evaluate a PER; `mac/txop-airplane-20mps` has the
 //! shape of Figure 6's fixed-MCS campaigns, which dominate a full
-//! `repro` run.
+//! `repro` run. `store/fig6-fixed-mcs-one-rep-second` fills Figure 6's
+//! fixed-MCS grid for one replication through a fresh campaign store: its
+//! 52 cells read one fading stream, so it is the kernel that shows the
+//! shared normal tape, whose computed and read normals the report gives
+//! under `store_fill_normals`.
 
 use std::hint::black_box;
 
+use skyferry_bench::experiments::fig6;
 use skyferry_bench::microbench::Harness;
 use skyferry_bench::solver_calls::{figure9_calls, quick_policy_calls, SolveCalls};
+use skyferry_bench::store::CampaignStore;
 use skyferry_control::mission::{run_mission, MissionConfig};
 use skyferry_core::mixed::{optimize_mixed, MixedConfig};
 use skyferry_core::optimizer::optimize;
@@ -37,16 +43,18 @@ use skyferry_phy::fading::FadingProcess;
 use skyferry_phy::mcs::Mcs;
 use skyferry_phy::presets::ChannelPreset;
 use skyferry_sim::prelude::*;
+use skyferry_sim::rng::NormalWork;
 use skyferry_stats::json::Json;
 use skyferry_units::{Db, MetersPerSec};
 
 /// The kernels below the optimizer, reported per call under `kernel_ns`.
-const KERNELS: [&str; 6] = [
+const KERNELS: [&str; 7] = [
     "phy/per-subframe-error-chain",
     "mac/txop",
     "mac/txop-airplane-20mps",
     "mac/arf-full-ladder-feedback",
     "campaign/one-simulated-second-autorate",
+    "store/fig6-fixed-mcs-one-rep-second",
     "mission/single-uav-full-mission",
 ];
 
@@ -160,6 +168,36 @@ fn bench_campaign_second(h: &mut Harness) {
     });
 }
 
+/// Figure 6's four fixed MCS × 13 distances, one replication of one
+/// simulated second, through a fresh store on a new seed per call; the
+/// normals computed and read over every call.
+fn bench_store_fill(h: &mut Harness) -> NormalWork {
+    let before = NormalWork::totals();
+    let mut seed = 0;
+    h.bench("store/fig6-fixed-mcs-one-rep-second", || {
+        seed += 1;
+        let mut requests = Vec::new();
+        for m in fig6::FIXED_MCS {
+            let c = CampaignConfig {
+                preset: ChannelPreset::airplane(MetersPerSec::new(20.0)),
+                controller: ControllerKind::Fixed(Mcs::new(m)),
+                duration: SimDuration::from_secs(1),
+                seed,
+            };
+            requests.extend(fig6::distances().into_iter().map(|d| (c, d)));
+        }
+        let mut store = CampaignStore::new(false);
+        store.ensure(&requests, 1);
+        black_box(store.misses())
+    });
+    let normals = NormalWork::totals().since(before);
+    println!(
+        "  normals: {} computed, {} read",
+        normals.computed, normals.read
+    );
+    normals
+}
+
 fn bench_mission(h: &mut Harness) {
     let mut cfg = MissionConfig::quadrocopter_fleet(1, 50.0, 5);
     cfg.relay_position = Vec3::new(100.0, 25.0, 10.0);
@@ -192,6 +230,7 @@ fn main() {
     bench_phy(&mut h);
     bench_mac(&mut h);
     bench_campaign_second(&mut h);
+    let normals = bench_store_fill(&mut h);
     bench_mission(&mut h);
 
     let ns = |name: &str, solves: f64| Json::Fixed(h.median_ns(name) / solves, 1);
@@ -224,6 +263,17 @@ fn main() {
                     .map(|&k| (k.to_string(), ns(k, 1.0)))
                     .collect(),
             ),
+        ),
+        (
+            "store_fill_normals",
+            Json::obj([
+                ("computed", Json::Int(normals.computed as i64)),
+                ("read", Json::Int(normals.read as i64)),
+                (
+                    "computed_per_read",
+                    Json::Fixed(normals.computed as f64 / normals.read as f64, 4),
+                ),
+            ]),
         ),
         (
             "calls_per_solve",

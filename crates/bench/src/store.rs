@@ -19,7 +19,15 @@
 //! bit-identical to a direct [`measure_throughput_replicated`] call at
 //! any thread count and any insertion order.
 //!
+//! The grid runs replication-major, as
+//! [`throughput_vs_distance`] does: cells of one seed read the same
+//! fading stream per replication, so when a replication's cells run
+//! together their fading processes compute its normals once (see
+//! [`NormalStream`]).
+//!
 //! [`measure_throughput_replicated`]: skyferry_net::campaign::measure_throughput_replicated
+//! [`throughput_vs_distance`]: skyferry_net::campaign::throughput_vs_distance
+//! [`NormalStream`]: skyferry_sim::rng::NormalStream
 
 use std::collections::BTreeMap;
 
@@ -90,8 +98,8 @@ impl CampaignStore {
     /// Ensure every `(campaign, hover distance)` cell exists, counting a
     /// hit (and crediting its recorded cost as time saved) per distinct
     /// cell already present and a miss per distinct cell filled. All
-    /// misses of the batch run as one flattened `cells × reps` parallel
-    /// grid, exactly the task shape of
+    /// misses of the batch run as one flattened, replication-major
+    /// `cells × reps` parallel grid, exactly the task shape of
     /// [`skyferry_net::campaign::throughput_vs_distance`].
     pub fn ensure(&mut self, requests: &[(CampaignConfig, f64)], reps: u64) {
         let mut missing: Vec<(CampaignConfig, f64)> = Vec::new();
@@ -115,21 +123,22 @@ impl CampaignStore {
             return;
         }
         let _span = trace::span!("store-fill", cells = missing.len(), reps = reps);
-        let reps_usize = reps as usize;
+        let cells = missing.len();
         let t0 = monotonic_ns();
-        let per_rep = par_map_indexed(missing.len() * reps_usize, |k| {
-            let (cfg, d) = &missing[k / reps_usize.max(1)];
-            let rep = (k % reps_usize.max(1)) as u64;
-            measure_throughput(cfg, MotionProfile::hover(*d), rep)
+        // Replication-major: task k runs replication k / cells, so the
+        // cells that read one replication's fading stream run together.
+        let per_rep = par_map_indexed(cells * reps as usize, |k| {
+            let (cfg, d) = &missing[k % cells];
+            measure_throughput(cfg, MotionProfile::hover(*d), (k / cells) as u64)
         });
         let elapsed = monotonic_ns().saturating_sub(t0) as f64 / 1e9;
         self.fill_s += elapsed;
         // Attribute the batch cost evenly; cells of one batch share a
         // duration, so this is a fair per-cell estimate.
-        let cost_s = elapsed / missing.len() as f64;
+        let cost_s = elapsed / cells as f64;
         for (i, key) in missing_keys.into_iter().enumerate() {
             let mut samples = Vec::new();
-            for rep_samples in &per_rep[i * reps_usize..(i + 1) * reps_usize] {
+            for rep_samples in per_rep.iter().skip(i).step_by(cells) {
                 samples.extend_from_slice(rep_samples);
             }
             self.cells.insert(key, Cell { samples, cost_s });

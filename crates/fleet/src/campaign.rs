@@ -16,7 +16,7 @@ use skyferry_sim::rng::DetRng;
 use skyferry_uav::platform::{PlatformKind, PlatformSpec};
 use skyferry_units::Meters;
 
-use crate::medium::{CyclicalTdma, MediumAccess, UdMac};
+use crate::medium::{contended, CyclicalTdma, MediumAccess, UdMac};
 use crate::planner::{plan, Assignment, PlannerKind};
 use crate::spatial::GridIndex;
 
@@ -232,19 +232,12 @@ impl FleetCampaign {
             let straggle = rng.exponential(1.0);
             let ready_s = wave_start + jitter + straggle;
             let ship_s = (d0 - transfer.d_opt).max(0.0) / base.v_mps;
-            let rho_eff = medium.retention_hazard_per_s(contenders) / base.v_mps
-                + match base.failure {
-                    skyferry_core::failure::FailureSpec::Exponential(e) => e.rho_per_m,
-                    skyferry_core::failure::FailureSpec::Weibull(_) => {
-                        unreachable!("baselines are exponential")
-                    }
-                };
             decisions.push(UavDecision {
                 uav: i,
                 station: g,
                 contenders,
                 d0_m: d0,
-                rho_eff_per_m: rho_eff,
+                rho_eff_per_m: contended(base, medium, contenders).rho_per_m(),
                 transfer,
                 ready_s,
                 arrival_s: ready_s + ship_s,

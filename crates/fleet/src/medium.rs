@@ -209,6 +209,15 @@ impl Contended<'_> {
             ..self.base
         }
     }
+
+    /// The contended failure rate `ρ' = ρ + λ/v`, 1/m: the law the
+    /// contended query solves under.
+    pub fn rho_per_m(&self) -> f64 {
+        match self.base.failure {
+            FailureSpec::Exponential(e) => e.rho_per_m,
+            FailureSpec::Weibull(_) => unreachable!("`contended` builds an exponential law"),
+        }
+    }
 }
 
 #[cfg(test)]

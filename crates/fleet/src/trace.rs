@@ -147,7 +147,8 @@ impl FleetTrace {
 mod tests {
     use super::*;
     use crate::campaign::{FleetCampaign, MediumSpec};
-    use crate::medium::{contended, CyclicalTdma};
+    use crate::medium::{contended, CyclicalTdma, UdMac};
+    use skyferry_core::failure::FailureSpec;
     use skyferry_core::optimizer::optimize;
     use skyferry_core::scenario::Scenario;
 
@@ -211,6 +212,31 @@ mod tests {
                 a.d_opt,
                 b.d_opt
             );
+        }
+    }
+
+    #[test]
+    fn exported_rho_is_the_contended_failure_rate() {
+        // The quick `fleet` experiment's cells: K = 8, G = 3, both media.
+        let media = [
+            MediumSpec::Tdma(CyclicalTdma::BASELINE),
+            MediumSpec::UdMac(UdMac::BASELINE),
+        ];
+        for medium in media {
+            let config = FleetConfig::baseline(8, 3, medium);
+            let outs = FleetCampaign::new(config.clone()).replicate(0x7E57, 2);
+            let base = config.base_scenario();
+            let trace = FleetTrace::from_replications(&config, &outs);
+            assert_eq!(trace.events.len(), 16);
+            for e in &trace.events {
+                let c = contended(base.with_d0(e.d0_m), medium.access(), e.contenders);
+                match c.scenario().failure {
+                    FailureSpec::Exponential(f) => {
+                        assert_eq!(e.rho_per_m.to_bits(), f.rho_per_m.to_bits(), "{e:?}");
+                    }
+                    FailureSpec::Weibull(_) => panic!("contended law is exponential"),
+                }
+            }
         }
     }
 

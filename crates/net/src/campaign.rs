@@ -161,7 +161,10 @@ pub fn measure_throughput_replicated(
 ///
 /// The `|distances| × reps` grid is flattened into one task pool
 /// ([`par_map_indexed`]) so a handful of distances with many
-/// replications each still load-balances across every worker.
+/// replications each still load-balances across every worker. The pool
+/// runs replication-major: every distance of one replication reads that
+/// replication's fading stream, and readers that run together share its
+/// normals (see `skyferry_sim::rng::NormalStream`).
 /// Determinism is unaffected: every `(distance, replication)` pair
 /// derives its RNG substreams from the campaign seed alone and rows are
 /// reassembled in distance order, so the result is bit-identical to a
@@ -171,16 +174,18 @@ pub fn throughput_vs_distance(
     distances_m: &[f64],
     reps: u64,
 ) -> Vec<(f64, Vec<f64>)> {
-    let reps_usize = reps as usize;
-    let cells = par_map_indexed(distances_m.len() * reps_usize, |k| {
-        let d = distances_m[k / reps_usize.max(1)];
-        let rep = (k % reps_usize.max(1)) as u64;
-        measure_throughput(cfg, MotionProfile::hover(d), rep)
+    let n = distances_m.len();
+    let per_rep = par_map_indexed(n * reps as usize, |k| {
+        measure_throughput(
+            cfg,
+            MotionProfile::hover(distances_m[k % n]),
+            (k / n) as u64,
+        )
     });
-    let mut rows = Vec::with_capacity(distances_m.len());
+    let mut rows = Vec::with_capacity(n);
     for (i, &d) in distances_m.iter().enumerate() {
         let mut samples = Vec::new();
-        for rep_samples in &cells[i * reps_usize..(i + 1) * reps_usize] {
+        for rep_samples in per_rep.iter().skip(i).step_by(n) {
             samples.extend_from_slice(rep_samples);
         }
         rows.push((d, samples));

@@ -23,9 +23,17 @@
 //! LOS channel is — so each stream sees a self-interference floor that
 //! caps its SINR (see [`FadingConfig::sdm_sir_db`]).
 //!
+//! A [`FadingProcess`] draws nothing from its RNG but standard normals,
+//! and it reads them through a [`NormalStream`]: processes built from
+//! RNGs at the same position — every cell of one campaign replication,
+//! whatever it transmits — share one tape of those normals, and each
+//! still gets exactly the bits its own `DetRng` would have drawn.
+//!
 //! [`FadingConfig::sdm_sir_db`]: crate::fading::FadingConfig::sdm_sir_db
+//! [`FadingProcess`]: crate::fading::FadingProcess
+//! [`NormalStream`]: skyferry_sim::rng::NormalStream
 
-use skyferry_sim::rng::DetRng;
+use skyferry_sim::rng::{DetRng, NormalStream};
 use skyferry_sim::time::{SimDuration, SimTime};
 
 use crate::channel::{db_to_linear, SPEED_OF_LIGHT_MPS};
@@ -170,7 +178,8 @@ pub struct FadingProcess {
     config: FadingConfig,
     /// Always `SpeedTerms::of(&config)`.
     terms: SpeedTerms,
-    rng: DetRng,
+    /// The standard normals of the RNG the process was built with.
+    normals: NormalStream,
     current: Option<ChannelState>,
     shadow_expiry: Option<SimTime>,
     shadowing: f64,
@@ -178,7 +187,10 @@ pub struct FadingProcess {
 }
 
 impl FadingProcess {
-    /// Create a process with the given configuration and RNG.
+    /// Create a process with the given configuration and RNG. The
+    /// process draws only standard normals from `rng`, through a
+    /// [`NormalStream`], so processes built from equal RNGs compute each
+    /// normal once between them.
     pub fn new(config: FadingConfig, rng: DetRng) -> Self {
         assert!(
             config.shadowing_coherence_s > 0.0,
@@ -187,7 +199,7 @@ impl FadingProcess {
         FadingProcess {
             config,
             terms: SpeedTerms::of(&config),
-            rng,
+            normals: NormalStream::new(rng),
             current: None,
             shadow_expiry: None,
             shadowing: 1.0,
@@ -219,8 +231,8 @@ impl FadingProcess {
     /// Sample one Rician branch power (mean 1.0).
     fn sample_branch(&mut self) -> f64 {
         let SpeedTerms { nu, sigma, .. } = self.terms;
-        let x = self.rng.normal(nu, sigma);
-        let y = self.rng.normal(0.0, sigma);
+        let x = self.normals.normal(nu, sigma);
+        let y = self.normals.normal(0.0, sigma);
         x * x + y * y
     }
 
@@ -233,7 +245,7 @@ impl FadingProcess {
         }
         if self.shadow_expiry.is_none_or(|e| now >= e) {
             let db = self
-                .rng
+                .normals
                 .normal(0.0, self.config.effective_shadowing_db().get());
             self.shadowing = db_to_linear(db);
             self.shadow_expiry =
@@ -364,6 +376,24 @@ mod tests {
             assert_eq!(p.state_at(t).valid_until, t + cfg(v).coherence_time());
         }
         assert_eq!(p.resamples(), 5);
+    }
+
+    #[test]
+    fn clone_continues_the_stream_mid_run() {
+        let times: Vec<SimTime> = (0..3000).map(|i| SimTime::from_micros(i * 700)).collect();
+        let (head, tail) = times.split_at(1400);
+        let mut p = process(6.0, 20.0, 11);
+        let mut fresh = process(6.0, 20.0, 11);
+        for &t in head {
+            assert_eq!(p.state_at(t), fresh.state_at(t));
+        }
+        let mut copy = p.clone();
+        for &t in tail {
+            let s = p.state_at(t);
+            assert_eq!(copy.state_at(t), s);
+            assert_eq!(fresh.state_at(t), s);
+        }
+        assert_eq!(copy.resamples(), p.resamples());
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   events, a simulation produces bit-identical results on every run and
 //!   every platform. Ties in event time are broken by insertion order.
 //! * **Simplicity.** The engine is a time-ordered priority queue plus a
-//!   seeded random-number generator; there are no threads, no interior
-//!   mutability and no global state.
+//!   seeded random-number generator; it has no threads, no interior
+//!   mutability and no global state. The crate's only process-wide state
+//!   is the [`parallel`] worker cap and [`rng`]'s registry of shared
+//!   standard-normal tapes, and neither changes a result.
 //!
 //! ## Architecture
 //!
@@ -25,7 +27,9 @@
 //! * [`engine::Simulation`] — a run loop that pops events and hands them to
 //!   a handler together with a scheduling context.
 //! * [`rng`] — seeded, splittable random streams so that independent model
-//!   components draw from independent substreams.
+//!   components draw from independent substreams, and
+//!   [`rng::NormalStream`], which shares the standard normals of one
+//!   stream between every reader that starts at the same position.
 //! * [`parallel`] — deterministic fan-out of independent simulations
 //!   (campaign replications, parameter sweeps) over OS threads, with
 //!   order-preserving collection and per-task seed derivation so results

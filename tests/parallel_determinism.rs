@@ -1,7 +1,9 @@
 //! The parallel replication engine's core guarantee, checked end to end:
-//! campaign replications, analytic sweeps, and raw `run_replications`
-//! fan-outs produce *bit-identical* output at any thread count, and
-//! repeated runs with the same seed reproduce the same bits.
+//! campaign replications, campaign-store batches (whose cells share each
+//! replication's fading normals), analytic sweeps, and raw
+//! `run_replications` fan-outs produce *bit-identical* output at any
+//! thread count, and repeated runs with the same seed reproduce the same
+//! bits.
 //!
 //! Everything lives in ONE test function: the worker cap
 //! (`set_max_threads`) is process-global state, so concurrent test
@@ -13,8 +15,10 @@ use skyferry::net::campaign::{
     measure_throughput_replicated, throughput_vs_distance, CampaignConfig, ControllerKind,
 };
 use skyferry::net::profile::MotionProfile;
+use skyferry::phy::mcs::Mcs;
 use skyferry::phy::presets::ChannelPreset;
 use skyferry::sim::prelude::*;
+use skyferry_bench::store::CampaignStore;
 use skyferry_units::MetersPerSec;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -28,6 +32,23 @@ fn campaign(seed: u64) -> CampaignConfig {
     }
 }
 
+/// One store batch: two controllers on one seed, so every cell of a
+/// replication reads the same fading stream; the pooled cells in request
+/// order.
+fn store_batch(cfg: &CampaignConfig) -> Vec<Vec<f64>> {
+    let mut requests = Vec::new();
+    for controller in [ControllerKind::Arf, ControllerKind::Fixed(Mcs::new(2))] {
+        let c = CampaignConfig { controller, ..*cfg };
+        requests.extend([30.0, 60.0, 90.0].map(|d| (c, d)));
+    }
+    let mut store = CampaignStore::new(true);
+    store.ensure(&requests, 3);
+    requests
+        .iter()
+        .map(|(c, d)| store.samples(c, *d, 3))
+        .collect()
+}
+
 #[test]
 fn outputs_bit_identical_across_thread_counts_and_runs() {
     let cfg = campaign(0x00DE_7E12);
@@ -39,6 +60,9 @@ fn outputs_bit_identical_across_thread_counts_and_runs() {
     set_max_threads(1);
     let ref_reps = measure_throughput_replicated(&cfg, MotionProfile::hover(50.0), 6);
     let ref_dist = throughput_vs_distance(&cfg, &[30.0, 60.0, 90.0], 3);
+    let ref_batch = store_batch(&cfg);
+    // The batch's autorate cells are the distance campaign's rows.
+    assert!(ref_dist.iter().map(|(_, s)| s).eq(&ref_batch[..3]));
     let ref_rho = rho_sweep(base, &paper_rhos::QUADROCOPTER, 32);
     let ref_grat = gratification_sweep(base, &mdata, &speeds);
     let ref_raw = run_replications(cfg.seed, "det-check", 12, |rep, mut rng| {
@@ -56,6 +80,9 @@ fn outputs_bit_identical_across_thread_counts_and_runs() {
 
             let dist = throughput_vs_distance(&cfg, &[30.0, 60.0, 90.0], 3);
             assert_eq!(dist, ref_dist, "distance campaign diverged at {label}");
+
+            let batch = store_batch(&cfg);
+            assert_eq!(batch, ref_batch, "store batch diverged at {label}");
 
             let rho = rho_sweep(base, &paper_rhos::QUADROCOPTER, 32);
             for (a, b) in rho.iter().zip(&ref_rho) {
