@@ -1,6 +1,7 @@
 //! Benchmarks of the computational kernels underneath the reproduction:
-//! the Eq. (2) optimizer, the PHY error chain, one MAC TXOP, a second of
-//! simulated saturated traffic, and a campaign-store fill.
+//! the Eq. (2) optimizer, the PHY error chain and the bracketed loss
+//! decision that avoids it, one MAC TXOP, a second of simulated
+//! saturated traffic, and a campaign-store fill.
 //!
 //! Writes `BENCH_kernels.json`: median ns per solve of the optimizer
 //! benches, median ns per call of every other kernel, and objective and
@@ -38,7 +39,7 @@ use skyferry_mac::rate::{Arf, FixedMcs, RateController, TxFeedback};
 use skyferry_net::campaign::{measure_throughput, CampaignConfig, ControllerKind};
 use skyferry_net::profile::MotionProfile;
 use skyferry_phy::channel::db_to_linear;
-use skyferry_phy::error::{coded_per, effective_snr_linear};
+use skyferry_phy::error::{coded_per, effective_snr_linear, PerCurve};
 use skyferry_phy::fading::FadingProcess;
 use skyferry_phy::mcs::Mcs;
 use skyferry_phy::presets::ChannelPreset;
@@ -48,8 +49,9 @@ use skyferry_stats::json::Json;
 use skyferry_units::{Db, MetersPerSec};
 
 /// The kernels below the optimizer, reported per call under `kernel_ns`.
-const KERNELS: [&str; 7] = [
+const KERNELS: [&str; 8] = [
     "phy/per-subframe-error-chain",
+    "phy/per-subframe-decision",
     "mac/txop",
     "mac/txop-airplane-20mps",
     "mac/arf-full-ladder-feedback",
@@ -90,17 +92,31 @@ fn bench_optimizer(h: &mut Harness) {
 
 fn bench_phy(h: &mut Harness) {
     let preset = ChannelPreset::airplane(MetersPerSec::new(20.0));
-    let mut fading = FadingProcess::new(preset.fading, DetRng::seed(1));
     let snr = db_to_linear(preset.mean_snr(skyferry_units::Meters::new(100.0)).get());
-    let mut t = SimTime::ZERO;
     // Opaque, as a rate controller's choice is to the link: a literal
     // MCS lets the compiler fold the chain's per-MCS constants.
     let mcs = black_box(Mcs::new(3));
+    // Both benches walk one fading sequence, a state every 500 µs.
+    let channel = || {
+        let mut fading = FadingProcess::new(preset.fading, DetRng::seed(1));
+        let mut t = SimTime::ZERO;
+        move || {
+            t += SimDuration::from_micros(500);
+            effective_snr_linear(mcs, true, snr, &fading.state_at(t), Db::new(12.0))
+        }
+    };
+    let mut eff = channel();
     h.bench("phy/per-subframe-error-chain", || {
-        t += SimDuration::from_micros(500);
-        let state = fading.state_at(t);
-        let eff = effective_snr_linear(mcs, true, snr, &state, Db::new(12.0));
-        black_box(coded_per(mcs, eff, 1500))
+        black_box(coded_per(mcs, eff(), 1500))
+    });
+    // The link's decision: one draw against the frame's bracketed PER,
+    // and the exact chain only when the draw falls inside the bracket.
+    let mut eff = channel();
+    let curve = PerCurve::shared(mcs, 1500);
+    let mut draws = DetRng::seed(2);
+    let mut exact_runs = 0;
+    h.bench("phy/per-subframe-decision", || {
+        black_box(curve.bracket(eff(), 1500).lost(&mut draws, &mut exact_runs))
     });
 }
 

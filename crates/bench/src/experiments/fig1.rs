@@ -53,7 +53,10 @@ pub struct Fig1Strategy {
 /// The `strategies × replications` grid is one flat task pool on the
 /// deterministic workers: every replication derives its RNG substreams
 /// from `(campaign seed, rep)` alone, so output order and content are
-/// identical at any thread count. Each strategy then reports its
+/// identical at any thread count. The pool runs replication-major, as
+/// the campaign store's does, so the strategies of one replication
+/// share its fading normals, and is reassembled strategy-major.
+/// Each strategy then reports its
 /// *median* replication — the one with the median completion time
 /// (unfinished runs sort last) — so the plotted curve is a typical
 /// channel realisation rather than whatever replication 0 drew.
@@ -84,9 +87,12 @@ pub fn simulate(cfg: &ReproConfig) -> Vec<Fig1Strategy> {
         false,
     ));
     let reps = cfg.reps(6) as usize;
-    let outcomes = par_map_indexed(strategies.len() * reps, |k| {
-        let (label, profile, hold) = &strategies[k / reps];
-        let rep = (k % reps) as u64;
+    let n = strategies.len();
+    // Replication-major: task k runs replication k / n, so the
+    // strategies that read one replication's fading stream run together.
+    let outcomes = par_map_indexed(n * reps, |k| {
+        let (label, profile, hold) = &strategies[k % n];
+        let rep = (k / n) as u64;
         let res = run_transfer(&campaign, *profile, MDATA_BYTES, *hold, label.clone(), rep);
         Fig1Strategy {
             label: label.clone(),
@@ -94,9 +100,9 @@ pub fn simulate(cfg: &ReproConfig) -> Vec<Fig1Strategy> {
             record: res.record,
         }
     });
-    outcomes
-        .chunks(reps)
-        .map(|runs| {
+    (0..n)
+        .map(|s| {
+            let runs: Vec<&Fig1Strategy> = outcomes.iter().skip(s).step_by(n).collect();
             let mut order: Vec<usize> = (0..runs.len()).collect();
             // Unfinished replications sort after every finished one;
             // ties break on replication index, keeping selection stable.

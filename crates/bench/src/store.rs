@@ -213,6 +213,7 @@ impl CampaignStore {
                     ("subframes", count(work.subframes)),
                     ("per_evals", count(work.per_evals)),
                     ("per_memo_hits", count(work.per_memo_hits)),
+                    ("per_exact", count(work.per_exact)),
                     ("resamples", count(work.resamples)),
                 ]),
             ),

@@ -21,18 +21,29 @@
 //!
 //! The PER of a frame is a pure function of the MCS, the frame length,
 //! the mean SNR and the channel state, and a channel state outlives
-//! several subframes. The link therefore keeps the last PER it computed
-//! for a data subframe and for a block ACK, keyed on the exact bits of
-//! those inputs, and recomputes only when one of them changes. Within an
+//! several subframes. The link therefore keeps the last PER look-up of a
+//! data subframe and of a block ACK, keyed on the exact bits of those
+//! inputs, and repeats it only when one of them changes. Within an
 //! A-MPDU it looks the PER up once per run of same-size subframes that
-//! start inside one channel state. Every error draw still happens, once
-//! per subframe and in order, so the link RNG stream is unchanged.
+//! start inside one channel state. A look-up yields a
+//! [`PerBracket`]: an interval that holds the PER, read from the MCS's
+//! shared [`PerCurve`] of full-size frames (or of block ACKs), which
+//! bounds a shorter runt from above too. Each frame's loss is one
+//! `uniform()` draw compared with the bracket, and only a draw that
+//! falls inside it runs the exact `coded_per`, once per look-up. So
+//! every decision is `DetRng::chance(coded_per(…))`'s, every error draw
+//! still happens, once per frame and in order, and the link RNG stream
+//! is unchanged.
+//!
+//! [`PerBracket`]: skyferry_phy::error::PerBracket
+//! [`PerCurve`]: skyferry_phy::error::PerCurve
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use skyferry_phy::airtime::ppdu_duration;
 use skyferry_phy::channel::db_to_linear;
-use skyferry_phy::error::{coded_per, effective_snr};
+use skyferry_phy::error::{effective_snr, PerBracket, PerCurve};
 use skyferry_phy::fading::{ChannelState, FadingProcess};
 use skyferry_phy::mcs::Mcs;
 use skyferry_phy::presets::ChannelPreset;
@@ -103,34 +114,42 @@ pub struct LinkWork {
     pub txops: u64,
     /// A-MPDU subframes sent.
     pub subframes: u64,
-    /// Runs of the SNR→BER→PER chain (data subframes and block ACKs).
+    /// PER look-ups the link's memo missed (data subframes and block
+    /// ACKs): each reads a bracket of the PER off a PER curve.
     pub per_evals: u64,
-    /// PERs served from the link's memo instead.
+    /// PER look-ups the memo served.
     pub per_memo_hits: u64,
+    /// Runs of the exact SNR→BER→PER chain: draws that fell inside
+    /// their bracket, at most one per memo miss.
+    pub per_exact: u64,
     /// Fading states sampled.
     pub resamples: u64,
 }
 
 /// Work of every link dropped so far, in [`LinkWork`] field order.
-static WORK_TOTALS: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+static WORK_TOTALS: [AtomicU64; 6] = [const { AtomicU64::new(0) }; 6];
 
 impl LinkWork {
-    fn fields(self) -> [u64; 5] {
+    fn fields(self) -> [u64; 6] {
         [
             self.txops,
             self.subframes,
             self.per_evals,
             self.per_memo_hits,
+            self.per_exact,
             self.resamples,
         ]
     }
 
-    fn from_fields([txops, subframes, per_evals, per_memo_hits, resamples]: [u64; 5]) -> Self {
+    fn from_fields(
+        [txops, subframes, per_evals, per_memo_hits, per_exact, resamples]: [u64; 6],
+    ) -> Self {
         LinkWork {
             txops,
             subframes,
             per_evals,
             per_memo_hits,
+            per_exact,
             resamples,
         }
     }
@@ -160,9 +179,18 @@ struct PhyConstants {
     sdm_sir: f64,
 }
 
-/// The last PER one frame kind evaluated.
-#[derive(Debug, Default)]
-struct PerMemo(Option<(PerKey, f64)>);
+/// The PER look-ups of one frame kind: the curve of each MCS it has
+/// sent, and its last look-up.
+#[derive(Debug)]
+struct PerMemo {
+    /// The frame length the curves hold: the kind's full size.
+    curve_len: usize,
+    /// Each MCS's curve, fetched from the process's set on first use,
+    /// so no frame takes a lock.
+    curves: [Option<Arc<PerCurve>>; Mcs::MAX_INDEX as usize + 1],
+    /// The last look-up, keyed on its inputs.
+    last: Option<(PerKey, PerBracket)>,
+}
 
 /// Every input of `effective_snr` + `coded_per` that can differ between
 /// two frames of one link, compared by bits (the [`PhyConstants`] are
@@ -176,10 +204,18 @@ struct PerKey {
 }
 
 impl PerMemo {
-    /// The PER of a `len_bytes`-byte frame at `mcs` through `state`:
-    /// the remembered one when every input matches bit for bit, else a
-    /// fresh evaluation, remembered.
-    fn per(
+    fn new(curve_len: usize) -> Self {
+        PerMemo {
+            curve_len,
+            curves: Default::default(),
+            last: None,
+        }
+    }
+
+    /// The PER bracket of a `len_bytes`-byte frame (at most the curves'
+    /// length) at `mcs` through `state`: the remembered one when every
+    /// input matches bit for bit, else a fresh one, remembered.
+    fn bracket(
         &mut self,
         work: &mut LinkWork,
         phy: &PhyConstants,
@@ -187,7 +223,7 @@ impl PerMemo {
         len_bytes: usize,
         mean_snr: f64,
         state: &ChannelState,
-    ) -> f64 {
+    ) -> &mut PerBracket {
         let key = PerKey {
             mcs,
             len_bytes,
@@ -198,17 +234,17 @@ impl PerMemo {
                 state.shadowing.to_bits(),
             ],
         };
-        if let Some((k, per)) = self.0 {
-            if k == key {
-                work.per_memo_hits += 1;
-                return per;
-            }
+        if self.last.is_some_and(|(k, _)| k == key) {
+            work.per_memo_hits += 1;
+        } else {
+            work.per_evals += 1;
+            let curve_len = self.curve_len;
+            let curve = self.curves[usize::from(mcs.index())]
+                .get_or_insert_with(|| PerCurve::shared(mcs, curve_len));
+            let eff = effective_snr(mcs, phy.use_stbc, mean_snr, state, phy.sdm_sir);
+            self.last = Some((key, curve.bracket(eff, len_bytes)));
         }
-        work.per_evals += 1;
-        let eff = effective_snr(mcs, phy.use_stbc, mean_snr, state, phy.sdm_sir);
-        let per = coded_per(mcs, eff, len_bytes);
-        self.0 = Some((key, per));
-        per
+        &mut self.last.as_mut().expect("the look-up fills the memo").1
     }
 }
 
@@ -273,8 +309,8 @@ impl LinkState {
             rng: link_rng,
             retry_streak: 0,
             mean_snr: None,
-            data_per: PerMemo::default(),
-            ba_per: PerMemo::default(),
+            data_per: PerMemo::new(config.mpdu_payload_bytes + DATA_OVERHEAD_BYTES),
+            ba_per: PerMemo::new(BLOCK_ACK_BYTES),
             work: LinkWork::default(),
             total_delivered_bytes: 0,
             total_airtime: SimDuration::ZERO,
@@ -393,7 +429,7 @@ impl LinkState {
         while i < n {
             let (pl, same_size) = if i < full { (payload, full) } else { (tail, n) };
             let state = self.fading.state_at(starts_at(i));
-            let per = self.data_per.per(
+            let bracket = self.data_per.bracket(
                 &mut self.work,
                 &self.phy,
                 mcs,
@@ -409,7 +445,7 @@ impl LinkState {
             // rest of the run; count those hits.
             self.work.per_memo_hits += (end - i - 1) as u64;
             for _ in i..end {
-                if self.rng.chance(per) {
+                if bracket.lost(&mut self.rng, &mut self.work.per_exact) {
                     failed_bytes += pl;
                 } else {
                     delivered += 1;
@@ -424,15 +460,17 @@ impl LinkState {
         // in a deep fade, costing the whole window.
         let ba_time = tx_start + data_air + self.config.dcf.sifs;
         let ba_state = self.fading.state_at(ba_time);
-        let ba_per = self.ba_per.per(
-            &mut self.work,
-            &self.phy,
-            Mcs::new(0),
-            BLOCK_ACK_BYTES,
-            mean_snr,
-            &ba_state,
-        );
-        let block_ack_lost = self.rng.chance(ba_per);
+        let block_ack_lost = self
+            .ba_per
+            .bracket(
+                &mut self.work,
+                &self.phy,
+                Mcs::new(0),
+                BLOCK_ACK_BYTES,
+                mean_snr,
+                &ba_state,
+            )
+            .lost(&mut self.rng, &mut self.work.per_exact);
         if block_ack_lost {
             failed_bytes += delivered_bytes;
             delivered = 0;
@@ -652,5 +690,56 @@ mod tests {
         // a hovering link remembers most of them.
         assert_eq!(w.per_evals + w.per_memo_hits, subframes + w.txops - idle);
         assert!(w.per_memo_hits > w.per_evals, "{w:?}");
+    }
+
+    #[test]
+    fn bracketed_draws_are_chance_of_the_exact_per() {
+        // Random frames through both memos: any MCS, full-size subframes,
+        // runts of any length and block ACKs, at log-uniform mean SNRs
+        // across every MCS's transition and random channel states. Each
+        // must be lost exactly when `chance` on the exact PER says so,
+        // from the same draw.
+        let mut l = link(ChannelPreset::airplane(MetersPerSec::new(20.0)), 3, 12);
+        let payload = l.config.mpdu_payload_bytes;
+        let mut pick = DetRng::seed(13);
+        let (mut ours, mut theirs) = (DetRng::seed(14), DetRng::seed(14));
+        let mut work = LinkWork::default();
+        // Exact runs and frames by kind: block ACK, runt, full size.
+        let (mut exact, mut sent) = ([0u64; 3], [0u64; 3]);
+        let frames = 1_000_000;
+        for _ in 0..frames {
+            let mcs = Mcs::new(pick.index(16) as u8);
+            let mean_snr = 2f64.powf(pick.uniform_range(-4.0, 12.0));
+            let state = ChannelState {
+                branch_gain: [pick.uniform_range(0.0, 2.0), pick.uniform_range(0.0, 2.0)],
+                shadowing: pick.uniform_range(0.5, 1.5),
+                valid_until: SimTime::MAX,
+            };
+            let kind = pick.index(4).min(2);
+            // A runt carries 1 to `payload - 1` bytes.
+            let tail = 1 + pick.index(payload - 1);
+            let (memo, mcs, len) = match kind {
+                0 => (&mut l.ba_per, Mcs::new(0), BLOCK_ACK_BYTES),
+                1 => (&mut l.data_per, mcs, tail + DATA_OVERHEAD_BYTES),
+                _ => (&mut l.data_per, mcs, payload + DATA_OVERHEAD_BYTES),
+            };
+            sent[kind] += 1;
+            let lost = memo
+                .bracket(&mut work, &l.phy, mcs, len, mean_snr, &state)
+                .lost(&mut ours, &mut exact[kind]);
+            let eff = effective_snr(mcs, l.phy.use_stbc, mean_snr, &state, l.phy.sdm_sir);
+            let want = theirs.chance(skyferry_phy::error::coded_per(mcs, eff, len));
+            assert_eq!(lost, want, "{mcs}, {len} B at {eff:e}");
+        }
+        // Both generators took one draw per frame.
+        assert_eq!(ours.next_u64(), theirs.next_u64());
+        assert_eq!(work.per_evals, frames);
+        // A few full-size frames and block ACKs needed the exact PER;
+        // nearly all did not. A runt has no lower bound, so its draws
+        // below the upper one all do.
+        for kind in [0, 2] {
+            assert!((1..sent[kind] / 100).contains(&exact[kind]), "{exact:?}");
+        }
+        assert!(exact[1] > 0);
     }
 }

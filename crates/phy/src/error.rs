@@ -11,11 +11,27 @@
 //! published 802.11n link curves, which is ample for this reproduction:
 //! the strategy model consumes *throughput vs distance medians*, and the
 //! presets are calibrated end-to-end against the paper's fits anyway.
+//!
+//! A simulated frame needs its PER only to decide whether a uniform draw
+//! falls below it, and most draws fall far from it. A [`PerCurve`] holds
+//! exact [`coded_per`] values of one (MCS, frame length) on a fixed grid
+//! of effective SNRs, which bound the PER at any SNR between two points
+//! because the PER is non-increasing in the SNR (DESIGN §3 gives the
+//! argument and its error budget). A [`PerBracket`] decides a draw from
+//! those bounds and runs the exact chain only when the draw falls
+//! between them, so it returns what `DetRng::chance(coded_per(…))`
+//! returns from the same single draw.
+//!
+//! [`PerCurve`]: crate::error::PerCurve
+//! [`PerBracket`]: crate::error::PerBracket
+//! [`coded_per`]: crate::error::coded_per
 
-use std::sync::LazyLock;
+use std::collections::BTreeMap;
+use std::sync::{Arc, LazyLock, Mutex};
 
 use crate::fading::ChannelState;
 use crate::mcs::{CodingRate, Mcs, Modulation};
+use skyferry_sim::rng::DetRng;
 use skyferry_units::Db;
 
 /// Complementary error function, Abramowitz & Stegun 7.1.26 (|ε| ≤ 1.5e-7).
@@ -150,6 +166,180 @@ pub fn effective_snr(
         mean_snr_linear * state.stbc_gain()
     } else {
         mean_snr_linear * state.siso_gain()
+    }
+}
+
+/// The step of a [`PerCurve`]'s grid in the bits of an `f64`: its points
+/// are the floats whose low 44 mantissa bits are zero, 256 per octave.
+const GRID_SHIFT: u32 = 44;
+
+/// Absolute slack of a [`PerCurve`] bound: 2^-30, 2^8 times the float
+/// chain's worst departure of about 2^-38 from a non-increasing PER.
+const SLACK: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// Exact [`coded_per`] values of one (MCS, frame length) at grid points
+/// `e_i` of linear effective SNR, across the PER's transition: from the
+/// last point whose PER is exactly 1 to the first whose PER is exactly 0.
+///
+/// Since the PER does not increase with the SNR, a PER at an SNR in
+/// `[e_i, e_{i+1})` lies between `PER(e_{i+1})` and `PER(e_i)`, up to the
+/// float chain's rounding, which a slack of 2^-30 covers. A curve is a pure
+/// function of its MCS and length; [`PerCurve::shared`] builds each one
+/// once per process.
+#[derive(Debug)]
+pub struct PerCurve {
+    mcs: Mcs,
+    len_bytes: usize,
+    /// `e_0.to_bits() >> GRID_SHIFT`.
+    first: usize,
+    /// `coded_per` at `e_0`, `e_1`, …; never empty.
+    per: Box<[f64]>,
+}
+
+impl PerCurve {
+    /// Sample `coded_per(mcs, ·, len_bytes)` on the grid: a scan of one
+    /// point per octave, outwards from 1, finds a point whose PER is 1
+    /// and one whose PER is 0 (or stops at 2^-64 and 2^64), and the
+    /// points between them are kept from the last whose PER is 1 to the
+    /// first after it whose PER is 0.
+    fn new(mcs: Mcs, len_bytes: usize) -> Self {
+        const OCTAVE: u64 = 1 << 52;
+        let per_at = |bits: u64| coded_per(mcs, f64::from_bits(bits), len_bytes);
+        let (floor, ceil) = ((1023 - 64) * OCTAVE, (1023 + 64) * OCTAVE);
+        let mut lo = 1f64.to_bits();
+        while lo > floor && per_at(lo) < 1.0 {
+            lo -= OCTAVE;
+        }
+        let mut hi = 1f64.to_bits();
+        while hi < ceil && per_at(hi) > 0.0 {
+            hi += OCTAVE;
+        }
+        let start = lo >> GRID_SHIFT;
+        let mut first = start;
+        let mut per = Vec::new();
+        for i in start..=hi >> GRID_SHIFT {
+            let p = per_at(i << GRID_SHIFT);
+            if p == 1.0 {
+                first = i;
+                per.clear();
+            }
+            per.push(p);
+            if p == 0.0 {
+                break;
+            }
+        }
+        PerCurve {
+            mcs,
+            len_bytes,
+            // A grid index is below 2^19, so the cast keeps every bit.
+            first: first as usize,
+            per: per.into(),
+        }
+    }
+
+    /// The process's curve of `(mcs, len_bytes)`, built on first use
+    /// and shared by every caller after it.
+    pub fn shared(mcs: Mcs, len_bytes: usize) -> Arc<PerCurve> {
+        static CURVES: Mutex<BTreeMap<(Mcs, usize), Arc<PerCurve>>> = Mutex::new(BTreeMap::new());
+        let mut curves = CURVES.lock().expect("a PER curve build panicked");
+        Arc::clone(
+            curves
+                .entry((mcs, len_bytes))
+                .or_insert_with(|| Arc::new(PerCurve::new(mcs, len_bytes))),
+        )
+    }
+
+    /// An interval `(lo, hi)` that holds `coded_per` at effective SNR
+    /// `eff`: within the slack of the PERs at the two points around it,
+    /// open-ended past either end of the curve, and the whole line for
+    /// an SNR that is not a positive normal float.
+    #[inline]
+    fn bounds(&self, eff: f64) -> (f64, f64) {
+        if !(eff.is_normal() && eff > 0.0) {
+            return (f64::NEG_INFINITY, f64::INFINITY);
+        }
+        // A positive float's grid index is below 2^19: the cast keeps it.
+        let cell = (eff.to_bits() >> GRID_SHIFT) as usize;
+        let last = self.per.len() - 1;
+        if cell < self.first {
+            (self.per[0] - SLACK, f64::INFINITY)
+        } else if cell - self.first >= last {
+            (f64::NEG_INFINITY, self.per[last] + SLACK)
+        } else {
+            let i = cell - self.first;
+            (self.per[i + 1] - SLACK, self.per[i] + SLACK)
+        }
+    }
+
+    /// The bracket of a `len_bytes`-byte frame at effective SNR `eff`.
+    /// A frame shorter than the curve's has a PER no higher than the
+    /// curve's at the same SNR, so it keeps the curve's upper bound and
+    /// no lower bound.
+    ///
+    /// # Panics
+    /// Panics if the frame is longer than the curve's.
+    #[inline]
+    pub fn bracket(&self, eff: f64, len_bytes: usize) -> PerBracket {
+        assert!(
+            len_bytes <= self.len_bytes,
+            "a {} B curve cannot bound a {len_bytes} B frame",
+            self.len_bytes
+        );
+        let (lo, hi) = self.bounds(eff);
+        PerBracket {
+            lo: if len_bytes == self.len_bytes {
+                lo
+            } else {
+                f64::NEG_INFINITY
+            },
+            hi,
+            mcs: self.mcs,
+            eff,
+            len_bytes,
+        }
+    }
+}
+
+/// An interval that holds one frame's PER, narrowed onto the PER itself
+/// once a draw has needed it.
+#[derive(Debug, Clone, Copy)]
+pub struct PerBracket {
+    lo: f64,
+    hi: f64,
+    mcs: Mcs,
+    eff: f64,
+    len_bytes: usize,
+}
+
+impl PerBracket {
+    /// Whether the frame is lost: lost when one `rng.uniform()` draw is
+    /// below `coded_per(mcs, eff, len_bytes)` clamped to `[0, 1]`, which
+    /// is the draw and the decision of `DetRng::chance` on that PER. The
+    /// exact chain runs only when the draw falls inside the bracket, and
+    /// at most once per bracket; `exact_runs` counts its runs.
+    #[inline]
+    pub fn lost(&mut self, rng: &mut DetRng, exact_runs: &mut u64) -> bool {
+        let u = rng.uniform();
+        if u < self.lo {
+            true
+        } else if u >= self.hi {
+            false
+        } else {
+            self.lost_exactly(u, exact_runs)
+        }
+    }
+
+    /// [`PerBracket::lost`] for a draw `u` inside the bracket.
+    #[cold]
+    fn lost_exactly(&mut self, u: f64, exact_runs: &mut u64) -> bool {
+        *exact_runs += 1;
+        let per = coded_per(self.mcs, self.eff, self.len_bytes).clamp(0.0, 1.0);
+        // `chance` loses no draw to a NaN PER, and none is lost to 0,
+        // which also leaves a bracket that decides every later draw.
+        let per = if per.is_nan() { 0.0 } else { per };
+        self.lo = per;
+        self.hi = per;
+        u < per
     }
 }
 
@@ -344,5 +534,106 @@ mod tests {
         let p8 = per(Mcs::new(8), false, 4.0);
         let p1 = per(Mcs::new(1), false, 4.0);
         assert!(p8 < p1, "p8={p8} p1={p1}");
+    }
+
+    /// The linear SNR of grid point `i` of `curve`.
+    fn grid_point(curve: &PerCurve, i: usize) -> f64 {
+        f64::from_bits(((curve.first + i) as u64) << GRID_SHIFT)
+    }
+
+    /// Assert that the bracket of every `len` in `lens` at `eff` holds
+    /// that frame's exact PER.
+    fn assert_held(curve: &PerCurve, eff: f64, lens: &[usize]) {
+        for &len in lens {
+            let b = curve.bracket(eff, len);
+            let per = coded_per(curve.mcs, eff, len);
+            assert!(
+                b.lo <= per && per <= b.hi,
+                "{} at {eff:e} ({:#x}), {len} B: {per:e} outside [{:e}, {:e}]",
+                curve.mcs,
+                eff.to_bits(),
+                b.lo,
+                b.hi
+            );
+        }
+    }
+
+    #[test]
+    fn curve_bounds_hold_the_per() {
+        // Block ACKs, two runt lengths and full-size subframes, each on
+        // its own curve; the full-size curve also bounds both runts.
+        let mut rng = DetRng::seed(0x5eed);
+        for mcs in Mcs::all() {
+            for len in [32, 437, 1200, 1500] {
+                let curve = PerCurve::new(mcs, len);
+                let lens: &[usize] = if len == 1500 {
+                    &[1500, 1200, 437]
+                } else {
+                    &[len]
+                };
+                let n = curve.per.len();
+                // Every grid point, and 1–4 ulps to either side of it.
+                for i in 0..n {
+                    let bits = grid_point(&curve, i).to_bits();
+                    for ulps in 0..=4 {
+                        assert_held(&curve, f64::from_bits(bits + ulps), lens);
+                        assert_held(&curve, f64::from_bits(bits - ulps), lens);
+                    }
+                }
+                // Log-uniform SNRs from two octaves below the curve to
+                // two octaves above it.
+                let (lo, hi) = (grid_point(&curve, 0) / 4.0, grid_point(&curve, n - 1) * 4.0);
+                for _ in 0..100_000 {
+                    let eff = lo * (hi / lo).powf(rng.uniform());
+                    assert_held(&curve, eff, lens);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn curves_span_the_transition_and_are_shared() {
+        for mcs in Mcs::all() {
+            for len in [32, 1500] {
+                let curve = PerCurve::shared(mcs, len);
+                assert!(Arc::ptr_eq(&curve, &PerCurve::shared(mcs, len)));
+                assert_eq!(curve.per[0], 1.0, "{mcs}, {len} B");
+                assert_eq!(curve.per[curve.per.len() - 1], 0.0, "{mcs}, {len} B");
+                // 1 and 0 appear once each: at the ends.
+                let inner = &curve.per[1..curve.per.len() - 1];
+                assert!(inner.iter().all(|&p| 0.0 < p && p < 1.0), "{mcs}, {len} B");
+            }
+        }
+    }
+
+    #[test]
+    fn snrs_off_the_grid_take_the_exact_chain() {
+        let curve = PerCurve::new(Mcs::new(3), 1500);
+        let subnormal = f64::MIN_POSITIVE / 2.0;
+        for eff in [
+            0.0,
+            -0.0,
+            -1.0,
+            subnormal,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            for len in [1500, 437] {
+                let b = curve.bracket(eff, len);
+                assert_eq!((b.lo, b.hi), (f64::NEG_INFINITY, f64::INFINITY), "{eff:e}");
+                // So every draw runs the chain, once, and decides as
+                // `chance` does.
+                let (mut a, mut want) = (DetRng::seed(9), DetRng::seed(9));
+                let mut b = b;
+                let mut runs = 0;
+                for _ in 0..4 {
+                    let p = coded_per(curve.mcs, eff, len);
+                    assert_eq!(b.lost(&mut a, &mut runs), want.chance(p), "{eff:e}");
+                }
+                assert_eq!(runs, 1);
+            }
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! The simulated-work totals of `repro`'s footer are counts of what was
 //! simulated, not of how: a quick run reports the same TXOPs, subframes
 //! and fading resamples at one worker and at two, and those figures are
-//! pinned.
+//! pinned. So is the number of exact PER chain runs, which gates the
+//! bracketed PER decision on a count: it stays a small share of the PER
+//! look-ups only while the PER curves decide the draws.
 //!
 //! Everything lives in ONE test function: the worker cap and the link
 //! work totals are both process-wide, so a concurrent test function
@@ -40,5 +42,15 @@ fn quick_run_work_is_pinned_and_thread_count_free() {
     assert!(
         (one.subframes..=one.subframes + one.txops).contains(&pers),
         "PER look-ups are not one per frame: {one:?}"
+    );
+    // The PER curves decide nearly every draw: the exact chain runs for
+    // few of the look-ups the memo missed.
+    assert_eq!(
+        one.per_exact, 12_850,
+        "a quick run ran the exact chain differently: {one:?}"
+    );
+    assert!(
+        one.per_exact * 50 <= one.per_evals,
+        "the PER curves decide too few draws: {one:?}"
     );
 }
